@@ -194,7 +194,7 @@ def approximate_target(
         raise ValueError(f"dim mismatch: generator {f.dim} vs target {target.dim}")
     if not target.is_polynomial:
         raise ValueError("the approximation target must be a polynomial")
-    if any(sum(n) > truncation for n in target.coeffs):
+    if any(sum(n) > truncation for n, _ in target.terms()):
         raise ValueError(f"target degree exceeds truncation {truncation}")
     span = derivative_span(f, truncation, max_order)
     a = span.matrix.T

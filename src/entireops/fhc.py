@@ -44,6 +44,7 @@ class LadderVector:
     The generator is given as one :class:`AxisKernelProblem` per axis; the
     ladder constants a_j are those problems' constants.  The combination is
     exact symbolic data — no truncation is involved until it is realized.
+    Terms are stored in graded-lex order of their labels.
     """
 
     generator: tuple[AxisKernelProblem, ...]
@@ -65,7 +66,8 @@ class LadderVector:
             c = complex(raw)
             if c != 0:
                 clean[idx] = c
-        object.__setattr__(self, "terms", clean)
+        ordered = sorted(clean, key=graded_key)
+        object.__setattr__(self, "terms", {n: clean[n] for n in ordered})
 
     @property
     def dim(self) -> int:
@@ -81,9 +83,6 @@ class LadderVector:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_indices(self) -> list[Index]:
-        return sorted(self.terms, key=graded_key)
 
 
 def operator_power_on_basis(
@@ -115,11 +114,11 @@ def apply_lowering(x: LadderVector, axis: int) -> LadderVector:
     j = axis - 1
     a = x.ladder_constants[j]
     out: dict[Index, complex] = {}
-    for n in x.sorted_indices():
+    for n, c in x.terms.items():
         if n[j] == 0:
             continue
         m = n[:j] + (n[j] - 1,) + n[j + 1 :]
-        out[m] = out.get(m, 0j) + x.terms[n] * a * n[j]
+        out[m] = out.get(m, 0j) + c * a * n[j]
     return LadderVector(x.generator, out)
 
 
@@ -130,9 +129,9 @@ def apply_raising(x: LadderVector, axis: int) -> LadderVector:
     j = axis - 1
     a = x.ladder_constants[j]
     out: dict[Index, complex] = {}
-    for n in x.sorted_indices():
+    for n, c in x.terms.items():
         m = n[:j] + (n[j] + 1,) + n[j + 1 :]
-        out[m] = x.terms[n] / (a * (n[j] + 1))
+        out[m] = c / (a * (n[j] + 1))
     return LadderVector(x.generator, out)
 
 
@@ -178,12 +177,10 @@ def _generator_series(
 def _combine_on(
     f: TruncatedSeries, terms: Mapping[Index, complex], degree: int
 ) -> TruncatedSeries:
+    """``sum c_n D^n f`` cut to the degree; terms in graded-lex order."""
     if not terms:
         return zero_series(f.dim, degree)
-    parts = [
-        (terms[n], differentiate(f, n))
-        for n in sorted(terms, key=graded_key)
-    ]
+    parts = [(c, differentiate(f, n)) for n, c in terms.items()]
     return with_cutoff(linear_combine(parts), degree)
 
 

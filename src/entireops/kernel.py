@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .operators import CROperator, apply_cr_operator
-from .series import Index, TruncatedSeries, monomial_basis
+from .series import TruncatedSeries, coefficient_vector, make_series, monomial_basis
 
 #: solver aborts when a coefficient magnitude passes this (overflow hygiene)
 GROWTH_LIMIT = 1e150
@@ -93,8 +95,7 @@ def solve_kernel_axis(problem: AxisKernelProblem) -> TruncatedSeries:
                 f"kernel coefficient f_{k + p} exceeded {GROWTH_LIMIT:g}; "
                 "aborting to avoid overflow"
             )
-    coeffs = {(i,): v for i, v in enumerate(f)}
-    return TruncatedSeries(1, problem.degree, problem.degree, False, coeffs)
+    return make_series(1, problem.degree, [((i,), v) for i, v in enumerate(f)])
 
 
 def joint_kernel(problems: Sequence[AxisKernelProblem]) -> TruncatedSeries:
@@ -112,18 +113,13 @@ def joint_kernel(problems: Sequence[AxisKernelProblem]) -> TruncatedSeries:
     if len(degrees) > 1:
         raise ValueError(f"axis problems must share a degree, got {sorted(degrees)}")
     degree = degrees.pop()
-    axes = [solve_kernel_axis(p) for p in problems]
     dim = len(problems)
-    coeffs: dict[Index, complex] = {}
-    for idx in monomial_basis(dim, degree):
-        v = 1 + 0j
-        for j in range(dim):
-            v *= axes[j].coefficient((idx[j],))
-            if v == 0:
-                break
-        if v != 0:
-            coeffs[idx] = v
-    return TruncatedSeries(dim, degree, degree, False, coeffs)
+    exponents = np.array(monomial_basis(dim, degree))
+    vector = np.ones(len(exponents), dtype=complex)
+    for j, p in enumerate(problems):
+        axis = coefficient_vector(solve_kernel_axis(p), degree)
+        vector = vector * axis[exponents[:, j]]
+    return TruncatedSeries(dim, degree, degree, False, vector)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,12 @@ Three layers:
   back produces an operator commuting with all partials, i.e. a convolution
   operator, so the relation is structural here rather than checked.
 
+:func:`apply_weyl` is the one place where an operator meets a series.
+Convolution symbols and CR operators build their normal-ordered Weyl form
+once, at construction; :func:`apply_convolution` and :func:`apply_cr_operator`
+apply that form.  The symbolic algebra (:func:`commutator`) never touches
+series and is the oracle the numeric route is tested against.
+
 :func:`verify_commutation` re-derives the commutator table numerically on
 monomials, independently of the symbolic route, as a guard against ordering
 bugs.
@@ -31,7 +37,6 @@ from .series import (
     Index,
     TruncatedSeries,
     differentiate,
-    falling_factorial,
     graded_key,
     index_factorial,
     index_order,
@@ -56,7 +61,8 @@ class WeylOperator:
     Each term differentiates first (dpow), then multiplies by the monomial
     z^zpow, then scales by c.  At most one term per (zpow, dpow) pair is
     stored and zero coefficients are absent, so equality of the term tables
-    is equality of operators.
+    is equality of operators.  Terms are stored in graded order of
+    (zpow, dpow), the order in which they are composed and applied.
     """
 
     dim: int
@@ -76,7 +82,8 @@ class WeylOperator:
             c = complex(raw)
             if c != 0:
                 clean[(zpow, dpow)] = c
-        object.__setattr__(self, "terms", clean)
+        ordered = sorted(clean, key=lambda t: (graded_key(t[0]), graded_key(t[1])))
+        object.__setattr__(self, "terms", {key: clean[key] for key in ordered})
 
     @classmethod
     def from_terms(
@@ -87,10 +94,6 @@ class WeylOperator:
             key = (tuple(int(e) for e in zpow), tuple(int(e) for e in dpow))
             acc[key] = acc.get(key, 0j) + complex(c)
         return cls(dim, acc)
-
-    @classmethod
-    def zero(cls, dim: int) -> WeylOperator:
-        return cls(dim, {})
 
     @classmethod
     def identity(cls, dim: int) -> WeylOperator:
@@ -109,9 +112,6 @@ class WeylOperator:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_keys(self) -> list[TermKey]:
-        return sorted(self.terms, key=lambda t: (graded_key(t[0]), graded_key(t[1])))
 
     def __add__(self, other: WeylOperator) -> WeylOperator:
         if not isinstance(other, WeylOperator):
@@ -151,10 +151,8 @@ def _compose(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     if a.dim != b.dim:
         raise ValueError(f"dim mismatch: {a.dim} vs {b.dim}")
     out: dict[TermKey, complex] = {}
-    for za, da in a.sorted_keys():
-        ca = a.terms[(za, da)]
-        for zb, db in b.sorted_keys():
-            cb = b.terms[(zb, db)]
+    for (za, da), ca in a.terms.items():
+        for (zb, db), cb in b.terms.items():
             for k in product(*(range(min(p, q) + 1) for p, q in zip(da, zb))):
                 w = ca * cb
                 for p, q, kk in zip(da, zb, k):
@@ -174,18 +172,21 @@ def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
 
 
 def apply_weyl(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
-    """Apply the operator term by term through series primitives."""
+    """Apply the operator term by term through series primitives.
+
+    Every operator application in the library ends here.
+    """
     if op.dim != f.dim:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
     if op.is_zero():
         return zero_series(f.dim, f.cutoff)
     parts: list[tuple[complex, TruncatedSeries]] = []
-    for zpow, dpow in op.sorted_keys():
+    for (zpow, dpow), c in op.terms.items():
         g = differentiate(f, dpow)
-        for axis in range(1, f.dim + 1):
-            for _ in range(zpow[axis - 1]):
+        for axis, power in enumerate(zpow, start=1):
+            for _ in range(power):
                 g = multiply_coordinate(g, axis)
-        parts.append((op.terms[(zpow, dpow)], g))
+        parts.append((c, g))
     return linear_combine(parts)
 
 
@@ -194,20 +195,17 @@ class ConvolutionSymbol:
     """Characteristic-function data of a convolution operator.
 
     ``bcoeffs[n]`` is the coefficient ``b_n`` in the expansion
-    ``sum_n b_n lambda^n / n!`` of the characteristic function.  Only
-    finitely supported (polynomial) symbols are representable, which keeps
-    every action decidable at finite truncation.
+    ``sum_n b_n lambda^n / n!`` of the characteristic function, stored in
+    graded order.  Only finitely supported (polynomial) symbols are
+    representable, which keeps every action decidable at finite truncation.
     """
 
     dim: int
     bcoeffs: Mapping[Index, complex]
-    polynomial: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.polynomial:
-            raise ValueError("only polynomial (finitely supported) symbols are supported")
         clean: dict[Index, complex] = {}
         for raw_idx, raw in self.bcoeffs.items():
             idx = tuple(int(e) for e in raw_idx)
@@ -218,36 +216,25 @@ class ConvolutionSymbol:
             c = complex(raw)
             if c != 0:
                 clean[idx] = c
-        object.__setattr__(self, "bcoeffs", clean)
+        ordered = sorted(clean, key=graded_key)
+        object.__setattr__(self, "bcoeffs", {n: clean[n] for n in ordered})
+        zero = (0,) * self.dim
+        terms = {(zero, n): c / index_factorial(n) for n, c in self.bcoeffs.items()}
+        object.__setattr__(self, "_weyl", WeylOperator(self.dim, terms))
 
     @property
     def max_order(self) -> int:
         """Largest total degree in the support (0 for the zero symbol)."""
         return max((sum(n) for n in self.bcoeffs), default=0)
 
-    def sorted_support(self) -> list[Index]:
-        return sorted(self.bcoeffs, key=graded_key)
-
     def as_weyl(self) -> WeylOperator:
-        dim = self.dim
-        zero = (0,) * dim
-        return WeylOperator(
-            dim,
-            {(zero, n): c / index_factorial(n) for n, c in self.bcoeffs.items()},
-        )
+        """``sum_n (b_n / n!) D^n``, built once at construction."""
+        return self._weyl
 
 
 def apply_convolution(sym: ConvolutionSymbol, f: TruncatedSeries) -> TruncatedSeries:
     """Action ``f -> sum_n b_n D^n f / n!`` of the convolution operator."""
-    if sym.dim != f.dim:
-        raise ValueError(f"dim mismatch: symbol {sym.dim} vs series {f.dim}")
-    if not sym.bcoeffs:
-        return zero_series(f.dim, f.cutoff)
-    parts = [
-        (sym.bcoeffs[n] / index_factorial(n), differentiate(f, n))
-        for n in sym.sorted_support()
-    ]
-    return linear_combine(parts)
+    return apply_weyl(sym.as_weyl(), f)
 
 
 def dual_pairing(sym: ConvolutionSymbol, f: TruncatedSeries) -> complex:
@@ -260,13 +247,13 @@ def dual_pairing(sym: ConvolutionSymbol, f: TruncatedSeries) -> complex:
     if sym.dim != f.dim:
         raise ValueError(f"dim mismatch: symbol {sym.dim} vs series {f.dim}")
     total = 0j
-    for n in sym.sorted_support():
+    for n, b in sym.bcoeffs.items():
         if not f.is_polynomial and index_order(n) > f.exact_degree:
             raise ValueError(
                 f"pairing not determined at this truncation: symbol index {n} "
                 f"lies beyond exact_degree {f.exact_degree}"
             )
-        total += sym.bcoeffs[n] * f.coefficient(n)
+        total += b * f.coefficient(n)
     return total
 
 
@@ -276,8 +263,8 @@ def characteristic_roundtrip(sym: ConvolutionSymbol, point: Sequence[complex]) -
     if len(point) != sym.dim:
         raise ValueError(f"point {point} does not match dim {sym.dim}")
     total = 0j
-    for n in sym.sorted_support():
-        term = sym.bcoeffs[n] / index_factorial(n)
+    for n, b in sym.bcoeffs.items():
+        term = b / index_factorial(n)
         for zj, e in zip(point, n):
             if e:
                 term *= zj**e
@@ -305,23 +292,17 @@ class CROperator:
             raise ValueError(
                 f"symbol dim {self.conv.dim} does not match operator dim {self.dim}"
             )
+        weyl = self.conv.as_weyl() + (-a) * WeylOperator.coordinate(self.dim, self.axis)
+        object.__setattr__(self, "_weyl", weyl)
 
     def as_weyl(self) -> WeylOperator:
-        return self.conv.as_weyl() + (-self.a) * WeylOperator.coordinate(
-            self.dim, self.axis
-        )
+        """``sum_n (b_n / n!) D^n - a z_axis``, built once at construction."""
+        return self._weyl
 
 
 def apply_cr_operator(op: CROperator, f: TruncatedSeries) -> TruncatedSeries:
     """``T f = (convolution part of T) f - a * z_axis * f``."""
-    if op.dim != f.dim:
-        raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
-    return linear_combine(
-        [
-            (1.0, apply_convolution(op.conv, f)),
-            (-op.a, multiply_coordinate(f, op.axis)),
-        ]
-    )
+    return apply_weyl(op.as_weyl(), f)
 
 
 @dataclass(frozen=True)
@@ -368,23 +349,22 @@ def verify_commutation(
 
     cutoff = probe_degree + 1  # z-multiplication never overflows the probes
     basis = monomial_basis(dim, probe_degree)
+    units = [_unit(dim, k) for k in range(1, dim + 1)]
     residuals: dict[tuple[int, int], float] = {}
     for op, a_claim in zip(ops, claimed):
-        for k in range(1, dim + 1):
-            ek = _unit(dim, k)
-            worst = 0.0
-            for n in basis:
-                probe = monomial(dim, cutoff, n)
+        for n in basis:
+            probe = monomial(dim, cutoff, n)
+            t_probe = apply_cr_operator(op, probe)
+            for k, ek in enumerate(units, start=1):
                 defect = linear_combine(
                     [
                         (1.0, apply_cr_operator(op, differentiate(probe, ek))),
-                        (-1.0, differentiate(apply_cr_operator(op, probe), ek)),
+                        (-1.0, differentiate(t_probe, ek)),
                         (-(a_claim if k == op.axis else 0.0), probe),
                     ]
                 )
-                worst = max(worst, defect.max_exact_coefficient())
-            key = (op.axis, k)
-            residuals[key] = max(worst, residuals.get(key, 0.0))
+                worst = residuals.get((op.axis, k), 0.0)
+                residuals[(op.axis, k)] = max(worst, defect.max_exact_coefficient())
     max_residual = max(residuals.values())
     return CommutationReport(
         residuals=residuals,

@@ -5,8 +5,9 @@ eats as many guaranteed degrees as the order of the convolution part.  The
 orbit runner enforces that budget up front and tracks exactness per step.
 
 The visit-density number reported here is a finite, one-sided PROXY for the
-lower density of hitting times: it counts iterates whose semi-norm distance
-bound to the target falls below delta, divided by the horizon.  No finite
+lower density of hitting times: it counts the iterates T^k x, 1 <= k <= N,
+whose semi-norm distance bound to the target falls below delta, divided by
+the horizon N.  No finite
 computation can certify a positive liminf over all iterates, so the CLI
 labels the value accordingly and nothing here extrapolates.
 """
@@ -91,28 +92,15 @@ def measure_visits(
         raise ValueError(f"dim mismatch: orbit {first.dim} vs target {target.dim}")
     distances = []
     for it in rec.iterates:
-        aligned = target if target.cutoff == it.cutoff else with_cutoff(target, it.cutoff)
-        diff = linear_combine([(1.0, it), (-1.0, aligned)])
+        diff = linear_combine([(1.0, it), (-1.0, with_cutoff(target, it.cutoff))])
         distances.append(seminorm_bound(diff, spec).upper)
     hits = tuple(k for k, dist in enumerate(distances) if dist < delta)
-    # normalize by the step count, mirroring the #{n in A : n <= N} / N shape
-    # of a lower density; capped so the upper-biased proxy stays a density
-    proxy = min(1.0, len(hits) / max(rec.steps, 1))
+    # the #{1 <= n <= N : n in A} / N shape of a lower density: the initial
+    # vector (k = 0) is listed among the hits but not counted
+    proxy = sum(1 for k in hits if k >= 1) / max(rec.steps, 1)
     return replace(
         rec,
         distances=tuple(distances),
         hits=hits,
         density_proxy=proxy,
     )
-
-
-def visit_density(
-    rec: OrbitRecord,
-    target: TruncatedSeries,
-    delta: float,
-    spec: SemiNormSpec,
-) -> float:
-    """Fraction of iterates within delta of the target (finite proxy)."""
-    annotated = measure_visits(rec, target, delta, spec)
-    assert annotated.density_proxy is not None
-    return annotated.density_proxy

@@ -9,14 +9,14 @@ emitted text is therefore bytewise reproducible for equal inputs.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .completeness import ApproximationResult, CompletenessReport
 from .fhc import ConvergenceReport
 from .kernel import AxisKernelProblem, KernelReport
-from .operators import CommutationReport, ConvolutionSymbol, CROperator, WeylOperator
+from .operators import CommutationReport, ConvolutionSymbol, CROperator
 from .orbit import OrbitRecord
-from .series import TruncatedSeries, graded_key, make_series
+from .series import Index, TruncatedSeries, make_series
 
 
 # ---------------------------------------------------------------------------
@@ -29,12 +29,9 @@ def _pair(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
-def _coeff_entries(table: Mapping, keys: Sequence) -> list[dict]:
-    out = []
-    for idx in sorted(keys, key=graded_key):
-        c = complex(table[idx])
-        out.append({"idx": list(idx), "re": c.real, "im": c.imag})
-    return out
+def _coeff_entries(pairs: Iterable[tuple[Index, complex]]) -> list[dict]:
+    """Entries for (index, coefficient) pairs already in graded-lex order."""
+    return [{"idx": list(idx), "re": c.real, "im": c.imag} for idx, c in pairs]
 
 
 def series_to_json(f: TruncatedSeries) -> dict:
@@ -42,7 +39,7 @@ def series_to_json(f: TruncatedSeries) -> dict:
         "dim": f.dim,
         "cutoff": f.cutoff,
         "polynomial": f.is_polynomial,
-        "coeffs": _coeff_entries(f.coeffs, list(f.coeffs)),
+        "coeffs": _coeff_entries(f.terms()),
     }
 
 
@@ -57,7 +54,7 @@ def series_from_json(obj: Mapping) -> TruncatedSeries:
 
 
 def symbol_to_json(sym: ConvolutionSymbol) -> list[dict]:
-    return _coeff_entries(sym.bcoeffs, list(sym.bcoeffs))
+    return _coeff_entries(sym.bcoeffs.items())
 
 
 def symbol_from_json(dim: int, entries: Sequence[Mapping]) -> ConvolutionSymbol:
@@ -84,27 +81,6 @@ def cr_operator_from_json(obj: Mapping) -> CROperator:
         axis=int(obj["axis"]),
         a=complex(a[0], a[1]),
         conv=symbol_from_json(dim, obj["symbol"]),
-    )
-
-
-def weyl_operator_to_json(op: WeylOperator) -> dict:
-    terms = []
-    for zpow, dpow in op.sorted_keys():
-        c = op.terms[(zpow, dpow)]
-        terms.append(
-            {"zpow": list(zpow), "dpow": list(dpow), "re": c.real, "im": c.imag}
-        )
-    return {"dim": op.dim, "terms": terms}
-
-
-def weyl_operator_from_json(obj: Mapping) -> WeylOperator:
-    dim = int(obj["dim"])
-    return WeylOperator.from_terms(
-        dim,
-        [
-            (complex(t["re"], t.get("im", 0.0)), tuple(t["zpow"]), tuple(t["dpow"]))
-            for t in obj["terms"]
-        ],
     )
 
 

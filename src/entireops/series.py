@@ -2,18 +2,27 @@
 
 A :class:`TruncatedSeries` stores the coefficients ``a_n`` of an entire
 function ``f(z) = sum_n a_n z^n`` for all multi-indices with
-``||n|| = n_1 + ... + n_d <= cutoff``, together with two pieces of
-bookkeeping:
+``||n|| = n_1 + ... + n_d <= cutoff`` as one dense complex vector over
+``monomial_basis(dim, cutoff)``, the indices in graded lexicographic order.
+The degree <= N basis is a prefix of the degree <= M basis for N <= M, so
+re-truncation is a slice.  Two pieces of bookkeeping ride along:
 
-* ``exact_degree`` (E): coefficients with ``||n|| <= E`` are guaranteed to
-  equal the represented function's true Taylor coefficients.  ``E = -1``
-  means no guarantee at all.
-* ``is_polynomial``: the stored table is the whole function, so absent
-  indices are genuine zeros even beyond the cutoff.
+* ``exact_degree`` (E): coefficients with ``||n|| <= E`` (the first
+  ``comb(E + d, d)`` entries) are guaranteed to equal the represented
+  function's true Taylor coefficients.  ``E = -1`` means no guarantee.
+* ``is_polynomial``: the vector is the whole function, so coefficients
+  beyond the cutoff are genuine zeros.
+
+The tables behind the layout (basis, index positions, exponent matrix,
+unit-step gather plans, falling factorials) are built once per
+``(dim, cutoff)`` and owned by this module.  Differentiation and coordinate
+multiplication are gathers; linear combination is vector arithmetic.  The
+semi-norm upper sum and translation accumulate term by term in graded-lex
+order, so the numbers they feed into reports are reproducible bit for bit.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
-tail estimates for non-polynomial data.  All values are immutable and every
-operation is a pure function of its inputs.
+tail estimates for non-polynomial data.  All values are immutable (the
+vector is read-only) and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -59,84 +69,117 @@ def index_binomial(n: Index, k: Index) -> int:
     return out
 
 
-def falling_factorial(n: Index, k: Index) -> int:
-    """``n!/(n-k)!`` as a product of per-axis falling factorials (needs k <= n)."""
-    out = 1
-    for a, b in zip(n, k):
-        out *= math.perm(a, b)
-    return out
-
-
 def graded_key(n: Index) -> tuple[int, Index]:
     """Sort key implementing graded lexicographic order."""
     return (sum(n), n)
 
 
+class _Layout(NamedTuple):
+    """Tables of the graded-lex basis of one ``(dim, cutoff)``."""
+
+    #: index -> position, in basis order
+    position: dict[Index, int]
+    #: the indices as a (size, dim) integer matrix
+    exponents: np.ndarray
+    #: per axis j: positions of the indices with n_j >= 1, in basis order.
+    #: They are exactly ``m + e_j`` for m in the degree <= cutoff - 1 prefix,
+    #: in the same order, so one array serves D_j (gather) and z_j (scatter).
+    raised: tuple[np.ndarray, ...]
+    #: per axis j: n_j at those positions, the weights of D_j
+    unit_weight: tuple[np.ndarray, ...]
+    #: ``perm(a, b)`` for ``0 <= a, b <= cutoff``: exact integers and their floats
+    falling: tuple[np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=64)
+def _layout(dim: int, cutoff: int) -> _Layout:
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    indices = [n for n in product(range(cutoff + 1), repeat=dim) if sum(n) <= cutoff]
+    indices.sort(key=graded_key)
+    exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
+    raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
+    falling = [[math.perm(a, b) for b in range(cutoff + 1)] for a in range(cutoff + 1)]
+    falling_exact = np.array(falling, dtype=object)
+    return _Layout(
+        position={n: i for i, n in enumerate(indices)},
+        exponents=exponents,
+        raised=raised,
+        unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
+        falling=(falling_exact, falling_exact.astype(float)),
+    )
+
+
+def _size(dim: int, degree: int) -> int:
+    """Number of multi-indices with ``||n|| <= degree`` (0 for degree < 0)."""
+    return math.comb(degree + dim, dim) if degree >= 0 else 0
+
+
 def monomial_basis(dim: int, degree: int) -> list[Index]:
     """All multi-indices with ``||n|| <= degree`` in graded-lex order."""
-    out = [n for n in product(range(degree + 1), repeat=dim) if sum(n) <= degree]
-    out.sort(key=graded_key)
-    return out
+    return list(_layout(dim, degree).position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Coefficient table of an entire function on ``||n|| <= cutoff``.
+    """Coefficient vector of an entire function over ``monomial_basis(dim, cutoff)``.
 
-    Absent indices are zero.  ``exact_degree`` and ``is_polynomial`` follow
-    the module-level contract; the constructor normalizes the table (integer
-    index tuples, complex values, exact zeros dropped) and enforces the
-    structural invariants.
+    ``exact_degree`` and ``is_polynomial`` follow the module-level contract.
+    The constructor checks the structural invariants and the vector's
+    length, takes ownership of the vector and makes it read-only.
     """
 
     dim: int
     cutoff: int
     exact_degree: int
     is_polynomial: bool
-    coeffs: Mapping[Index, complex]
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+        size = len(_layout(self.dim, self.cutoff).position)  # checks dim and cutoff
         if not -1 <= self.exact_degree <= self.cutoff:
             raise ValueError(
                 f"exact_degree {self.exact_degree} outside [-1, {self.cutoff}]"
             )
         if self.is_polynomial and self.exact_degree != self.cutoff:
             raise ValueError("a polynomial series must be exact up to its cutoff")
-        clean: dict[Index, complex] = {}
-        for raw_idx, raw_c in self.coeffs.items():
-            idx = tuple(int(e) for e in raw_idx)
-            if len(idx) != self.dim:
-                raise ValueError(f"index {idx} does not match dim {self.dim}")
-            if any(e < 0 for e in idx):
-                raise ValueError(f"negative entry in index {idx}")
-            if sum(idx) > self.cutoff:
-                raise ValueError(f"index {idx} exceeds cutoff {self.cutoff}")
-            c = complex(raw_c)
-            if c != 0:
-                clean[idx] = c
-        object.__setattr__(self, "coeffs", clean)
+        vector = np.asarray(self.vector, dtype=complex)
+        if vector.shape != (size,):
+            raise ValueError(
+                f"vector of shape {vector.shape} does not match the {size} "
+                f"monomials of degree <= {self.cutoff} in dim {self.dim}"
+            )
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (
+            (self.dim, self.cutoff, self.exact_degree, self.is_polynomial)
+            == (other.dim, other.cutoff, other.exact_degree, other.is_polynomial)
+            and np.array_equal(self.vector, other.vector)
+        )
 
     def coefficient(self, idx: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(int(e) for e in idx), 0j)
+        pos = _layout(self.dim, self.cutoff).position.get(tuple(int(e) for e in idx))
+        return 0j if pos is None else complex(self.vector[pos])
 
-    def sorted_indices(self) -> list[Index]:
-        return sorted(self.coeffs, key=graded_key)
+    def terms(self) -> list[tuple[Index, complex]]:
+        """The nonzero coefficients with their indices, in graded-lex order."""
+        nonzero = np.flatnonzero(self.vector)
+        rows = _layout(self.dim, self.cutoff).exponents[nonzero].tolist()
+        return [(tuple(n), c) for n, c in zip(rows, self.vector[nonzero].tolist())]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vector.any()
 
     def max_exact_coefficient(self) -> float:
         """Largest coefficient magnitude over the guaranteed-exact region."""
-        if self.is_polynomial:
-            return max((abs(c) for c in self.coeffs.values()), default=0.0)
-        e = self.exact_degree
-        return max(
-            (abs(c) for n, c in self.coeffs.items() if sum(n) <= e), default=0.0
-        )
+        exact = self.vector[: _size(self.dim, self.exact_degree)]
+        return float(np.abs(exact).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -170,25 +213,33 @@ def make_series(
 ) -> TruncatedSeries:
     """Build a series from (index, coefficient) pairs; exact_degree = cutoff.
 
-    The constructor trusts the caller's exactness claim; downstream
-    operations only ever shrink it.
+    This is where indices from outside the program are validated.  The
+    constructor trusts the caller's exactness claim; downstream operations
+    only ever shrink it.
     """
-    if isinstance(entries, Mapping):
-        items: Iterable = entries.items()
-    else:
-        items = entries
-    coeffs: dict[Index, complex] = {}
+    layout = _layout(dim, cutoff)
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    vector = np.zeros(len(layout.position), dtype=complex)
+    seen: set[Index] = set()
     for raw_idx, c in items:
         idx = tuple(int(e) for e in raw_idx)
-        if idx in coeffs:
+        if idx in seen:
             raise ValueError(f"duplicate index {idx}")
-        coeffs[idx] = complex(c)
-    return TruncatedSeries(dim, cutoff, cutoff, bool(is_polynomial), coeffs)
+        seen.add(idx)
+        pos = layout.position.get(idx)
+        if pos is None:
+            if len(idx) != dim:
+                raise ValueError(f"index {idx} does not match dim {dim}")
+            if any(e < 0 for e in idx):
+                raise ValueError(f"negative entry in index {idx}")
+            raise ValueError(f"index {idx} exceeds cutoff {cutoff}")
+        vector[pos] = complex(c)
+    return TruncatedSeries(dim, cutoff, cutoff, bool(is_polynomial), vector)
 
 
 def zero_series(dim: int, cutoff: int) -> TruncatedSeries:
     """The identically-zero function (polynomial, fully exact)."""
-    return TruncatedSeries(dim, cutoff, cutoff, True, {})
+    return make_series(dim, cutoff, [], is_polynomial=True)
 
 
 def monomial(
@@ -208,22 +259,40 @@ def linear_combine(
     terms = list(terms)
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    dims = {s.dim for _, s in terms}
-    cutoffs = {s.cutoff for _, s in terms}
-    if len(dims) > 1 or len(cutoffs) > 1:
-        raise ValueError(
-            f"shape mismatch: dims {sorted(dims)}, cutoffs {sorted(cutoffs)}"
-        )
-    acc: dict[Index, complex] = {}
+    shapes = {(s.dim, s.cutoff) for _, s in terms}
+    if len(shapes) > 1:
+        raise ValueError(f"shape mismatch: (dim, cutoff) pairs {sorted(shapes)}")
+    ((dim, cutoff),) = shapes
+    acc = np.zeros(_size(dim, cutoff), dtype=complex)
     for w, s in terms:
         w = complex(w)
-        if w == 0:
-            continue
-        for idx in s.sorted_indices():
-            acc[idx] = acc.get(idx, 0j) + w * s.coeffs[idx]
+        if w != 0:
+            acc += w * s.vector
     exact = min(s.exact_degree for _, s in terms)
     poly = all(s.is_polynomial for _, s in terms)
-    return TruncatedSeries(dims.pop(), cutoffs.pop(), exact, poly, acc)
+    return TruncatedSeries(dim, cutoff, exact, poly, acc)
+
+
+def _derivative_plan(layout: _Layout, order: Index) -> tuple[np.ndarray, np.ndarray]:
+    """Gather positions and weights of D^order (0 < ||order|| <= cutoff).
+
+    The indices s >= order, in basis order, are m + order for m in the
+    degree <= cutoff - ||order|| prefix, in the same order.  The weight of s
+    is ``float(prod_j perm(s_j, order_j))``: the exact integer, rounded once.
+    Unit orders use the cached plans; other orders are built per call.
+    """
+    axes = [j for j, k in enumerate(order) if k]
+    if len(axes) == 1 and order[axes[0]] == 1:
+        return layout.raised[axes[0]], layout.unit_weight[axes[0]]
+    source = np.flatnonzero((layout.exponents >= order).all(axis=1))
+    exponents = layout.exponents[source]
+    exact, rounded = layout.falling
+    if len(axes) == 1:
+        return source, rounded[exponents[:, axes[0]], order[axes[0]]]
+    weight = np.ones(len(source), dtype=object)
+    for j in axes:
+        weight = weight * exact[exponents[:, j], order[j]]
+    return source, weight.astype(float)
 
 
 def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
@@ -241,11 +310,10 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     total = sum(order)
     if total == 0:
         return f
-    out: dict[Index, complex] = {}
-    for idx in f.sorted_indices():
-        if all(i >= o for i, o in zip(idx, order)):
-            m = tuple(i - o for i, o in zip(idx, order))
-            out[m] = f.coeffs[idx] * falling_factorial(idx, order)
+    out = np.zeros(len(f.vector), dtype=complex)
+    if total <= f.cutoff:
+        source, weight = _derivative_plan(_layout(f.dim, f.cutoff), order)
+        out[: len(source)] = f.vector[source] * weight
     exact = f.cutoff if f.is_polynomial else max(-1, f.exact_degree - total)
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
 
@@ -254,21 +322,16 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     """Multiply by the coordinate z_axis (axis is 1-based).
 
     Coefficients pushed past the cutoff are dropped; if any nonzero one is,
-    the result is no longer a whole polynomial, but the kept table is still
+    the result is no longer a whole polynomial, but the kept vector is still
     exact (multiplication by z only shifts known coefficients).
     """
     if not 1 <= axis <= f.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.dim}")
-    ax = axis - 1
-    out: dict[Index, complex] = {}
-    dropped = False
-    for idx in f.sorted_indices():
-        shifted = idx[:ax] + (idx[ax] + 1,) + idx[ax + 1 :]
-        if sum(shifted) > f.cutoff:
-            dropped = True
-            continue
-        out[shifted] = f.coeffs[idx]
-    poly = f.is_polynomial and not dropped
+    target = _layout(f.dim, f.cutoff).raised[axis - 1]
+    kept = len(target)  # the degree <= cutoff - 1 prefix
+    out = np.zeros(len(f.vector), dtype=complex)
+    out[target] = f.vector[:kept]
+    poly = f.is_polynomial and not np.count_nonzero(f.vector[kept:])
     exact = f.cutoff if f.is_polynomial else min(f.cutoff, f.exact_degree + 1)
     return TruncatedSeries(f.dim, f.cutoff, exact, poly, out)
 
@@ -287,74 +350,70 @@ def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
         raise ValueError(f"shift {shift} does not match dim {f.dim}")
     if all(s == 0 for s in shift):
         return f
-    out: dict[Index, complex] = {}
-    for idx in f.sorted_indices():
-        c = f.coeffs[idx]
+    position = _layout(f.dim, f.cutoff).position
+    acc = [0j] * len(position)
+    for idx, c in f.terms():
         for m in product(*(range(e + 1) for e in idx)):
             w: complex = c * index_binomial(idx, m)
             for j in range(f.dim):
                 e = idx[j] - m[j]
                 if e:
                     w *= shift[j] ** e
-            out[m] = out.get(m, 0j) + w
+            acc[position[m]] += w
     if f.is_polynomial:
-        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, out)
+        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, np.array(acc))
     warnings.warn(
         "translating a non-polynomial truncation: the result has no "
         "exactness guarantee",
         ApproximationWarning,
         stacklevel=2,
     )
-    return TruncatedSeries(f.dim, f.cutoff, -1, False, out)
+    return TruncatedSeries(f.dim, f.cutoff, -1, False, np.array(acc))
 
 
 def evaluate(f: TruncatedSeries, point: Sequence[complex]) -> complex:
     """Value of the stored polynomial at the point (no tail correction)."""
-    point = tuple(complex(p) for p in point)
+    point = np.array([complex(p) for p in point])
     if len(point) != f.dim:
-        raise ValueError(f"point {point} does not match dim {f.dim}")
-    total = 0j
-    for idx in f.sorted_indices():
-        term = f.coeffs[idx]
-        for zj, e in zip(point, idx):
-            if e:
-                term *= zj**e
-        total += term
-    return total
+        raise ValueError(f"point {tuple(point)} does not match dim {f.dim}")
+    monomials = np.prod(point ** _layout(f.dim, f.cutoff).exponents, axis=1)
+    return complex(f.vector @ monomials)
 
 
 def with_cutoff(f: TruncatedSeries, cutoff: int) -> TruncatedSeries:
-    """Re-truncate (or extend) the table to a new total-degree cutoff."""
+    """Re-truncate (or extend) the series to a new total-degree cutoff."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if cutoff == f.cutoff:
         return f
-    if cutoff > f.cutoff:
-        exact = cutoff if f.is_polynomial else f.exact_degree
-        return TruncatedSeries(f.dim, cutoff, exact, f.is_polynomial, dict(f.coeffs))
-    kept = {i: c for i, c in f.coeffs.items() if sum(i) <= cutoff}
-    if f.is_polynomial:
-        dropped = len(kept) < len(f.coeffs)
-        # kept coefficients are still the true ones even if the tail was cut
-        return TruncatedSeries(f.dim, cutoff, cutoff, not dropped, kept)
-    return TruncatedSeries(f.dim, cutoff, min(f.exact_degree, cutoff), False, kept)
+    vector = coefficient_vector(f, cutoff)
+    # kept coefficients are still the true ones even if a polynomial's tail was cut
+    exact = cutoff if f.is_polynomial else min(f.exact_degree, cutoff)
+    poly = f.is_polynomial and not np.count_nonzero(f.vector[len(vector) :])
+    return TruncatedSeries(f.dim, cutoff, exact, poly, vector)
 
 
 def coefficient_vector(f: TruncatedSeries, degree: int) -> np.ndarray:
-    """Coefficients of f over monomial_basis(dim, degree), graded-lex order."""
-    basis = monomial_basis(f.dim, degree)
-    return np.array([f.coefficient(n) for n in basis], dtype=complex)
+    """Coefficients of f over monomial_basis(dim, degree), graded-lex order.
+
+    A copy of a prefix of f's vector, zero-padded past the cutoff.
+    """
+    out = np.zeros(_size(f.dim, degree), dtype=complex)
+    n = min(len(out), len(f.vector))
+    out[:n] = f.vector[:n]
+    return out
 
 
 def _boundary_grid_max(f: TruncatedSeries, radius: float) -> float:
     """Max of |f| over the product grid of GRID_ANGLES points per boundary circle."""
+    terms = f.terms()
     angles = 2.0 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES
     ring = radius * np.exp(1j * angles)
-    max_pow = max(max(idx) for idx in f.coeffs)
+    max_pow = max(max(idx) for idx, _ in terms)
     powers = ring[:, None] ** np.arange(max_pow + 1)[None, :]
     values = np.zeros((GRID_ANGLES,) * f.dim, dtype=complex)
-    for idx in f.sorted_indices():
-        term = f.coeffs[idx] * powers[:, idx[0]]
+    for idx, c in terms:
+        term = c * powers[:, idx[0]]
         for e in idx[1:]:
             term = np.multiply.outer(term, powers[:, e])
         values += term
@@ -371,8 +430,8 @@ def seminorm_bound(f: TruncatedSeries, spec: SemiNormSpec) -> Bounds:
     """
     r = spec.radius
     upper = 0.0
-    for idx in f.sorted_indices():
-        upper += abs(f.coeffs[idx]) * r ** sum(idx)
+    for idx, c in f.terms():
+        upper += abs(c) * r ** sum(idx)
     if f.is_zero() or f.dim > GRID_MAX_DIM:
         return Bounds(0.0, upper)
     lower = _boundary_grid_max(f, r)

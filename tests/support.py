@@ -37,8 +37,8 @@ def airy_family(dim: int) -> list[eo.CROperator]:
 
 
 def max_coeff_diff(f: eo.TruncatedSeries, expected: dict) -> float:
-    """Largest deviation between a coefficient table and an expected dict."""
-    keys = set(f.coeffs) | {tuple(k) for k in expected}
+    """Largest deviation between a series' coefficients and an expected dict."""
+    keys = {n for n, _ in f.terms()} | {tuple(k) for k in expected}
     return max(
         (abs(f.coefficient(k) - complex(expected.get(tuple(k), 0))) for k in keys),
         default=0.0,

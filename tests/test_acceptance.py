@@ -117,7 +117,7 @@ def test_criterion_4_completeness_of_joint_kernels():
 
 def test_criterion_5_one_axis_kernel_is_not_complete():
     g = eo.solve_kernel_axis(gaussian_problem(8))
-    f = eo.make_series(2, 8, {(n[0], 0): c for n, c in g.coeffs.items()})
+    f = eo.make_series(2, 8, {(n[0], 0): c for n, c in g.terms()})
     report = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8)
     check(
         5,

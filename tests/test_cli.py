@@ -209,14 +209,6 @@ def test_operator_roundtrip():
     assert back == op
 
 
-def test_weyl_roundtrip():
-    op = eo.WeylOperator.from_terms(
-        2, [(1.5, (1, 0), (0, 2)), (complex(0, -1), (0, 0), (1, 1))]
-    )
-    back = serialize.weyl_operator_from_json(serialize.weyl_operator_to_json(op))
-    assert back == op
-
-
 def test_problem_roundtrip():
     p = airy_problem(9, a=complex(0.5, 1.0))
     back = serialize.problem_from_json(serialize.problem_to_json(p))

@@ -15,7 +15,7 @@ def one_axis_gaussian_2d(cutoff: int = 8) -> eo.TruncatedSeries:
     """exp(z1^2/2) viewed as a two-variable series: constant in z2."""
     g = eo.solve_kernel_axis(gaussian_problem(cutoff))
     return eo.make_series(
-        2, cutoff, {(n[0], 0): c for n, c in g.coeffs.items()}
+        2, cutoff, {(n[0], 0): c for n, c in g.terms()}
     )
 
 

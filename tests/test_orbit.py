@@ -54,7 +54,8 @@ def test_visit_density_of_kernel_orbit_is_one():
     f = eo.solve_kernel_axis(gaussian_problem(10))
     rec = eo.iterate_orbit(shift_op(), f, 5)
     for delta in (0.1, 1e-6, 10.0):
-        assert eo.visit_density(rec, eo.zero_series(1, 10), delta, SPEC) == 1.0
+        annotated = eo.measure_visits(rec, eo.zero_series(1, 10), delta, SPEC)
+        assert annotated.density_proxy == 1.0
 
 
 def test_visit_density_coordinate_orbit_misses():
@@ -65,20 +66,29 @@ def test_visit_density_coordinate_orbit_misses():
     assert annotated.density_proxy == 0.0
 
 
+def test_density_counts_hits_after_the_initial_vector():
+    # distances 0.1, 0.2, 0.5, 1.4: hits at k = 0 and k = 1 only, over 3 steps
+    rec = eo.iterate_orbit(shift_op(), eo.monomial(1, 3, (0,), 0.1), 3)
+    annotated = eo.measure_visits(rec, eo.zero_series(1, 3), 0.3, SPEC)
+    assert annotated.hits == (0, 1)
+    assert annotated.density_proxy == pytest.approx(1 / 3)
+
+
 def test_density_monotone_in_delta():
     rec = eo.iterate_orbit(shift_op(), eo.monomial(1, 6, (1,)), 4)
     target = eo.zero_series(1, 6)
     deltas = (0.01, 1.0, 3.0, 10.0, 100.0)
-    proxies = [eo.visit_density(rec, target, d, SPEC) for d in deltas]
+    proxies = [eo.measure_visits(rec, target, d, SPEC).density_proxy for d in deltas]
     assert proxies == sorted(proxies)
 
 
 def test_density_dimension_mismatch():
     rec = eo.iterate_orbit(shift_op(), eo.monomial(1, 3, (1,)), 1)
     with pytest.raises(ValueError, match="dim"):
-        eo.visit_density(rec, eo.zero_series(2, 3), 0.5, SPEC)
+        eo.measure_visits(rec, eo.zero_series(2, 3), 0.5, SPEC)
 
 
 def test_empty_hit_set_gives_zero():
     rec = eo.iterate_orbit(shift_op(), eo.monomial(1, 3, (1,)), 2)
-    assert eo.visit_density(rec, eo.monomial(1, 3, (3,), 100.0), 0.01, SPEC) == 0.0
+    annotated = eo.measure_visits(rec, eo.monomial(1, 3, (3,), 100.0), 0.01, SPEC)
+    assert annotated.density_proxy == 0.0

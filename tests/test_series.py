@@ -52,7 +52,7 @@ def test_make_series_dim_mismatch():
 
 def test_zero_coefficients_dropped():
     f = eo.make_series(1, 3, [((0,), 1.0), ((1,), 0.0)])
-    assert (1,) not in f.coeffs
+    assert f.terms() == [((0,), 1.0)]
 
 
 def test_graded_lex_basis_order():
@@ -279,6 +279,28 @@ def small_series(draw, dim=None, force_polynomial=None):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_series(), st.data())
+def test_vector_operations_match_termwise_reference(f, data):
+    """Gathers and vector sums give the coefficient-by-coefficient values, bit for bit."""
+    order = tuple(data.draw(st.integers(0, 3)) for _ in range(f.dim))
+    axis = data.draw(st.integers(1, f.dim))
+    w1, w2 = data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2))
+    terms = dict(f.terms())
+    derivative = eo.differentiate(f, order)
+    shifted = eo.multiply_coordinate(f, axis)
+    combined = eo.linear_combine([(w1, f), (w2, derivative)])
+    for m in eo.monomial_basis(f.dim, f.cutoff):
+        n = tuple(a + b for a, b in zip(m, order))
+        weight = math.prod(math.perm(a, b) for a, b in zip(n, order))
+        assert derivative.coefficient(m) == terms.get(n, 0j) * weight
+        below = m[: axis - 1] + (m[axis - 1] - 1,) + m[axis:]
+        assert shifted.coefficient(m) == (terms.get(below, 0j) if m[axis - 1] else 0)
+        expected = 0j + complex(w1) * terms.get(m, 0j)
+        expected += complex(w2) * derivative.coefficient(m)
+        assert combined.coefficient(m) == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_series(), st.data())
 def test_derivative_composition(f, data):
     m = tuple(data.draw(st.integers(0, 2)) for _ in range(f.dim))
     k = tuple(data.draw(st.integers(0, 2)) for _ in range(f.dim))
@@ -318,7 +340,7 @@ def test_translate_evaluate_consistency(f, data):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_series())
 def test_coefficient_recovery_via_derivative_at_zero(f):
-    for n in f.sorted_indices():
+    for n, _ in f.terms():
         if sum(n) > f.exact_degree:
             continue
         d = eo.differentiate(f, n)
@@ -334,6 +356,77 @@ def test_coefficient_recovery_via_derivative_at_zero(f):
 def test_seminorm_lower_never_exceeds_upper(f, m, eps):
     b = eo.seminorm_bound(f, eo.SemiNormSpec(m, eps))
     assert b.lower <= b.upper + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exactness soundness (property-based, through the public API only)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def soundness_case(draw):
+    """A dense polynomial, a small cutoff that may truncate it, and steps."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, cutoff + 2))
+    # every coefficient up to the degree is nonzero, so any coefficient a
+    # truncation gets wrong differs from the true one
+    support = eo.monomial_basis(dim, degree)
+    # magnitudes bounded away from 0, so no step hides a wrong coefficient
+    unit = st.floats(0.25, 1.0) | st.floats(-1.0, -0.25)
+    values = [complex(draw(unit), draw(unit)) for _ in support]
+    order = st.tuples(*[st.integers(0, 2)] * dim)
+    step = st.one_of(
+        st.tuples(st.just("differentiate"), order),
+        st.tuples(st.just("multiply"), st.integers(1, dim)),
+        st.tuples(st.just("translate"), st.tuples(*[unit] * dim)),
+        st.tuples(st.just("combine"), st.tuples(unit, unit)),
+    )
+    steps = draw(st.lists(step, min_size=2, max_size=5))
+    return dim, cutoff, degree, list(zip(support, values)), steps
+
+
+def _step(f, f0, kind, arg, may_translate):
+    if kind == "differentiate":
+        return eo.differentiate(f, arg)
+    if kind == "multiply":
+        return eo.multiply_coordinate(f, arg)
+    if kind == "translate":
+        return eo.translate(f, arg) if may_translate else f
+    return eo.linear_combine([(arg[0], f), (arg[1], f0)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(soundness_case())
+def test_exactness_claims_survive_a_larger_cutoff(case):
+    """What a truncation claims to know agrees with a truncation that cuts nothing.
+
+    The wide run holds every coefficient the steps can produce, so it is the
+    true function.  The narrow run must match it on ``||n|| <= exact_degree``,
+    and may only claim ``is_polynomial`` when nothing beyond its cutoff exists.
+    """
+    dim, cutoff, degree, entries, steps = case
+    wide_cutoff = max(cutoff, degree) + len(steps)
+
+    def at(c: int) -> eo.TruncatedSeries:
+        kept = [(n, v) for n, v in entries if sum(n) <= c]
+        return eo.make_series(dim, c, kept, is_polynomial=len(kept) == len(entries))
+
+    narrow0, wide0 = at(cutoff), at(wide_cutoff)
+    narrow, wide = narrow0, wide0
+    for kind, arg in steps:
+        # translating a truncation is approximate by design: only polynomials
+        may_translate = narrow.is_polynomial
+        narrow = _step(narrow, narrow0, kind, arg, may_translate)
+        wide = _step(wide, wide0, kind, arg, may_translate)
+    assert wide.is_polynomial
+    scale = 1 + wide.max_exact_coefficient()
+    if narrow.exact_degree >= 0:
+        for n in eo.monomial_basis(dim, narrow.exact_degree):
+            assert abs(narrow.coefficient(n) - wide.coefficient(n)) <= 1e-9 * scale
+    if narrow.is_polynomial:
+        beyond = [n for n in eo.monomial_basis(dim, wide_cutoff) if sum(n) > cutoff]
+        assert all(wide.coefficient(n) == 0 for n in beyond)
 
 
 # ---------------------------------------------------------------------------
