@@ -13,7 +13,6 @@ user-supplied scenario files over all of it.
 
 from .series import (
     ApproximationWarning,
-    Bounds,
     Index,
     SemiNormSpec,
     TruncatedSeries,

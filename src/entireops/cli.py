@@ -34,6 +34,7 @@ from .kernel import AxisKernelProblem, joint_kernel, verify_kernel
 from .operators import CROperator, verify_commutation
 from .orbit import iterate_orbit, measure_visits
 from .serialize import (
+    coeffs_from_json,
     cr_operator_from_json,
     problem_from_json,
     report_to_csv,
@@ -55,8 +56,6 @@ EXIT_TASK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
-TASK_KINDS = ("verify-cr", "kernel", "complete", "approximate", "fhc", "orbit")
-
 BUNDLED = ("gaussian1d", "gaussian2d", "airy2d", "remark3", "mixed")
 
 DENSITY_DISCLAIMER = (
@@ -67,6 +66,116 @@ DENSITY_DISCLAIMER = (
 
 class ScenarioError(ValueError):
     """Scenario file does not parse or violates the schema."""
+
+
+def _box(value: Any) -> tuple[float, float]:
+    low, high = value
+    return float(low), float(high)
+
+
+def _ints(value: Any) -> list[int]:
+    return [int(n) for n in value]
+
+
+def _series_or_name(value: Any) -> TruncatedSeries | str:
+    return value if value in ("generator", "zero") else series_from_json(value)
+
+
+#: marks a key that every task of its kind must give
+REQUIRED = object()
+
+#: kind -> key -> (parser, default).  A tuple parser lists the allowed
+#: values.  A None default is derived by the runner (from the scenario or
+#: the task's other keys) or leaves an optional table or pass check unset.
+TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "verify-cr": {"probe_degree": (int, 8), "max_residual": (float, 1e-12)},
+    "kernel": {"degree": (int, None), "max_residual": (float, 1e-12)},
+    "complete": {
+        "truncation": (int, REQUIRED),
+        "max_order": (int, None),
+        "mode": (("derivative", "translate"), "derivative"),
+        "samples": (int, None),
+        "tolerance": (float, None),
+        "box": (_box, (-1.0, 1.0)),
+        "trajectory": (_ints, None),
+        "expect_complete": (bool, None),
+        "expect_rank": (int, None),
+    },
+    "approximate": {
+        "target": (series_from_json, REQUIRED),
+        "truncation": (int, None),
+        "max_order": (int, None),
+        "max_residual": (float, 1e-10),
+    },
+    "fhc": {
+        "terms": (coeffs_from_json, None),
+        "axis": (int, 1),
+        "m": (int, 1),
+        "epsilon": (float, None),
+        "kmax": (int, 12),
+        "realization_degree": (int, 6),
+        "max_kth_root": (float, None),
+    },
+    "orbit": {
+        "axis": (int, 1),
+        "steps": (int, 5),
+        "delta": (float, 0.1),
+        "m": (int, 1),
+        "epsilon": (float, 2.0),
+        "degree": (int, None),
+        "initial": (_series_or_name, "generator"),
+        "target": (_series_or_name, "zero"),
+        "min_density": (float, None),
+        "max_density": (float, None),
+    },
+}
+
+#: keys that only a scenario file sets; every other key has a subcommand flag
+SCENARIO_ONLY = frozenset(
+    {"tolerance", "box", "trajectory", "expect_complete", "expect_rank",
+     "target", "terms", "initial", "min_density", "max_density"}
+)
+
+TASK_KINDS = tuple(TASK_PARAMS)
+
+
+def task_params(task: Any) -> dict[str, Any]:
+    """Every parameter of a task object, parsed, with absent keys defaulted.
+
+    Raises ScenarioError for an unknown kind, an unknown or missing key, or
+    a value its parser rejects.
+    """
+    if not isinstance(task, dict) or "task" not in task:
+        raise ScenarioError('a task must be an object with a "task" key')
+    kind = task["task"]
+    if kind not in TASK_KINDS:
+        raise ScenarioError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
+    schema = TASK_PARAMS[kind]
+    for key in task:
+        if key != "task" and key not in schema:
+            raise ScenarioError(
+                f"unknown key {key!r} in {kind} task; expected one of {tuple(schema)}"
+            )
+    params: dict[str, Any] = {}
+    for key, (parse, default) in schema.items():
+        if key not in task:
+            if default is REQUIRED:
+                raise ScenarioError(f"missing key {key!r} in {kind} task")
+            params[key] = default
+            continue
+        value = task[key]
+        try:
+            if isinstance(parse, tuple):
+                if value not in parse:
+                    raise ValueError(f"expected one of {parse}")
+            else:
+                value = parse(value)
+        except KeyError as exc:
+            raise ScenarioError(f"bad {key!r} in {kind} task: missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"bad {key!r} in {kind} task: {exc}") from exc
+        params[key] = value
+    return params
 
 
 @dataclass
@@ -139,13 +248,8 @@ def parse_scenario(obj: Any) -> Scenario:
             )
     else:
         raise ScenarioError('generator must contain "kernel" or "explicit"')
-    for i, task in enumerate(tasks):
-        if not isinstance(task, dict) or "task" not in task:
-            raise ScenarioError(f'task {i} must be an object with a "task" key')
-        if task["task"] not in TASK_KINDS:
-            raise ScenarioError(
-                f"unknown task kind {task['task']!r}; expected one of {TASK_KINDS}"
-            )
+    for task in tasks:
+        task_params(task)
     return Scenario(
         dimension=dimension,
         truncation=truncation,
@@ -201,67 +305,68 @@ def generator_series(scn: Scenario, degree: int) -> TruncatedSeries:
     return with_cutoff(f, degree) if f.cutoff != degree else f
 
 
-def _series_argument(scn: Scenario, value: Any, degree: int) -> TruncatedSeries:
-    if value == "generator" or value is None:
+def _series_argument(
+    scn: Scenario, value: TruncatedSeries | str, degree: int
+) -> TruncatedSeries:
+    if value == "generator":
         return generator_series(scn, degree)
     if value == "zero":
         return zero_series(scn.dimension, degree)
-    return series_from_json(value)
+    return value
+
+
+def _given(value: Any, derived: Any) -> Any:
+    """A task parameter's value, or the one derived for its None default."""
+    return derived if value is None else value
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (report object, payload dict, passed)
+# task runners: each takes task_params and returns (report, payload, passed)
 # ---------------------------------------------------------------------------
 
 
-def _run_verify_cr(scn: Scenario, task: dict, ctx: dict):
-    probe = int(task.get("probe_degree", 8))
-    threshold = float(task.get("max_residual", 1e-12))
-    report = verify_commutation(scn.operators, probe, tolerance=threshold)
+def _run_verify_cr(scn: Scenario, p: dict, ctx: dict):
+    """Commutator residuals on monomials."""
+    report = verify_commutation(
+        scn.operators, p["probe_degree"], tolerance=p["max_residual"]
+    )
     return report, report_to_dict(report), report.passed
 
 
-def _run_kernel(scn: Scenario, task: dict, ctx: dict):
+def _run_kernel(scn: Scenario, p: dict, ctx: dict):
+    """Solve and verify the joint kernel."""
     if scn.kernel_problems is None:
         raise ScenarioError("kernel task needs a kernel generator")
-    degree = int(task.get("degree", scn.truncation))
-    f = generator_series(scn, degree)
-    threshold = float(task.get("max_residual", 1e-12))
-    report = verify_kernel(scn.operators, f, tolerance=threshold)
+    f = generator_series(scn, _given(p["degree"], scn.truncation))
+    report = verify_kernel(scn.operators, f, tolerance=p["max_residual"])
     payload = report_to_dict(report)
     payload["series"] = series_to_json(f)
     return report, payload, report.passed
 
 
-def _run_complete(scn: Scenario, task: dict, ctx: dict):
-    trunc = int(_require(task, "truncation", "complete task"))
-    max_order = int(task.get("max_order", trunc))
-    tolerance = ctx["tolerance"] if ctx["tolerance"] is not None else float(
-        task.get("tolerance", scn.tolerance)
-    )
-    mode = task.get("mode", "derivative")
-    if mode == "derivative":
+def _run_complete(scn: Scenario, p: dict, ctx: dict):
+    """Derivative/translate span rank."""
+    trunc = p["truncation"]
+    max_order = _given(p["max_order"], trunc)
+    tolerance = _given(ctx["tolerance"], _given(p["tolerance"], scn.tolerance))
+    if p["mode"] == "derivative":
         f = generator_series(scn, trunc + max_order)
         span = derivative_span(f, trunc, max_order)
-    elif mode == "translate":
+    else:
         f = generator_series(scn, trunc)
         ambient = math.comb(trunc + scn.dimension, scn.dimension)
-        count = int(task.get("samples", 3 * ambient))
-        low, high = task.get("box", (-1.0, 1.0))
-        samples = sample_box(scn.dimension, count, ctx["seed"], low, high)
+        count = _given(p["samples"], 3 * ambient)
+        samples = sample_box(scn.dimension, count, ctx["seed"], *p["box"])
         with warnings.catch_warnings():
             # asking for translate mode on a truncation accepts approximate rows
             warnings.simplefilter("ignore", ApproximationWarning)
             span = translate_span(f, trunc, samples)
-    else:
-        raise ScenarioError(f"unknown completeness mode {mode!r}")
     report = rank_report(span, tolerance)
     payload = report_to_dict(report)
-    if "trajectory" in task:
+    if p["trajectory"] is not None:
         offset = max_order - trunc
         rows = []
-        for n in task["trajectory"]:
-            n = int(n)
+        for n in p["trajectory"]:
             fn = generator_series(scn, 2 * n + offset)
             rep_n = rank_report(derivative_span(fn, n, n + offset), tolerance)
             rows.append(
@@ -274,73 +379,57 @@ def _run_complete(scn: Scenario, task: dict, ctx: dict):
             )
         payload["trajectory"] = rows
     passed = True
-    if "expect_complete" in task:
-        passed = report.complete_at_truncation == bool(task["expect_complete"])
-    if "expect_rank" in task:
-        passed = passed and report.rank == int(task["expect_rank"])
+    if p["expect_complete"] is not None:
+        passed = report.complete_at_truncation == p["expect_complete"]
+    if p["expect_rank"] is not None:
+        passed = passed and report.rank == p["expect_rank"]
     return report, payload, passed
 
 
-def _run_approximate(scn: Scenario, task: dict, ctx: dict):
-    target = series_from_json(_require(task, "target", "approximate task"))
-    trunc = int(task.get("truncation", target.cutoff))
-    max_order = int(task.get("max_order", trunc))
+def _run_approximate(scn: Scenario, p: dict, ctx: dict):
+    """Least-squares derivative combination."""
+    target = p["target"]
+    trunc = _given(p["truncation"], target.cutoff)
+    max_order = _given(p["max_order"], trunc)
     f = generator_series(scn, trunc + max_order)
     result = approximate_target(f, target, trunc, max_order)
-    threshold = float(task.get("max_residual", 1e-10))
-    return result, report_to_dict(result), result.residual <= threshold
+    return result, report_to_dict(result), result.residual <= p["max_residual"]
 
 
-def _run_fhc(scn: Scenario, task: dict, ctx: dict):
+def _run_fhc(scn: Scenario, p: dict, ctx: dict):
+    """Ladder convergence diagnostics."""
     if scn.kernel_problems is None:
         raise ScenarioError("fhc task needs a kernel generator")
-    problems = tuple(scn.kernel_problems)
-    if "terms" in task:
-        terms = {
-            tuple(t["idx"]): complex(t["re"], t.get("im", 0.0))
-            for t in task["terms"]
-        }
-    else:
-        terms = {(0,) * scn.dimension: 1.0}
-    x = LadderVector(problems, terms)
-    axis = int(task.get("axis", 1))
+    terms = dict(_given(p["terms"], [((0,) * scn.dimension, 1.0)]))
+    x = LadderVector(tuple(scn.kernel_problems), terms)
     default_eps = 2.0 * max(1.0 / abs(a) for a in x.ladder_constants)
-    spec = SemiNormSpec(
-        m=int(task.get("m", 1)),
-        epsilon=float(task.get("epsilon", default_eps)),
+    spec = SemiNormSpec(m=p["m"], epsilon=_given(p["epsilon"], default_eps))
+    report = convergence_report(
+        x, p["axis"], spec, p["kmax"], p["realization_degree"]
     )
-    kmax = int(task.get("kmax", 12))
-    degree = int(task.get("realization_degree", 6))
-    report = convergence_report(x, axis, spec, kmax, degree)
     passed = report.stable
-    if "max_kth_root" in task:
-        passed = passed and report.kth_roots[-1] <= float(task["max_kth_root"])
+    if p["max_kth_root"] is not None:
+        passed = passed and report.kth_roots[-1] <= p["max_kth_root"]
     return report, report_to_dict(report), passed
 
 
-def _run_orbit(scn: Scenario, task: dict, ctx: dict):
-    axis = int(task.get("axis", 1))
-    candidates = [op for op in scn.operators if op.axis == axis]
+def _run_orbit(scn: Scenario, p: dict, ctx: dict):
+    """Iterate an operator and report visits."""
+    candidates = [op for op in scn.operators if op.axis == p["axis"]]
     if not candidates:
-        raise ScenarioError(f"no operator on axis {axis} for orbit task")
-    op = candidates[0]
-    degree = int(task.get("degree", scn.truncation))
-    x = _series_argument(scn, task.get("initial", "generator"), degree)
-    steps = int(task.get("steps", 5))
-    record = iterate_orbit(op, x, steps)
-    spec = SemiNormSpec(
-        m=int(task.get("m", 1)), epsilon=float(task.get("epsilon", 2.0))
-    )
-    delta = float(task.get("delta", 0.1))
-    target = _series_argument(scn, task.get("target", "zero"), x.cutoff)
-    annotated = measure_visits(record, target, delta, spec)
+        raise ScenarioError(f"no operator on axis {p['axis']} for orbit task")
+    x = _series_argument(scn, p["initial"], _given(p["degree"], scn.truncation))
+    record = iterate_orbit(candidates[0], x, p["steps"])
+    spec = SemiNormSpec(m=p["m"], epsilon=p["epsilon"])
+    target = _series_argument(scn, p["target"], x.cutoff)
+    annotated = measure_visits(record, target, p["delta"], spec)
     payload = report_to_dict(annotated)
     payload["note"] = DENSITY_DISCLAIMER
     passed = True
-    if "min_density" in task:
-        passed = annotated.density_proxy >= float(task["min_density"])
-    if "max_density" in task:
-        passed = passed and annotated.density_proxy <= float(task["max_density"])
+    if p["min_density"] is not None:
+        passed = annotated.density_proxy >= p["min_density"]
+    if p["max_density"] is not None:
+        passed = passed and annotated.density_proxy <= p["max_density"]
     return annotated, payload, passed
 
 
@@ -365,16 +454,17 @@ def execute_tasks(
     """Run tasks in order; returns (exit code, [(task name, report text)])."""
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
+    resolved = [task_params(task) for task in tasks]
     outputs: list[tuple[str, str]] = []
     all_passed = True
-    for i, task in enumerate(tasks):
+    for i, (task, params) in enumerate(zip(tasks, resolved)):
         name = task["task"]
         ctx = {
             "tolerance": tolerance,
             "seed": (seed if seed is not None else scn.rng_seed) + i,
         }
         try:
-            report, payload, passed = _RUNNERS[name](scn, task, ctx)
+            report, payload, passed = _RUNNERS[name](scn, params, ctx)
         except ScenarioError:
             raise
         except (ValueError, OverflowError) as exc:
@@ -445,7 +535,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override rng seed")
 
 
+def _describe(default: Any) -> str:
+    if default is REQUIRED:
+        return "required"
+    if default is None:
+        return "default: derived, or no check"
+    return f"default: {default}"
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """``run``, plus one subcommand per task kind with a flag per TASK_PARAMS key."""
     parser = argparse.ArgumentParser(
         prog="entireops",
         description=(
@@ -456,104 +555,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run every task of a scenario file")
+    p = sub.add_parser("run", help="Run every task of a scenario file.")
     _add_common(p)
 
-    p = sub.add_parser("verify-cr", help="commutator residuals on monomials")
-    _add_common(p)
-    p.add_argument("--probe-degree", type=int, default=8)
-    p.add_argument("--max-residual", type=float, default=1e-12)
-
-    p = sub.add_parser("kernel", help="solve and verify the joint kernel")
-    _add_common(p)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--max-residual", type=float, default=1e-12)
-
-    p = sub.add_parser("complete", help="derivative/translate span rank")
-    _add_common(p)
-    p.add_argument("--truncation", type=int, default=4)
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--mode", choices=("derivative", "translate"), default="derivative")
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("approximate", help="least-squares derivative combination")
-    _add_common(p)
-    p.add_argument(
-        "--target-monomial",
-        required=True,
-        help="comma-separated exponents of the target monomial, e.g. 1 or 1,0",
-    )
-    p.add_argument("--truncation", type=int, default=3)
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--max-residual", type=float, default=1e-10)
-
-    p = sub.add_parser("fhc", help="ladder convergence diagnostics")
-    _add_common(p)
-    p.add_argument("--axis", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=12)
-    p.add_argument("--realization-degree", type=int, default=6)
-    p.add_argument("--max-kth-root", type=float, default=None)
-
-    p = sub.add_parser("orbit", help="iterate an operator and report visits")
-    _add_common(p)
-    p.add_argument("--axis", type=int, default=1)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--degree", type=int, default=None)
-
+    for kind, schema in TASK_PARAMS.items():
+        p = sub.add_parser(kind, help=_RUNNERS[kind].__doc__)
+        _add_common(p)
+        if kind == "approximate":
+            p.add_argument(
+                "--target-monomial",
+                required=True,
+                help="comma-separated exponents of the target monomial, e.g. 1 or 1,0",
+            )
+        file_only = []
+        for key, (parse, default) in schema.items():
+            if key in SCENARIO_ONLY:
+                file_only.append(f"{key} ({_describe(default)})")
+                continue
+            kwargs: dict[str, Any] = (
+                {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
+            )
+            if default is REQUIRED:
+                kwargs["required"] = True
+            else:
+                kwargs["default"] = default
+            p.add_argument(
+                "--" + key.replace("_", "-"), help=_describe(default), **kwargs
+            )
+        p.epilog = "scenario-file keys: " + (", ".join(file_only) or "none")
     return parser
 
 
 def _task_from_args(args: argparse.Namespace) -> dict:
     kind = args.command
     task: dict[str, Any] = {"task": kind}
-    if kind == "verify-cr":
-        task["probe_degree"] = args.probe_degree
-        task["max_residual"] = args.max_residual
-    elif kind == "kernel":
-        if args.degree is not None:
-            task["degree"] = args.degree
-        task["max_residual"] = args.max_residual
-    elif kind == "complete":
-        task["truncation"] = args.truncation
-        if args.max_order is not None:
-            task["max_order"] = args.max_order
-        task["mode"] = args.mode
-        if args.samples is not None:
-            task["samples"] = args.samples
-    elif kind == "approximate":
+    for key in TASK_PARAMS[kind]:
+        if key not in SCENARIO_ONLY and getattr(args, key) is not None:
+            task[key] = getattr(args, key)
+    if kind == "approximate":
         idx = [int(e) for e in args.target_monomial.split(",")]
         task["target"] = {
             "dim": len(idx),
-            "cutoff": max(sum(idx), args.truncation),
+            "cutoff": sum(idx),
             "polynomial": True,
             "coeffs": [{"idx": idx, "re": 1.0, "im": 0.0}],
         }
-        task["truncation"] = args.truncation
-        if args.max_order is not None:
-            task["max_order"] = args.max_order
-        task["max_residual"] = args.max_residual
-    elif kind == "fhc":
-        task["axis"] = args.axis
-        task["m"] = args.m
-        if args.epsilon is not None:
-            task["epsilon"] = args.epsilon
-        task["kmax"] = args.kmax
-        task["realization_degree"] = args.realization_degree
-        if args.max_kth_root is not None:
-            task["max_kth_root"] = args.max_kth_root
-    elif kind == "orbit":
-        task["axis"] = args.axis
-        task["steps"] = args.steps
-        task["delta"] = args.delta
-        task["m"] = args.m
-        task["epsilon"] = args.epsilon
-        if args.degree is not None:
-            task["degree"] = args.degree
     return task
 
 
@@ -561,30 +607,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return run_scenario(
-                args.scenario,
-                fmt=args.format,
-                out=args.out,
-                tolerance=args.tolerance,
-                seed=args.seed,
-            )
         scn = load_scenario(args.scenario)
-        task = _task_from_args(args)
+        tasks = scn.tasks if args.command == "run" else [_task_from_args(args)]
         code, outputs = execute_tasks(
-            scn,
-            [task],
-            fmt=args.format,
-            tolerance=args.tolerance,
-            seed=args.seed,
+            scn, tasks, fmt=args.format, tolerance=args.tolerance, seed=args.seed
         )
         _emit(outputs, args.format, args.out, sys.stdout)
         return code
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
-        # unsupported format / report kind surfaces as a usage error
+        # a ScenarioError, or an unsupported format / report kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # noqa: BLE001 - report and exit 3

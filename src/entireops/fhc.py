@@ -260,7 +260,7 @@ def convergence_report(
         y = x
         for k in range(kmax + 1):
             series = _combine_on(f, y.terms, degree)
-            u.append(seminorm_bound(series, spec).upper)
+            u.append(seminorm_bound(series, spec))
             if k < kmax:
                 y = apply_raising(y, axis)
         return u

@@ -93,7 +93,7 @@ def measure_visits(
     distances = []
     for it in rec.iterates:
         diff = linear_combine([(1.0, it), (-1.0, with_cutoff(target, it.cutoff))])
-        distances.append(seminorm_bound(diff, spec).upper)
+        distances.append(seminorm_bound(diff, spec))
     hits = tuple(k for k, dist in enumerate(distances) if dist < delta)
     # the #{1 <= n <= N : n in A} / N shape of a lower density: the initial
     # vector (k = 0) is listed among the hits but not counted

@@ -43,11 +43,13 @@ def series_to_json(f: TruncatedSeries) -> dict:
     }
 
 
+def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
+    """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
+    return [(tuple(e["idx"]), complex(e["re"], e.get("im", 0.0))) for e in entries]
+
+
 def series_from_json(obj: Mapping) -> TruncatedSeries:
-    entries = [
-        (tuple(e["idx"]), complex(e["re"], e.get("im", 0.0)))
-        for e in obj["coeffs"]
-    ]
+    entries = coeffs_from_json(obj["coeffs"])
     return make_series(
         int(obj["dim"]), int(obj["cutoff"]), entries, bool(obj["polynomial"])
     )
@@ -58,10 +60,7 @@ def symbol_to_json(sym: ConvolutionSymbol) -> list[dict]:
 
 
 def symbol_from_json(dim: int, entries: Sequence[Mapping]) -> ConvolutionSymbol:
-    coeffs = {
-        tuple(e["idx"]): complex(e["re"], e.get("im", 0.0)) for e in entries
-    }
-    return ConvolutionSymbol(dim, coeffs)
+    return ConvolutionSymbol(dim, dict(coeffs_from_json(entries)))
 
 
 def cr_operator_to_json(op: CROperator) -> dict:

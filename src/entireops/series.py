@@ -38,12 +38,6 @@ import numpy as np
 
 Index = tuple[int, ...]
 
-#: angles per axis for the boundary sampling grid of :func:`seminorm_bound`
-GRID_ANGLES = 64
-#: beyond this dimension only the coefficient upper bound is computed
-GRID_MAX_DIM = 3
-
-
 class ApproximationWarning(UserWarning):
     """The returned series carries no exactness guarantee (exact_degree = -1)."""
 
@@ -198,11 +192,6 @@ class SemiNormSpec:
     @property
     def radius(self) -> float:
         return self.m * self.epsilon
-
-
-class Bounds(NamedTuple):
-    lower: float
-    upper: float
 
 
 def make_series(
@@ -404,35 +393,15 @@ def coefficient_vector(f: TruncatedSeries, degree: int) -> np.ndarray:
     return out
 
 
-def _boundary_grid_max(f: TruncatedSeries, radius: float) -> float:
-    """Max of |f| over the product grid of GRID_ANGLES points per boundary circle."""
-    terms = f.terms()
-    angles = 2.0 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES
-    ring = radius * np.exp(1j * angles)
-    max_pow = max(max(idx) for idx, _ in terms)
-    powers = ring[:, None] ** np.arange(max_pow + 1)[None, :]
-    values = np.zeros((GRID_ANGLES,) * f.dim, dtype=complex)
-    for idx, c in terms:
-        term = c * powers[:, idx[0]]
-        for e in idx[1:]:
-            term = np.multiply.outer(term, powers[:, e])
-        values += term
-    return float(np.max(np.abs(values)))
+def seminorm_bound(f: TruncatedSeries, spec: SemiNormSpec) -> float:
+    """Upper bound for ``sup |f|`` over the polydisc of the spec.
 
-
-def seminorm_bound(f: TruncatedSeries, spec: SemiNormSpec) -> Bounds:
-    """Two-sided estimate of ``sup |f|`` over the polydisc of the spec.
-
-    upper = sum |a_n| r^||n|| with r = m * epsilon, always a true upper bound
-    for the stored polynomial.  lower = max of |f| over a deterministic grid
-    on the distinguished boundary |z_j| = r (dims <= GRID_MAX_DIM; beyond
-    that only the upper bound is computed and lower is reported as 0).
+    Returns ``sum |a_n| r^||n||`` with ``r = m * epsilon``, accumulated in
+    graded-lex order.  It bounds the stored polynomial on the whole polydisc,
+    with equality for a single monomial; no lower estimate is computed.
     """
     r = spec.radius
     upper = 0.0
     for idx, c in f.terms():
         upper += abs(c) * r ** sum(idx)
-    if f.is_zero() or f.dim > GRID_MAX_DIM:
-        return Bounds(0.0, upper)
-    lower = _boundary_grid_max(f, r)
-    return Bounds(min(lower, upper), upper)
+    return upper

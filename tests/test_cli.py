@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,81 @@ def test_single_task_subcommands(capsys):
     )
     out = capsys.readouterr().out
     assert '"residual"' in out
+
+
+def _scenario_file(tmp_path, name: str, tasks: list[dict]) -> str:
+    obj = json.loads(
+        (cli.resources.files("entireops") / f"scenarios/{name}.json").read_text()
+    )
+    obj["tasks"] = tasks
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        ({"task": "fhc", "kmx": 40}, "kmx"),
+        ({"task": "approximate", "target": {"dim": 1, "cutoff": 1, "polynomial": True}},
+         "target"),
+        ({"task": "fhc", "terms": [{"re": 1.0}]}, "terms"),
+        ({"task": "orbit", "initial": {"dim": 1}}, "initial"),
+        ({"task": "complete", "truncation": 2, "mode": "translate", "box": 5}, "box"),
+        ({"task": "orbit", "steps": "x"}, "steps"),
+        ({"task": "complete", "truncation": 2, "mode": "sideways"}, "mode"),
+    ],
+)
+def test_malformed_task_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, task, key
+):
+    path = _scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}, task])
+    assert cli.main(["run", path]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, task",
+    [
+        (["verify-cr", "gaussian2d"], {"task": "verify-cr"}),
+        (["kernel", "gaussian1d"], {"task": "kernel"}),
+        (["complete", "gaussian2d", "--truncation", "3"],
+         {"task": "complete", "truncation": 3}),
+        (["approximate", "gaussian1d", "--target-monomial", "1"],
+         {"task": "approximate", "target": {
+             "dim": 1, "cutoff": 1, "polynomial": True,
+             "coeffs": [{"idx": [1], "re": 1.0, "im": 0.0}]}}),
+        (["fhc", "gaussian1d"], {"task": "fhc"}),
+        (["orbit", "gaussian1d"], {"task": "orbit"}),
+    ],
+)
+def test_subcommand_defaults_match_scenario_defaults(tmp_path, capsys, argv, task):
+    """A subcommand with only its required flags runs the bare scenario task."""
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    expected_code, expected = run_to_text(_scenario_file(tmp_path, argv[1], [task]))
+    assert (code, out) == (expected_code, expected)
+
+
+def test_module_entry_point(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def entireops(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "entireops", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    assert entireops("run", "remark3").returncode == cli.EXIT_OK
+    typo_task = {"task": "fhc", "kmx": 40}
+    typo = entireops("run", _scenario_file(tmp_path, "gaussian1d", [typo_task]))
+    assert typo.returncode == cli.EXIT_PARSE
+    assert "error:" in typo.stderr and "'kmx'" in typo.stderr
+    helped = entireops("fhc", "gaussian1d", "--help")
+    assert helped.returncode == 0
+    assert "default: 12" in helped.stdout and "default: 6" in helped.stdout
 
 
 # ---------------------------------------------------------------------------
