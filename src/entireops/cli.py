@@ -81,21 +81,49 @@ def _series_or_name(value: Any) -> TruncatedSeries | str:
     return value if value in ("generator", "zero") else series_from_json(value)
 
 
+def _int_from(low: int, name: str):
+    """Parser of an integer that must be at least ``low``."""
+
+    def parse(value: Any) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(f"must be >= {low}, got {n}")
+        return n
+
+    parse.__name__ = name  # argparse names the type in its error messages
+    return parse
+
+
+_natural = _int_from(0, "non-negative int")
+_count = _int_from(1, "positive int")
+
+
+def _positive(value: Any) -> float:
+    x = float(value)
+    if not x > 0:
+        raise ValueError(f"must be positive, got {x}")
+    return x
+
+
+_positive.__name__ = "positive float"
+
+
 #: marks a key that every task of its kind must give
 REQUIRED = object()
 
 #: kind -> key -> (parser, default).  A tuple parser lists the allowed
-#: values.  A None default is derived by the runner (from the scenario or
+#: values; the parsers also hold the sign and range bounds that the library
+#: enforces.  A None default is derived by the runner (from the scenario or
 #: the task's other keys) or leaves an optional table or pass check unset.
 TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
-    "verify-cr": {"probe_degree": (int, 8), "max_residual": (float, 1e-12)},
-    "kernel": {"degree": (int, None), "max_residual": (float, 1e-12)},
+    "verify-cr": {"probe_degree": (_natural, 8), "max_residual": (float, 1e-12)},
+    "kernel": {"degree": (_natural, None), "max_residual": (float, 1e-12)},
     "complete": {
-        "truncation": (int, REQUIRED),
-        "max_order": (int, None),
+        "truncation": (_natural, REQUIRED),
+        "max_order": (_natural, None),
         "mode": (("derivative", "translate"), "derivative"),
-        "samples": (int, None),
-        "tolerance": (float, None),
+        "samples": (_count, None),
+        "tolerance": (_positive, None),
         "box": (_box, (-1.0, 1.0)),
         "trajectory": (_ints, None),
         "expect_complete": (bool, None),
@@ -103,26 +131,26 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "approximate": {
         "target": (series_from_json, REQUIRED),
-        "truncation": (int, None),
-        "max_order": (int, None),
+        "truncation": (_natural, None),
+        "max_order": (_natural, None),
         "max_residual": (float, 1e-10),
     },
     "fhc": {
         "terms": (coeffs_from_json, None),
         "axis": (int, 1),
-        "m": (int, 1),
-        "epsilon": (float, None),
-        "kmax": (int, 12),
-        "realization_degree": (int, 6),
+        "m": (_count, 1),
+        "epsilon": (_positive, None),
+        "kmax": (_count, 12),
+        "realization_degree": (_natural, 6),
         "max_kth_root": (float, None),
     },
     "orbit": {
         "axis": (int, 1),
-        "steps": (int, 5),
-        "delta": (float, 0.1),
-        "m": (int, 1),
-        "epsilon": (float, 2.0),
-        "degree": (int, None),
+        "steps": (_natural, 5),
+        "delta": (_positive, 0.1),
+        "m": (_count, 1),
+        "epsilon": (_positive, 2.0),
+        "degree": (_natural, None),
         "initial": (_series_or_name, "generator"),
         "target": (_series_or_name, "zero"),
         "min_density": (float, None),
@@ -188,6 +216,8 @@ class Scenario:
     kernel_problems: list[AxisKernelProblem] | None
     explicit_generator: TruncatedSeries | None
     tasks: list[dict]
+    #: task_params of each task, resolved once when the scenario is parsed
+    params: list[dict]
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -248,8 +278,7 @@ def parse_scenario(obj: Any) -> Scenario:
             )
     else:
         raise ScenarioError('generator must contain "kernel" or "explicit"')
-    for task in tasks:
-        task_params(task)
+    params = [task_params(task) for task in tasks]
     return Scenario(
         dimension=dimension,
         truncation=truncation,
@@ -259,6 +288,7 @@ def parse_scenario(obj: Any) -> Scenario:
         kernel_problems=kernel_problems,
         explicit_generator=explicit,
         tasks=tasks,
+        params=params,
     )
 
 
@@ -445,16 +475,24 @@ _RUNNERS = {
 
 def execute_tasks(
     scn: Scenario,
-    tasks: Sequence[dict],
+    tasks: Sequence[dict] | None = None,
     *,
     fmt: str = "json",
     tolerance: float | None = None,
     seed: int | None = None,
 ) -> tuple[int, list[tuple[str, str]]]:
-    """Run tasks in order; returns (exit code, [(task name, report text)])."""
+    """Run tasks in order; returns (exit code, [(task name, report text)]).
+
+    ``tasks=None`` runs the scenario's own tasks with the parameters resolved
+    when it was parsed.  Other task objects are resolved here, all of them
+    before any runs.
+    """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
-    resolved = [task_params(task) for task in tasks]
+    if tasks is None:
+        tasks, resolved = scn.tasks, scn.params
+    else:
+        resolved = [task_params(task) for task in tasks]
     outputs: list[tuple[str, str]] = []
     all_passed = True
     for i, (task, params) in enumerate(zip(tasks, resolved)):
@@ -497,9 +535,7 @@ def run_scenario(
     """Load a scenario, run every task, and emit one report per task."""
     stream = stream if stream is not None else sys.stdout
     scn = load_scenario(source)
-    code, outputs = execute_tasks(
-        scn, scn.tasks, fmt=fmt, tolerance=tolerance, seed=seed
-    )
+    code, outputs = execute_tasks(scn, fmt=fmt, tolerance=tolerance, seed=seed)
     _emit(outputs, fmt, out, stream)
     return code
 
@@ -608,7 +644,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = load_scenario(args.scenario)
-        tasks = scn.tasks if args.command == "run" else [_task_from_args(args)]
+        tasks = None if args.command == "run" else [_task_from_args(args)]
         code, outputs = execute_tasks(
             scn, tasks, fmt=args.format, tolerance=args.tolerance, seed=args.seed
         )

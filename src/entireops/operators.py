@@ -15,15 +15,20 @@ Three layers:
   back produces an operator commuting with all partials, i.e. a convolution
   operator, so the relation is structural here rather than checked.
 
-:func:`apply_weyl` is the one place where an operator meets a series.
-Convolution symbols and CR operators build their normal-ordered Weyl form
-once, at construction; :func:`apply_convolution` and :func:`apply_cr_operator`
-apply that form.  The symbolic algebra (:func:`commutator`) never touches
-series and is the oracle the numeric route is tested against.
+:func:`_weyl_kernel` is the one place where an operator meets coefficients:
+one loop over the stored terms that acts on a coefficient vector or on a
+``(basis size, batch)`` block of them.  :func:`apply_weyl` runs it on a
+series' vector and derives the exactness flags from the per-term rules of
+the series primitives.  Convolution symbols and CR operators build their
+normal-ordered Weyl form once, at construction; :func:`apply_convolution`
+and :func:`apply_cr_operator` apply that form.  The symbolic algebra
+(:func:`commutator`) never touches series and is the oracle the numeric
+route is tested against.
 
-:func:`verify_commutation` re-derives the commutator table numerically on
-monomials, independently of the symbolic route, as a guard against ordering
-bugs.
+:func:`verify_commutation` re-derives the commutator table numerically,
+independently of the symbolic route, as a guard against ordering bugs: per
+probe degree it applies the kernel to the identity block of the monomials
+of that degree.
 """
 
 from __future__ import annotations
@@ -33,17 +38,19 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .series import (
     Index,
     TruncatedSeries,
-    differentiate,
+    _gather_derivative,
+    _layout,
+    _Layout,
+    _scatter_coordinate,
+    _size,
     graded_key,
     index_factorial,
     index_order,
-    linear_combine,
-    monomial,
-    monomial_basis,
-    multiply_coordinate,
     zero_series,
 )
 
@@ -171,23 +178,50 @@ def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     return _compose(a, b) - _compose(b, a)
 
 
-def apply_weyl(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
-    """Apply the operator term by term through series primitives.
+def _weyl_kernel(
+    op: WeylOperator, layout: _Layout, data: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Apply the operator to a coefficient vector or block over ``layout``.
 
-    Every operator application in the library ends here.
+    Each term differentiates, multiplies by its coordinate powers axis by
+    axis, and is accumulated as ``acc = acc + c * term`` in stored order,
+    the arithmetic of ``linear_combine``.  Also returns whether a nonzero
+    coefficient was pushed past the cutoff.
+    """
+    acc = np.zeros(data.shape, dtype=complex)
+    top = len(layout.raised[0])  # rows of degree cutoff start here
+    spilled = False
+    for (zpow, dpow), c in op.terms.items():
+        g = _gather_derivative(layout, data, dpow)
+        for axis, power in enumerate(zpow, start=1):
+            for _ in range(power):
+                spilled = spilled or bool(g[top:].any())
+                g = _scatter_coordinate(layout, g, axis)
+        acc += c * g
+    return acc, spilled
+
+
+def apply_weyl(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
+    """Apply the operator to a series; every operator application ends here.
+
+    The flags follow the series primitives term by term: a polynomial stays
+    fully exact and stays a polynomial unless a nonzero coefficient is
+    pushed past the cutoff; otherwise D^beta lowers ``exact_degree`` by
+    ``||beta||`` (not below -1), z^alpha raises it by ``||alpha||`` (not past
+    the cutoff), and the sum keeps the least of the terms.
     """
     if op.dim != f.dim:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
     if op.is_zero():
         return zero_series(f.dim, f.cutoff)
-    parts: list[tuple[complex, TruncatedSeries]] = []
-    for (zpow, dpow), c in op.terms.items():
-        g = differentiate(f, dpow)
-        for axis, power in enumerate(zpow, start=1):
-            for _ in range(power):
-                g = multiply_coordinate(g, axis)
-        parts.append((c, g))
-    return linear_combine(parts)
+    out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
+    if f.is_polynomial:
+        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, not spilled, out)
+    exact = min(
+        min(f.cutoff, max(-1, f.exact_degree - sum(dpow)) + sum(zpow))
+        for zpow, dpow in op.terms
+    )
+    return TruncatedSeries(f.dim, f.cutoff, exact, False, out)
 
 
 @dataclass(frozen=True)
@@ -327,9 +361,10 @@ def verify_commutation(
 
     For every operator T (claiming ladder constant a on its axis) and every
     partial D_k, applies ``T D_k - D_k T - delta * a * I`` to each monomial
-    of total degree <= probe_degree and records the largest residual
-    coefficient.  ``expected_a`` overrides the claimed constants, which lets
-    callers confirm that a deliberate mismatch is detected.
+    of total degree <= probe_degree, one block of probes per degree, and
+    records the largest residual coefficient.  ``expected_a`` overrides the
+    claimed constants, which lets callers confirm that a deliberate mismatch
+    is detected.
     """
     ops = list(ops)
     if not ops:
@@ -347,24 +382,27 @@ def verify_commutation(
         if len(claimed) != len(ops):
             raise ValueError("expected_a must align with the operator list")
 
-    cutoff = probe_degree + 1  # z-multiplication never overflows the probes
-    basis = monomial_basis(dim, probe_degree)
+    # z-multiplication never overflows the probes, so every defect below is
+    # a polynomial, exact on the whole basis of this cutoff
+    cutoff = probe_degree + 1
+    layout = _layout(dim, cutoff)
     units = [_unit(dim, k) for k in range(1, dim + 1)]
     residuals: dict[tuple[int, int], float] = {}
     for op, a_claim in zip(ops, claimed):
-        for n in basis:
-            probe = monomial(dim, cutoff, n)
-            t_probe = apply_cr_operator(op, probe)
+        weyl = op.as_weyl()
+        for g in range(probe_degree + 1):
+            # the degree-g monomials are a contiguous range of the basis
+            first, stop = _size(dim, g - 1), _size(dim, g)
+            probes = np.zeros((len(layout.exponents), stop - first), dtype=complex)
+            probes[first:stop] = np.eye(stop - first)
+            t_probes, _ = _weyl_kernel(weyl, layout, probes)
             for k, ek in enumerate(units, start=1):
-                defect = linear_combine(
-                    [
-                        (1.0, apply_cr_operator(op, differentiate(probe, ek))),
-                        (-1.0, differentiate(t_probe, ek)),
-                        (-(a_claim if k == op.axis else 0.0), probe),
-                    ]
-                )
+                t_dk, _ = _weyl_kernel(weyl, layout, _gather_derivative(layout, probes, ek))
+                defect = t_dk - _gather_derivative(layout, t_probes, ek)
+                if k == op.axis:
+                    defect -= a_claim * probes
                 worst = residuals.get((op.axis, k), 0.0)
-                residuals[(op.axis, k)] = max(worst, defect.max_exact_coefficient())
+                residuals[(op.axis, k)] = max(worst, float(np.abs(defect).max()))
     max_residual = max(residuals.values())
     return CommutationReport(
         residuals=residuals,

@@ -16,9 +16,12 @@ re-truncation is a slice.  Two pieces of bookkeeping ride along:
 The tables behind the layout (basis, index positions, exponent matrix,
 unit-step gather plans, falling factorials) are built once per
 ``(dim, cutoff)`` and owned by this module.  Differentiation and coordinate
-multiplication are gathers; linear combination is vector arithmetic.  The
-semi-norm upper sum and translation accumulate term by term in graded-lex
-order, so the numbers they feed into reports are reproducible bit for bit.
+multiplication are a gather and a scatter on the leading axis
+(``_gather_derivative``, ``_scatter_coordinate``), so the same kernels act on
+one coefficient vector or on a ``(basis size, batch)`` block of them;
+linear combination is vector arithmetic.  The semi-norm upper sum and
+translation accumulate term by term in graded-lex order, so the numbers they
+feed into reports are reproducible bit for bit.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
@@ -71,6 +74,7 @@ def graded_key(n: Index) -> tuple[int, Index]:
 class _Layout(NamedTuple):
     """Tables of the graded-lex basis of one ``(dim, cutoff)``."""
 
+    cutoff: int
     #: index -> position, in basis order
     position: dict[Index, int]
     #: the indices as a (size, dim) integer matrix
@@ -98,6 +102,7 @@ def _layout(dim: int, cutoff: int) -> _Layout:
     falling = [[math.perm(a, b) for b in range(cutoff + 1)] for a in range(cutoff + 1)]
     falling_exact = np.array(falling, dtype=object)
     return _Layout(
+        cutoff=cutoff,
         position={n: i for i, n in enumerate(indices)},
         exponents=exponents,
         raised=raised,
@@ -284,6 +289,33 @@ def _derivative_plan(layout: _Layout, order: Index) -> tuple[np.ndarray, np.ndar
     return source, weight.astype(float)
 
 
+def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.ndarray:
+    """D^order on the leading axis of a coefficient vector or block.
+
+    Returns ``data`` itself for the zero order, else a new array of its shape.
+    """
+    if not any(order):
+        return data
+    out = np.zeros(data.shape, dtype=complex)
+    if sum(order) <= layout.cutoff:
+        source, weight = _derivative_plan(layout, order)
+        # one weight per basis row, broadcast over a block's columns
+        weight = weight.reshape((-1,) + (1,) * (data.ndim - 1))
+        out[: len(source)] = data[source] * weight
+    return out
+
+
+def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> np.ndarray:
+    """Multiplication by z_axis (1-based) on the leading axis of a vector or block.
+
+    Rows of degree ``cutoff`` would move past the cutoff and are dropped.
+    """
+    target = layout.raised[axis - 1]
+    out = np.zeros(data.shape, dtype=complex)
+    out[target] = data[: len(target)]  # the degree <= cutoff - 1 prefix
+    return out
+
+
 def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     """Partial derivative D^order: coefficient of z^m becomes ((m+order)!/m!) a_{m+order}.
 
@@ -296,14 +328,10 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
         raise ValueError(f"order {order} does not match dim {f.dim}")
     if any(e < 0 for e in order):
         raise ValueError(f"negative entry in derivative order {order}")
-    total = sum(order)
-    if total == 0:
+    if not any(order):
         return f
-    out = np.zeros(len(f.vector), dtype=complex)
-    if total <= f.cutoff:
-        source, weight = _derivative_plan(_layout(f.dim, f.cutoff), order)
-        out[: len(source)] = f.vector[source] * weight
-    exact = f.cutoff if f.is_polynomial else max(-1, f.exact_degree - total)
+    out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
+    exact = f.cutoff if f.is_polynomial else max(-1, f.exact_degree - sum(order))
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
 
 
@@ -316,10 +344,9 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     """
     if not 1 <= axis <= f.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.dim}")
-    target = _layout(f.dim, f.cutoff).raised[axis - 1]
-    kept = len(target)  # the degree <= cutoff - 1 prefix
-    out = np.zeros(len(f.vector), dtype=complex)
-    out[target] = f.vector[:kept]
+    layout = _layout(f.dim, f.cutoff)
+    out = _scatter_coordinate(layout, f.vector, axis)
+    kept = len(layout.raised[axis - 1])
     poly = f.is_polynomial and not np.count_nonzero(f.vector[kept:])
     exact = f.cutoff if f.is_polynomial else min(f.cutoff, f.exact_degree + 1)
     return TruncatedSeries(f.dim, f.cutoff, exact, poly, out)
@@ -340,14 +367,20 @@ def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
     if all(s == 0 for s in shift):
         return f
     position = _layout(f.dim, f.cutoff).position
+    # tabled once per call: C(a, b) as exact integers and shift_j ** e
+    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(f.cutoff + 1)]
+    power = [[s**e for e in range(f.cutoff + 1)] for s in shift]
     acc = [0j] * len(position)
     for idx, c in f.terms():
         for m in product(*(range(e + 1) for e in idx)):
-            w: complex = c * index_binomial(idx, m)
+            binom = 1
+            for a, b in zip(idx, m):
+                binom *= comb[a][b]
+            w: complex = c * binom
             for j in range(f.dim):
                 e = idx[j] - m[j]
                 if e:
-                    w *= shift[j] ** e
+                    w *= power[j][e]
             acc[position[m]] += w
     if f.is_polynomial:
         return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, np.array(acc))

@@ -1,8 +1,16 @@
-"""Shared builders for the test suite: the two shipped operator families."""
+"""Shared builders for the test suite: the two shipped operator families
+and a hypothesis strategy for random CR operators."""
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 import entireops as eo
+
+#: real numbers bounded away from 0, so no drawn coefficient vanishes
+UNIT = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+#: a real or a complex nonzero number
+SCALAR = UNIT | st.builds(complex, UNIT, UNIT)
 
 
 def gaussian_problem(degree: int, a: complex = 1.0) -> eo.AxisKernelProblem:
@@ -43,3 +51,13 @@ def max_coeff_diff(f: eo.TruncatedSeries, expected: dict) -> float:
         (abs(f.coefficient(k) - complex(expected.get(tuple(k), 0))) for k in keys),
         default=0.0,
     )
+
+
+@st.composite
+def cr_operators(draw, dim: int, max_order: int = 3) -> eo.CROperator:
+    """A random ``T = M_F - a z_axis``: symbol of order <= max_order, real or complex a."""
+    support = draw(
+        st.lists(st.sampled_from(eo.monomial_basis(dim, max_order)), max_size=4, unique=True)
+    )
+    symbol = eo.ConvolutionSymbol(dim, {n: draw(SCALAR) for n in support})
+    return eo.CROperator(dim, draw(st.integers(1, dim)), draw(SCALAR), symbol)

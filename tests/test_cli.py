@@ -179,6 +179,26 @@ def test_malformed_task_is_a_scenario_error_before_any_task_runs(
 
 
 @pytest.mark.parametrize(
+    "task, key",
+    [
+        ({"task": "fhc", "m": 0}, "m"),
+        ({"task": "fhc", "kmax": 0}, "kmax"),
+        ({"task": "orbit", "steps": -1}, "steps"),
+        ({"task": "kernel", "degree": -3}, "degree"),
+        ({"task": "complete", "truncation": -1}, "truncation"),
+    ],
+)
+def test_out_of_range_value_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, task, key
+):
+    path = _scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}, task])
+    assert cli.main(["run", path]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv, task",
     [
         (["verify-cr", "gaussian2d"], {"task": "verify-cr"}),

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from support import airy_family, airy_problem, gaussian_family, gaussian_problem, max_coeff_diff
+from support import (
+    SCALAR,
+    airy_family,
+    airy_problem,
+    cr_operators,
+    gaussian_family,
+    gaussian_problem,
+    max_coeff_diff,
+)
 
 
 def weyl_terms_close(a: eo.WeylOperator, b: eo.WeylOperator, tol=1e-12) -> bool:
@@ -99,6 +108,50 @@ def test_apply_weyl_euler_operator():
     euler = eo.WeylOperator.from_terms(1, [(1.0, (1,), (1,))])
     out = eo.apply_weyl(euler, eo.monomial(1, 4, (3,)))
     assert max_coeff_diff(out, {(3,): 3.0}) == 0
+
+
+def termwise_apply(op: eo.WeylOperator, f: eo.TruncatedSeries) -> eo.TruncatedSeries:
+    """Reference: each term through differentiate, multiply_coordinate, linear_combine."""
+    if op.is_zero():
+        return eo.zero_series(f.dim, f.cutoff)
+    parts = []
+    for (zpow, dpow), c in op.terms.items():
+        g = eo.differentiate(f, dpow)
+        for axis, power in enumerate(zpow, start=1):
+            for _ in range(power):
+                g = eo.multiply_coordinate(g, axis)
+        parts.append((c, g))
+    return eo.linear_combine(parts)
+
+
+@st.composite
+def weyl_case(draw):
+    """A random operator and a series that may or may not be a polynomial.
+
+    The support's degree is drawn up to the cutoff, so coordinate powers
+    sometimes push a polynomial past it and sometimes do not.
+    """
+    dim = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 6))
+    power = st.tuples(*[st.integers(0, 3)] * dim)
+    op = eo.WeylOperator.from_terms(
+        dim, draw(st.lists(st.tuples(SCALAR, power, power), max_size=4))
+    )
+    basis = eo.monomial_basis(dim, draw(st.integers(0, cutoff)))
+    picks = draw(st.lists(st.sampled_from(basis), max_size=6, unique=True))
+    base = eo.make_series(dim, cutoff, [(n, draw(SCALAR)) for n in picks])
+    poly = draw(st.booleans())
+    exact = cutoff if poly else draw(st.integers(-1, cutoff))
+    return op, eo.TruncatedSeries(dim, cutoff, exact, poly, base.vector)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(weyl_case())
+def test_apply_weyl_matches_termwise_composition(case):
+    op, f = case
+    got, want = eo.apply_weyl(op, f), termwise_apply(op, f)
+    assert (got.exact_degree, got.is_polynomial) == (want.exact_degree, want.is_polynomial)
+    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +320,50 @@ def test_commutation_detects_mismatched_constant():
     report = eo.verify_commutation([op], 4, expected_a=[2.0])
     assert report.max_residual == pytest.approx(1.0)
     assert not report.passed
+
+
+def per_monomial_residuals(ops, probe_degree, claimed):
+    """Reference: the commutator defect of every probe monomial, one at a time."""
+    dim = ops[0].dim
+    cutoff = probe_degree + 1
+    units = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    residuals = {}
+    for op, a in zip(ops, claimed):
+        for n in eo.monomial_basis(dim, probe_degree):
+            probe = eo.monomial(dim, cutoff, n)
+            t_probe = eo.apply_cr_operator(op, probe)
+            for k, ek in enumerate(units, start=1):
+                defect = eo.linear_combine(
+                    [
+                        (1.0, eo.apply_cr_operator(op, eo.differentiate(probe, ek))),
+                        (-1.0, eo.differentiate(t_probe, ek)),
+                        (-(a if k == op.axis else 0.0), probe),
+                    ]
+                )
+                worst = residuals.get((op.axis, k), 0.0)
+                residuals[(op.axis, k)] = max(worst, defect.max_exact_coefficient())
+    return residuals
+
+
+@st.composite
+def commutation_case(draw):
+    dim = draw(st.integers(1, 3))
+    ops = draw(st.lists(cr_operators(dim), min_size=1, max_size=dim))
+    probe_degree = draw(st.integers(0, 6))
+    expected_a = draw(st.none() | st.lists(SCALAR, min_size=len(ops), max_size=len(ops)))
+    return ops, probe_degree, expected_a
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(commutation_case())
+def test_verify_commutation_matches_per_monomial_reference(case):
+    """The per-degree probe blocks give each monomial's residual, bit for bit."""
+    ops, probe_degree, expected_a = case
+    report = eo.verify_commutation(ops, probe_degree, expected_a=expected_a)
+    claimed = [op.a for op in ops] if expected_a is None else expected_a
+    want = per_monomial_residuals(ops, probe_degree, claimed)
+    assert list(report.residuals.items()) == list(want.items())
+    assert report.max_residual == max(want.values())
 
 
 # ---------------------------------------------------------------------------

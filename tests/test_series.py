@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from support import gaussian_problem, max_coeff_diff
+from support import cr_operators, gaussian_problem, max_coeff_diff
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
 
@@ -371,6 +371,7 @@ def soundness_case(draw):
         st.tuples(st.just("translate"), st.tuples(*[unit] * dim)),
         st.tuples(st.just("combine"), st.tuples(unit, unit)),
         st.tuples(st.just("cutoff"), st.integers(-2, 2)),
+        st.tuples(st.just("cr"), cr_operators(dim)),
     )
     steps = draw(st.lists(step, min_size=2, max_size=5))
     return dim, cutoff, degree, list(zip(support, values)), steps
@@ -385,6 +386,8 @@ def _step(f, f0, kind, arg, may_translate):
         return eo.translate(f, arg) if may_translate else f
     if kind == "cutoff":
         return eo.with_cutoff(f, max(0, f.cutoff + arg))
+    if kind == "cr":
+        return eo.apply_cr_operator(arg, f)
     f0 = eo.with_cutoff(f0, f.cutoff)
     return eo.linear_combine([(arg[0], f), (arg[1], f0)])
 
