@@ -34,6 +34,7 @@ from .kernel import AxisKernelProblem, joint_kernel, verify_kernel
 from .operators import CROperator, verify_commutation
 from .orbit import iterate_orbit, measure_visits
 from .serialize import (
+    ScenarioError,
     coeffs_from_json,
     cr_operator_from_json,
     problem_from_json,
@@ -62,10 +63,6 @@ DENSITY_DISCLAIMER = (
     "density_proxy is a finite-horizon PROXY: no finite run can certify a "
     "positive lower density of hitting times"
 )
-
-
-class ScenarioError(ValueError):
-    """Scenario file does not parse or violates the schema."""
 
 
 def _box(value: Any) -> tuple[float, float]:

@@ -7,6 +7,11 @@ over the monomials of total degree <= N: the reports therefore state
 completeness AT TRUNCATION (N, max_order) only, and expose the singular
 value profile so borderline cases can be judged.
 
+Each span matrix is built in one pass into a preallocated array: derivative
+rows are gathers of the truncation prefix only, and translate rows come from
+one batched translate over all samples, which warns once per call when f is
+a truncation rather than a polynomial.
+
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative
 rank threshold then behaves uniformly across orders.
@@ -22,10 +27,12 @@ import numpy as np
 
 from .series import (
     TruncatedSeries,
+    _gather_derivative,
+    _layout,
+    _translate_block,
+    _warn_approximate_translate,
     coefficient_vector,
-    differentiate,
     monomial_basis,
-    translate,
 )
 
 
@@ -101,9 +108,13 @@ def derivative_span(
             f"have {f.exact_degree}"
         )
     orders = monomial_basis(f.dim, max_order)
-    rows = [coefficient_vector(differentiate(f, n), truncation) for n in orders]
+    ambient = math.comb(truncation + f.dim, f.dim)
+    matrix = np.zeros((len(orders), ambient), dtype=complex)
+    layout = _layout(f.dim, f.cutoff)
+    for i, n in enumerate(orders):
+        matrix[i] = _gather_derivative(layout, f.vector, n, ambient)
     return SpanMatrix(
-        matrix=np.array(rows, dtype=complex),
+        matrix=matrix,
         row_labels=tuple(orders),
         truncation=truncation,
         dim=f.dim,
@@ -117,16 +128,25 @@ def translate_span(
 ) -> SpanMatrix:
     """Rows: truncations of f(. + s) for each sample point s.
 
-    Exact for polynomial f; otherwise the rows are truncation approximations
-    (translate emits its advisory warning) and downstream rank decisions are
+    All rows come from one batched translate pass.  Exact for polynomial f;
+    otherwise the rows of nonzero samples are truncation approximations (one
+    ApproximationWarning per call) and downstream rank decisions are
     tolerance-based.
     """
     samples = [tuple(complex(c) for c in s) for s in samples]
     if not samples:
         raise ValueError("at least one translation sample required")
-    rows = [coefficient_vector(translate(f, s), truncation) for s in samples]
+    if any(len(s) != f.dim for s in samples):
+        raise ValueError(f"every sample must have {f.dim} coordinates")
+    block = _translate_block(f, samples)
+    ambient = math.comb(truncation + f.dim, f.dim)
+    matrix = np.zeros((len(samples), ambient), dtype=complex)
+    rows = min(ambient, len(block))
+    matrix[:, :rows] = block[:rows].T
+    if not f.is_polynomial and any(any(s) for s in samples):
+        _warn_approximate_translate()
     return SpanMatrix(
-        matrix=np.array(rows, dtype=complex),
+        matrix=matrix,
         row_labels=tuple(samples),
         truncation=truncation,
         dim=f.dim,
@@ -158,10 +178,9 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     if span.matrix.shape[0] == 0:
         raise ValueError("empty span matrix")
     m = span.matrix.copy()
-    for i in range(m.shape[0]):
-        peak = np.max(np.abs(m[i]))
-        if peak > 0:
-            m[i] /= peak
+    peak = np.abs(m).max(axis=1)
+    scaled = peak > 0  # zero rows stay as they are
+    m[scaled] /= peak[scaled, None]
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         rank = 0

@@ -23,16 +23,18 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .kernel import AxisKernelProblem, joint_kernel
 from .series import (
     Index,
     SemiNormSpec,
     TruncatedSeries,
-    differentiate,
+    _gather_derivative,
+    _layout,
+    _size,
     graded_key,
-    linear_combine,
     seminorm_bound,
-    with_cutoff,
     zero_series,
 )
 
@@ -177,11 +179,30 @@ def _generator_series(
 def _combine_on(
     f: TruncatedSeries, terms: Mapping[Index, complex], degree: int
 ) -> TruncatedSeries:
-    """``sum c_n D^n f`` cut to the degree; terms in graded-lex order."""
+    """``sum c_n D^n f`` cut to the degree; terms in graded-lex order.
+
+    Equal, vector and flags, to ``with_cutoff(linear_combine(...), degree)``
+    over the full derivatives, but only the kept rows are gathered.  A
+    polynomial f is the exception: its result stays a polynomial only if the
+    dropped tail vanishes, so all of its rows are combined.
+    """
     if not terms:
         return zero_series(f.dim, degree)
-    parts = [(c, differentiate(f, n)) for n, c in terms.items()]
-    return with_cutoff(linear_combine(parts), degree)
+    kept = _size(f.dim, degree)
+    rows = len(f.vector) if f.is_polynomial else min(kept, len(f.vector))
+    layout = _layout(f.dim, f.cutoff)
+    acc = np.zeros(rows, dtype=complex)
+    for n, c in terms.items():
+        w = complex(c)
+        if w != 0:
+            acc += w * _gather_derivative(layout, f.vector, n, rows)
+    vector = np.zeros(kept, dtype=complex)
+    vector[: min(kept, rows)] = acc[:kept]
+    if f.is_polynomial:
+        poly = not np.count_nonzero(acc[kept:])
+        return TruncatedSeries(f.dim, degree, degree, poly, vector)
+    exact = max(-1, f.exact_degree - max(sum(n) for n in terms))
+    return TruncatedSeries(f.dim, degree, min(exact, degree), False, vector)
 
 
 def realize(x: LadderVector, degree: int) -> TruncatedSeries:

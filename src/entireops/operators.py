@@ -401,9 +401,11 @@ def verify_commutation(
                 defect = t_dk - _gather_derivative(layout, t_probes, ek)
                 if k == op.axis:
                     defect -= a_claim * probes
+                # np.maximum keeps a NaN, so a non-finite defect cannot pass
                 worst = residuals.get((op.axis, k), 0.0)
-                residuals[(op.axis, k)] = max(worst, float(np.abs(defect).max()))
-    max_residual = max(residuals.values())
+                peak = np.abs(defect).max()
+                residuals[(op.axis, k)] = float(np.maximum(worst, peak))
+    max_residual = float(np.max(list(residuals.values())))
     return CommutationReport(
         residuals=residuals,
         max_residual=max_residual,

@@ -9,6 +9,7 @@ emitted text is therefore bytewise reproducible for equal inputs.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable, Mapping, Sequence
 
 from .completeness import ApproximationResult, CompletenessReport
@@ -17,6 +18,10 @@ from .kernel import AxisKernelProblem, KernelReport
 from .operators import CommutationReport, ConvolutionSymbol, CROperator
 from .orbit import OrbitRecord
 from .series import Index, TruncatedSeries, make_series
+
+
+class ScenarioError(ValueError):
+    """Scenario file does not parse or violates the schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +49,15 @@ def series_to_json(f: TruncatedSeries) -> dict:
 
 
 def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
-    """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
-    return [(tuple(e["idx"]), complex(e["re"], e.get("im", 0.0))) for e in entries]
+    """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order.
+
+    A non-finite part (JSON reads ``1e400`` as inf) is a ScenarioError.
+    """
+    pairs = [(tuple(e["idx"]), complex(e["re"], e.get("im", 0.0))) for e in entries]
+    for idx, c in pairs:
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ScenarioError(f"non-finite coefficient {c} at index {list(idx)}")
+    return pairs
 
 
 def series_from_json(obj: Mapping) -> TruncatedSeries:

@@ -19,9 +19,14 @@ unit-step gather plans, falling factorials) are built once per
 multiplication are a gather and a scatter on the leading axis
 (``_gather_derivative``, ``_scatter_coordinate``), so the same kernels act on
 one coefficient vector or on a ``(basis size, batch)`` block of them;
-linear combination is vector arithmetic.  The semi-norm upper sum and
-translation accumulate term by term in graded-lex order, so the numbers they
-feed into reports are reproducible bit for bit.
+linear combination is vector arithmetic.  Every gather of D^order goes
+through one plan, ``_derivative_plan``, which builds only the leading rows it
+is asked for: ``differentiate`` asks for all of them, the span and ladder
+builders for a truncation prefix.  The semi-norm upper sum accumulates term
+by term in graded-lex order, and translation has one term loop,
+``_translate_block``, which shifts by one point or by many in a single pass,
+each point's arithmetic in the order of a scalar loop; the numbers they feed
+into reports are reproducible bit for bit.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
@@ -267,41 +272,63 @@ def linear_combine(
     return TruncatedSeries(dim, cutoff, exact, poly, acc)
 
 
-def _derivative_plan(layout: _Layout, order: Index) -> tuple[np.ndarray, np.ndarray]:
-    """Gather positions and weights of D^order (0 < ||order|| <= cutoff).
+def _derivative_plan(
+    layout: _Layout, order: Index, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather positions and weights of the leading ``rows`` rows of D^order.
 
-    The indices s >= order, in basis order, are m + order for m in the
-    degree <= cutoff - ||order|| prefix, in the same order.  The weight of s
-    is ``float(prod_j perm(s_j, order_j))``: the exact integer, rounded once.
-    Unit orders use the cached plans; other orders are built per call.
+    Row m (0 < ||order|| <= cutoff, ``rows`` at most the size of the
+    degree <= cutoff - ||order|| prefix) reads the index m + order.  Its
+    position is reached by composing the unit-step maps ``raised[j]`` once
+    per unit of the order, starting from the row numbers.  The weight of a
+    row is ``float(prod_j perm(s_j, order_j))`` for s = m + order: the exact
+    integer, rounded once.  Unit orders slice the cached plans.
     """
     axes = [j for j, k in enumerate(order) if k]
     if len(axes) == 1 and order[axes[0]] == 1:
-        return layout.raised[axes[0]], layout.unit_weight[axes[0]]
-    source = np.flatnonzero((layout.exponents >= order).all(axis=1))
+        return layout.raised[axes[0]][:rows], layout.unit_weight[axes[0]][:rows]
+    source = np.arange(rows)
+    for j in axes:
+        for _ in range(order[j]):
+            source = layout.raised[j][source]
     exponents = layout.exponents[source]
     exact, rounded = layout.falling
-    if len(axes) == 1:
-        return source, rounded[exponents[:, axes[0]], order[axes[0]]]
-    weight = np.ones(len(source), dtype=object)
+    if len(axes) == 1 or exact[layout.cutoff, sum(order)] < 2**53:
+        # the product is at most perm(cutoff, ||order||), so below 2^53 every
+        # partial product is an integer a float holds exactly
+        weight = rounded[exponents[:, axes[0]], order[axes[0]]]
+        for j in axes[1:]:
+            weight = weight * rounded[exponents[:, j], order[j]]
+        return source, weight
+    weight = np.ones(rows, dtype=object)
     for j in axes:
         weight = weight * exact[exponents[:, j], order[j]]
     return source, weight.astype(float)
 
 
-def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.ndarray:
+def _gather_derivative(
+    layout: _Layout, data: np.ndarray, order: Index, rows: int | None = None
+) -> np.ndarray:
     """D^order on the leading axis of a coefficient vector or block.
 
-    Returns ``data`` itself for the zero order, else a new array of its shape.
+    Only the leading ``rows`` rows are gathered (all of them by default), so
+    a truncation prefix costs its own size; rows past what the cutoff
+    determines are zero.  Returns ``data`` itself for the zero order at full
+    length, else a new array.
     """
-    if not any(order):
+    rows = len(data) if rows is None else rows
+    if not any(order) and rows == len(data):
         return data
-    out = np.zeros(data.shape, dtype=complex)
-    if sum(order) <= layout.cutoff:
-        source, weight = _derivative_plan(layout, order)
+    out = np.zeros((rows,) + data.shape[1:], dtype=complex)
+    if not any(order):
+        kept = min(rows, len(data))
+        out[:kept] = data[:kept]
+    elif sum(order) <= layout.cutoff:
+        count = min(rows, _size(len(order), layout.cutoff - sum(order)))
+        source, weight = _derivative_plan(layout, order, count)
         # one weight per basis row, broadcast over a block's columns
         weight = weight.reshape((-1,) + (1,) * (data.ndim - 1))
-        out[: len(source)] = data[source] * weight
+        out[:count] = data[source] * weight
     return out
 
 
@@ -352,45 +379,84 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, exact, poly, out)
 
 
-def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
-    """Shift of argument: returns the coefficients of ``f(z + shift)``.
+def _translate_block(
+    f: TruncatedSeries, shifts: Sequence[tuple[complex, ...]]
+) -> np.ndarray:
+    """Coefficients of ``f(z + s)`` for each shift s: a ``(basis size, S)`` block.
 
-    The coefficient of z^m is ``sum_k C(m+k, k) a_{m+k} shift^k`` over stored
-    indices.  For a polynomial this is exact.  Otherwise the missing tail of
-    f contaminates every output coefficient, so the result is flagged
-    exactness-free (exact_degree = -1) and an ApproximationWarning is
-    emitted; rank tests that consume such rows are tolerance-based.
+    One pass over the terms a_idx of f and the sub-indices m <= idx, in
+    graded-lex order, adds ``C(idx, m) a_idx prod_j s_j^(idx_j - m_j)`` to
+    row m.  Each weight is an array over the shifts, and every shift sees
+    the operations of a scalar loop in the same order: the Python complex
+    ``a_idx * C(idx, m)``, then one product per axis with a positive power
+    (powers by ``complex.__pow__``), then the sum into row m.  The complex
+    products run on split real and imaginary arrays, because numpy's complex
+    multiply may fuse a multiply-add and round differently from Python's.
+    The column of an all-zero shift is f's vector itself.
     """
-    shift = tuple(complex(s) for s in shift)
-    if len(shift) != f.dim:
-        raise ValueError(f"shift {shift} does not match dim {f.dim}")
-    if all(s == 0 for s in shift):
-        return f
-    position = _layout(f.dim, f.cutoff).position
+    dim, cutoff = f.dim, f.cutoff
+    position = _layout(dim, cutoff).position
     # tabled once per call: C(a, b) as exact integers and shift_j ** e
-    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(f.cutoff + 1)]
-    power = [[s**e for e in range(f.cutoff + 1)] for s in shift]
-    acc = [0j] * len(position)
+    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(cutoff + 1)]
+    power = []
+    for j in range(dim):
+        table = np.array([[s[j] ** e for s in shifts] for e in range(cutoff + 1)])
+        power.append((table.real, table.imag))
+    re = np.zeros((len(position), len(shifts)))
+    im = np.zeros((len(position), len(shifts)))
     for idx, c in f.terms():
         for m in product(*(range(e + 1) for e in idx)):
             binom = 1
             for a, b in zip(idx, m):
                 binom *= comb[a][b]
             w: complex = c * binom
-            for j in range(f.dim):
+            wr, wi = w.real, w.imag
+            for j in range(dim):
                 e = idx[j] - m[j]
                 if e:
-                    w *= power[j][e]
-            acc[position[m]] += w
+                    pr, pi = power[j][0][e], power[j][1][e]
+                    wr, wi = wr * pr - wi * pi, wr * pi + wi * pr
+            row = position[m]
+            re[row] += wr
+            im[row] += wi
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    for k, s in enumerate(shifts):
+        if not any(s):
+            out[:, k] = f.vector
+    return out
+
+
+def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
+    """Shift of argument: returns the coefficients of ``f(z + shift)``.
+
+    The coefficient of z^m is ``sum_k C(m+k, k) a_{m+k} shift^k`` over stored
+    indices (``_translate_block`` on one shift).  For a polynomial this is
+    exact.  Otherwise the missing tail of f contaminates every output
+    coefficient, so the result is flagged exactness-free (exact_degree = -1)
+    and an ApproximationWarning is emitted; rank tests that consume such rows
+    are tolerance-based.
+    """
+    shift = tuple(complex(s) for s in shift)
+    if len(shift) != f.dim:
+        raise ValueError(f"shift {shift} does not match dim {f.dim}")
+    if all(s == 0 for s in shift):
+        return f
+    vector = _translate_block(f, [shift])[:, 0]
     if f.is_polynomial:
-        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, np.array(acc))
+        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, vector)
+    _warn_approximate_translate()
+    return TruncatedSeries(f.dim, f.cutoff, -1, False, vector)
+
+
+def _warn_approximate_translate() -> None:
+    """Warn, at the caller of translate or translate_span, of approximate rows."""
     warnings.warn(
         "translating a non-polynomial truncation: the result has no "
         "exactness guarantee",
         ApproximationWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
-    return TruncatedSeries(f.dim, f.cutoff, -1, False, np.array(acc))
 
 
 def evaluate(f: TruncatedSeries, point: Sequence[complex]) -> complex:

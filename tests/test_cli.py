@@ -198,6 +198,21 @@ def test_out_of_range_value_is_a_scenario_error_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_coefficient_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, part
+):
+    # JSON reads 1e400 as inf; a symbol holding it must not reach verify-cr
+    path = Path(_scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}]))
+    obj = json.loads(path.read_text())
+    obj["operators"][0]["symbol"][0][part] = "@"
+    path.write_text(json.dumps(obj).replace('"@"', "1e400"))
+    assert cli.main(["run", str(path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "non-finite coefficient" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, task",
     [

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from support import airy_problem, gaussian_problem
+from support import SCALAR, airy_problem, gaussian_problem
 
 
 def one_axis_gaussian_2d(cutoff: int = 8) -> eo.TruncatedSeries:
@@ -92,6 +95,122 @@ def test_translate_span_matches_derivative_rank_for_truncated_gaussian():
         warnings.simplefilter("ignore", eo.ApproximationWarning)
         span = eo.translate_span(f, 4, eo.sample_box(1, 10, seed=5))
     assert eo.rank_report(span, 1e-8).rank == d_rank
+
+
+def test_translate_span_warns_once_for_a_truncation():
+    f = eo.solve_kernel_axis(gaussian_problem(8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eo.translate_span(f, 4, eo.sample_box(1, 10, seed=5))
+        assert [w.category for w in caught] == [eo.ApproximationWarning]
+        # a zero shift leaves f as it is: nothing approximate, no warning
+        eo.translate_span(f, 4, [(0.0,), (0j,)])
+    assert len(caught) == 1
+
+
+def test_translate_span_zero_sample_row_is_the_coefficient_vector():
+    # bit for bit, even where multiplying by the zero powers would not give f:
+    # a -0.0 entry, and an infinite one that 0 * inf turns into NaN
+    f = eo.make_series(1, 3, {(0,): -0.0, (1,): 2.0, (3,): float("inf")}, is_polynomial=True)
+    with np.errstate(invalid="ignore"):
+        span = eo.translate_span(f, 2, [(0.5,), (0.0,)])
+    assert span.matrix[1].tobytes() == eo.coefficient_vector(f, 2).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# batched span builders against per-row references
+# ---------------------------------------------------------------------------
+
+
+def dense_series(seed: int, dim: int, cutoff: int, polynomial: bool) -> eo.TruncatedSeries:
+    """Random complex coefficients on about two thirds of the basis."""
+    rng = np.random.default_rng(seed)
+    basis = eo.monomial_basis(dim, cutoff)
+    keep = rng.random(len(basis)) < 2 / 3
+    values = rng.uniform(-1, 1, len(basis)) + 1j * rng.uniform(-1, 1, len(basis))
+    entries = [(n, complex(v)) for n, v, k in zip(basis, values, keep) if k]
+    return eo.make_series(dim, cutoff, entries, is_polynomial=polynomial)
+
+
+def scalar_translate_row(f: eo.TruncatedSeries, shift, truncation: int) -> np.ndarray:
+    """One sample at a time: the scalar term loop over a_idx and m <= idx."""
+    shift = tuple(complex(s) for s in shift)
+    out = np.zeros(math.comb(truncation + f.dim, f.dim), dtype=complex)
+    if not any(shift):
+        values = f.vector
+    else:
+        position = {n: i for i, n in enumerate(eo.monomial_basis(f.dim, f.cutoff))}
+        acc = [0j] * len(position)
+        for idx, c in f.terms():
+            for m in product(*(range(e + 1) for e in idx)):
+                w = c * math.prod(math.comb(a, b) for a, b in zip(idx, m))
+                for s, a, b in zip(shift, idx, m):
+                    if a > b:
+                        w *= s ** (a - b)
+                acc[position[m]] += w
+        values = np.array(acc)
+    n = min(len(out), len(values))
+    out[:n] = values[:n]
+    return out
+
+
+@st.composite
+def translate_case(draw):
+    dim = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 7 - dim))
+    f = dense_series(draw(st.integers(0, 2**32 - 1)), dim, cutoff, draw(st.booleans()))
+    coordinate = st.floats(-2.0, 2.0) | SCALAR
+    samples = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=6))
+    samples.insert(draw(st.integers(0, len(samples))), (0.0,) * dim)
+    return f, draw(st.integers(0, cutoff + 2)), samples
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(translate_case())
+def test_translate_span_matches_per_sample_scalar_loop(case):
+    f, truncation, samples = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", eo.ApproximationWarning)
+        span = eo.translate_span(f, truncation, samples)
+    expected = np.array([scalar_translate_row(f, s, truncation) for s in samples])
+    assert span.matrix.tobytes() == expected.tobytes()
+
+
+@st.composite
+def derivative_case(draw):
+    dim = draw(st.integers(1, 3))
+    truncation = draw(st.integers(0, 5 - dim))
+    max_order = draw(st.integers(0, 4 - dim))
+    polynomial = draw(st.booleans())
+    required = truncation + max_order
+    # a polynomial may stop short of the truncation plus the order: zero rows
+    low = 0 if polynomial else required
+    cutoff = draw(st.integers(low, required + 2))
+    f = dense_series(draw(st.integers(0, 2**32 - 1)), dim, cutoff, polynomial)
+    return f, truncation, max_order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(derivative_case())
+def test_derivative_span_matches_differentiate_rows(case):
+    f, truncation, max_order = case
+    span = eo.derivative_span(f, truncation, max_order)
+    expected = np.array(
+        [eo.coefficient_vector(eo.differentiate(f, n), truncation) for n in span.row_labels]
+    )
+    assert span.row_labels == tuple(eo.monomial_basis(f.dim, max_order))
+    assert span.matrix.tobytes() == expected.tobytes()
+
+
+def test_derivative_span_pads_a_short_polynomial():
+    f = eo.make_series(2, 3, {(3, 0): 2.0, (1, 1): -1.5, (0, 2): 0.5j}, is_polynomial=True)
+    span = eo.derivative_span(f, 3, 2)
+    expected = np.array(
+        [eo.coefficient_vector(eo.differentiate(f, n), 3) for n in span.row_labels]
+    )
+    assert span.matrix.tobytes() == expected.tobytes()
+    # every derivative of the cubic stops at degree 2: its degree-3 columns are padding
+    assert not span.matrix[1:, len(eo.monomial_basis(2, 2)) :].any()
 
 
 # ---------------------------------------------------------------------------

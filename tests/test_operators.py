@@ -322,6 +322,17 @@ def test_commutation_detects_mismatched_constant():
     assert not report.passed
 
 
+@pytest.mark.parametrize("b", [float("inf"), complex(0.0, float("-inf")), float("nan")])
+def test_commutation_fails_on_a_non_finite_symbol(b):
+    # the defects are NaN past the constant probe; none may fold away
+    op = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {(1,): b}))
+    with np.errstate(invalid="ignore"):
+        report = eo.verify_commutation([op], 3)
+    assert np.isnan(report.residuals[(1, 1)])
+    assert np.isnan(report.max_residual)
+    assert not report.passed
+
+
 def per_monomial_residuals(ops, probe_degree, claimed):
     """Reference: the commutator defect of every probe monomial, one at a time."""
     dim = ops[0].dim

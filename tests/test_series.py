@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,20 @@ def test_differentiate_polynomial_stays_exact():
     f = eo.monomial(1, 5, (3,))
     out = eo.differentiate(f, (1,))
     assert out.is_polynomial and out.exact_degree == 5
+
+
+@pytest.mark.parametrize("order", [(2, 3, 4), (9, 8), (20, 20), (30, 3), (0, 17)])
+def test_derivative_weights_are_exact_integers_rounded_once(order):
+    # perm(cutoff, ||order||) is below 2^53 only for (2, 3, 4); for (20, 20) and
+    # (30, 3) a product of the rounded per-axis factors would round some
+    # weights differently, e.g. at m = (0, 4)
+    dim = len(order)
+    cutoff = sum(order) + 8
+    basis = eo.monomial_basis(dim, cutoff)
+    out = eo.differentiate(eo.make_series(dim, cutoff, [(n, 1.0) for n in basis]), order)
+    for m in eo.monomial_basis(dim, cutoff - sum(order)):
+        exact = math.prod(math.perm(a + b, b) for a, b in zip(m, order))
+        assert out.coefficient(m) == float(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +392,15 @@ def soundness_case(draw):
     return dim, cutoff, degree, list(zip(support, values)), steps
 
 
-def _step(f, f0, kind, arg, may_translate):
+def _step(f, f0, kind, arg):
     if kind == "differentiate":
         return eo.differentiate(f, arg)
     if kind == "multiply":
         return eo.multiply_coordinate(f, arg)
     if kind == "translate":
-        return eo.translate(f, arg) if may_translate else f
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", eo.ApproximationWarning)
+            return eo.translate(f, arg)
     if kind == "cutoff":
         return eo.with_cutoff(f, max(0, f.cutoff + arg))
     if kind == "cr":
@@ -411,11 +428,13 @@ def test_exactness_claims_survive_a_larger_cutoff(case):
     narrow0, wide0 = at(cutoff), at(wide_cutoff)
     narrow, wide = narrow0, wide0
     for kind, arg in steps:
-        # translating a truncation is approximate by design: only polynomials
-        may_translate = narrow.is_polynomial
-        narrow = _step(narrow, narrow0, kind, arg, may_translate)
+        was_polynomial = narrow.is_polynomial
+        narrow = _step(narrow, narrow0, kind, arg)
+        if kind == "translate" and not was_polynomial:
+            # translating a truncation is approximate by design: it claims nothing
+            assert narrow.exact_degree == -1 and not narrow.is_polynomial
         if kind != "cutoff":  # re-truncation leaves the true function as it is
-            wide = _step(wide, wide0, kind, arg, may_translate)
+            wide = _step(wide, wide0, kind, arg)
     assert wide.is_polynomial
     scale = 1 + wide.max_exact_coefficient()
     if narrow.exact_degree >= 0:
