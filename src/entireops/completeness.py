@@ -7,10 +7,10 @@ over the monomials of total degree <= N: the reports therefore state
 completeness AT TRUNCATION (N, max_order) only, and expose the singular
 value profile so borderline cases can be judged.
 
-Each span matrix is built in one pass into a preallocated array: derivative
-rows are gathers of the truncation prefix only, and translate rows come from
-one batched translate over all samples, which warns once per call when f is
-a truncation rather than a polynomial.
+Each span matrix is built in one pass by ``series``: derivative rows
+(``derivative_rows``) gather the truncation prefix only, and translate rows
+(``translate_rows``) come from one batched translate over all samples, which
+warns once per call when f is a truncation rather than a polynomial.
 
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative
@@ -27,12 +27,10 @@ import numpy as np
 
 from .series import (
     TruncatedSeries,
-    _gather_derivative,
-    _layout,
-    _translate_block,
-    _warn_approximate_translate,
     coefficient_vector,
+    derivative_rows,
     monomial_basis,
+    translate_rows,
 )
 
 
@@ -108,13 +106,8 @@ def derivative_span(
             f"have {f.exact_degree}"
         )
     orders = monomial_basis(f.dim, max_order)
-    ambient = math.comb(truncation + f.dim, f.dim)
-    matrix = np.zeros((len(orders), ambient), dtype=complex)
-    layout = _layout(f.dim, f.cutoff)
-    for i, n in enumerate(orders):
-        matrix[i] = _gather_derivative(layout, f.vector, n, ambient)
     return SpanMatrix(
-        matrix=matrix,
+        matrix=derivative_rows(f, orders, truncation),
         row_labels=tuple(orders),
         truncation=truncation,
         dim=f.dim,
@@ -136,17 +129,8 @@ def translate_span(
     samples = [tuple(complex(c) for c in s) for s in samples]
     if not samples:
         raise ValueError("at least one translation sample required")
-    if any(len(s) != f.dim for s in samples):
-        raise ValueError(f"every sample must have {f.dim} coordinates")
-    block = _translate_block(f, samples)
-    ambient = math.comb(truncation + f.dim, f.dim)
-    matrix = np.zeros((len(samples), ambient), dtype=complex)
-    rows = min(ambient, len(block))
-    matrix[:, :rows] = block[:rows].T
-    if not f.is_polynomial and any(any(s) for s in samples):
-        _warn_approximate_translate()
     return SpanMatrix(
-        matrix=matrix,
+        matrix=translate_rows(f, samples, truncation),
         row_labels=tuple(samples),
         truncation=truncation,
         dim=f.dim,

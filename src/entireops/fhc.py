@@ -23,16 +23,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .kernel import AxisKernelProblem, joint_kernel
 from .series import (
     Index,
     SemiNormSpec,
     TruncatedSeries,
-    _gather_derivative,
-    _layout,
-    _size,
+    combine_derivatives,
     graded_key,
     seminorm_bound,
     zero_series,
@@ -179,30 +175,10 @@ def _generator_series(
 def _combine_on(
     f: TruncatedSeries, terms: Mapping[Index, complex], degree: int
 ) -> TruncatedSeries:
-    """``sum c_n D^n f`` cut to the degree; terms in graded-lex order.
-
-    Equal, vector and flags, to ``with_cutoff(linear_combine(...), degree)``
-    over the full derivatives, but only the kept rows are gathered.  A
-    polynomial f is the exception: its result stays a polynomial only if the
-    dropped tail vanishes, so all of its rows are combined.
-    """
+    """``sum c_n D^n f`` cut to the degree; terms in graded-lex order."""
     if not terms:
         return zero_series(f.dim, degree)
-    kept = _size(f.dim, degree)
-    rows = len(f.vector) if f.is_polynomial else min(kept, len(f.vector))
-    layout = _layout(f.dim, f.cutoff)
-    acc = np.zeros(rows, dtype=complex)
-    for n, c in terms.items():
-        w = complex(c)
-        if w != 0:
-            acc += w * _gather_derivative(layout, f.vector, n, rows)
-    vector = np.zeros(kept, dtype=complex)
-    vector[: min(kept, rows)] = acc[:kept]
-    if f.is_polynomial:
-        poly = not np.count_nonzero(acc[kept:])
-        return TruncatedSeries(f.dim, degree, degree, poly, vector)
-    exact = max(-1, f.exact_degree - max(sum(n) for n in terms))
-    return TruncatedSeries(f.dim, degree, min(exact, degree), False, vector)
+    return combine_derivatives(f, terms, degree)
 
 
 def realize(x: LadderVector, degree: int) -> TruncatedSeries:

@@ -21,12 +21,15 @@ multiplication are a gather and a scatter on the leading axis
 one coefficient vector or on a ``(basis size, batch)`` block of them;
 linear combination is vector arithmetic.  Every gather of D^order goes
 through one plan, ``_derivative_plan``, which builds only the leading rows it
-is asked for: ``differentiate`` asks for all of them, the span and ladder
-builders for a truncation prefix.  The semi-norm upper sum accumulates term
-by term in graded-lex order, and translation has one term loop,
-``_translate_block``, which shifts by one point or by many in a single pass,
-each point's arithmetic in the order of a scalar loop; the numbers they feed
-into reports are reproducible bit for bit.
+is asked for: ``differentiate`` asks for all of them, ``derivative_rows``
+(the rows of a derivative span) and ``combine_derivatives`` (a combination
+of derivatives re-truncated to a lower degree) for a truncation prefix; the
+latter two carry the exactness rules of the operations they stand for.  The
+semi-norm upper sum accumulates term by term in graded-lex order, and
+translation has one term loop, ``_translate_block``, which ``translate``
+runs on one point and ``translate_rows`` on many in a single pass, each
+point's arithmetic in the order of a scalar loop; the numbers they feed into
+reports are reproducible bit for bit.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
@@ -293,13 +296,8 @@ def _derivative_plan(
             source = layout.raised[j][source]
     exponents = layout.exponents[source]
     exact, rounded = layout.falling
-    if len(axes) == 1 or exact[layout.cutoff, sum(order)] < 2**53:
-        # the product is at most perm(cutoff, ||order||), so below 2^53 every
-        # partial product is an integer a float holds exactly
-        weight = rounded[exponents[:, axes[0]], order[axes[0]]]
-        for j in axes[1:]:
-            weight = weight * rounded[exponents[:, j], order[j]]
-        return source, weight
+    if len(axes) == 1:
+        return source, rounded[exponents[:, axes[0]], order[axes[0]]]
     weight = np.ones(rows, dtype=object)
     for j in axes:
         weight = weight * exact[exponents[:, j], order[j]]
@@ -343,6 +341,15 @@ def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> np.ndar
     return out
 
 
+def _checked_order(dim: int, order: Sequence[int]) -> Index:
+    order = tuple(int(e) for e in order)
+    if len(order) != dim:
+        raise ValueError(f"order {order} does not match dim {dim}")
+    if any(e < 0 for e in order):
+        raise ValueError(f"negative entry in derivative order {order}")
+    return order
+
+
 def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     """Partial derivative D^order: coefficient of z^m becomes ((m+order)!/m!) a_{m+order}.
 
@@ -350,16 +357,57 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     polynomial the result stays fully exact; otherwise the guaranteed region
     shrinks by ``||order||``.
     """
-    order = tuple(int(e) for e in order)
-    if len(order) != f.dim:
-        raise ValueError(f"order {order} does not match dim {f.dim}")
-    if any(e < 0 for e in order):
-        raise ValueError(f"negative entry in derivative order {order}")
+    order = _checked_order(f.dim, order)
     if not any(order):
         return f
     out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
     exact = f.cutoff if f.is_polynomial else max(-1, f.exact_degree - sum(order))
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
+
+
+def derivative_rows(
+    f: TruncatedSeries, orders: Sequence[Sequence[int]], degree: int
+) -> np.ndarray:
+    """Row i is ``coefficient_vector(differentiate(f, orders[i]), degree)``.
+
+    Each row gathers only the degree <= ``degree`` prefix, so a short
+    truncation of a long series costs the truncation's size.
+    """
+    layout = _layout(f.dim, f.cutoff)
+    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
+    for i, n in enumerate(orders):
+        n = _checked_order(f.dim, n)
+        out[i] = _gather_derivative(layout, f.vector, n, out.shape[1])
+    return out
+
+
+def combine_derivatives(
+    f: TruncatedSeries, terms: Mapping[Index, complex], degree: int
+) -> TruncatedSeries:
+    """``sum c_n D^n f`` over ``terms = {n: c_n}``, re-truncated to the degree.
+
+    Vector and flags equal ``with_cutoff(linear_combine([(c_n, differentiate(f,
+    n)), ...]), degree)``, but only the kept rows are gathered.  A polynomial
+    f is the exception: its result stays a polynomial only if the dropped
+    tail vanishes, so all of its rows are combined.
+    """
+    orders = [(_checked_order(f.dim, n), complex(c)) for n, c in terms.items()]
+    if not orders:
+        raise ValueError("combine_derivatives needs at least one term")
+    kept = _size(f.dim, degree)
+    rows = len(f.vector) if f.is_polynomial else min(kept, len(f.vector))
+    layout = _layout(f.dim, f.cutoff)
+    acc = np.zeros(rows, dtype=complex)
+    for n, w in orders:
+        if w != 0:
+            acc += w * _gather_derivative(layout, f.vector, n, rows)
+    vector = np.zeros(kept, dtype=complex)
+    vector[: min(kept, rows)] = acc[:kept]
+    if f.is_polynomial:
+        poly = not np.count_nonzero(acc[kept:])
+        return TruncatedSeries(f.dim, degree, degree, poly, vector)
+    exact = max(-1, f.exact_degree - max(sum(n) for n, _ in orders))
+    return TruncatedSeries(f.dim, degree, min(exact, degree), False, vector)
 
 
 def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
@@ -379,46 +427,65 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, exact, poly, out)
 
 
+#: elements of the (pairs, shifts) weight arrays that translation holds at once
+_TRANSLATE_CHUNK = 1 << 16
+
+
 def _translate_block(
     f: TruncatedSeries, shifts: Sequence[tuple[complex, ...]]
 ) -> np.ndarray:
     """Coefficients of ``f(z + s)`` for each shift s: a ``(basis size, S)`` block.
 
-    One pass over the terms a_idx of f and the sub-indices m <= idx, in
-    graded-lex order, adds ``C(idx, m) a_idx prod_j s_j^(idx_j - m_j)`` to
-    row m.  Each weight is an array over the shifts, and every shift sees
-    the operations of a scalar loop in the same order: the Python complex
-    ``a_idx * C(idx, m)``, then one product per axis with a positive power
-    (powers by ``complex.__pow__``), then the sum into row m.  The complex
+    The coefficient of z^m sums ``C(idx, m) a_idx prod_j s_j^(idx_j - m_j)``
+    over the terms a_idx of f and m <= idx.  One Python pass over those
+    pairs, in graded-lex order, forms the shift-free weight, the Python
+    complex ``a_idx * C(idx, m)``.  Then every shift sees the operations of
+    a scalar loop in the same order: one product per axis with a positive
+    power (powers by ``complex.__pow__``), then the sum into row m, pair
+    after pair (``np.add.at`` applies repeated rows in order).  The pairs
+    are taken in chunks of at most ``_TRANSLATE_CHUNK`` weights.  Complex
     products run on split real and imaginary arrays, because numpy's complex
     multiply may fuse a multiply-add and round differently from Python's.
     The column of an all-zero shift is f's vector itself.
     """
     dim, cutoff = f.dim, f.cutoff
-    position = _layout(dim, cutoff).position
+    layout = _layout(dim, cutoff)
     # tabled once per call: C(a, b) as exact integers and shift_j ** e
     comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(cutoff + 1)]
-    power = []
-    for j in range(dim):
-        table = np.array([[s[j] ** e for s in shifts] for e in range(cutoff + 1)])
-        power.append((table.real, table.imag))
-    re = np.zeros((len(position), len(shifts)))
-    im = np.zeros((len(position), len(shifts)))
+    rows: list[int] = []
+    weights: list[complex] = []
+    powers: list[Index] = []
     for idx, c in f.terms():
         for m in product(*(range(e + 1) for e in idx)):
             binom = 1
             for a, b in zip(idx, m):
                 binom *= comb[a][b]
-            w: complex = c * binom
-            wr, wi = w.real, w.imag
-            for j in range(dim):
-                e = idx[j] - m[j]
-                if e:
-                    pr, pi = power[j][0][e], power[j][1][e]
-                    wr, wi = wr * pr - wi * pi, wr * pi + wi * pr
-            row = position[m]
-            re[row] += wr
-            im[row] += wi
+            rows.append(layout.position[m])
+            weights.append(c * binom)
+            powers.append(idx)
+    # the power of shift_j that pair p multiplies by: idx_j - m_j
+    exps = np.array(powers, dtype=np.intp).reshape(-1, dim) - layout.exponents[rows]
+    weight = np.array(weights, dtype=complex)
+    power = []
+    for j in range(dim):
+        table = np.array([[s[j] ** e for s in shifts] for e in range(cutoff + 1)])
+        power.append((table.real, table.imag))
+    re = np.zeros((len(layout.exponents), len(shifts)))
+    im = np.zeros((len(layout.exponents), len(shifts)))
+    chunk = max(1, _TRANSLATE_CHUNK // max(1, len(shifts)))
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, lo + chunk)
+        wr = np.repeat(weight[part].real[:, None], len(shifts), axis=1)
+        wi = np.repeat(weight[part].imag[:, None], len(shifts), axis=1)
+        for j in range(dim):
+            e = exps[part, j]
+            sel = np.flatnonzero(e)
+            pr, pi = power[j][0][e[sel]], power[j][1][e[sel]]
+            ar, ai = wr[sel], wi[sel]
+            wr[sel] = ar * pr - ai * pi
+            wi[sel] = ar * pi + ai * pr
+        np.add.at(re, rows[part], wr)
+        np.add.at(im, rows[part], wi)
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     for k, s in enumerate(shifts):
@@ -449,8 +516,29 @@ def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, -1, False, vector)
 
 
+def translate_rows(
+    f: TruncatedSeries, shifts: Sequence[Sequence[complex]], degree: int
+) -> np.ndarray:
+    """Row i is ``coefficient_vector(translate(f, shifts[i]), degree)``.
+
+    All rows come from one ``_translate_block`` pass.  For a non-polynomial
+    f one ApproximationWarning covers every nonzero shift of the call.
+    """
+    shifts = [tuple(complex(c) for c in s) for s in shifts]
+    for s in shifts:
+        if len(s) != f.dim:
+            raise ValueError(f"shift {s} does not match dim {f.dim}")
+    block = _translate_block(f, shifts)
+    out = np.zeros((len(shifts), _size(f.dim, degree)), dtype=complex)
+    kept = min(out.shape[1], len(block))
+    out[:, :kept] = block[:kept].T
+    if not f.is_polynomial and any(any(s) for s in shifts):
+        _warn_approximate_translate()
+    return out
+
+
 def _warn_approximate_translate() -> None:
-    """Warn, at the caller of translate or translate_span, of approximate rows."""
+    """Warn, at the caller of translate or translate_rows, of approximate rows."""
     warnings.warn(
         "translating a non-polynomial truncation: the result has no "
         "exactness guarantee",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
+from entireops import series
 from support import SCALAR, airy_problem, gaussian_problem
 
 
@@ -174,6 +175,18 @@ def test_translate_span_matches_per_sample_scalar_loop(case):
         span = eo.translate_span(f, truncation, samples)
     expected = np.array([scalar_translate_row(f, s, truncation) for s in samples])
     assert span.matrix.tobytes() == expected.tobytes()
+
+
+def test_translate_span_is_the_same_pass_in_chunks(monkeypatch):
+    # a chunk holds at most 24 weights: three pairs of 8 samples at a time
+    f = dense_series(3, 2, 6, polynomial=False)
+    samples = [(0.0, 0.0)] + eo.sample_box(2, 7, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", eo.ApproximationWarning)
+        whole = eo.translate_span(f, 5, samples)
+        monkeypatch.setattr(series, "_TRANSLATE_CHUNK", 24)
+        chunked = eo.translate_span(f, 5, samples)
+    assert chunked.matrix.tobytes() == whole.matrix.tobytes()
 
 
 @st.composite

@@ -6,11 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from entireops import fhc
-from support import SCALAR, airy_problem, gaussian_problem
+from support import airy_problem, gaussian_problem
 
 
 def gauss_vector(terms, a=1.0, dim=1) -> eo.LadderVector:
@@ -199,39 +197,6 @@ def test_realize_single_label_matches_differentiated_kernel():
     diff = eo.linear_combine([(1, series), (-1, expected)])
     assert diff.max_exact_coefficient() <= 1e-14
     assert series.exact_degree == 4
-
-
-@st.composite
-def combine_case(draw):
-    """A sparse series with any exactness flags, derivative terms and a degree."""
-    dim = draw(st.integers(1, 3))
-    cutoff = draw(st.integers(0, 6))
-    polynomial = draw(st.booleans())
-    basis = eo.monomial_basis(dim, cutoff)
-    vector = np.zeros(len(basis), dtype=complex)
-    for n in draw(st.lists(st.sampled_from(basis), unique=True, max_size=6)):
-        vector[basis.index(n)] = draw(SCALAR)
-    exact = cutoff if polynomial else draw(st.integers(-1, cutoff))
-    f = eo.TruncatedSeries(dim, cutoff, exact, polynomial, vector)
-    labels = draw(
-        st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=4, unique=True)
-    )
-    terms = {n: draw(SCALAR | st.just(0j)) for n in sorted(labels, key=eo.graded_key)}
-    return f, terms, draw(st.integers(0, cutoff + 2))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(combine_case())
-def test_combine_on_matches_full_derivatives_cut_to_degree(case):
-    # only the kept rows are gathered; vector and flags must not notice
-    f, terms, degree = case
-    got = fhc._combine_on(f, terms, degree)
-    parts = [(c, eo.differentiate(f, n)) for n, c in terms.items()]
-    want = eo.with_cutoff(eo.linear_combine(parts), degree)
-    assert (got.cutoff, got.exact_degree, got.is_polynomial) == (
-        want.cutoff, want.exact_degree, want.is_polynomial
-    )
-    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 def test_lowering_agrees_with_operator_application():

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from support import cr_operators, gaussian_problem, max_coeff_diff
+from entireops.series import combine_derivatives
+from support import SCALAR, cr_operators, gaussian_problem, max_coeff_diff
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
 
@@ -129,9 +131,8 @@ def test_differentiate_polynomial_stays_exact():
 
 @pytest.mark.parametrize("order", [(2, 3, 4), (9, 8), (20, 20), (30, 3), (0, 17)])
 def test_derivative_weights_are_exact_integers_rounded_once(order):
-    # perm(cutoff, ||order||) is below 2^53 only for (2, 3, 4); for (20, 20) and
-    # (30, 3) a product of the rounded per-axis factors would round some
-    # weights differently, e.g. at m = (0, 4)
+    # for (20, 20) and (30, 3) a product of the rounded per-axis factors would
+    # round some weights differently, e.g. at m = (0, 4)
     dim = len(order)
     cutoff = sum(order) + 8
     basis = eo.monomial_basis(dim, cutoff)
@@ -139,6 +140,39 @@ def test_derivative_weights_are_exact_integers_rounded_once(order):
     for m in eo.monomial_basis(dim, cutoff - sum(order)):
         exact = math.prod(math.perm(a + b, b) for a, b in zip(m, order))
         assert out.coefficient(m) == float(exact)
+
+
+@st.composite
+def combine_case(draw):
+    """A sparse series with any exactness flags, derivative terms and a degree."""
+    dim = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 6))
+    polynomial = draw(st.booleans())
+    basis = eo.monomial_basis(dim, cutoff)
+    vector = np.zeros(len(basis), dtype=complex)
+    for n in draw(st.lists(st.sampled_from(basis), unique=True, max_size=6)):
+        vector[basis.index(n)] = draw(SCALAR)
+    exact = cutoff if polynomial else draw(st.integers(-1, cutoff))
+    f = eo.TruncatedSeries(dim, cutoff, exact, polynomial, vector)
+    labels = draw(
+        st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=4, unique=True)
+    )
+    terms = {n: draw(SCALAR | st.just(0j)) for n in sorted(labels, key=eo.graded_key)}
+    return f, terms, draw(st.integers(0, cutoff + 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(combine_case())
+def test_combine_derivatives_matches_full_derivatives_cut_to_degree(case):
+    # only the kept rows are gathered; vector and flags must not notice
+    f, terms, degree = case
+    got = combine_derivatives(f, terms, degree)
+    parts = [(c, eo.differentiate(f, n)) for n, c in terms.items()]
+    want = eo.with_cutoff(eo.linear_combine(parts), degree)
+    assert (got.cutoff, got.exact_degree, got.is_polynomial) == (
+        want.cutoff, want.exact_degree, want.is_polynomial
+    )
+    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +462,13 @@ def test_exactness_claims_survive_a_larger_cutoff(case):
     narrow0, wide0 = at(cutoff), at(wide_cutoff)
     narrow, wide = narrow0, wide0
     for kind, arg in steps:
-        was_polynomial = narrow.is_polynomial
+        if kind == "translate" and not narrow.is_polynomial:
+            # translating a truncation is approximate by design: it claims
+            # nothing, and the later steps go on from the untranslated runs
+            shifted = _step(narrow, narrow0, kind, arg)
+            assert shifted.exact_degree == -1 and not shifted.is_polynomial
+            continue
         narrow = _step(narrow, narrow0, kind, arg)
-        if kind == "translate" and not was_polynomial:
-            # translating a truncation is approximate by design: it claims nothing
-            assert narrow.exact_degree == -1 and not narrow.is_polynomial
         if kind != "cutoff":  # re-truncation leaves the true function as it is
             wide = _step(wide, wide0, kind, arg)
     assert wide.is_polynomial
