@@ -49,6 +49,7 @@ from .series import (
     SemiNormSpec,
     TruncatedSeries,
     with_cutoff,
+    worst,
     zero_series,
 )
 
@@ -429,7 +430,7 @@ def _run_fhc(scn: Scenario, p: dict, ctx: dict):
         raise ScenarioError("fhc task needs a kernel generator")
     terms = dict(_given(p["terms"], [((0,) * scn.dimension, 1.0)]))
     x = LadderVector(tuple(scn.kernel_problems), terms)
-    default_eps = 2.0 * max(1.0 / abs(a) for a in x.ladder_constants)
+    default_eps = 2.0 * worst(1.0 / abs(a) for a in x.ladder_constants)
     spec = SemiNormSpec(m=p["m"], epsilon=_given(p["epsilon"], default_eps))
     report = convergence_report(
         x, p["axis"], spec, p["kmax"], p["realization_degree"]

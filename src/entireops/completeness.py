@@ -7,10 +7,13 @@ over the monomials of total degree <= N: the reports therefore state
 completeness AT TRUNCATION (N, max_order) only, and expose the singular
 value profile so borderline cases can be judged.
 
-Each span matrix is built in one pass by ``series``: derivative rows
-(``derivative_rows``) gather the truncation prefix only, and translate rows
-(``translate_rows``) come from one batched translate over all samples, which
-warns once per call when f is a truncation rather than a polynomial.
+Each span matrix is built in one pass by ``series``.  Derivative rows
+(``derivative_rows``) are one gather through one ``(order x row)`` plan over
+every order of the span, limited to the truncation prefix; their weights are
+the exact integers ``prod_j perm(s_j, n_j)`` rounded once (see ``series``).
+Translate rows (``translate_rows``) come from one batched translate over all
+samples, which warns once per call when f is a truncation rather than a
+polynomial.
 
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative

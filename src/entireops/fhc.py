@@ -31,6 +31,7 @@ from .series import (
     combine_derivatives,
     graded_key,
     seminorm_bound,
+    worst,
     zero_series,
 )
 
@@ -242,7 +243,7 @@ def convergence_report(
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if realization_degree < 0:
         raise ValueError("realization_degree must be >= 0")
-    floor = max(1.0 / abs(a) for a in x.ladder_constants)
+    floor = worst(1.0 / abs(a) for a in x.ladder_constants)
     if not spec.epsilon > floor:
         raise ValueError(
             f"epsilon {spec.epsilon} violates the radius condition: it must "
@@ -277,7 +278,7 @@ def convergence_report(
 
     trend = u[kmax] ** (1.0 / kmax)
     trend_check = u_check[kmax] ** (1.0 / kmax)
-    peak = max(trend, trend_check)
+    peak = worst((trend, trend_check))
     stable = peak == 0.0 or abs(trend - trend_check) <= STABILITY_REL_TOL * peak
 
     return ConvergenceReport(

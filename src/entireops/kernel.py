@@ -24,7 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .operators import CROperator, apply_cr_operator
-from .series import TruncatedSeries, coefficient_vector, make_series, monomial_basis
+from .series import (
+    TruncatedSeries,
+    coefficient_vector,
+    make_series,
+    monomial_basis,
+    worst,
+)
 
 #: solver aborts when a coefficient magnitude passes this (overflow hygiene)
 GROWTH_LIMIT = 1e150
@@ -153,7 +159,7 @@ def verify_kernel(
                 "entire exact region"
             )
         residuals.append(image.max_exact_coefficient())
-    max_residual = max(residuals)
+    max_residual = worst(residuals)
     return KernelReport(
         axes=tuple(op.axis for op in ops),
         residuals=tuple(residuals),

@@ -51,6 +51,7 @@ from .series import (
     graded_key,
     index_factorial,
     index_order,
+    worst,
     zero_series,
 )
 
@@ -401,11 +402,10 @@ def verify_commutation(
                 defect = t_dk - _gather_derivative(layout, t_probes, ek)
                 if k == op.axis:
                     defect -= a_claim * probes
-                # np.maximum keeps a NaN, so a non-finite defect cannot pass
-                worst = residuals.get((op.axis, k), 0.0)
-                peak = np.abs(defect).max()
-                residuals[(op.axis, k)] = float(np.maximum(worst, peak))
-    max_residual = float(np.max(list(residuals.values())))
+                # worst keeps a NaN, so a non-finite defect cannot pass
+                key = (op.axis, k)
+                residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
+    max_residual = worst(residuals.values())
     return CommutationReport(
         residuals=residuals,
         max_residual=max_residual,

@@ -48,15 +48,25 @@ def series_to_json(f: TruncatedSeries) -> dict:
     }
 
 
-def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
-    """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order.
+def _finite_complex(re: Any, im: Any, key: str) -> complex:
+    """``complex(re, im)`` of one ``(re, im)`` pair read from a scenario.
 
-    A non-finite part (JSON reads ``1e400`` as inf) is a ScenarioError.
+    Every pair a scenario holds is read here.  A non-finite part (JSON reads
+    ``1e400`` as inf) is a ScenarioError that names the key.
     """
-    pairs = [(tuple(e["idx"]), complex(e["re"], e.get("im", 0.0))) for e in entries]
-    for idx, c in pairs:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ScenarioError(f"non-finite coefficient {c} at index {list(idx)}")
+    c = complex(re, im)
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ScenarioError(f"non-finite {key}: {c}")
+    return c
+
+
+def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
+    """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
+    pairs = []
+    for e in entries:
+        idx = tuple(e["idx"])
+        key = f"coefficient at index {list(idx)}"
+        pairs.append((idx, _finite_complex(e["re"], e.get("im", 0.0), key)))
     return pairs
 
 
@@ -90,7 +100,7 @@ def cr_operator_from_json(obj: Mapping) -> CROperator:
     return CROperator(
         dim=dim,
         axis=int(obj["axis"]),
-        a=complex(a[0], a[1]),
+        a=_finite_complex(a[0], a[1], '"a"'),
         conv=symbol_from_json(dim, obj["symbol"]),
     )
 
@@ -106,9 +116,9 @@ def problem_to_json(p: AxisKernelProblem) -> dict:
 
 def problem_from_json(obj: Mapping) -> AxisKernelProblem:
     return AxisKernelProblem(
-        charpoly=tuple(complex(c[0], c[1]) for c in obj["charpoly"]),
-        a=complex(obj["a"][0], obj["a"][1]),
-        seeds=tuple(complex(s[0], s[1]) for s in obj["seeds"]),
+        charpoly=tuple(_finite_complex(c[0], c[1], '"charpoly"') for c in obj["charpoly"]),
+        a=_finite_complex(obj["a"][0], obj["a"][1], '"a"'),
+        seeds=tuple(_finite_complex(s[0], s[1], '"seeds"') for s in obj["seeds"]),
         degree=int(obj["degree"]),
     )
 

@@ -13,23 +13,33 @@ re-truncation is a slice.  Two pieces of bookkeeping ride along:
 * ``is_polynomial``: the vector is the whole function, so coefficients
   beyond the cutoff are genuine zeros.
 
-The tables behind the layout (basis, index positions, exponent matrix,
-unit-step gather plans, falling factorials) are built once per
-``(dim, cutoff)`` and owned by this module.  Differentiation and coordinate
-multiplication are a gather and a scatter on the leading axis
-(``_gather_derivative``, ``_scatter_coordinate``), so the same kernels act on
-one coefficient vector or on a ``(basis size, batch)`` block of them;
-linear combination is vector arithmetic.  Every gather of D^order goes
-through one plan, ``_derivative_plan``, which builds only the leading rows it
-is asked for: ``differentiate`` asks for all of them, ``derivative_rows``
-(the rows of a derivative span) and ``combine_derivatives`` (a combination
-of derivatives re-truncated to a lower degree) for a truncation prefix; the
-latter two carry the exactness rules of the operations they stand for.  The
-semi-norm upper sum accumulates term by term in graded-lex order, and
-translation has one term loop, ``_translate_block``, which ``translate``
-runs on one point and ``translate_rows`` on many in a single pass, each
-point's arithmetic in the order of a scalar loop; the numbers they feed into
-reports are reproducible bit for bit.
+The tables behind the layout (basis, index positions, exponent matrix and
+degrees, unit-step gather maps, per-axis derivative weights) are built once
+per ``(dim, cutoff)`` and owned by this module.  Differentiation and
+coordinate multiplication are a gather and a scatter on the leading axis
+(``_gather_derivative``, ``_scatter_coordinate``), so the same kernels act
+on one coefficient vector or on a ``(basis size, batch)`` block of them;
+linear combination is vector arithmetic.  Every gather of D^n goes through
+one plan, ``_derivative_plan``: for a ``(K, dim)`` array of orders it builds
+only the leading rows it is asked for, as ``(K, rows)`` grids of source
+positions and weights, composing the unit-step maps for all orders at once.
+``derivative_rows`` (the rows of a derivative span) is one plan call and one
+gather over all its orders; ``_gather_derivative`` (behind
+``differentiate``, the operator kernels and ``combine_derivatives``, a
+combination of derivatives re-truncated to a lower degree) calls it with
+K = 1, or slices the cached tables for a unit order.  A weight is the exact
+integer ``prod_j perm(s_j, n_j)`` rounded once: the product of the rounded
+per-axis factors is that number below 2^53, where every factor and partial
+product is an exact integer, and only the cells at or above 2^53 with two
+or more non-unit factors are recomputed from exact integers.
+``derivative_rows`` and ``combine_derivatives`` carry the exactness rules
+of the operations they stand for.  The semi-norm upper sum accumulates term
+by term in graded-lex order, and translation has one term loop,
+``_translate_block``, which ``translate`` runs on one point and
+``translate_rows`` on many in a single pass, each point's arithmetic in the
+order of a scalar loop; the numbers they feed into reports are reproducible
+bit for bit.  Residual verdicts fold with ``worst``, which keeps a NaN
+wherever it stands.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
@@ -74,6 +84,17 @@ def index_binomial(n: Index, k: Index) -> int:
     return out
 
 
+def worst(values: Iterable[float]) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    Python's ``max`` keeps its running value whenever a comparison with NaN
+    is false, so it drops a NaN that is not first; a verdict folded from
+    residuals must not.  Every float fold of the library goes through here.
+    """
+    values = [float(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def graded_key(n: Index) -> tuple[int, Index]:
     """Sort key implementing graded lexicographic order."""
     return (sum(n), n)
@@ -87,14 +108,17 @@ class _Layout(NamedTuple):
     position: dict[Index, int]
     #: the indices as a (size, dim) integer matrix
     exponents: np.ndarray
+    #: their total degrees
+    degree: np.ndarray
     #: per axis j: positions of the indices with n_j >= 1, in basis order.
     #: They are exactly ``m + e_j`` for m in the degree <= cutoff - 1 prefix,
     #: in the same order, so one array serves D_j (gather) and z_j (scatter).
     raised: tuple[np.ndarray, ...]
     #: per axis j: n_j at those positions, the weights of D_j
     unit_weight: tuple[np.ndarray, ...]
-    #: ``perm(a, b)`` for ``0 <= a, b <= cutoff``: exact integers and their floats
-    falling: tuple[np.ndarray, np.ndarray]
+    #: ``perm(m + n, n)`` at [n, m], the weight of D^n on exponent m along one
+    #: axis, for ``m + n <= cutoff`` (0 elsewhere): exact integers and their floats
+    step_weight: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=64)
@@ -107,15 +131,19 @@ def _layout(dim: int, cutoff: int) -> _Layout:
     indices.sort(key=graded_key)
     exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
     raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
-    falling = [[math.perm(a, b) for b in range(cutoff + 1)] for a in range(cutoff + 1)]
-    falling_exact = np.array(falling, dtype=object)
+    steps = range(cutoff + 1)
+    step_weight = np.array(
+        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps],
+        dtype=object,
+    )
     return _Layout(
         cutoff=cutoff,
         position={n: i for i, n in enumerate(indices)},
         exponents=exponents,
+        degree=exponents.sum(axis=1),
         raised=raised,
         unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
-        falling=(falling_exact, falling_exact.astype(float)),
+        step_weight=(step_weight, step_weight.astype(float)),
     )
 
 
@@ -276,32 +304,83 @@ def linear_combine(
 
 
 def _derivative_plan(
-    layout: _Layout, order: Index, rows: int
+    layout: _Layout, orders: np.ndarray, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather positions and weights of the leading ``rows`` rows of D^order.
+    """Gather positions and weights of the leading ``rows`` rows of D^n, n in orders.
 
-    Row m (0 < ||order|| <= cutoff, ``rows`` at most the size of the
-    degree <= cutoff - ||order|| prefix) reads the index m + order.  Its
-    position is reached by composing the unit-step maps ``raised[j]`` once
-    per unit of the order, starting from the row numbers.  The weight of a
-    row is ``float(prod_j perm(s_j, order_j))`` for s = m + order: the exact
-    integer, rounded once.  Unit orders slice the cached plans.
+    ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``,
+    and ``rows`` is at most the size of the degree <= cutoff - min ||n||
+    prefix; both results are ``(K, rows)`` grids.  Cell (k, m) of order n
+    reads the index s = m + n, whose position is reached by composing the
+    unit-step maps ``raised[j]`` n_j times: the steps every order takes act
+    on the whole grid, the rest go through one table of the powers of
+    ``raised[j]`` (``_unit_powers``).  The weight of a cell is ``float(prod_j
+    perm(s_j, n_j))``, the exact integer rounded once.  The product of the
+    rounded factors is that number whenever it is below 2^53, since every
+    factor and every partial product is then an exact integer; so only the
+    cells at or above 2^53 with two or more non-unit factors are recomputed
+    from the exact integers.  A cell with ``||s|| > cutoff`` (an
+    over-differentiated short polynomial) gets weight 0 and some position
+    inside the basis; every other weight is at least 1.
     """
-    axes = [j for j, k in enumerate(order) if k]
-    if len(axes) == 1 and order[axes[0]] == 1:
-        return layout.raised[axes[0]][:rows], layout.unit_weight[axes[0]][:rows]
-    source = np.arange(rows)
-    for j in axes:
-        for _ in range(order[j]):
+    cutoff = layout.cutoff
+    exact, rounded = layout.step_weight
+    if len(orders) == 1:
+        lows = tops = orders[0].tolist()
+    else:
+        lows, tops = orders.min(axis=0).tolist(), orders.max(axis=0).tolist()
+    start = np.arange(rows)
+    valid = None
+    # sum(tops) bounds every ||n||, so most plans check no cell
+    if rows and sum(tops) + layout.degree[rows - 1] > cutoff:
+        total = orders.sum(axis=1)
+        inside = layout.degree[:rows] + total[:, None] <= cutoff
+        if not inside.all():
+            # a path from position 0 stays inside the basis when ||n|| <=
+            # cutoff; an order past the cutoff has no cell inside and no step
+            valid = inside
+            orders = np.where(total[:, None] <= cutoff, orders, 0)
+            start = np.where(valid, start, 0)
+    source = start
+    weight = None
+    for j, (low, top) in enumerate(zip(lows, tops)):
+        if not top:
+            continue
+        n = orders[:, j, None]
+        factor = rounded[n, layout.exponents[:rows, j]]
+        weight = factor if weight is None else weight * factor
+        # the steps every order takes act on the whole grid, the rest by table
+        for _ in range(low):
             source = layout.raised[j][source]
-    exponents = layout.exponents[source]
-    exact, rounded = layout.falling
-    if len(axes) == 1:
-        return source, rounded[exponents[:, axes[0]], order[axes[0]]]
-    weight = np.ones(rows, dtype=object)
-    for j in axes:
-        weight = weight * exact[exponents[:, j], order[j]]
-    return source, weight.astype(float)
+        if top > low:
+            source = _unit_powers(layout, j, top - low)[n - low, source]
+    if weight is None:
+        weight = np.ones((len(orders), rows))
+    if valid is not None:
+        weight[~valid] = 0.0
+    if len(tops) - tops.count(0) > 1 and weight.max(initial=0.0) >= 2.0**53:
+        multi = np.count_nonzero(orders, axis=1) > 1
+        k, m = np.nonzero((weight >= 2.0**53) & multi[:, None])
+        product = np.ones(len(k), dtype=object)
+        for j in range(orders.shape[1]):
+            product = product * exact[orders[k, j], layout.exponents[m, j]]
+        weight[k, m] = product.astype(float)
+    if source.ndim == 1:
+        source = source[None].repeat(len(orders), axis=0)
+    return source, weight
+
+
+def _unit_powers(layout: _Layout, axis: int, top: int) -> np.ndarray:
+    """Row t < ``top + 1``: the t-fold composition of ``raised[axis]``.
+
+    Row t maps the positions of degree <= cutoff - t; the rest of it is 0.
+    """
+    table = np.zeros((top + 1, len(layout.exponents)), dtype=np.intp)
+    table[0] = np.arange(table.shape[1])
+    for t in range(1, top + 1):
+        width = _size(layout.exponents.shape[1], layout.cutoff - t)
+        table[t, :width] = layout.raised[axis][table[t - 1, :width]]
+    return table
 
 
 def _gather_derivative(
@@ -311,19 +390,27 @@ def _gather_derivative(
 
     Only the leading ``rows`` rows are gathered (all of them by default), so
     a truncation prefix costs its own size; rows past what the cutoff
-    determines are zero.  Returns ``data`` itself for the zero order at full
-    length, else a new array.
+    determines are zero.  A unit order slices the cached ``raised`` and
+    ``unit_weight`` tables; any other order is the plan with K = 1.  Returns
+    ``data`` itself for the zero order at full length, else a new array.
     """
     rows = len(data) if rows is None else rows
     if not any(order) and rows == len(data):
         return data
     out = np.zeros((rows,) + data.shape[1:], dtype=complex)
-    if not any(order):
+    degree = sum(order)
+    if not degree:
         kept = min(rows, len(data))
         out[:kept] = data[:kept]
-    elif sum(order) <= layout.cutoff:
-        count = min(rows, _size(len(order), layout.cutoff - sum(order)))
-        source, weight = _derivative_plan(layout, order, count)
+    elif degree <= layout.cutoff:
+        count = min(rows, _size(len(order), layout.cutoff - degree))
+        if degree == 1:
+            axis = order.index(1)
+            source = layout.raised[axis][:count]
+            weight = layout.unit_weight[axis][:count]
+        else:
+            source, weight = _derivative_plan(layout, np.array([order]), count)
+            source, weight = source[0], weight[0]
         # one weight per basis row, broadcast over a block's columns
         weight = weight.reshape((-1,) + (1,) * (data.ndim - 1))
         out[:count] = data[source] * weight
@@ -365,19 +452,41 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
 
 
+def _checked_orders(dim: int, orders: Sequence[Sequence[int]], cap: int) -> np.ndarray:
+    """The orders as a ``(K, dim)`` array, each entry capped at ``cap``.
+
+    One array conversion checks them all.  A list it rejects goes through
+    ``_checked_order`` order by order, so the first bad order raises the
+    error ``differentiate`` would.
+    """
+    try:
+        table = np.array(orders, dtype=np.intp)
+    except (TypeError, ValueError, OverflowError):
+        table = None
+    if table is None or table.shape != (len(orders), dim) or (table < 0).any():
+        checked = [[min(e, cap) for e in _checked_order(dim, n)] for n in orders]
+        table = np.array(checked, dtype=np.intp).reshape(len(orders), dim)
+    return np.minimum(table, cap)
+
+
 def derivative_rows(
     f: TruncatedSeries, orders: Sequence[Sequence[int]], degree: int
 ) -> np.ndarray:
     """Row i is ``coefficient_vector(differentiate(f, orders[i]), degree)``.
 
-    Each row gathers only the degree <= ``degree`` prefix, so a short
-    truncation of a long series costs the truncation's size.
+    One plan over all orders and one gather fill the degree <= ``degree``
+    prefix, so a short truncation of a long series costs the truncation's
+    size.
     """
     layout = _layout(f.dim, f.cutoff)
-    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
-    for i, n in enumerate(orders):
-        n = _checked_order(f.dim, n)
-        out[i] = _gather_derivative(layout, f.vector, n, out.shape[1])
+    table = _checked_orders(f.dim, orders, f.cutoff + 1)
+    out = np.zeros((len(table), _size(f.dim, degree)), dtype=complex)
+    lowest = int(table.sum(axis=1).min(initial=f.cutoff + 1))
+    rows = min(out.shape[1], _size(f.dim, f.cutoff - lowest))
+    if rows:
+        source, weight = _derivative_plan(layout, table, rows)
+        # cells the cutoff leaves undetermined have weight 0 and stay +0j
+        np.multiply(f.vector[source], weight, out=out[:, :rows], where=weight != 0)
     return out
 
 

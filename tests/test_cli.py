@@ -214,6 +214,31 @@ def test_non_finite_coefficient_is_a_scenario_error_before_any_task_runs(
 
 
 @pytest.mark.parametrize(
+    "path, key",
+    [
+        (("operators", 1, "a"), '"a"'),
+        (("generator", "kernel", 1, "a"), '"a"'),
+        (("generator", "kernel", 0, "charpoly", 1), '"charpoly"'),
+        (("generator", "kernel", 1, "seeds", 0), '"seeds"'),
+    ],
+)
+def test_non_finite_pair_is_a_scenario_error_naming_its_key(tmp_path, capsys, path, key):
+    scenario = Path(_scenario_file(tmp_path, "gaussian2d", [{"task": "kernel"}]))
+    obj = json.loads(scenario.read_text())
+    *parents, last = path
+    node = obj
+    for step in parents:
+        node = node[step]
+    node[last] = ["@", 0.0]
+    # JSON reads 1e400 as inf
+    scenario.write_text(json.dumps(obj).replace('"@"', "1e400"))
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"non-finite {key}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv, task",
     [
         (["verify-cr", "gaussian2d"], {"task": "verify-cr"}),

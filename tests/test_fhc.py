@@ -236,6 +236,13 @@ def test_convergence_report_rejects_small_epsilon():
         eo.convergence_report(x, 1, eo.SemiNormSpec(1, 0.5), 10, 6)
 
 
+def test_convergence_report_rejects_a_nan_ladder_constant_first_or_not():
+    for a in ((math.nan, 1.0), (1.0, math.nan)):
+        x = eo.LadderVector(tuple(gaussian_problem(6, a_j) for a_j in a), {(0, 0): 1.0})
+        with pytest.raises(ValueError, match="radius condition"):
+            eo.convergence_report(x, 1, eo.SemiNormSpec(1, 2.0), 8, 6)
+
+
 def test_convergence_report_airy():
     gens = (airy_problem(6),)
     x = eo.LadderVector(gens, {(0,): 1.0})

@@ -108,6 +108,17 @@ def test_verify_kernel_flags_non_kernel_element():
     assert not report.passed
 
 
+def test_verify_kernel_fails_on_a_nan_residual_first_or_not():
+    # a = inf on axis 2 leaves inf - inf = NaN in that operator's image
+    good, bad = gaussian_family(2)[0], eo.CROperator(2, 2, math.inf, gaussian_family(2)[1].conv)
+    f = eo.joint_kernel([gaussian_problem(8)] * 2)
+    for ops, position in (([bad, good], 0), ([good, bad], 1)):
+        report = eo.verify_kernel(ops, f)
+        assert math.isnan(report.residuals[position])
+        assert math.isnan(report.max_residual)
+        assert not report.passed
+
+
 def test_verify_kernel_needs_room_to_verify():
     f = eo.solve_kernel_axis(airy_problem(1))
     with pytest.raises(ValueError, match="truncation too small"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from entireops.series import combine_derivatives
+from entireops.series import combine_derivatives, worst
 from support import SCALAR, cr_operators, gaussian_problem, max_coeff_diff
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
@@ -140,6 +140,13 @@ def test_derivative_weights_are_exact_integers_rounded_once(order):
     for m in eo.monomial_basis(dim, cutoff - sum(order)):
         exact = math.prod(math.perm(a + b, b) for a, b in zip(m, order))
         assert out.coefficient(m) == float(exact)
+
+
+def test_worst_keeps_a_nan_in_any_position():
+    assert worst([0.5, 2.0, 1.0]) == 2.0
+    for values in ([math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan]):
+        assert math.isnan(worst(values))
+        assert math.isnan(worst(np.array(values)))
 
 
 @st.composite
