@@ -325,10 +325,7 @@ def _derivative_plan(
     """
     cutoff = layout.cutoff
     exact, rounded = layout.step_weight
-    if len(orders) == 1:
-        lows = tops = orders[0].tolist()
-    else:
-        lows, tops = orders.min(axis=0).tolist(), orders.max(axis=0).tolist()
+    lows, tops = _axis_range(orders)
     start = np.arange(rows)
     valid = None
     # sum(tops) bounds every ||n||, so most plans check no cell
@@ -337,9 +334,11 @@ def _derivative_plan(
         inside = layout.degree[:rows] + total[:, None] <= cutoff
         if not inside.all():
             # a path from position 0 stays inside the basis when ||n|| <=
-            # cutoff; an order past the cutoff has no cell inside and no step
+            # cutoff; an order past the cutoff has no cell inside, so it
+            # becomes the zero order before the steps are counted
             valid = inside
             orders = np.where(total[:, None] <= cutoff, orders, 0)
+            lows, tops = _axis_range(orders)
             start = np.where(valid, start, 0)
     source = start
     weight = None
@@ -368,6 +367,14 @@ def _derivative_plan(
     if source.ndim == 1:
         source = source[None].repeat(len(orders), axis=0)
     return source, weight
+
+
+def _axis_range(orders: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per axis, the least and the largest entry of a ``(K, dim)`` order array."""
+    if len(orders) == 1:
+        row = orders[0].tolist()
+        return row, row
+    return orders.min(axis=0).tolist(), orders.max(axis=0).tolist()
 
 
 def _unit_powers(layout: _Layout, axis: int, top: int) -> np.ndarray:
@@ -429,10 +436,10 @@ def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> np.ndar
 
 
 def _checked_order(dim: int, order: Sequence[int]) -> Index:
-    order = tuple(int(e) for e in order)
+    order = tuple(map(int, order))
     if len(order) != dim:
         raise ValueError(f"order {order} does not match dim {dim}")
-    if any(e < 0 for e in order):
+    if min(order, default=0) < 0:
         raise ValueError(f"negative entry in derivative order {order}")
     return order
 
@@ -455,18 +462,10 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
 def _checked_orders(dim: int, orders: Sequence[Sequence[int]], cap: int) -> np.ndarray:
     """The orders as a ``(K, dim)`` array, each entry capped at ``cap``.
 
-    One array conversion checks them all.  A list it rejects goes through
-    ``_checked_order`` order by order, so the first bad order raises the
-    error ``differentiate`` would.
+    The first bad order raises the error ``differentiate`` would.
     """
-    try:
-        table = np.array(orders, dtype=np.intp)
-    except (TypeError, ValueError, OverflowError):
-        table = None
-    if table is None or table.shape != (len(orders), dim) or (table < 0).any():
-        checked = [[min(e, cap) for e in _checked_order(dim, n)] for n in orders]
-        table = np.array(checked, dtype=np.intp).reshape(len(orders), dim)
-    return np.minimum(table, cap)
+    capped = [[min(e, cap) for e in _checked_order(dim, n)] for n in orders]
+    return np.array(capped, dtype=np.intp).reshape(len(orders), dim)
 
 
 def derivative_rows(

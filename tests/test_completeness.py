@@ -278,11 +278,21 @@ def test_derivative_rows_match_per_order_reference(case):
     assert got.tobytes() == expected.tobytes()
 
 
-def test_derivative_rows_mask_the_cells_a_short_polynomial_leaves_out():
-    # every order steps once along axis 2; for (3, 1) every cell but m = 0 lies
-    # past the cutoff 4, and (5, 1) has no cell inside it
-    f = dense_series(11, 2, 4, polynomial=True)
-    orders = [(0, 1), (3, 1), (1, 1), (5, 1), (2, 2), (0, 1)]
+@pytest.mark.parametrize(
+    "dim, orders",
+    [
+        # every order steps once along axis 2; for (3, 1) every cell but m = 0
+        # lies past the cutoff 4, and (5, 1) has no cell inside it
+        (2, [(0, 1), (3, 1), (1, 1), (5, 1), (2, 2), (0, 1)]),
+        # every order steps at least 4 times, and (6,) is past the cutoff
+        (1, [(4,), (6,)]),
+        (1, [(6,), (4,), (5,)]),
+        # an entry too large for a machine integer is capped before conversion
+        (1, [(2**70,), (1,)]),
+    ],
+)
+def test_derivative_rows_mask_the_cells_a_short_polynomial_leaves_out(dim, orders):
+    f = dense_series(11, dim, 4 if dim == 2 else 5, polynomial=True)
     got = series.derivative_rows(f, orders, 4)
     expected = np.array([eo.coefficient_vector(eo.differentiate(f, n), 4) for n in orders])
     assert got.tobytes() == expected.tobytes()
