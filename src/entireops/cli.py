@@ -66,9 +66,20 @@ DENSITY_DISCLAIMER = (
 )
 
 
+def _finite(value: Any) -> float:
+    """Parser of every float a scenario or a flag gives: inf and NaN are refused."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+_finite.__name__ = "finite float"  # argparse names the type in its error messages
+
+
 def _box(value: Any) -> tuple[float, float]:
     low, high = value
-    return float(low), float(high)
+    return _finite(low), _finite(high)
 
 
 def _ints(value: Any) -> list[int]:
@@ -97,7 +108,7 @@ _count = _int_from(1, "positive int")
 
 
 def _positive(value: Any) -> float:
-    x = float(value)
+    x = _finite(value)
     if not x > 0:
         raise ValueError(f"must be positive, got {x}")
     return x
@@ -114,8 +125,8 @@ REQUIRED = object()
 #: enforces.  A None default is derived by the runner (from the scenario or
 #: the task's other keys) or leaves an optional table or pass check unset.
 TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
-    "verify-cr": {"probe_degree": (_natural, 8), "max_residual": (float, 1e-12)},
-    "kernel": {"degree": (_natural, None), "max_residual": (float, 1e-12)},
+    "verify-cr": {"probe_degree": (_natural, 8), "max_residual": (_finite, 1e-12)},
+    "kernel": {"degree": (_natural, None), "max_residual": (_finite, 1e-12)},
     "complete": {
         "truncation": (_natural, REQUIRED),
         "max_order": (_natural, None),
@@ -131,7 +142,7 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "target": (series_from_json, REQUIRED),
         "truncation": (_natural, None),
         "max_order": (_natural, None),
-        "max_residual": (float, 1e-10),
+        "max_residual": (_finite, 1e-10),
     },
     "fhc": {
         "terms": (coeffs_from_json, None),
@@ -140,7 +151,7 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "epsilon": (_positive, None),
         "kmax": (_count, 12),
         "realization_degree": (_natural, 6),
-        "max_kth_root": (float, None),
+        "max_kth_root": (_finite, None),
     },
     "orbit": {
         "axis": (int, 1),
@@ -151,8 +162,8 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "degree": (_natural, None),
         "initial": (_series_or_name, "generator"),
         "target": (_series_or_name, "zero"),
-        "min_density": (float, None),
-        "max_density": (float, None),
+        "min_density": (_finite, None),
+        "max_density": (_finite, None),
     },
 }
 
@@ -230,7 +241,10 @@ def parse_scenario(obj: Any) -> Scenario:
     try:
         dimension = int(_require(obj, "dimension", "scenario"))
         truncation = int(_require(obj, "truncation", "scenario"))
-        tolerance = float(obj.get("tolerance", 1e-8))
+        try:
+            tolerance = _finite(obj.get("tolerance", 1e-8))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad 'tolerance' in scenario: {exc}") from exc
         rng_seed = int(obj.get("rng_seed", 0))
         ops = [cr_operator_from_json(o) for o in _require(obj, "operators", "scenario")]
         generator = _require(obj, "generator", "scenario")
@@ -564,7 +578,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", default=None, help="write reports into a directory")
     parser.add_argument(
-        "--tolerance", type=float, default=None, help="override rank tolerance"
+        "--tolerance", type=_finite, default=None, help="override rank tolerance"
     )
     parser.add_argument("--seed", type=int, default=None, help="override rng seed")
 

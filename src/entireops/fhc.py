@@ -15,6 +15,10 @@ formal combination ``sum c_n [D^n f]`` on which both maps act symbolically;
 numeric series enter only when semi-norm sizes of the raised iterates are
 estimated (:func:`convergence_report`), because the exactness of the ladder
 identities and of the right-inverse property should be tested exactly.
+There the raised iterates ``S^k x``, k <= kmax, are realized together: one
+generator solve, their coefficients by ``apply_raising``'s division, one
+``derivative_rows`` gather of every raised label, and one semi-norm sum over
+the block of rows (``seminorm_rows``).
 """
 
 from __future__ import annotations
@@ -23,14 +27,17 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .kernel import AxisKernelProblem, joint_kernel
 from .series import (
     Index,
     SemiNormSpec,
     TruncatedSeries,
     combine_derivatives,
+    derivative_rows,
     graded_key,
-    seminorm_bound,
+    seminorm_rows,
     worst,
     zero_series,
 )
@@ -173,15 +180,6 @@ def _generator_series(
     return joint_kernel([replace(p, degree=degree) for p in generator])
 
 
-def _combine_on(
-    f: TruncatedSeries, terms: Mapping[Index, complex], degree: int
-) -> TruncatedSeries:
-    """``sum c_n D^n f`` cut to the degree; terms in graded-lex order."""
-    if not terms:
-        return zero_series(f.dim, degree)
-    return combine_derivatives(f, terms, degree)
-
-
 def realize(x: LadderVector, degree: int) -> TruncatedSeries:
     """Realize the combination as a series, exact to the requested degree.
 
@@ -191,7 +189,41 @@ def realize(x: LadderVector, degree: int) -> TruncatedSeries:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     f = _generator_series(x.generator, degree + x.max_order)
-    return _combine_on(f, x.terms, degree)
+    if not x.terms:
+        return zero_series(x.dim, degree)
+    return combine_derivatives(f, x.terms, degree)
+
+
+def _raised_rows(
+    x: LadderVector, axis: int, f: TruncatedSeries, kmax: int, degree: int
+) -> np.ndarray:
+    """Row k is the coefficient vector of ``realize(S^k x, degree)``, k <= kmax.
+
+    f must be the generator solved out to at least ``degree + max_order(x) +
+    kmax``.  The k-fold raised coefficients come from ``apply_raising``'s
+    sequential division; one ``derivative_rows`` call gathers every raised
+    label, and each row adds its terms in label order as
+    ``combine_derivatives`` does, skipping a coefficient that has underflowed
+    to zero as the ladder vector drops it.
+    """
+    j = axis - 1
+    a = x.ladder_constants[j]
+    count = len(x.terms)
+    coeffs = np.zeros((kmax + 1, count), dtype=complex)
+    for t, (n, c) in enumerate(x.terms.items()):
+        for k in range(kmax + 1):
+            coeffs[k, t] = c
+            c = c / (a * (n[j] + k + 1))
+    orders = [
+        n[:j] + (n[j] + k,) + n[j + 1 :] for k in range(kmax + 1) for n in x.terms
+    ]
+    gathered = derivative_rows(f, orders, degree)
+    acc = np.zeros((kmax + 1, gathered.shape[1]), dtype=complex)
+    for t in range(count):
+        w = coeffs[:, t, None]
+        # rows t, t + count, ... are term t raised 0, 1, ... times
+        np.add(acc, w * gathered[t::count], out=acc, where=w != 0)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -236,6 +268,12 @@ def convergence_report(
     under that condition the k-th roots of the majorants are expected to
     settle below ``1/(|a_j| m epsilon) < 1``, certifying absolute
     convergence of the semi-norm series.
+
+    The generator is solved once, out to the stability degree d + 4 plus the
+    highest raised order.  The solve runs forward, so its cut to any lower
+    degree is that degree's solve bit for bit, and the degree-d realizations
+    are the leading columns of the degree-(d + 4) rows; both sets of
+    majorants are the numbers of a realization per k and degree.
     """
     if not 1 <= axis <= x.dim:
         raise ValueError(f"axis {axis} out of range for dim {x.dim}")
@@ -252,19 +290,19 @@ def convergence_report(
     a_j = x.ladder_constants[axis - 1]
     bound = 1.0 / (abs(a_j) * spec.m * spec.epsilon)
 
-    def majorants(degree: int) -> list[float]:
-        f = _generator_series(x.generator, degree + x.max_order + kmax)
-        u: list[float] = []
-        y = x
-        for k in range(kmax + 1):
-            series = _combine_on(f, y.terms, degree)
-            u.append(seminorm_bound(series, spec))
-            if k < kmax:
-                y = apply_raising(y, axis)
-        return u
-
-    u = majorants(realization_degree)
-    u_check = majorants(realization_degree + STABILITY_DEGREE_STEP)
+    d = realization_degree
+    check = d + STABILITY_DEGREE_STEP
+    try:
+        f = _generator_series(x.generator, check + x.max_order + kmax)
+    except OverflowError:
+        # errors keep the order of a degree-d pass before a degree-(d + 4)
+        # one: an overflow of the shorter solve, then of its majorants
+        f = _generator_series(x.generator, d + x.max_order + kmax)
+        seminorm_rows(x.dim, d, _raised_rows(x, axis, f, kmax, d), spec)
+        raise
+    rows = _raised_rows(x, axis, f, kmax, check)
+    u = seminorm_rows(x.dim, d, rows[:, : math.comb(d + x.dim, d)], spec).tolist()
+    u_check = seminorm_rows(x.dim, check, rows, spec).tolist()
 
     ratios: list[float | None] = [
         (u[k + 1] / u[k]) if u[k] > 0 else None for k in range(kmax)

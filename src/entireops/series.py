@@ -33,8 +33,10 @@ per-axis factors is that number below 2^53, where every factor and partial
 product is an exact integer, and only the cells at or above 2^53 with two
 or more non-unit factors are recomputed from exact integers.
 ``derivative_rows`` and ``combine_derivatives`` carry the exactness rules
-of the operations they stand for.  The semi-norm upper sum accumulates term
-by term in graded-lex order, and translation has one term loop,
+of the operations they stand for.  The semi-norm upper sum has one array
+form, ``seminorm_rows``, over a block of coefficient rows (``seminorm_bound``
+is its one-row case); each row gets the number of a scalar loop over its
+terms in graded-lex order.  Translation has one term loop,
 ``_translate_block``, which ``translate`` runs on one point and
 ``translate_rows`` on many in a single pass, each point's arithmetic in the
 order of a scalar loop; the numbers they feed into reports are reproducible
@@ -688,15 +690,46 @@ def coefficient_vector(f: TruncatedSeries, degree: int) -> np.ndarray:
     return out
 
 
+def seminorm_rows(
+    dim: int, cutoff: int, rows: np.ndarray, spec: SemiNormSpec
+) -> np.ndarray:
+    """Entry i is the upper sum ``sum |a_n| r^||n||`` of the coefficient row ``rows[i]``.
+
+    ``rows`` is a ``(count, basis size)`` block over ``monomial_basis(dim,
+    cutoff)`` and ``r = m * epsilon``.  Each row gives the number of a scalar
+    loop over its nonzero coefficients in graded-lex order, bit for bit:
+    ``np.hypot`` of the parts is ``abs(complex)``, ``r ** d`` comes from a
+    table of Python powers, a zero coefficient adds nothing, and
+    ``np.cumsum`` adds along the row in sequence.  The table reaches the
+    highest degree that holds a nonzero coefficient, so ``r ** d``
+    overflowing there raises the OverflowError that the scalar loop raises,
+    while an overflowing degree above it is never formed.
+    """
+    degree = _layout(dim, cutoff).degree
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != len(degree):
+        raise ValueError(
+            f"rows of shape {rows.shape} do not match the {len(degree)} "
+            f"monomials of degree <= {cutoff} in dim {dim}"
+        )
+    nonzero = rows != 0  # true for NaN
+    filled = np.flatnonzero(nonzero.any(axis=0))
+    if not len(filled):
+        return np.zeros(len(rows))
+    width = filled[-1] + 1
+    r = spec.radius
+    power = np.array([r ** d for d in range(degree[width - 1] + 1)])
+    terms = np.hypot(rows.real[:, :width], rows.imag[:, :width]) * power[degree[:width]]
+    terms[~nonzero[:, :width]] = 0.0
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 def seminorm_bound(f: TruncatedSeries, spec: SemiNormSpec) -> float:
     """Upper bound for ``sup |f|`` over the polydisc of the spec.
 
-    Returns ``sum |a_n| r^||n||`` with ``r = m * epsilon``, accumulated in
-    graded-lex order.  It bounds the stored polynomial on the whole polydisc,
-    with equality for a single monomial; no lower estimate is computed.
+    Returns ``sum |a_n| r^||n||`` with ``r = m * epsilon``, summed in
+    graded-lex order: ``seminorm_rows`` on the one row of f's vector.  It
+    bounds the stored polynomial on the whole polydisc, with equality for a
+    single monomial; no lower estimate is computed.
     """
-    r = spec.radius
-    upper = 0.0
-    for idx, c in f.terms():
-        upper += abs(c) * r ** sum(idx)
-    return upper
+    return float(seminorm_rows(f.dim, f.cutoff, f.vector[None], spec)[0])

@@ -1,5 +1,5 @@
-"""Shared builders for the test suite: the two shipped operator families
-and a hypothesis strategy for random CR operators."""
+"""Shared builders for the test suite: the two shipped operator families,
+a hypothesis strategy for random CR operators, and the scalar semi-norm loop."""
 
 from __future__ import annotations
 
@@ -51,6 +51,14 @@ def max_coeff_diff(f: eo.TruncatedSeries, expected: dict) -> float:
         (abs(f.coefficient(k) - complex(expected.get(tuple(k), 0))) for k in keys),
         default=0.0,
     )
+
+
+def scalar_seminorm(f: eo.TruncatedSeries, spec: eo.SemiNormSpec) -> float:
+    """The upper sum as a loop over the nonzero terms in graded-lex order."""
+    upper = 0.0
+    for idx, c in f.terms():
+        upper += abs(c) * spec.radius ** sum(idx)
+    return upper
 
 
 @st.composite

@@ -238,6 +238,57 @@ def test_non_finite_pair_is_a_scenario_error_naming_its_key(tmp_path, capsys, pa
     assert captured.out == ""
 
 
+def _fail_if_a_task_runs(monkeypatch) -> None:
+    """Swap in runners that raise, so a task that starts ends the run with exit 3."""
+
+    def run(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, run))
+
+
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        ({"task": "orbit", "delta": "@"}, "'delta'"),
+        ({"task": "fhc", "epsilon": "@"}, "'epsilon'"),
+        ({"task": "fhc", "max_kth_root": "@"}, "'max_kth_root'"),
+        ({"task": "orbit", "min_density": "@"}, "'min_density'"),
+        ({"task": "verify-cr", "max_residual": "@"}, "'max_residual'"),
+        ({"task": "complete", "truncation": 2, "mode": "translate", "box": [-1, "@"]},
+         "'box'"),
+        (None, "'tolerance'"),
+    ],
+)
+def test_non_finite_float_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, task, key
+):
+    scenario = Path(_scenario_file(
+        tmp_path, "gaussian1d", [{"task": "verify-cr"}] + ([task] if task else [])
+    ))
+    obj = json.loads(scenario.read_text())
+    if task is None:
+        obj["tolerance"] = "@"
+    # JSON reads 1e400 as inf
+    scenario.write_text(json.dumps(obj).replace('"@"', "1e400"))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"bad {key}" in captured.err and "must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["1e400", "nan"])
+def test_non_finite_tolerance_flag_exits_2_before_any_task_runs(capsys, monkeypatch, value):
+    _fail_if_a_task_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "gaussian1d", "--tolerance", value])
+    assert exc.value.code == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "invalid finite float value" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, task",
     [

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from support import airy_problem, gaussian_problem
+from entireops.fhc import STABILITY_DEGREE_STEP, STABILITY_REL_TOL
+from entireops.series import combine_derivatives, worst
+from support import SCALAR, airy_problem, gaussian_problem, scalar_seminorm
 
 
 def gauss_vector(terms, a=1.0, dim=1) -> eo.LadderVector:
@@ -259,3 +263,87 @@ def test_convergence_report_epsilon_floor_uses_all_axes():
     # 1/|a_2| = 4 dominates, so epsilon = 2 is too small even on axis 1
     with pytest.raises(ValueError, match="radius condition"):
         eo.convergence_report(x, 1, eo.SemiNormSpec(1, 2.0), 8, 6)
+
+
+# ---------------------------------------------------------------------------
+# the batched majorants against the per-k path
+# ---------------------------------------------------------------------------
+
+
+def per_k_majorants(x, axis, spec, kmax, degree) -> list[float]:
+    """One solve, then realize S^k x by raising and combining, k by k."""
+    f = eo.joint_kernel([replace(p, degree=degree + x.max_order + kmax) for p in x.generator])
+    u = []
+    for _ in range(kmax + 1):
+        if x.terms:
+            u.append(scalar_seminorm(combine_derivatives(f, x.terms, degree), spec))
+        else:
+            u.append(scalar_seminorm(eo.zero_series(x.dim, degree), spec))
+        x = eo.apply_raising(x, axis)
+    return u
+
+
+def per_k_report(x, axis, spec, kmax, degree):
+    """``u``, ``u_check``, ``kth_roots`` and ``stable`` from a pass per degree."""
+    u = per_k_majorants(x, axis, spec, kmax, degree)
+    u_check = per_k_majorants(x, axis, spec, kmax, degree + STABILITY_DEGREE_STEP)
+    trend, trend_check = u[kmax] ** (1.0 / kmax), u_check[kmax] ** (1.0 / kmax)
+    peak = worst((trend, trend_check))
+    stable = peak == 0.0 or abs(trend - trend_check) <= STABILITY_REL_TOL * peak
+    return u, u_check, [u[k] ** (1.0 / k) for k in range(1, kmax + 1)], stable
+
+
+@st.composite
+def majorant_case(draw):
+    """A ladder vector over Gaussian or Airy axes with complex constants, and a spec."""
+    dim = draw(st.integers(1, 2))
+    gens = tuple(
+        draw(st.sampled_from((gaussian_problem, airy_problem)))(6, draw(SCALAR))
+        for _ in range(dim)
+    )
+    labels = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), max_size=3, unique=True))
+    x = eo.LadderVector(gens, {n: draw(SCALAR) for n in labels})
+    floor = max(1.0 / abs(p.a) for p in gens)
+    spec = eo.SemiNormSpec(draw(st.integers(1, 2)), floor * draw(st.floats(1.05, 3.0)))
+    axis = draw(st.integers(1, dim))
+    return x, axis, spec, draw(st.integers(1, 12)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(majorant_case())
+def test_batched_majorants_equal_the_per_k_path_exactly(case):
+    x, axis, spec, kmax, degree = case
+    u, u_check, kth_roots, stable = per_k_report(x, axis, spec, kmax, degree)
+    report = eo.convergence_report(x, axis, spec, kmax, degree)
+    # a report at degree + 4 realizes the raised iterates of the stability check
+    check = eo.convergence_report(x, axis, spec, kmax, degree + STABILITY_DEGREE_STEP)
+    assert report.u == tuple(u)
+    assert check.u == tuple(u_check)
+    assert report.kth_roots == tuple(kth_roots)
+    assert report.stable == stable
+
+
+def overflowing_problem(growth: float) -> eo.AxisKernelProblem:
+    """Axis problem ``(D - growth) f = z f``: f_k grows like growth^k / k!."""
+    return eo.AxisKernelProblem((-growth, 1), 1.0, (1,), 6)
+
+
+@pytest.mark.parametrize(
+    "growths, epsilon, message",
+    [
+        # f_57 of the one axis lies past the degree-14 solve (54), inside the check's (58)
+        ((1e4,), 2.0, "f_57 exceeded"),
+        # the first axis overflows only in the check's solve, the second in both
+        ((1e4, 2e4), 2.0, "f_50 exceeded"),
+        # r ** 8 overflows in the degree-14 majorants before the check's solve
+        ((1e4,), 1e40, "Numerical result out of range"),
+    ],
+)
+def test_an_overflow_past_the_realization_degree_raises_as_before(growths, epsilon, message):
+    x = eo.LadderVector(tuple(map(overflowing_problem, growths)), {(0,) * len(growths): 1.0})
+    spec = eo.SemiNormSpec(1, epsilon)
+    with pytest.raises(OverflowError, match=message) as want:
+        per_k_report(x, 1, spec, 40, 14)
+    with pytest.raises(OverflowError) as got:
+        eo.convergence_report(x, 1, spec, 40, 14)
+    assert str(got.value) == str(want.value)

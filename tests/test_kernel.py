@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from support import airy_family, airy_problem, gaussian_family, gaussian_problem, max_coeff_diff
+from support import (
+    SCALAR,
+    airy_family,
+    airy_problem,
+    gaussian_family,
+    gaussian_problem,
+    max_coeff_diff,
+)
 
 
 def test_gaussian_recurrence_closed_form():
@@ -77,6 +86,24 @@ def test_joint_kernel_product_coefficients():
     }
     assert max_coeff_diff(f, expected) <= 1e-15
     assert f.cutoff == 4  # the (2,2)*z^2 interactions beyond degree 4 are cut
+
+
+@st.composite
+def axis_problem(draw):
+    """A random order-1 to order-3 axis problem with real or complex data."""
+    order = draw(st.integers(1, 3))
+    charpoly = [draw(SCALAR | st.just(0.0)) for _ in range(order)] + [draw(SCALAR)]
+    seeds = [draw(SCALAR) for _ in range(order)]
+    return eo.AxisKernelProblem(tuple(charpoly), draw(SCALAR), tuple(seeds), 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(axis_problem(), min_size=1, max_size=3), st.integers(0, 8), st.integers(1, 8))
+def test_a_longer_solve_cut_to_a_degree_is_that_degree_s_solve_bit_for_bit(problems, degree, extra):
+    # the majorants of convergence_report read both realizations off one solve
+    short = eo.joint_kernel([replace(p, degree=degree) for p in problems])
+    long = eo.joint_kernel([replace(p, degree=degree + extra) for p in problems])
+    assert eo.with_cutoff(long, degree).vector.tobytes() == short.vector.tobytes()
 
 
 def test_joint_kernel_requires_problem_per_axis():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from entireops.series import combine_derivatives, worst
-from support import SCALAR, cr_operators, gaussian_problem, max_coeff_diff
+from entireops.series import combine_derivatives, seminorm_rows, worst
+from support import SCALAR, cr_operators, gaussian_problem, max_coeff_diff, scalar_seminorm
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
 
@@ -294,6 +294,69 @@ def test_seminorm_high_dimension_upper_only():
     f = eo.monomial(4, 2, (1, 0, 0, 1))
     b = eo.seminorm_bound(f, eo.SemiNormSpec(1, 1.0))
     assert b == pytest.approx(1.0)
+
+
+@st.composite
+def seminorm_case(draw):
+    """A block of sparse complex rows with exponents spanning up to +-150, and a spec.
+
+    Rows of like magnitudes make the order of the sum show in the last bit.
+    """
+    dim = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 8))
+    rows = np.zeros((draw(st.integers(1, 4)), math.comb(cutoff + dim, dim)), dtype=complex)
+    part = st.floats(-10.0, 10.0)
+    spread = draw(st.sampled_from((0, 150)))
+    for row in rows:
+        for pos in draw(st.lists(st.integers(0, len(row) - 1), unique=True, max_size=24)):
+            row[pos] = complex(draw(part), draw(part)) * 10.0 ** draw(st.integers(-spread, spread))
+    spec = eo.SemiNormSpec(draw(st.integers(1, 3)), draw(st.floats(0.05, 20.0)))
+    return dim, cutoff, rows, spec
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seminorm_case())
+def test_seminorm_rows_equal_the_scalar_loop_bit_for_bit(case):
+    dim, cutoff, rows, spec = case
+    got = seminorm_rows(dim, cutoff, rows, spec)
+    for bound, row in zip(got.tolist(), rows):
+        f = eo.TruncatedSeries(dim, cutoff, cutoff, False, row)
+        want = scalar_seminorm(f, spec)
+        assert bound.hex() == want.hex()
+        assert eo.seminorm_bound(f, spec).hex() == want.hex()
+
+
+def test_seminorm_zero_coefficient_where_the_power_overflows_leaves_the_bound_finite():
+    spec = eo.SemiNormSpec(1, 1e40)  # r ** 8 overflows
+    f = eo.make_series(1, 10, {(0,): 1.0, (7,): 2.0j, (9,): 0.0})
+    bound = eo.seminorm_bound(f, spec)
+    assert math.isfinite(bound) and bound == scalar_seminorm(f, spec)
+
+
+def test_seminorm_nonzero_coefficient_where_the_power_overflows_raises_as_the_loop_does():
+    spec = eo.SemiNormSpec(1, 1e40)
+    f = eo.make_series(1, 10, {(0,): 1.0, (9,): 1e-300})
+    with pytest.raises(OverflowError) as want:
+        scalar_seminorm(f, spec)
+    with pytest.raises(OverflowError) as got:
+        eo.seminorm_bound(f, spec)
+    assert str(got.value) == str(want.value)
+
+
+def test_seminorm_nan_coefficient_gives_nan():
+    spec = eo.SemiNormSpec(1, 2.0)
+    f = eo.make_series(2, 3, {(0, 0): 1.0, (1, 1): complex(math.nan, 1.0)})
+    assert math.isnan(eo.seminorm_bound(f, spec))
+    clean = eo.make_series(2, 3, {(0, 0): 1.0})
+    bounds = seminorm_rows(2, 3, np.stack([f.vector, clean.vector]), spec)
+    assert math.isnan(bounds[0]) and bounds[1] == 1.0
+
+
+def test_seminorm_rows_reject_a_block_off_the_basis():
+    spec = eo.SemiNormSpec(1, 2.0)
+    for rows in (np.zeros(4), np.zeros((2, 5))):  # the basis of (1, 3) has 4 monomials
+        with pytest.raises(ValueError, match="do not match the 4 monomials"):
+            seminorm_rows(1, 3, rows, spec)
 
 
 def test_seminorm_spec_validation():
