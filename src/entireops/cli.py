@@ -40,6 +40,8 @@ from .serialize import (
     problem_from_json,
     report_to_csv,
     report_to_dict,
+    scenario_bool,
+    scenario_int,
     series_from_json,
     series_to_json,
     to_json_text,
@@ -82,8 +84,8 @@ def _box(value: Any) -> tuple[float, float]:
     return _finite(low), _finite(high)
 
 
-def _ints(value: Any) -> list[int]:
-    return [int(n) for n in value]
+def _list_of(parse: Any) -> Any:
+    return lambda value: [parse(v) for v in value]
 
 
 def _series_or_name(value: Any) -> TruncatedSeries | str:
@@ -94,7 +96,7 @@ def _int_from(low: int, name: str):
     """Parser of an integer that must be at least ``low``."""
 
     def parse(value: Any) -> int:
-        n = int(value)
+        n = scenario_int(value)
         if n < low:
             raise ValueError(f"must be >= {low}, got {n}")
         return n
@@ -134,9 +136,9 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "samples": (_count, None),
         "tolerance": (_positive, None),
         "box": (_box, (-1.0, 1.0)),
-        "trajectory": (_ints, None),
-        "expect_complete": (bool, None),
-        "expect_rank": (int, None),
+        "trajectory": (_list_of(_natural), None),
+        "expect_complete": (scenario_bool, None),
+        "expect_rank": (_natural, None),
     },
     "approximate": {
         "target": (series_from_json, REQUIRED),
@@ -146,7 +148,7 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "fhc": {
         "terms": (coeffs_from_json, None),
-        "axis": (int, 1),
+        "axis": (_count, 1),
         "m": (_count, 1),
         "epsilon": (_positive, None),
         "kmax": (_count, 12),
@@ -154,7 +156,7 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "max_kth_root": (_finite, None),
     },
     "orbit": {
-        "axis": (int, 1),
+        "axis": (_count, 1),
         "steps": (_natural, 5),
         "delta": (_positive, 0.1),
         "m": (_count, 1),
@@ -229,31 +231,27 @@ class Scenario:
     params: list[dict]
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
+def _entry(obj: dict, where: str, key: str, parse: Any, default: Any = REQUIRED) -> Any:
+    """One parsed value of a scenario object; a bad one is a ScenarioError naming it."""
+    value = obj.get(key, default)
+    if value is REQUIRED:
         raise ScenarioError(f"missing key {key!r} in {where}")
-    return obj[key]
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad {key!r} in {where}: {exc}") from exc
 
 
 def parse_scenario(obj: Any) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
-    try:
-        dimension = int(_require(obj, "dimension", "scenario"))
-        truncation = int(_require(obj, "truncation", "scenario"))
-        try:
-            tolerance = _finite(obj.get("tolerance", 1e-8))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad 'tolerance' in scenario: {exc}") from exc
-        rng_seed = int(obj.get("rng_seed", 0))
-        ops = [cr_operator_from_json(o) for o in _require(obj, "operators", "scenario")]
-        generator = _require(obj, "generator", "scenario")
-        tasks = list(_require(obj, "tasks", "scenario"))
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
-
+    dimension = _entry(obj, "scenario", "dimension", _count)
+    truncation = _entry(obj, "scenario", "truncation", _natural)
+    tolerance = _entry(obj, "scenario", "tolerance", _finite, 1e-8)
+    rng_seed = _entry(obj, "scenario", "rng_seed", _natural, 0)
+    ops = _entry(obj, "scenario", "operators", _list_of(cr_operator_from_json))
+    generator = _entry(obj, "scenario", "generator", dict)
+    tasks = _entry(obj, "scenario", "tasks", list)
     for op in ops:
         if op.dim != dimension:
             raise ScenarioError(
@@ -263,10 +261,8 @@ def parse_scenario(obj: Any) -> Scenario:
     kernel_problems: list[AxisKernelProblem] | None = None
     explicit: TruncatedSeries | None = None
     if "kernel" in generator:
-        try:
-            kernel_problems = [problem_from_json(p) for p in generator["kernel"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed kernel generator: {exc}") from exc
+        problems = _list_of(problem_from_json)
+        kernel_problems = _entry(generator, "generator", "kernel", problems)
         if len(kernel_problems) != dimension:
             raise ScenarioError(
                 f"kernel generation needs one axis problem per coordinate: "
@@ -279,10 +275,7 @@ def parse_scenario(obj: Any) -> Scenario:
                 f"{axes_covered}"
             )
     elif "explicit" in generator:
-        try:
-            explicit = series_from_json(generator["explicit"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed explicit generator: {exc}") from exc
+        explicit = _entry(generator, "generator", "explicit", series_from_json)
         if explicit.dim != dimension:
             raise ScenarioError(
                 f"explicit generator has dim {explicit.dim}, scenario "
@@ -290,7 +283,6 @@ def parse_scenario(obj: Any) -> Scenario:
             )
     else:
         raise ScenarioError('generator must contain "kernel" or "explicit"')
-    params = [task_params(task) for task in tasks]
     return Scenario(
         dimension=dimension,
         truncation=truncation,
@@ -300,7 +292,7 @@ def parse_scenario(obj: Any) -> Scenario:
         kernel_problems=kernel_problems,
         explicit_generator=explicit,
         tasks=tasks,
-        params=params,
+        params=[task_params(task) for task in tasks],
     )
 
 
@@ -515,21 +507,18 @@ def execute_tasks(
         }
         try:
             report, payload, passed = _RUNNERS[name](scn, params, ctx)
+            if fmt == "json":
+                # a report holding a non-finite number fails its task here
+                text = to_json_text({"task": name, "passed": passed, **payload})
         except ScenarioError:
             raise
         except (ValueError, OverflowError) as exc:
-            outputs.append(
-                (
-                    name,
-                    to_json_text({"task": name, "passed": False, "error": str(exc)}),
-                )
-            )
+            error = {"task": name, "passed": False, "error": str(exc)}
+            outputs.append((name, to_json_text(error)))
             all_passed = False
             continue
         if fmt == "csv":
             text = report_to_csv(report)  # raises ValueError for unsupported kinds
-        else:
-            text = to_json_text({"task": name, "passed": passed, **payload})
         outputs.append((name, text))
         all_passed = all_passed and passed
     return (EXIT_OK if all_passed else EXIT_TASK_FAILED), outputs
@@ -580,7 +569,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tolerance", type=_finite, default=None, help="override rank tolerance"
     )
-    parser.add_argument("--seed", type=int, default=None, help="override rng seed")
+    parser.add_argument("--seed", type=_natural, default=None, help="override rng seed")
 
 
 def _describe(default: Any) -> str:

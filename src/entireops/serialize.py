@@ -48,13 +48,40 @@ def series_to_json(f: TruncatedSeries) -> dict:
     }
 
 
-def _finite_complex(re: Any, im: Any, key: str) -> complex:
-    """``complex(re, im)`` of one ``(re, im)`` pair read from a scenario.
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    Every pair a scenario holds is read here.  A non-finite part (JSON reads
-    ``1e400`` as inf) is a ScenarioError that names the key.
+
+def scenario_int(value: Any) -> int:
+    """An integer given by a scenario or a flag; anything else is a ValueError.
+
+    A JSON integer, a flag's digit string, or an integral float below 2^53
+    in magnitude (past it a float is not one exact integer); not a bool.
     """
-    c = complex(re, im)
+    exact = isinstance(value, float) and value.is_integer() and abs(value) < 2.0**53
+    if isinstance(value, bool) or not (exact or isinstance(value, (int, str))):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def scenario_bool(value: Any) -> bool:
+    """A JSON ``true`` or ``false``; anything else is a ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _finite_complex(pair: Any, key: str) -> complex:
+    """The complex number of one ``[re, im]`` pair read from a scenario.
+
+    Every pair a scenario holds is read here.  Anything but two numbers, or
+    a non-finite part (JSON reads ``1e400`` as inf), is a ScenarioError that
+    names the key.
+    """
+    shaped = isinstance(pair, (list, tuple)) and len(pair) == 2
+    if not (shaped and all(map(_is_number, pair))):
+        raise ScenarioError(f"{key} must be a pair of two numbers, got {pair!r}")
+    c = complex(*pair)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ScenarioError(f"non-finite {key}: {c}")
     return c
@@ -64,16 +91,19 @@ def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
     """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
     pairs = []
     for e in entries:
-        idx = tuple(e["idx"])
+        idx = tuple(map(scenario_int, e["idx"]))
         key = f"coefficient at index {list(idx)}"
-        pairs.append((idx, _finite_complex(e["re"], e.get("im", 0.0), key)))
+        pairs.append((idx, _finite_complex((e["re"], e.get("im", 0.0)), key)))
     return pairs
 
 
 def series_from_json(obj: Mapping) -> TruncatedSeries:
     entries = coeffs_from_json(obj["coeffs"])
     return make_series(
-        int(obj["dim"]), int(obj["cutoff"]), entries, bool(obj["polynomial"])
+        scenario_int(obj["dim"]),
+        scenario_int(obj["cutoff"]),
+        entries,
+        scenario_bool(obj["polynomial"]),
     )
 
 
@@ -95,12 +125,11 @@ def cr_operator_to_json(op: CROperator) -> dict:
 
 
 def cr_operator_from_json(obj: Mapping) -> CROperator:
-    dim = int(obj["dim"])
-    a = obj["a"]
+    dim = scenario_int(obj["dim"])
     return CROperator(
         dim=dim,
-        axis=int(obj["axis"]),
-        a=_finite_complex(a[0], a[1], '"a"'),
+        axis=scenario_int(obj["axis"]),
+        a=_finite_complex(obj["a"], '"a"'),
         conv=symbol_from_json(dim, obj["symbol"]),
     )
 
@@ -116,10 +145,10 @@ def problem_to_json(p: AxisKernelProblem) -> dict:
 
 def problem_from_json(obj: Mapping) -> AxisKernelProblem:
     return AxisKernelProblem(
-        charpoly=tuple(_finite_complex(c[0], c[1], '"charpoly"') for c in obj["charpoly"]),
-        a=_finite_complex(obj["a"][0], obj["a"][1], '"a"'),
-        seeds=tuple(_finite_complex(s[0], s[1], '"seeds"') for s in obj["seeds"]),
-        degree=int(obj["degree"]),
+        charpoly=tuple(_finite_complex(c, '"charpoly"') for c in obj["charpoly"]),
+        a=_finite_complex(obj["a"], '"a"'),
+        seeds=tuple(_finite_complex(s, '"seeds"') for s in obj["seeds"]),
+        degree=scenario_int(obj["degree"]),
     )
 
 

@@ -22,16 +22,17 @@ on one coefficient vector or on a ``(basis size, batch)`` block of them;
 linear combination is vector arithmetic.  Every gather of D^n goes through
 one plan, ``_derivative_plan``: for a ``(K, dim)`` array of orders it builds
 only the leading rows it is asked for, as ``(K, rows)`` grids of source
-positions and weights, composing the unit-step maps for all orders at once.
+positions and weights, from one factor lookup and one lookup into a table of
+unit-step powers per axis and one mask for the cells past the cutoff.
 ``derivative_rows`` (the rows of a derivative span) is one plan call and one
-gather over all its orders; ``_gather_derivative`` (behind
-``differentiate``, the operator kernels and ``combine_derivatives``, a
-combination of derivatives re-truncated to a lower degree) calls it with
-K = 1, or slices the cached tables for a unit order.  A weight is the exact
-integer ``prod_j perm(s_j, n_j)`` rounded once: the product of the rounded
-per-axis factors is that number below 2^53, where every factor and partial
-product is an exact integer, and only the cells at or above 2^53 with two
-or more non-unit factors are recomputed from exact integers.
+gather, and ``combine_derivatives`` one ``derivative_rows`` call and an
+ordered sum; ``_gather_derivative`` (behind ``differentiate`` and the
+operator kernels) runs the plan with K = 1, or slices the cached tables for
+a unit order.  A weight is the exact integer ``prod_j perm(s_j, n_j)``
+rounded once: the product of the rounded per-axis factors below 2^53, where
+every factor and partial product is exact; above it, a cell with two or
+more non-unit factors is recomputed from exact integers, and past the float
+range the plan raises OverflowError.
 ``derivative_rows`` and ``combine_derivatives`` carry the exactness rules
 of the operations they stand for.  The semi-norm upper sum has one array
 form, ``seminorm_rows``, over a block of coefficient rows (``seminorm_bound``
@@ -51,6 +52,7 @@ vector is read-only) and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,8 +121,21 @@ class _Layout(NamedTuple):
     #: per axis j: n_j at those positions, the weights of D_j
     unit_weight: tuple[np.ndarray, ...]
     #: ``perm(m + n, n)`` at [n, m], the weight of D^n on exponent m along one
-    #: axis, for ``m + n <= cutoff`` (0 elsewhere): exact integers and their floats
+    #: axis, for ``m + n <= cutoff`` (0 elsewhere, so row ``cutoff + 1`` is all
+    #: 0): exact integers and their floats (inf past the float range)
     step_weight: tuple[np.ndarray, np.ndarray]
+
+
+#: integers from here up round to 2^1024, past the largest float
+_FLOAT_LIMIT = int(sys.float_info.max) + 2**970
+
+
+def _rounded(exact: np.ndarray) -> np.ndarray:
+    """An object array of integers rounded to floats, inf past the float range."""
+    fits = exact < _FLOAT_LIMIT
+    out = np.full(exact.shape, math.inf)
+    out[fits] = exact[fits].astype(float)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -135,7 +150,8 @@ def _layout(dim: int, cutoff: int) -> _Layout:
     raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
     steps = range(cutoff + 1)
     step_weight = np.array(
-        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps],
+        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps]
+        + [[0] * len(steps)],
         dtype=object,
     )
     return _Layout(
@@ -145,7 +161,7 @@ def _layout(dim: int, cutoff: int) -> _Layout:
         degree=exponents.sum(axis=1),
         raised=raised,
         unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
-        step_weight=(step_weight, step_weight.astype(float)),
+        step_weight=(step_weight, _rounded(step_weight)),
     )
 
 
@@ -311,112 +327,82 @@ def _derivative_plan(
     """Gather positions and weights of the leading ``rows`` rows of D^n, n in orders.
 
     ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``,
-    and ``rows`` is at most the size of the degree <= cutoff - min ||n||
-    prefix; both results are ``(K, rows)`` grids.  Cell (k, m) of order n
-    reads the index s = m + n, whose position is reached by composing the
-    unit-step maps ``raised[j]`` n_j times: the steps every order takes act
-    on the whole grid, the rest go through one table of the powers of
-    ``raised[j]`` (``_unit_powers``).  The weight of a cell is ``float(prod_j
-    perm(s_j, n_j))``, the exact integer rounded once.  The product of the
-    rounded factors is that number whenever it is below 2^53, since every
-    factor and every partial product is then an exact integer; so only the
-    cells at or above 2^53 with two or more non-unit factors are recomputed
-    from the exact integers.  A cell with ``||s|| > cutoff`` (an
-    over-differentiated short polynomial) gets weight 0 and some position
-    inside the basis; every other weight is at least 1.
+    and ``rows >= 1``; both results are ``(K, rows)`` grids.  Cell (k, m) of
+    order n reads the index s = m + n: per axis j that some order steps
+    along, one lookup of the rounded factor ``perm(s_j, n_j)`` and one of
+    the n_j-th power of ``raised[j]`` in a table built for this call
+    (``_unit_powers``).  The weight ``float(prod_j perm(s_j, n_j))`` is the
+    product of the rounded factors below 2^53, where every factor and
+    partial product is an exact integer; at or above it the cells with two
+    or more non-unit factors are recomputed from the exact integers.  One
+    mask gives weight 0 to a cell with ``||s|| > cutoff`` (an
+    over-differentiated short polynomial), whose position stays inside the
+    basis; every other weight is at least 1, and one past the float range
+    raises OverflowError.
     """
-    cutoff = layout.cutoff
     exact, rounded = layout.step_weight
-    lows, tops = _axis_range(orders)
-    start = np.arange(rows)
-    valid = None
-    # sum(tops) bounds every ||n||, so most plans check no cell
-    if rows and sum(tops) + layout.degree[rows - 1] > cutoff:
-        total = orders.sum(axis=1)
-        inside = layout.degree[:rows] + total[:, None] <= cutoff
-        if not inside.all():
-            # a path from position 0 stays inside the basis when ||n|| <=
-            # cutoff; an order past the cutoff has no cell inside, so it
-            # becomes the zero order before the steps are counted
-            valid = inside
-            orders = np.where(total[:, None] <= cutoff, orders, 0)
-            lows, tops = _axis_range(orders)
-            start = np.where(valid, start, 0)
-    source = start
-    weight = None
-    for j, (low, top) in enumerate(zip(lows, tops)):
-        if not top:
-            continue
-        n = orders[:, j, None]
-        factor = rounded[n, layout.exponents[:rows, j]]
-        weight = factor if weight is None else weight * factor
-        # the steps every order takes act on the whole grid, the rest by table
-        for _ in range(low):
-            source = layout.raised[j][source]
-        if top > low:
-            source = _unit_powers(layout, j, top - low)[n - low, source]
-    if weight is None:
-        weight = np.ones((len(orders), rows))
-    if valid is not None:
-        weight[~valid] = 0.0
-    if len(tops) - tops.count(0) > 1 and weight.max(initial=0.0) >= 2.0**53:
-        multi = np.count_nonzero(orders, axis=1) > 1
-        k, m = np.nonzero((weight >= 2.0**53) & multi[:, None])
-        product = np.ones(len(k), dtype=object)
-        for j in range(orders.shape[1]):
-            product = product * exact[orders[k, j], layout.exponents[m, j]]
-        weight[k, m] = product.astype(float)
-    if source.ndim == 1:
-        source = source[None].repeat(len(orders), axis=0)
+    tops = orders.max(axis=0).tolist()
+    source, weight = np.arange(rows), None
+    for j, top in enumerate(tops):
+        if top:
+            n = orders[:, j, None]
+            factor = rounded[n, layout.exponents[:rows, j]]
+            # the first factor is the weight: one (K, rows) grid fewer
+            weight = factor if weight is None else weight * factor
+            source = _unit_powers(layout, j, top)[n, source]
+    if weight is None:  # every order is the zero order
+        return source[None].repeat(len(orders), axis=0), np.ones((len(orders), rows))
+    # the degree a cell can reach: the last row plus every axis's largest step
+    reach = int(layout.degree[rows - 1]) + sum(tops)
+    if reach > layout.cutoff:  # some cell may lie past the cutoff
+        inside = layout.degree[:rows] + orders.sum(axis=1)[:, None] <= layout.cutoff
+        weight[~inside] = 0.0
+    # a weight is at most ||s||! <= reach!, so most plans check no cell
+    if math.factorial(min(reach, layout.cutoff)) >= 2**53 and weight.max() >= 2.0**53:
+        if len(tops) - tops.count(0) > 1:
+            multi = np.count_nonzero(orders, axis=1) > 1
+            k, m = np.nonzero((weight >= 2.0**53) & multi[:, None])
+            product = np.ones(len(k), dtype=object)
+            for j in range(orders.shape[1]):
+                product = product * exact[orders[k, j], layout.exponents[m, j]]
+            weight[k, m] = _rounded(product)
+        if weight.max() == math.inf:
+            raise OverflowError("a derivative weight is past the float range")
     return source, weight
 
 
-def _axis_range(orders: np.ndarray) -> tuple[list[int], list[int]]:
-    """Per axis, the least and the largest entry of a ``(K, dim)`` order array."""
-    if len(orders) == 1:
-        row = orders[0].tolist()
-        return row, row
-    return orders.min(axis=0).tolist(), orders.max(axis=0).tolist()
-
-
 def _unit_powers(layout: _Layout, axis: int, top: int) -> np.ndarray:
-    """Row t < ``top + 1``: the t-fold composition of ``raised[axis]``.
+    """Row t <= ``top``: the t-fold composition of ``raised[axis]`` over the basis.
 
-    Row t maps the positions of degree <= cutoff - t; the rest of it is 0.
+    A step from degree ``cutoff`` is clipped to the last entry of
+    ``raised[axis]`` (to position 0 at cutoff 0, where it is empty), so a
+    path past the cutoff still ends at some position inside the basis.
     """
-    table = np.zeros((top + 1, len(layout.exponents)), dtype=np.intp)
+    step = layout.raised[axis] if layout.cutoff else np.zeros(1, dtype=np.intp)
+    table = np.empty((top + 1, len(layout.exponents)), dtype=np.intp)
     table[0] = np.arange(table.shape[1])
     for t in range(1, top + 1):
-        width = _size(layout.exponents.shape[1], layout.cutoff - t)
-        table[t, :width] = layout.raised[axis][table[t - 1, :width]]
+        step.take(table[t - 1], out=table[t], mode="clip")
     return table
 
 
-def _gather_derivative(
-    layout: _Layout, data: np.ndarray, order: Index, rows: int | None = None
-) -> np.ndarray:
+def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.ndarray:
     """D^order on the leading axis of a coefficient vector or block.
 
-    Only the leading ``rows`` rows are gathered (all of them by default), so
-    a truncation prefix costs its own size; rows past what the cutoff
-    determines are zero.  A unit order slices the cached ``raised`` and
-    ``unit_weight`` tables; any other order is the plan with K = 1.  Returns
-    ``data`` itself for the zero order at full length, else a new array.
+    Rows past what the cutoff determines are zero.  A unit order slices the
+    cached ``raised`` and ``unit_weight`` tables; any other order is the
+    plan with K = 1.  Returns ``data`` itself for the zero order, else a new
+    array.
     """
-    rows = len(data) if rows is None else rows
-    if not any(order) and rows == len(data):
+    if not any(order):
         return data
-    out = np.zeros((rows,) + data.shape[1:], dtype=complex)
+    out = np.zeros(data.shape, dtype=complex)
     degree = sum(order)
-    if not degree:
-        kept = min(rows, len(data))
-        out[:kept] = data[:kept]
-    elif degree <= layout.cutoff:
-        count = min(rows, _size(len(order), layout.cutoff - degree))
+    if degree <= layout.cutoff:
+        count = _size(len(order), layout.cutoff - degree)
         if degree == 1:
             axis = order.index(1)
-            source = layout.raised[axis][:count]
-            weight = layout.unit_weight[axis][:count]
+            source, weight = layout.raised[axis], layout.unit_weight[axis]
         else:
             source, weight = _derivative_plan(layout, np.array([order]), count)
             source, weight = source[0], weight[0]
@@ -461,15 +447,6 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
 
 
-def _checked_orders(dim: int, orders: Sequence[Sequence[int]], cap: int) -> np.ndarray:
-    """The orders as a ``(K, dim)`` array, each entry capped at ``cap``.
-
-    The first bad order raises the error ``differentiate`` would.
-    """
-    capped = [[min(e, cap) for e in _checked_order(dim, n)] for n in orders]
-    return np.array(capped, dtype=np.intp).reshape(len(orders), dim)
-
-
 def derivative_rows(
     f: TruncatedSeries, orders: Sequence[Sequence[int]], degree: int
 ) -> np.ndarray:
@@ -477,10 +454,12 @@ def derivative_rows(
 
     One plan over all orders and one gather fill the degree <= ``degree``
     prefix, so a short truncation of a long series costs the truncation's
-    size.
+    size.  The first bad order raises the error ``differentiate`` would.
     """
     layout = _layout(f.dim, f.cutoff)
-    table = _checked_orders(f.dim, orders, f.cutoff + 1)
+    # entries capped at cutoff + 1 as Python integers, before the conversion
+    capped = [[min(e, f.cutoff + 1) for e in _checked_order(f.dim, n)] for n in orders]
+    table = np.array(capped, dtype=np.intp).reshape(len(orders), f.dim)
     out = np.zeros((len(table), _size(f.dim, degree)), dtype=complex)
     lowest = int(table.sum(axis=1).min(initial=f.cutoff + 1))
     rows = min(out.shape[1], _size(f.dim, f.cutoff - lowest))
@@ -497,27 +476,26 @@ def combine_derivatives(
     """``sum c_n D^n f`` over ``terms = {n: c_n}``, re-truncated to the degree.
 
     Vector and flags equal ``with_cutoff(linear_combine([(c_n, differentiate(f,
-    n)), ...]), degree)``, but only the kept rows are gathered.  A polynomial
-    f is the exception: its result stays a polynomial only if the dropped
-    tail vanishes, so all of its rows are combined.
+    n)), ...]), degree)``: one ``derivative_rows`` call gathers the kept
+    rows, which are added in term order.  A polynomial f is the exception:
+    its result stays a polynomial only if the dropped tail vanishes, so all
+    of its rows are gathered.
     """
-    orders = [(_checked_order(f.dim, n), complex(c)) for n, c in terms.items()]
-    if not orders:
+    if not terms:
         raise ValueError("combine_derivatives needs at least one term")
-    kept = _size(f.dim, degree)
-    rows = len(f.vector) if f.is_polynomial else min(kept, len(f.vector))
-    layout = _layout(f.dim, f.cutoff)
-    acc = np.zeros(rows, dtype=complex)
-    for n, w in orders:
+    gathered = max(degree, f.cutoff) if f.is_polynomial else degree
+    rows = derivative_rows(f, list(terms), gathered)
+    acc = np.zeros(rows.shape[1], dtype=complex)
+    for c, row in zip(terms.values(), rows):
+        w = complex(c)
         if w != 0:
-            acc += w * _gather_derivative(layout, f.vector, n, rows)
-    vector = np.zeros(kept, dtype=complex)
-    vector[: min(kept, rows)] = acc[:kept]
+            acc += w * row
+    kept = _size(f.dim, degree)
     if f.is_polynomial:
         poly = not np.count_nonzero(acc[kept:])
-        return TruncatedSeries(f.dim, degree, degree, poly, vector)
-    exact = max(-1, f.exact_degree - max(sum(n) for n, _ in orders))
-    return TruncatedSeries(f.dim, degree, min(exact, degree), False, vector)
+        return TruncatedSeries(f.dim, degree, degree, poly, acc[:kept])
+    exact = max(-1, f.exact_degree - max(sum(map(int, n)) for n in terms))
+    return TruncatedSeries(f.dim, degree, min(exact, degree), False, acc)
 
 
 def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:

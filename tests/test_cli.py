@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from entireops import cli, serialize
@@ -238,6 +243,36 @@ def test_non_finite_pair_is_a_scenario_error_naming_its_key(tmp_path, capsys, pa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("operators", 1, "a"), [1.0], '"a"'),
+        (("generator", "kernel", 1, "a"), [1.0], '"a"'),
+        (("generator", "kernel", 0, "charpoly", 1), [1.0], '"charpoly"'),
+        (("generator", "kernel", 1, "seeds"), [[1.0]], '"seeds"'),
+        (("operators", 0, "a"), [1.0, 0.0, 9.0], '"a"'),
+        (("operators", 0, "a"), [True, 0.0], '"a"'),
+        (("generator", "kernel", 0, "seeds", 0), 1.0, '"seeds"'),
+    ],
+)
+def test_malformed_pair_is_a_scenario_error_naming_its_key(
+    tmp_path, capsys, monkeypatch, path, value, key
+):
+    scenario = Path(_scenario_file(tmp_path, "gaussian2d", [{"task": "kernel"}]))
+    obj = json.loads(scenario.read_text())
+    *parents, last = path
+    node = obj
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"{key} must be a pair of two numbers" in captured.err
+    assert captured.out == ""
+
+
 def _fail_if_a_task_runs(monkeypatch) -> None:
     """Swap in runners that raise, so a task that starts ends the run with exit 3."""
 
@@ -278,6 +313,73 @@ def test_non_finite_float_is_a_scenario_error_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "task, key, message",
+    [
+        ({"task": "fhc", "kmax": 20.9}, "'kmax'", "must be an integer"),
+        ({"task": "verify-cr", "probe_degree": True}, "'probe_degree'", "must be an integer"),
+        ({"task": "fhc", "axis": 1.5}, "'axis'", "must be an integer"),
+        ({"task": "orbit", "axis": 0}, "'axis'", "must be >= 1"),
+        ({"task": "orbit", "steps": 1e300}, "'steps'", "must be an integer"),
+        ({"task": "complete", "truncation": 2, "expect_rank": 5.5}, "'expect_rank'",
+         "must be an integer"),
+        ({"task": "complete", "truncation": 2, "expect_complete": "false"},
+         "'expect_complete'", "must be true or false"),
+        ({"task": "complete", "truncation": 2, "trajectory": [1, 2.5]}, "'trajectory'",
+         "must be an integer"),
+        ({"task": "approximate", "target": {"dim": 1, "cutoff": 1, "polynomial": 0,
+          "coeffs": []}}, "'target'", "must be true or false"),
+    ],
+)
+def test_non_integer_or_non_bool_task_value_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, task, key, message
+):
+    scenario = _scenario_file(tmp_path, "gaussian2d", [{"task": "verify-cr"}, task])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"bad {key}" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dimension", 0, "must be >= 1"),
+        ("dimension", 2.5, "must be an integer"),
+        ("truncation", -3, "must be >= 0"),
+        ("truncation", True, "must be an integer"),
+        ("rng_seed", -5, "must be >= 0"),
+        ("rng_seed", "@", "must be an integer"),
+    ],
+)
+def test_bad_header_value_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, key, value, message
+):
+    scenario = Path(_scenario_file(tmp_path, "gaussian2d", [{"task": "verify-cr"}]))
+    obj = json.loads(scenario.read_text())
+    obj[key] = value
+    # JSON reads 1e400 as inf
+    scenario.write_text(json.dumps(obj).replace('"@"', "1e400"))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"bad {key!r} in scenario" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
+def test_integer_flags_take_digit_strings_and_refuse_a_negative_seed(capsys, monkeypatch):
+    assert cli.main(["orbit", "gaussian1d", "--steps", "2", "--axis", "1"]) == cli.EXIT_OK
+    assert '"steps": 2' in capsys.readouterr().out
+    _fail_if_a_task_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "gaussian1d", "--seed", "-5"])
+    assert exc.value.code == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "invalid non-negative int value" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["1e400", "nan"])
 def test_non_finite_tolerance_flag_exits_2_before_any_task_runs(capsys, monkeypatch, value):
     _fail_if_a_task_runs(monkeypatch)
@@ -310,6 +412,85 @@ def test_subcommand_defaults_match_scenario_defaults(tmp_path, capsys, argv, tas
     out = capsys.readouterr().out
     expected_code, expected = run_to_text(_scenario_file(tmp_path, argv[1], [task]))
     assert (code, out) == (expected_code, expected)
+
+
+def _sites(node, path=()):
+    """``(kind, path)`` of every mutable site of a JSON tree: objects, lists, numbers."""
+    if isinstance(node, dict):
+        yield "object", path
+        for key, value in node.items():
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list):
+        yield "list", path
+        for i, value in enumerate(node):
+            yield from _sites(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield "number", path
+
+
+def _bundled_object(name: str) -> dict:
+    return json.loads((cli.resources.files("entireops") / f"scenarios/{name}.json").read_text())
+
+
+def _short_pair() -> dict:
+    obj = _bundled_object("gaussian2d")
+    obj["operators"][0]["a"].pop()
+    return obj
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A bundled scenario with one number replaced, one list resized or one key dropped or added.
+
+    ``"@"`` stands for the JSON literal 1e400, which reads as inf.
+    """
+    obj = _bundled_object(draw(st.sampled_from(cli.BUNDLED)))
+    kind, path = draw(st.sampled_from(list(_sites(obj))))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    node = parent[path[-1]] if path else obj
+    if kind == "number":
+        parent[path[-1]] = draw(st.sampled_from(
+            [math.inf, math.nan, "@", 1e300, -abs(node) - 1, node + 0.5, True, False, "x"]
+        ))
+    elif kind == "list":
+        if node and draw(st.booleans()):
+            node.pop()
+        else:
+            node.append(copy.deepcopy(node[-1]) if node else 0)
+    elif node and draw(st.booleans()):
+        del node[draw(st.sampled_from(sorted(node)))]
+    else:
+        node["extra"] = 1
+    return obj
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutated_scenario())
+@example(_short_pair())
+def test_mutated_bundled_scenario_reports_every_task_or_exits_2_before_any_runs(
+    tmp_path_factory, obj
+):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(obj).replace('"@"', "1e400"))
+    calls = []
+
+    def counted(run):
+        def wrapper(*args):
+            calls.append(run)
+            return run(*args)
+        return wrapper
+
+    runners = {kind: counted(run) for kind, run in cli._RUNNERS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._RUNNERS, runners), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["run", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_TASK_FAILED, cli.EXIT_PARSE), err.getvalue()
+    if code == cli.EXIT_PARSE:
+        assert (out.getvalue(), calls) == ("", []), err.getvalue()
+    else:
+        assert out.getvalue().splitlines().count("}") == len(obj["tasks"]) == len(calls)
 
 
 def test_module_entry_point(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
+from entireops import series
 from entireops.series import combine_derivatives, seminorm_rows, worst
 from support import SCALAR, cr_operators, gaussian_problem, max_coeff_diff, scalar_seminorm
 
@@ -140,6 +142,34 @@ def test_derivative_weights_are_exact_integers_rounded_once(order):
     for m in eo.monomial_basis(dim, cutoff - sum(order)):
         exact = math.prod(math.perm(a + b, b) for a, b in zip(m, order))
         assert out.coefficient(m) == float(exact)
+
+
+def test_rounded_weights_are_inf_past_the_float_range():
+    # integers from halfway between the largest float and 2^1024 round past it
+    largest = int(sys.float_info.max)
+    halfway = largest + 2**970
+    exact = np.array([largest, halfway - 1, halfway, 2**1100], dtype=object)
+    rounded = series._rounded(exact)
+    assert rounded.tolist() == [sys.float_info.max, sys.float_info.max, math.inf, math.inf]
+
+
+def test_series_past_cutoff_170_build_solve_and_differentiate():
+    # perm(171, 171) = 171! is past the float range
+    assert eo.make_series(1, 171, {(0,): 1.0}).cutoff == 171
+    gaussian = eo.solve_kernel_axis(eo.AxisKernelProblem((0, 1), 1.0, (1,), 200))
+    assert gaussian.cutoff == 200 and gaussian.coefficient((2,)) == 0.5
+    assert eo.differentiate(gaussian, (2,)).coefficient((0,)) == 1.0
+    with pytest.raises(OverflowError, match="past the float range"):
+        eo.differentiate(gaussian, (172,))
+
+
+def test_two_axis_derivative_weight_past_the_float_range_raises():
+    # each factor, 170! and 5!, is a float; their product is not
+    f = eo.make_series(2, 175, {(170, 5): 1.0})
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="past the float range"):
+        eo.differentiate(f, (170, 5))
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="past the float range"):
+        series.derivative_rows(f, [(0, 0), (170, 5)], 0)
 
 
 def test_worst_keeps_a_nan_in_any_position():
