@@ -35,6 +35,7 @@ from .operators import CROperator, verify_commutation
 from .orbit import iterate_orbit, measure_visits
 from .serialize import (
     ScenarioError,
+    check_keys,
     coeffs_from_json,
     cr_operator_from_json,
     problem_from_json,
@@ -50,6 +51,7 @@ from .series import (
     ApproximationWarning,
     SemiNormSpec,
     TruncatedSeries,
+    term_table,
     with_cutoff,
     worst,
     zero_series,
@@ -69,7 +71,9 @@ DENSITY_DISCLAIMER = (
 
 
 def _finite(value: Any) -> float:
-    """Parser of every float a scenario or a flag gives: inf and NaN are refused."""
+    """Parser of every float a scenario or a flag gives: bools, inf and NaN are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x}")
@@ -90,6 +94,12 @@ def _list_of(parse: Any) -> Any:
 
 def _series_or_name(value: Any) -> TruncatedSeries | str:
     return value if value in ("generator", "zero") else series_from_json(value)
+
+
+def _ladder_terms(value: Any) -> dict:
+    """The fhc terms as a term table, in the dimension of their first index."""
+    pairs = coeffs_from_json(value)
+    return term_table(len(pairs[0][0]) if pairs else 0, pairs)
 
 
 def _int_from(low: int, name: str):
@@ -147,7 +157,7 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "max_residual": (_finite, 1e-10),
     },
     "fhc": {
-        "terms": (coeffs_from_json, None),
+        "terms": (_ladder_terms, None),
         "axis": (_count, 1),
         "m": (_count, 1),
         "epsilon": (_positive, None),
@@ -190,11 +200,7 @@ def task_params(task: Any) -> dict[str, Any]:
     if kind not in TASK_KINDS:
         raise ScenarioError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
     schema = TASK_PARAMS[kind]
-    for key in task:
-        if key != "task" and key not in schema:
-            raise ScenarioError(
-                f"unknown key {key!r} in {kind} task; expected one of {tuple(schema)}"
-            )
+    check_keys(task, ("task", *schema), f"{kind} task")
     params: dict[str, Any] = {}
     for key, (parse, default) in schema.items():
         if key not in task:
@@ -243,14 +249,17 @@ def _entry(obj: dict, where: str, key: str, parse: Any, default: Any = REQUIRED)
 
 
 def parse_scenario(obj: Any) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    check_keys(obj, ("dimension", "truncation", "tolerance", "rng_seed", "operators",
+                     "generator", "tasks"), "scenario")
     dimension = _entry(obj, "scenario", "dimension", _count)
     truncation = _entry(obj, "scenario", "truncation", _natural)
     tolerance = _entry(obj, "scenario", "tolerance", _finite, 1e-8)
     rng_seed = _entry(obj, "scenario", "rng_seed", _natural, 0)
     ops = _entry(obj, "scenario", "operators", _list_of(cr_operator_from_json))
     generator = _entry(obj, "scenario", "generator", dict)
+    check_keys(generator, ("kernel", "explicit"), "generator")
+    if len(generator) != 1:
+        raise ScenarioError('generator must contain one of "kernel" and "explicit"')
     tasks = _entry(obj, "scenario", "tasks", list)
     for op in ops:
         if op.dim != dimension:
@@ -274,15 +283,13 @@ def parse_scenario(obj: Any) -> Scenario:
                 "kernel generation needs one operator per axis, got axes "
                 f"{axes_covered}"
             )
-    elif "explicit" in generator:
+    else:
         explicit = _entry(generator, "generator", "explicit", series_from_json)
         if explicit.dim != dimension:
             raise ScenarioError(
                 f"explicit generator has dim {explicit.dim}, scenario "
                 f"declares {dimension}"
             )
-    else:
-        raise ScenarioError('generator must contain "kernel" or "explicit"')
     return Scenario(
         dimension=dimension,
         truncation=truncation,
@@ -434,7 +441,7 @@ def _run_fhc(scn: Scenario, p: dict, ctx: dict):
     """Ladder convergence diagnostics."""
     if scn.kernel_problems is None:
         raise ScenarioError("fhc task needs a kernel generator")
-    terms = dict(_given(p["terms"], [((0,) * scn.dimension, 1.0)]))
+    terms = _given(p["terms"], {(0,) * scn.dimension: 1.0})
     x = LadderVector(tuple(scn.kernel_problems), terms)
     default_eps = 2.0 * worst(1.0 / abs(a) for a in x.ladder_constants)
     spec = SemiNormSpec(m=p["m"], epsilon=_given(p["epsilon"], default_eps))

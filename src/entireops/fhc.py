@@ -11,7 +11,8 @@ the label by k (annihilating it when any k_j > n_j).  The raising map
     S_j [D^n f] = 1 / (a_j (n_j + 1)) [D^(n + e_j) f]
 
 is an exact right inverse of T_j.  A :class:`LadderVector` is a finite
-formal combination ``sum c_n [D^n f]`` on which both maps act symbolically;
+formal combination ``sum c_n [D^n f]``, its labels read by
+``series.term_table``, on which both maps act symbolically;
 numeric series enter only when semi-norm sizes of the raised iterates are
 estimated (:func:`convergence_report`), because the exactness of the ladder
 identities and of the right-inverse property should be tested exactly.
@@ -34,10 +35,11 @@ from .series import (
     Index,
     SemiNormSpec,
     TruncatedSeries,
+    _checked_index,
     combine_derivatives,
     derivative_rows,
-    graded_key,
     seminorm_rows,
+    term_table,
     worst,
     zero_series,
 )
@@ -50,7 +52,8 @@ class LadderVector:
     The generator is given as one :class:`AxisKernelProblem` per axis; the
     ladder constants a_j are those problems' constants.  The combination is
     exact symbolic data — no truncation is involved until it is realized.
-    Terms are stored in graded-lex order of their labels.
+    Terms are given as a mapping or as (label, c_n) pairs and stored as a
+    ``term_table``, in graded-lex order of their labels.
     """
 
     generator: tuple[AxisKernelProblem, ...]
@@ -61,19 +64,7 @@ class LadderVector:
         if not generator:
             raise ValueError("generator needs at least one axis problem")
         object.__setattr__(self, "generator", generator)
-        dim = len(generator)
-        clean: dict[Index, complex] = {}
-        for raw_idx, raw in self.terms.items():
-            idx = tuple(int(e) for e in raw_idx)
-            if len(idx) != dim:
-                raise ValueError(f"index {idx} does not match dim {dim}")
-            if any(e < 0 for e in idx):
-                raise ValueError(f"negative entry in index {idx}")
-            c = complex(raw)
-            if c != 0:
-                clean[idx] = c
-        ordered = sorted(clean, key=graded_key)
-        object.__setattr__(self, "terms", {n: clean[n] for n in ordered})
+        object.__setattr__(self, "terms", term_table(len(generator), self.terms))
 
     @property
     def dim(self) -> int:
@@ -99,12 +90,8 @@ def operator_power_on_basis(
     Returns ``(a^k * n!/(n-k)!, n - k)`` when k <= n componentwise; ``None``
     when any k_j exceeds n_j (the label is annihilated).
     """
-    k = tuple(int(e) for e in k)
-    n = tuple(int(e) for e in n)
-    if len(k) != len(n) or len(k) != len(a):
-        raise ValueError("k, n and a must share the dimension")
-    if any(e < 0 for e in k + n):
-        raise ValueError("negative multi-index entry")
+    k = _checked_index(len(a), k, "operator power")
+    n = _checked_index(len(a), n, "basis label")
     if any(kj > nj for kj, nj in zip(k, n)):
         return None
     scalar = 1 + 0j

@@ -24,13 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import CROperator, apply_cr_operator
-from .series import (
-    TruncatedSeries,
-    coefficient_vector,
-    make_series,
-    monomial_basis,
-    worst,
-)
+from .series import TruncatedSeries, _layout, worst
 
 #: solver aborts when a coefficient magnitude passes this (overflow hygiene)
 GROWTH_LIMIT = 1e150
@@ -101,7 +95,8 @@ def solve_kernel_axis(problem: AxisKernelProblem) -> TruncatedSeries:
                 f"kernel coefficient f_{k + p} exceeded {GROWTH_LIMIT:g}; "
                 "aborting to avoid overflow"
             )
-    return make_series(1, problem.degree, [((i,), v) for i, v in enumerate(f)])
+    # the dim-1 basis is 0 .. degree in order, so the list is the vector
+    return TruncatedSeries(1, problem.degree, problem.degree, False, f)
 
 
 def joint_kernel(problems: Sequence[AxisKernelProblem]) -> TruncatedSeries:
@@ -120,11 +115,10 @@ def joint_kernel(problems: Sequence[AxisKernelProblem]) -> TruncatedSeries:
         raise ValueError(f"axis problems must share a degree, got {sorted(degrees)}")
     degree = degrees.pop()
     dim = len(problems)
-    exponents = np.array(monomial_basis(dim, degree))
+    exponents = _layout(dim, degree).exponents
     vector = np.ones(len(exponents), dtype=complex)
     for j, p in enumerate(problems):
-        axis = coefficient_vector(solve_kernel_axis(p), degree)
-        vector = vector * axis[exponents[:, j]]
+        vector = vector * solve_kernel_axis(p).vector[exponents[:, j]]
     return TruncatedSeries(dim, degree, degree, False, vector)
 
 

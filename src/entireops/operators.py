@@ -4,11 +4,13 @@ Three layers:
 
 * :class:`WeylOperator` — finite sums of terms ``c * z^alpha * D^beta`` with
   symbolic composition and commutators (normal ordering: coordinate powers
-  to the left of derivative powers).
+  to the left of derivative powers).  Both exponents of a term are checked
+  by ``series._checked_index``.
 * :class:`ConvolutionSymbol` — a constant-coefficient differential operator
   encoded by the Taylor data ``b_n`` of its characteristic function
-  ``sum_n b_n lambda^n / n!``; it acts as ``f -> sum_n b_n D^n f / n!`` and
-  pairs with series through ``(F, f) = sum_n a_n b_n``.
+  ``sum_n b_n lambda^n / n!``, read by ``series.term_table``; it acts as
+  ``f -> sum_n b_n D^n f / n!`` and pairs with series through
+  ``(F, f) = sum_n a_n b_n``.
 * :class:`CROperator` — the one-axis family ``T = M_F - a * z_axis`` whose
   commutator with every coordinate partial is ``delta_{axis,k} * a * I``.
   Any operator with that commutator table has this shape: adding ``a * z``
@@ -46,11 +48,13 @@ from .series import (
     _gather_derivative,
     _layout,
     _Layout,
+    _checked_index,
     _scatter_coordinate,
     _size,
     graded_key,
     index_factorial,
     index_order,
+    term_table,
     worst,
     zero_series,
 )
@@ -81,12 +85,8 @@ class WeylOperator:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         clean: dict[TermKey, complex] = {}
         for (zpow, dpow), raw in self.terms.items():
-            zpow = tuple(int(e) for e in zpow)
-            dpow = tuple(int(e) for e in dpow)
-            if len(zpow) != self.dim or len(dpow) != self.dim:
-                raise ValueError(f"term ({zpow}, {dpow}) does not match dim {self.dim}")
-            if any(e < 0 for e in zpow + dpow):
-                raise ValueError(f"negative exponent in term ({zpow}, {dpow})")
+            zpow = _checked_index(self.dim, zpow, "coordinate power")
+            dpow = _checked_index(self.dim, dpow, "derivative order")
             c = complex(raw)
             if c != 0:
                 clean[(zpow, dpow)] = c
@@ -99,7 +99,7 @@ class WeylOperator:
     ) -> WeylOperator:
         acc: dict[TermKey, complex] = {}
         for c, zpow, dpow in triples:
-            key = (tuple(int(e) for e in zpow), tuple(int(e) for e in dpow))
+            key = (tuple(zpow), tuple(dpow))
             acc[key] = acc.get(key, 0j) + complex(c)
         return cls(dim, acc)
 
@@ -111,7 +111,7 @@ class WeylOperator:
     @classmethod
     def derivative(cls, dim: int, order: Sequence[int]) -> WeylOperator:
         z = (0,) * dim
-        return cls(dim, {(z, tuple(int(e) for e in order)): 1.0})
+        return cls(dim, {(z, tuple(order)): 1.0})
 
     @classmethod
     def coordinate(cls, dim: int, axis: int) -> WeylOperator:
@@ -230,7 +230,8 @@ class ConvolutionSymbol:
     """Characteristic-function data of a convolution operator.
 
     ``bcoeffs[n]`` is the coefficient ``b_n`` in the expansion
-    ``sum_n b_n lambda^n / n!`` of the characteristic function, stored in
+    ``sum_n b_n lambda^n / n!`` of the characteristic function, given as a
+    mapping or as (index, b_n) pairs and stored as a ``term_table`` in
     graded order.  Only finitely supported (polynomial) symbols are
     representable, which keeps every action decidable at finite truncation.
     """
@@ -241,18 +242,7 @@ class ConvolutionSymbol:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        clean: dict[Index, complex] = {}
-        for raw_idx, raw in self.bcoeffs.items():
-            idx = tuple(int(e) for e in raw_idx)
-            if len(idx) != self.dim:
-                raise ValueError(f"index {idx} does not match dim {self.dim}")
-            if any(e < 0 for e in idx):
-                raise ValueError(f"negative entry in index {idx}")
-            c = complex(raw)
-            if c != 0:
-                clean[idx] = c
-        ordered = sorted(clean, key=graded_key)
-        object.__setattr__(self, "bcoeffs", {n: clean[n] for n in ordered})
+        object.__setattr__(self, "bcoeffs", term_table(self.dim, self.bcoeffs))
         zero = (0,) * self.dim
         terms = {(zero, n): c / index_factorial(n) for n, c in self.bcoeffs.items()}
         object.__setattr__(self, "_weyl", WeylOperator(self.dim, terms))

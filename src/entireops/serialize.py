@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from .completeness import ApproximationResult, CompletenessReport
 from .fhc import ConvergenceReport
@@ -71,6 +71,15 @@ def scenario_bool(value: Any) -> bool:
     return value
 
 
+def check_keys(obj: Any, keys: tuple[str, ...], where: str) -> None:
+    """The one check that a scenario object is an object with only the given keys."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ScenarioError(f"unknown key {key!r} in {where}; expected one of {keys}")
+
+
 def _finite_complex(pair: Any, key: str) -> complex:
     """The complex number of one ``[re, im]`` pair read from a scenario.
 
@@ -91,6 +100,7 @@ def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
     """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
     pairs = []
     for e in entries:
+        check_keys(e, ("idx", "re", "im"), "coefficient entry")
         idx = tuple(map(scenario_int, e["idx"]))
         key = f"coefficient at index {list(idx)}"
         pairs.append((idx, _finite_complex((e["re"], e.get("im", 0.0)), key)))
@@ -98,6 +108,7 @@ def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
 
 
 def series_from_json(obj: Mapping) -> TruncatedSeries:
+    check_keys(obj, ("dim", "cutoff", "polynomial", "coeffs"), "series literal")
     entries = coeffs_from_json(obj["coeffs"])
     return make_series(
         scenario_int(obj["dim"]),
@@ -111,10 +122,6 @@ def symbol_to_json(sym: ConvolutionSymbol) -> list[dict]:
     return _coeff_entries(sym.bcoeffs.items())
 
 
-def symbol_from_json(dim: int, entries: Sequence[Mapping]) -> ConvolutionSymbol:
-    return ConvolutionSymbol(dim, dict(coeffs_from_json(entries)))
-
-
 def cr_operator_to_json(op: CROperator) -> dict:
     return {
         "dim": op.dim,
@@ -125,12 +132,13 @@ def cr_operator_to_json(op: CROperator) -> dict:
 
 
 def cr_operator_from_json(obj: Mapping) -> CROperator:
+    check_keys(obj, ("dim", "axis", "a", "symbol"), "operator")
     dim = scenario_int(obj["dim"])
     return CROperator(
         dim=dim,
         axis=scenario_int(obj["axis"]),
         a=_finite_complex(obj["a"], '"a"'),
-        conv=symbol_from_json(dim, obj["symbol"]),
+        conv=ConvolutionSymbol(dim, coeffs_from_json(obj["symbol"])),
     )
 
 
@@ -144,6 +152,7 @@ def problem_to_json(p: AxisKernelProblem) -> dict:
 
 
 def problem_from_json(obj: Mapping) -> AxisKernelProblem:
+    check_keys(obj, ("charpoly", "a", "seeds", "degree"), "kernel problem")
     return AxisKernelProblem(
         charpoly=tuple(_finite_complex(c, '"charpoly"') for c in obj["charpoly"]),
         a=_finite_complex(obj["a"], '"a"'),

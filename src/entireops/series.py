@@ -44,6 +44,10 @@ order of a scalar loop; the numbers they feed into reports are reproducible
 bit for bit.  Residual verdicts fold with ``worst``, which keeps a NaN
 wherever it stands.
 
+A given multi-index is checked in one place, ``_checked_index``, and every
+``{index: coefficient}`` table (series literals, convolution symbols, ladder
+vectors) is read by ``term_table``, which also refuses a repeated index.
+
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
 vector is read-only) and every operation is a pure function of its inputs.
@@ -62,6 +66,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 Index = tuple[int, ...]
+#: an index table as a mapping or as (index, coefficient) pairs
+Entries = Iterable[tuple[Sequence[int], complex]] | Mapping[Index, complex]
 
 class ApproximationWarning(UserWarning):
     """The returned series carries no exactness guarantee (exact_degree = -1)."""
@@ -253,35 +259,43 @@ class SemiNormSpec:
         return self.m * self.epsilon
 
 
-def make_series(
-    dim: int,
-    cutoff: int,
-    entries: Iterable[tuple[Sequence[int], complex]] | Mapping[Index, complex],
-    is_polynomial: bool = False,
-) -> TruncatedSeries:
-    """Build a series from (index, coefficient) pairs; exact_degree = cutoff.
+def _checked_index(dim: int, idx: Sequence[int], what: str) -> Index:
+    """The one check of a given multi-index: ``dim`` entries, none negative."""
+    idx = tuple(map(int, idx))
+    if len(idx) != dim:
+        raise ValueError(f"{what} {idx} does not match dim {dim}")
+    if min(idx, default=0) < 0:
+        raise ValueError(f"negative entry in {what} {idx}")
+    return idx
 
-    This is where indices from outside the program are validated.  The
-    constructor trusts the caller's exactness claim; downstream operations
-    only ever shrink it.
+
+def term_table(dim: int, entries: Entries) -> dict[Index, complex]:
+    """The ``{index: coefficient}`` table of series literals, symbols and ladder vectors.
+
+    Every index is checked, a repeated one is refused, zero coefficients are
+    dropped, and the table is in graded-lex order.
     """
-    layout = _layout(dim, cutoff)
     items = entries.items() if isinstance(entries, Mapping) else entries
-    vector = np.zeros(len(layout.position), dtype=complex)
-    seen: set[Index] = set()
+    table: dict[Index, complex] = {}
     for raw_idx, c in items:
-        idx = tuple(int(e) for e in raw_idx)
-        if idx in seen:
+        idx = _checked_index(dim, raw_idx, "index")
+        if idx in table:
             raise ValueError(f"duplicate index {idx}")
-        seen.add(idx)
+        table[idx] = complex(c)
+    return {n: table[n] for n in sorted(table, key=graded_key) if table[n] != 0}
+
+
+def make_series(
+    dim: int, cutoff: int, entries: Entries, is_polynomial: bool = False
+) -> TruncatedSeries:
+    """A series of ``term_table`` entries, trusting the claim exact_degree = cutoff."""
+    layout = _layout(dim, cutoff)
+    vector = np.zeros(len(layout.position), dtype=complex)
+    for idx, c in term_table(dim, entries).items():
         pos = layout.position.get(idx)
         if pos is None:
-            if len(idx) != dim:
-                raise ValueError(f"index {idx} does not match dim {dim}")
-            if any(e < 0 for e in idx):
-                raise ValueError(f"negative entry in index {idx}")
             raise ValueError(f"index {idx} exceeds cutoff {cutoff}")
-        vector[pos] = complex(c)
+        vector[pos] = c
     return TruncatedSeries(dim, cutoff, cutoff, bool(is_polynomial), vector)
 
 
@@ -293,7 +307,7 @@ def zero_series(dim: int, cutoff: int) -> TruncatedSeries:
 def monomial(
     dim: int, cutoff: int, idx: Sequence[int], coeff: complex = 1.0
 ) -> TruncatedSeries:
-    return make_series(dim, cutoff, [(tuple(idx), coeff)], is_polynomial=True)
+    return make_series(dim, cutoff, [(idx, coeff)], is_polynomial=True)
 
 
 def linear_combine(
@@ -347,8 +361,11 @@ def _derivative_plan(
         if top:
             n = orders[:, j, None]
             factor = rounded[n, layout.exponents[:rows, j]]
-            # the first factor is the weight: one (K, rows) grid fewer
-            weight = factor if weight is None else weight * factor
+            if weight is None:  # the first factor is the weight: one grid fewer
+                weight = factor
+            else:  # an overflow, or inf x 0 in a masked cell, is guarded below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    weight = weight * factor
             source = _unit_powers(layout, j, top)[n, source]
     if weight is None:  # every order is the zero order
         return source[None].repeat(len(orders), axis=0), np.ones((len(orders), rows))
@@ -423,15 +440,6 @@ def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> np.ndar
     return out
 
 
-def _checked_order(dim: int, order: Sequence[int]) -> Index:
-    order = tuple(map(int, order))
-    if len(order) != dim:
-        raise ValueError(f"order {order} does not match dim {dim}")
-    if min(order, default=0) < 0:
-        raise ValueError(f"negative entry in derivative order {order}")
-    return order
-
-
 def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     """Partial derivative D^order: coefficient of z^m becomes ((m+order)!/m!) a_{m+order}.
 
@@ -439,7 +447,7 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     polynomial the result stays fully exact; otherwise the guaranteed region
     shrinks by ``||order||``.
     """
-    order = _checked_order(f.dim, order)
+    order = _checked_index(f.dim, order, "derivative order")
     if not any(order):
         return f
     out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
@@ -458,7 +466,8 @@ def derivative_rows(
     """
     layout = _layout(f.dim, f.cutoff)
     # entries capped at cutoff + 1 as Python integers, before the conversion
-    capped = [[min(e, f.cutoff + 1) for e in _checked_order(f.dim, n)] for n in orders]
+    checked = (_checked_index(f.dim, n, "derivative order") for n in orders)
+    capped = [[min(e, f.cutoff + 1) for e in n] for n in checked]
     table = np.array(capped, dtype=np.intp).reshape(len(orders), f.dim)
     out = np.zeros((len(table), _size(f.dim, degree)), dtype=complex)
     lowest = int(table.sum(axis=1).min(initial=f.cutoff + 1))

@@ -282,34 +282,114 @@ def _fail_if_a_task_runs(monkeypatch) -> None:
     monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, run))
 
 
-@pytest.mark.parametrize(
-    "task, key",
-    [
-        ({"task": "orbit", "delta": "@"}, "'delta'"),
-        ({"task": "fhc", "epsilon": "@"}, "'epsilon'"),
-        ({"task": "fhc", "max_kth_root": "@"}, "'max_kth_root'"),
-        ({"task": "orbit", "min_density": "@"}, "'min_density'"),
-        ({"task": "verify-cr", "max_residual": "@"}, "'max_residual'"),
-        ({"task": "complete", "truncation": 2, "mode": "translate", "box": [-1, "@"]},
-         "'box'"),
-        (None, "'tolerance'"),
-    ],
-)
-def test_non_finite_float_is_a_scenario_error_before_any_task_runs(
-    tmp_path, capsys, monkeypatch, task, key
-):
+#: a float of a task (None: the header's tolerance) set to "@", and its key
+FLOAT_SITES = [
+    ({"task": "orbit", "delta": "@"}, "'delta'"),
+    ({"task": "fhc", "epsilon": "@"}, "'epsilon'"),
+    ({"task": "fhc", "max_kth_root": "@"}, "'max_kth_root'"),
+    ({"task": "orbit", "min_density": "@"}, "'min_density'"),
+    ({"task": "verify-cr", "max_residual": "@"}, "'max_residual'"),
+    ({"task": "complete", "truncation": 2, "mode": "translate", "box": [-1, "@"]},
+     "'box'"),
+    (None, "'tolerance'"),
+]
+
+
+def _float_site_scenario(tmp_path, task, literal: str) -> str:
+    """gaussian1d with one float site holding the JSON literal."""
     scenario = Path(_scenario_file(
         tmp_path, "gaussian1d", [{"task": "verify-cr"}] + ([task] if task else [])
     ))
     obj = json.loads(scenario.read_text())
     if task is None:
         obj["tolerance"] = "@"
+    scenario.write_text(json.dumps(obj).replace('"@"', literal))
+    return str(scenario)
+
+
+@pytest.mark.parametrize("task, key", FLOAT_SITES)
+def test_non_finite_float_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, task, key
+):
     # JSON reads 1e400 as inf
-    scenario.write_text(json.dumps(obj).replace('"@"', "1e400"))
+    scenario = _float_site_scenario(tmp_path, task, "1e400")
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"bad {key}" in captured.err and "must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("task, key", FLOAT_SITES)
+def test_bool_float_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, task, key
+):
+    # float(true) would run as 1.0
+    scenario = _float_site_scenario(tmp_path, task, "true")
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"bad {key}" in captured.err and "must be a number, got True" in captured.err
+    assert captured.out == ""
+
+
+_TARGET = {"dim": 2, "cutoff": 1, "polynomial": True, "coeffs": [{"idx": [1, 0], "re": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "path, key, message",
+    [
+        ((), "rng_sed", "unknown key 'rng_sed' in scenario;"),
+        (("operators", 0, "symbol", 0), "imag", "unknown key 'imag' in coefficient entry"),
+        (("operators", 1), "extra", "unknown key 'extra' in operator"),
+        (("generator", "kernel", 0), "extra", "unknown key 'extra' in kernel problem"),
+        (("tasks", 1, "target"), "extra", "unknown key 'extra' in series literal"),
+        (("tasks", 1, "target", "coeffs", 0), "imag", "unknown key 'imag' in coefficient"),
+        (("generator",), "explicit", 'generator must contain one of "kernel" and "explicit"'),
+    ],
+    ids=["header", "symbol_entry", "operator", "kernel_problem", "series_literal",
+         "literal_entry", "both_sources"],
+)
+def test_unknown_key_in_any_scenario_object_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, path, key, message
+):
+    tasks = [{"task": "kernel"}, {"task": "approximate", "target": copy.deepcopy(_TARGET)}]
+    scenario = Path(_scenario_file(tmp_path, "gaussian2d", tasks))
+    obj = json.loads(scenario.read_text())
+    node = obj
+    for step in path:
+        node = node[step]
+    # the second source is a valid literal: only the one-source rule refuses it
+    node[key] = copy.deepcopy(_TARGET) if key == "explicit" else 3.0
+    scenario.write_text(json.dumps(obj))
     _fail_if_a_task_runs(monkeypatch)
     assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
     captured = capsys.readouterr()
-    assert f"bad {key}" in captured.err and "must be finite" in captured.err
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_repeated_symbol_index_exits_2_before_any_task_runs(tmp_path, capsys, monkeypatch):
+    # read last-entry-wins, the operator would run with b = 5
+    scenario = Path(_scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}]))
+    obj = json.loads(scenario.read_text())
+    obj["operators"][0]["symbol"].append({"idx": [1], "re": 5.0})
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "bad 'operators'" in captured.err and "duplicate index (1,)" in captured.err
+    assert captured.out == ""
+
+
+def test_repeated_fhc_term_exits_2_before_any_task_runs(tmp_path, capsys, monkeypatch):
+    # read last-entry-wins, the vector would run with coefficient 2
+    terms = [{"idx": [0], "re": 1.0}, {"idx": [0], "re": 2.0}]
+    scenario = _scenario_file(tmp_path, "gaussian1d", [{"task": "fhc", "terms": terms}])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "bad 'terms'" in captured.err and "duplicate index (0,)" in captured.err
     assert captured.out == ""
 
 
@@ -438,11 +518,23 @@ def _short_pair() -> dict:
     return obj
 
 
+def _with(name: str, path: tuple, value) -> dict:
+    """A bundled scenario with the value set at the path."""
+    obj = _bundled_object(name)
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return obj
+
+
 @st.composite
 def mutated_scenario(draw):
     """A bundled scenario with one number replaced, one list resized or one key dropped or added.
 
-    ``"@"`` stands for the JSON literal 1e400, which reads as inf.
+    Returns the object and whether the mutation must be refused: a key
+    added to any object, or a number replaced by a non-finite value, a bool
+    or a string.  ``"@"`` stands for the JSON literal 1e400, which reads as inf.
     """
     obj = _bundled_object(draw(st.sampled_from(cli.BUNDLED)))
     kind, path = draw(st.sampled_from(list(_sites(obj))))
@@ -450,10 +542,12 @@ def mutated_scenario(draw):
     for step in path[:-1]:
         parent = parent[step]
     node = parent[path[-1]] if path else obj
+    refused = False
     if kind == "number":
-        parent[path[-1]] = draw(st.sampled_from(
-            [math.inf, math.nan, "@", 1e300, -abs(node) - 1, node + 0.5, True, False, "x"]
-        ))
+        bad = [math.inf, math.nan, "@", True, False, "x"]
+        value = draw(st.sampled_from(bad + [1e300, -abs(node) - 1, node + 0.5]))
+        parent[path[-1]] = value
+        refused = any(value is v for v in bad)
     elif kind == "list":
         if node and draw(st.booleans()):
             node.pop()
@@ -463,15 +557,19 @@ def mutated_scenario(draw):
         del node[draw(st.sampled_from(sorted(node)))]
     else:
         node["extra"] = 1
-    return obj
+        refused = True
+    return obj, refused
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(mutated_scenario())
-@example(_short_pair())
+@example((_short_pair(), True))
+@example((_with("gaussian1d", ("tasks", 0, "max_residual"), True), True))
+@example((_with("remark3", ("generator", "explicit", "extra"), 1), True))
 def test_mutated_bundled_scenario_reports_every_task_or_exits_2_before_any_runs(
-    tmp_path_factory, obj
+    tmp_path_factory, mutation
 ):
+    obj, refused = mutation
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(obj).replace('"@"', "1e400"))
     calls = []
@@ -487,6 +585,7 @@ def test_mutated_bundled_scenario_reports_every_task_or_exits_2_before_any_runs(
     with mock.patch.dict(cli._RUNNERS, runners), redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["run", str(path)])
     assert code in (cli.EXIT_OK, cli.EXIT_TASK_FAILED, cli.EXIT_PARSE), err.getvalue()
+    assert code == cli.EXIT_PARSE or not refused, json.dumps(obj)
     if code == cli.EXIT_PARSE:
         assert (out.getvalue(), calls) == ("", []), err.getvalue()
     else:

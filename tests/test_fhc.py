@@ -59,6 +59,13 @@ def test_power_action_scalar_formula():
     assert idx == (1, 3)
 
 
+def test_power_action_checks_both_labels_against_the_constants():
+    with pytest.raises(ValueError, match=r"operator power \(1,\) does not match dim 2"):
+        eo.operator_power_on_basis((1,), (1, 1), (1.0, 2.0))
+    with pytest.raises(ValueError, match=r"negative entry in basis label \(0, -1\)"):
+        eo.operator_power_on_basis((0, 0), (0, -1), (1.0, 2.0))
+
+
 def test_lowering_single_label():
     x = gauss_vector({(2,): 1.0})
     y = eo.apply_lowering(x, 1)

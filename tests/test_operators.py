@@ -56,6 +56,13 @@ def test_cross_axis_commutator_vanishes():
     assert eo.commutator(t1, d2).is_zero()
 
 
+def test_weyl_terms_check_both_exponents():
+    with pytest.raises(ValueError, match=r"coordinate power \(1,\) does not match dim 2"):
+        eo.WeylOperator(2, {((1,), (0, 0)): 1.0})
+    with pytest.raises(ValueError, match=r"negative entry in derivative order \(0, -1\)"):
+        eo.WeylOperator.derivative(2, (0, -1))
+
+
 def test_commutator_self_is_zero():
     rng = np.random.default_rng(7)
     for _ in range(50):

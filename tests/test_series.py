@@ -60,6 +60,34 @@ def test_zero_coefficients_dropped():
     assert f.terms() == [((0,), 1.0)]
 
 
+def test_term_table_checks_every_index_refuses_a_repeat_and_sorts():
+    pairs = [((0, 2), 3.0), ((1, 0), 0.0), ((2, 0), 1j), ((0, 0), 2.0)]
+    table = series.term_table(2, pairs)
+    assert list(table.items()) == [((0, 0), 2.0), ((0, 2), 3.0), ((2, 0), 1j)]
+    assert series.term_table(2, dict(pairs)) == table
+    with pytest.raises(ValueError, match=r"duplicate index \(1, 0\)"):
+        series.term_table(2, [((1, 0), 0.0), ((1, 0), 1.0)])  # a zero still counts
+    with pytest.raises(ValueError, match=r"index \(1,\) does not match dim 2"):
+        series.term_table(2, [((0, 0), 1.0), ((1,), 1.0)])
+    with pytest.raises(ValueError, match=r"negative entry in index \(1, -1\)"):
+        series.term_table(2, {(1, -1): 1.0})
+
+
+@pytest.mark.parametrize(
+    "table_of",
+    [
+        lambda entries: eo.ConvolutionSymbol(1, entries).bcoeffs,
+        lambda entries: eo.LadderVector((gaussian_problem(4),), entries).terms,
+        lambda entries: dict(eo.make_series(1, 4, entries).terms()),
+    ],
+    ids=["symbol", "ladder_vector", "series_literal"],
+)
+def test_symbols_ladder_vectors_and_literals_read_pairs_through_one_table(table_of):
+    assert table_of([((2,), 1.0), ((0,), 0.5), ((1,), 0.0)]) == {(0,): 0.5, (2,): 1.0}
+    with pytest.raises(ValueError, match=r"duplicate index \(2,\)"):
+        table_of([((2,), 1.0), ((2,), 5.0)])
+
+
 def test_graded_lex_basis_order():
     assert eo.monomial_basis(2, 2) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
@@ -166,10 +194,23 @@ def test_series_past_cutoff_170_build_solve_and_differentiate():
 def test_two_axis_derivative_weight_past_the_float_range_raises():
     # each factor, 170! and 5!, is a float; their product is not
     f = eo.make_series(2, 175, {(170, 5): 1.0})
-    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="past the float range"):
-        eo.differentiate(f, (170, 5))
-    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="past the float range"):
-        series.derivative_rows(f, [(0, 0), (170, 5)], 0)
+    # the overflowing product warns nothing on the way to the OverflowError
+    with warnings.catch_warnings(action="error"):
+        with pytest.raises(OverflowError, match="past the float range"):
+            eo.differentiate(f, (170, 5))
+        with pytest.raises(OverflowError, match="past the float range"):
+            series.derivative_rows(f, [(0, 0), (170, 5)], 0)
+
+
+def test_an_inf_factor_in_a_masked_cell_leaves_the_per_order_rows():
+    # cell m = (0, 171) of order (171, 5): the factor 171! is inf on axis 1
+    # and the step past the cutoff gives 0 on axis 2; the cell is masked
+    f = eo.make_series(2, 175, {(0, 171): 1.0, (3, 2): 2.0, (171, 4): 0.5})
+    orders = [(0, 0), (171, 5), (1, 1)]
+    with warnings.catch_warnings(action="error"):
+        rows = series.derivative_rows(f, orders, 175)
+    expected = [eo.coefficient_vector(eo.differentiate(f, n), 175) for n in orders]
+    assert np.array_equal(rows, expected)
 
 
 def test_worst_keeps_a_nan_in_any_position():
