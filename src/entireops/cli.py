@@ -17,7 +17,7 @@ import sys
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence, TextIO
@@ -96,12 +96,6 @@ def _series_or_name(value: Any) -> TruncatedSeries | str:
     return value if value in ("generator", "zero") else series_from_json(value)
 
 
-def _ladder_terms(value: Any) -> dict:
-    """The fhc terms as a term table, in the dimension of their first index."""
-    pairs = coeffs_from_json(value)
-    return term_table(len(pairs[0][0]) if pairs else 0, pairs)
-
-
 def _int_from(low: int, name: str):
     """Parser of an integer that must be at least ``low``."""
 
@@ -157,7 +151,7 @@ TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
         "max_residual": (_finite, 1e-10),
     },
     "fhc": {
-        "terms": (_ladder_terms, None),
+        "terms": (coeffs_from_json, None),
         "axis": (_count, 1),
         "m": (_count, 1),
         "epsilon": (_positive, None),
@@ -188,17 +182,21 @@ SCENARIO_ONLY = frozenset(
 TASK_KINDS = tuple(TASK_PARAMS)
 
 
-def task_params(task: Any) -> dict[str, Any]:
+def task_params(task: Any, dimension: int, kernel: bool) -> dict[str, Any]:
     """Every parameter of a task object, parsed, with absent keys defaulted.
 
-    Raises ScenarioError for an unknown kind, an unknown or missing key, or
-    a value its parser rejects.
+    The one resolver of a task, from a file or a subcommand, for a scenario
+    of ``dimension`` with (``kernel``) or without a kernel generator.  Raises
+    ScenarioError for an unknown kind, an unknown or missing key, a value its
+    parser rejects, or a task that does not fit the scenario.
     """
     if not isinstance(task, dict) or "task" not in task:
         raise ScenarioError('a task must be an object with a "task" key')
     kind = task["task"]
     if kind not in TASK_KINDS:
         raise ScenarioError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
+    if kind in ("kernel", "fhc") and not kernel:
+        raise ScenarioError(f"{kind} task needs a kernel generator")
     schema = TASK_PARAMS[kind]
     check_keys(task, ("task", *schema), f"{kind} task")
     params: dict[str, Any] = {}
@@ -215,6 +213,8 @@ def task_params(task: Any) -> dict[str, Any]:
                     raise ValueError(f"expected one of {parse}")
             else:
                 value = parse(value)
+            if key == "terms":  # fhc labels, tabled in the scenario's dimension
+                value = term_table(dimension, value)
         except KeyError as exc:
             raise ScenarioError(f"bad {key!r} in {kind} task: missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -256,7 +256,7 @@ def parse_scenario(obj: Any) -> Scenario:
     tolerance = _entry(obj, "scenario", "tolerance", _finite, 1e-8)
     rng_seed = _entry(obj, "scenario", "rng_seed", _natural, 0)
     ops = _entry(obj, "scenario", "operators", _list_of(cr_operator_from_json))
-    generator = _entry(obj, "scenario", "generator", dict)
+    generator = _entry(obj, "scenario", "generator", lambda value: value)
     check_keys(generator, ("kernel", "explicit"), "generator")
     if len(generator) != 1:
         raise ScenarioError('generator must contain one of "kernel" and "explicit"')
@@ -299,7 +299,7 @@ def parse_scenario(obj: Any) -> Scenario:
         kernel_problems=kernel_problems,
         explicit_generator=explicit,
         tasks=tasks,
-        params=[task_params(task) for task in tasks],
+        params=[task_params(task, dimension, explicit is None) for task in tasks],
     )
 
 
@@ -335,7 +335,7 @@ def load_scenario(source: str) -> Scenario:
 def generator_series(scn: Scenario, degree: int) -> TruncatedSeries:
     """The scenario generator, exact out to the requested degree."""
     if scn.kernel_problems is not None:
-        return joint_kernel([replace(p, degree=degree) for p in scn.kernel_problems])
+        return joint_kernel(scn.kernel_problems, degree)
     f = scn.explicit_generator
     assert f is not None
     if not f.is_polynomial and f.exact_degree < degree:
@@ -343,7 +343,7 @@ def generator_series(scn: Scenario, degree: int) -> TruncatedSeries:
             f"explicit generator is exact to degree {f.exact_degree} but the "
             f"task needs {degree}"
         )
-    return with_cutoff(f, degree) if f.cutoff != degree else f
+    return with_cutoff(f, degree)
 
 
 def _series_argument(
@@ -376,8 +376,6 @@ def _run_verify_cr(scn: Scenario, p: dict, ctx: dict):
 
 def _run_kernel(scn: Scenario, p: dict, ctx: dict):
     """Solve and verify the joint kernel."""
-    if scn.kernel_problems is None:
-        raise ScenarioError("kernel task needs a kernel generator")
     f = generator_series(scn, _given(p["degree"], scn.truncation))
     report = verify_kernel(scn.operators, f, tolerance=p["max_residual"])
     payload = report_to_dict(report)
@@ -439,8 +437,6 @@ def _run_approximate(scn: Scenario, p: dict, ctx: dict):
 
 def _run_fhc(scn: Scenario, p: dict, ctx: dict):
     """Ladder convergence diagnostics."""
-    if scn.kernel_problems is None:
-        raise ScenarioError("fhc task needs a kernel generator")
     terms = _given(p["terms"], {(0,) * scn.dimension: 1.0})
     x = LadderVector(tuple(scn.kernel_problems), terms)
     default_eps = 2.0 * worst(1.0 / abs(a) for a in x.ladder_constants)
@@ -503,7 +499,8 @@ def execute_tasks(
     if tasks is None:
         tasks, resolved = scn.tasks, scn.params
     else:
-        resolved = [task_params(task) for task in tasks]
+        kernel = scn.kernel_problems is not None
+        resolved = [task_params(task, scn.dimension, kernel) for task in tasks]
     outputs: list[tuple[str, str]] = []
     all_passed = True
     for i, (task, params) in enumerate(zip(tasks, resolved)):

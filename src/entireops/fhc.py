@@ -19,13 +19,15 @@ identities and of the right-inverse property should be tested exactly.
 There the raised iterates ``S^k x``, k <= kmax, are realized together: one
 generator solve, their coefficients by ``apply_raising``'s division, one
 ``derivative_rows`` gather of every raised label, and one semi-norm sum over
-the block of rows (``seminorm_rows``).
+the block of rows (``seminorm_rows``).  The generator carries no degree:
+:func:`realize` and :func:`convergence_report` each solve it to the degree
+they need with ``kernel.joint_kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -161,12 +163,6 @@ def raising_power_scalar(n_j: int, k: int, a_j: complex) -> complex:
     return 1.0 / (complex(a_j) ** k * math.perm(n_j + k, k))
 
 
-def _generator_series(
-    generator: Sequence[AxisKernelProblem], degree: int
-) -> TruncatedSeries:
-    return joint_kernel([replace(p, degree=degree) for p in generator])
-
-
 def realize(x: LadderVector, degree: int) -> TruncatedSeries:
     """Realize the combination as a series, exact to the requested degree.
 
@@ -175,7 +171,7 @@ def realize(x: LadderVector, degree: int) -> TruncatedSeries:
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    f = _generator_series(x.generator, degree + x.max_order)
+    f = joint_kernel(x.generator, degree + x.max_order)
     if not x.terms:
         return zero_series(x.dim, degree)
     return combine_derivatives(f, x.terms, degree)
@@ -280,11 +276,11 @@ def convergence_report(
     d = realization_degree
     check = d + STABILITY_DEGREE_STEP
     try:
-        f = _generator_series(x.generator, check + x.max_order + kmax)
+        f = joint_kernel(x.generator, check + x.max_order + kmax)
     except OverflowError:
         # errors keep the order of a degree-d pass before a degree-(d + 4)
         # one: an overflow of the shorter solve, then of its majorants
-        f = _generator_series(x.generator, d + x.max_order + kmax)
+        f = joint_kernel(x.generator, d + x.max_order + kmax)
         seminorm_rows(x.dim, d, _raised_rows(x, axis, f, kmax, d), spec)
         raise
     rows = _raised_rows(x, axis, f, kmax, check)

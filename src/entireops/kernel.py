@@ -7,7 +7,8 @@ For a single axis the equation ``C(D) f = a z f`` with
 
 which is triangular in the unknown f_{k+p} once the p seed values
 f_0 .. f_{p-1} are fixed.  Tensor products of per-axis solutions give
-elements of the joint kernel of a separable operator family.
+elements of the joint kernel of a separable operator family.  Each solve
+takes its truncation degree as an argument; the equation carries none.
 
 With ``C = D`` and ``a = 1`` the recurrence reproduces the squared-
 exponential series ``sum z^{2m} / (2^m m!)``; with ``C = D^2`` it produces
@@ -32,7 +33,7 @@ GROWTH_LIMIT = 1e150
 
 @dataclass(frozen=True)
 class AxisKernelProblem:
-    """One-axis kernel equation ``C(D) f = a z f`` plus seeds and a truncation degree.
+    """One-axis kernel equation ``C(D) f = a z f`` plus its seeds.
 
     ``charpoly`` lists c_0 .. c_p of the convolution part; p >= 1 with
     c_p != 0, otherwise the kernel is trivial.  ``seeds`` fixes the p free
@@ -43,7 +44,6 @@ class AxisKernelProblem:
     charpoly: tuple[complex, ...]
     a: complex
     seeds: tuple[complex, ...]
-    degree: int
 
     def __post_init__(self) -> None:
         charpoly = tuple(complex(c) for c in self.charpoly)
@@ -58,8 +58,6 @@ class AxisKernelProblem:
             raise ValueError("leading charpoly coefficient must be nonzero")
         if a == 0:
             raise ValueError("the ladder constant a must be nonzero")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
         if len(seeds) != self.order:
             raise ValueError(
                 f"expected {self.order} seeds for an order-{self.order} "
@@ -76,11 +74,13 @@ class AxisKernelProblem:
         return len(self.charpoly) - 1
 
 
-def solve_kernel_axis(problem: AxisKernelProblem) -> TruncatedSeries:
+def solve_kernel_axis(problem: AxisKernelProblem, degree: int) -> TruncatedSeries:
     """Solve the axis recurrence upward from the seeds; exact to the degree."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     p = problem.order
     c = problem.charpoly
-    n_coeffs = problem.degree + 1
+    n_coeffs = degree + 1
     f: list[complex] = list(problem.seeds[:n_coeffs])
     f.extend(0j for _ in range(n_coeffs - len(f)))
     for k in range(n_coeffs - p):
@@ -96,11 +96,11 @@ def solve_kernel_axis(problem: AxisKernelProblem) -> TruncatedSeries:
                 "aborting to avoid overflow"
             )
     # the dim-1 basis is 0 .. degree in order, so the list is the vector
-    return TruncatedSeries(1, problem.degree, problem.degree, False, f)
+    return TruncatedSeries(1, degree, degree, False, f)
 
 
-def joint_kernel(problems: Sequence[AxisKernelProblem]) -> TruncatedSeries:
-    """Tensor product of per-axis solutions, truncated to total degree.
+def joint_kernel(problems: Sequence[AxisKernelProblem], degree: int) -> TruncatedSeries:
+    """Tensor product of per-axis solutions, truncated to total degree ``degree``.
 
     One problem per axis; the resulting d-variate series is annihilated by
     every separable operator ``C_j(D_j) - a_j z_j`` because each factor is.
@@ -110,15 +110,12 @@ def joint_kernel(problems: Sequence[AxisKernelProblem]) -> TruncatedSeries:
         raise ValueError("one axis problem per coordinate is required")
     if not all(isinstance(p, AxisKernelProblem) for p in problems):
         raise TypeError("every axis needs a genuine AxisKernelProblem")
-    degrees = {p.degree for p in problems}
-    if len(degrees) > 1:
-        raise ValueError(f"axis problems must share a degree, got {sorted(degrees)}")
-    degree = degrees.pop()
-    dim = len(problems)
+    axes = [solve_kernel_axis(p, degree) for p in problems]
+    dim = len(axes)
     exponents = _layout(dim, degree).exponents
     vector = np.ones(len(exponents), dtype=complex)
-    for j, p in enumerate(problems):
-        vector = vector * solve_kernel_axis(p).vector[exponents[:, j]]
+    for j, f in enumerate(axes):
+        vector = vector * f.vector[exponents[:, j]]
     return TruncatedSeries(dim, degree, degree, False, vector)
 
 

@@ -147,17 +147,19 @@ def problem_to_json(p: AxisKernelProblem) -> dict:
         "charpoly": [_pair(c) for c in p.charpoly],
         "a": _pair(p.a),
         "seeds": [_pair(s) for s in p.seeds],
-        "degree": p.degree,
     }
 
 
 def problem_from_json(obj: Mapping) -> AxisKernelProblem:
+    """An axis problem; a given ``degree`` must be an integer >= 0 and is not stored."""
     check_keys(obj, ("charpoly", "a", "seeds", "degree"), "kernel problem")
+    degree = scenario_int(obj.get("degree", 0))
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     return AxisKernelProblem(
         charpoly=tuple(_finite_complex(c, '"charpoly"') for c in obj["charpoly"]),
         a=_finite_complex(obj["a"], '"a"'),
         seeds=tuple(_finite_complex(s, '"seeds"') for s in obj["seeds"]),
-        degree=scenario_int(obj["degree"]),
     )
 
 
@@ -257,17 +259,21 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def to_json_text(value: Any, indent: int = 2) -> str:
+#: spaces per nesting level of the emitted JSON
+INDENT = 2
+
+
+def to_json_text(value: Any) -> str:
     """Serialize with insertion-order keys and 17-significant-digit floats."""
     out: list[str] = []
-    _write_json(value, out, 0, indent)
+    _write_json(value, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value: Any, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write_json(value: Any, out: list[str], level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    close_pad = " " * (INDENT * level)
     if value is None:
         out.append("null")
     elif value is True:
@@ -289,7 +295,7 @@ def _write_json(value: Any, out: list[str], level: int, indent: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             out.append(f"{pad}{json.dumps(k)}: ")
-            _write_json(v, out, level + 1, indent)
+            _write_json(v, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(f"{close_pad}}}")
     elif isinstance(value, (list, tuple)):
@@ -303,14 +309,14 @@ def _write_json(value: Any, out: list[str], level: int, indent: int) -> None:
             parts = []
             for v in value:
                 sub: list[str] = []
-                _write_json(v, sub, 0, indent)
+                _write_json(v, sub, 0)
                 parts.append("".join(sub))
             out.append("[" + ", ".join(parts) + "]")
             return
         out.append("[\n")
         for i, v in enumerate(value):
             out.append(pad)
-            _write_json(v, out, level + 1, indent)
+            _write_json(v, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(f"{close_pad}]")
     else:

@@ -260,8 +260,11 @@ class SemiNormSpec:
 
 
 def _checked_index(dim: int, idx: Sequence[int], what: str) -> Index:
-    """The one check of a given multi-index: ``dim`` entries, none negative."""
-    idx = tuple(map(int, idx))
+    """The one check of a given multi-index: ``dim`` integral entries, none negative."""
+    given = tuple(idx)
+    idx = tuple(map(int, given))
+    if idx != given:
+        raise ValueError(f"non-integral entry in {what} {given}")
     if len(idx) != dim:
         raise ValueError(f"{what} {idx} does not match dim {dim}")
     if min(idx, default=0) < 0:

@@ -1,11 +1,15 @@
 """Shared builders for the test suite: the two shipped operator families,
-a hypothesis strategy for random CR operators, and the scalar semi-norm loop."""
+a hypothesis strategy for random CR operators, the scalar semi-norm loop and
+the bundled scenario objects."""
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import strategies as st
 
 import entireops as eo
+from entireops import cli
 
 #: real numbers bounded away from 0, so no drawn coefficient vanishes
 UNIT = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
@@ -13,14 +17,19 @@ UNIT = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
 SCALAR = UNIT | st.builds(complex, UNIT, UNIT)
 
 
-def gaussian_problem(degree: int, a: complex = 1.0) -> eo.AxisKernelProblem:
+def gaussian_problem(a: complex = 1.0) -> eo.AxisKernelProblem:
     """Axis problem for f' = a z f (squared-exponential solution)."""
-    return eo.AxisKernelProblem((0, 1), a, (1,), degree)
+    return eo.AxisKernelProblem((0, 1), a, (1,))
 
 
-def airy_problem(degree: int, a: complex = 1.0) -> eo.AxisKernelProblem:
+def airy_problem(a: complex = 1.0) -> eo.AxisKernelProblem:
     """Axis problem for f'' = a z f with seed (1, 0)."""
-    return eo.AxisKernelProblem((0, 0, 1), a, (1, 0), degree)
+    return eo.AxisKernelProblem((0, 0, 1), a, (1, 0))
+
+
+def bundled_object(name: str) -> dict:
+    """The JSON object of a bundled scenario."""
+    return json.loads((cli.resources.files("entireops") / f"scenarios/{name}.json").read_text())
 
 
 def partial_symbol(dim: int, axis: int, order: int = 1, b: complex = 1.0) -> eo.ConvolutionSymbol:

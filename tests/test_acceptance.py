@@ -39,7 +39,7 @@ def test_criterion_2_ladder_oracle_equivalence():
         (gaussian_family(2), gaussian_problem, 16),
         (airy_family(2), airy_problem, 24),
     ):
-        f = eo.joint_kernel([problem(degree), problem(degree)])
+        f = eo.joint_kernel([problem(), problem()], degree)
         for n in product(range(5), repeat=2):
             g = eo.differentiate(f, n)
             first_axis_powers = [g]
@@ -70,12 +70,12 @@ def test_criterion_2_ladder_oracle_equivalence():
 
 
 def test_criterion_3_kernel_correctness():
-    g = eo.solve_kernel_axis(gaussian_problem(12))
+    g = eo.solve_kernel_axis(gaussian_problem(), 12)
     gauss_dev = max(
         abs(g.coefficient((2 * m,)) - 1 / (2**m * math.factorial(m)))
         for m in range(7)
     )
-    a = eo.solve_kernel_axis(airy_problem(6))
+    a = eo.solve_kernel_axis(airy_problem(), 6)
     airy_dev = max(
         abs(a.coefficient((3,)) - 1 / 6), abs(a.coefficient((6,)) - 1 / 180)
     )
@@ -84,7 +84,7 @@ def test_criterion_3_kernel_correctness():
         (gaussian_family(2), gaussian_problem),
         (airy_family(2), airy_problem),
     ):
-        f = eo.joint_kernel([problem(8), problem(8)])
+        f = eo.joint_kernel([problem(), problem()], 8)
         residual = max(residual, eo.verify_kernel(family, f).max_residual)
     check(
         3,
@@ -101,7 +101,7 @@ def test_criterion_4_completeness_of_joint_kernels():
     for problem, extra in ((gaussian_problem, 0), (airy_problem, 1)):
         for n, ambient in ((4, 15), (6, 28)):
             max_order = n + extra
-            f = eo.joint_kernel([problem(n + max_order), problem(n + max_order)])
+            f = eo.joint_kernel([problem(), problem()], n + max_order)
             report = eo.rank_report(eo.derivative_span(f, n, max_order), 1e-8)
             results.append(
                 report.rank == ambient
@@ -116,7 +116,7 @@ def test_criterion_4_completeness_of_joint_kernels():
 
 
 def test_criterion_5_one_axis_kernel_is_not_complete():
-    g = eo.solve_kernel_axis(gaussian_problem(8))
+    g = eo.solve_kernel_axis(gaussian_problem(), 8)
     f = eo.make_series(2, 8, {(n[0], 0): c for n, c in g.terms()})
     report = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8)
     check(
@@ -135,7 +135,7 @@ def test_criterion_6_ladder_criterion_conditions():
         constants = [
             complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) for _ in range(dim)
         ]
-        gens = tuple(gaussian_problem(6, c) for c in constants)
+        gens = tuple(gaussian_problem(c) for c in constants)
         support = {
             tuple(int(e) for e in rng.integers(0, 6, dim))
             for _ in range(int(rng.integers(1, 6)))
@@ -147,7 +147,7 @@ def test_criterion_6_ladder_criterion_conditions():
         for axis in range(1, dim + 1):
             inverse_ok = inverse_ok and eo.verify_right_inverse(x, axis)
 
-    gens2 = (gaussian_problem(6), gaussian_problem(6))
+    gens2 = (gaussian_problem(), gaussian_problem())
     nilpotency_ok = True
     for n in product(range(6), repeat=2):
         x = eo.LadderVector(gens2, {n: 1.0})
@@ -156,7 +156,7 @@ def test_criterion_6_ladder_criterion_conditions():
                 eo.nilpotency_index(x, axis) == n[axis - 1] + 1
             )
 
-    x0 = eo.LadderVector((gaussian_problem(8),), {(0,): 1.0})
+    x0 = eo.LadderVector((gaussian_problem(),), {(0,): 1.0})
     report = eo.convergence_report(x0, 1, eo.SemiNormSpec(1, 2.0), 20, 8)
     trend = report.kth_roots[-1]
     check(
@@ -219,7 +219,7 @@ def test_criterion_8_derivative_vs_translate_rank():
 
 
 def test_criterion_9_constructive_approximation():
-    f = eo.solve_kernel_axis(gaussian_problem(6))
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
     result = eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
     c1 = result.coefficient((1,))
     c3 = result.coefficient((3,))

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from entireops import cli, serialize
-from support import airy_problem, gaussian_family, gaussian_problem
+from support import airy_problem, bundled_object, gaussian_family, gaussian_problem
 
 
 def run_to_text(source: str, **kwargs) -> tuple[int, str]:
@@ -393,6 +393,68 @@ def test_repeated_fhc_term_exits_2_before_any_task_runs(tmp_path, capsys, monkey
     assert captured.out == ""
 
 
+def test_non_object_generator_exits_2_before_any_task_runs(tmp_path, capsys, monkeypatch):
+    # dict() of the [key, value] pairs would read as the kernel generator
+    scenario = Path(_scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}]))
+    obj = json.loads(scenario.read_text())
+    obj["generator"] = [["kernel", obj["generator"]["kernel"]]]
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "generator must be an object" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "name, task, message",
+    [
+        ("gaussian1d", {"task": "fhc", "terms": [{"idx": [0, 0], "re": 1.0}]},
+         "bad 'terms' in fhc task: index (0, 0) does not match dim 1"),
+        ("remark3", {"task": "kernel"}, "kernel task needs a kernel generator"),
+        ("remark3", {"task": "fhc"}, "fhc task needs a kernel generator"),
+    ],
+    ids=["fhc_terms_of_another_dim", "kernel_on_explicit", "fhc_on_explicit"],
+)
+def test_task_that_does_not_fit_the_generator_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, name, task, message
+):
+    scenario = _scenario_file(tmp_path, name, [{"task": "verify-cr"}, task])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["kernel", "fhc"])
+def test_kernel_subcommand_on_an_explicit_generator_exits_2_before_it_runs(
+    capsys, monkeypatch, kind
+):
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main([kind, "remark3"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {kind} task needs a kernel generator\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "value, message", [(-1, "degree must be >= 0, got -1"), (2.5, "must be an integer, got 2.5")]
+)
+def test_bad_kernel_problem_degree_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, value, message
+):
+    scenario = Path(_scenario_file(tmp_path, "gaussian2d", [{"task": "kernel"}]))
+    obj = json.loads(scenario.read_text())
+    obj["generator"]["kernel"][1]["degree"] = value
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "bad 'kernel' in generator" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "task, key, message",
     [
@@ -508,19 +570,15 @@ def _sites(node, path=()):
         yield "number", path
 
 
-def _bundled_object(name: str) -> dict:
-    return json.loads((cli.resources.files("entireops") / f"scenarios/{name}.json").read_text())
-
-
 def _short_pair() -> dict:
-    obj = _bundled_object("gaussian2d")
+    obj = bundled_object("gaussian2d")
     obj["operators"][0]["a"].pop()
     return obj
 
 
 def _with(name: str, path: tuple, value) -> dict:
     """A bundled scenario with the value set at the path."""
-    obj = _bundled_object(name)
+    obj = bundled_object(name)
     node = obj
     for step in path[:-1]:
         node = node[step]
@@ -536,7 +594,7 @@ def mutated_scenario(draw):
     added to any object, or a number replaced by a non-finite value, a bool
     or a string.  ``"@"`` stands for the JSON literal 1e400, which reads as inf.
     """
-    obj = _bundled_object(draw(st.sampled_from(cli.BUNDLED)))
+    obj = bundled_object(draw(st.sampled_from(cli.BUNDLED)))
     kind, path = draw(st.sampled_from(list(_sites(obj))))
     parent = obj
     for step in path[:-1]:
@@ -637,12 +695,12 @@ def test_float_formatting_17_digits():
 
 
 def test_csv_emission_for_completeness_and_fhc():
-    f = eo.solve_kernel_axis(gaussian_problem(8))
+    f = eo.solve_kernel_axis(gaussian_problem(), 8)
     report = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8)
     csv = serialize.report_to_csv(report)
     assert csv.startswith("index,singular_value")
     assert len(csv.strip().splitlines()) == 6
-    x = eo.LadderVector((gaussian_problem(6),), {(0,): 1.0})
+    x = eo.LadderVector((gaussian_problem(),), {(0,): 1.0})
     rep = eo.convergence_report(x, 1, eo.SemiNormSpec(1, 2.0), 4, 4)
     csv = serialize.report_to_csv(rep)
     assert csv.splitlines()[0] == "k,u,ratio"
@@ -680,7 +738,7 @@ def test_operator_roundtrip():
 
 
 def test_problem_roundtrip():
-    p = airy_problem(9, a=complex(0.5, 1.0))
+    p = airy_problem(a=complex(0.5, 1.0))
     back = serialize.problem_from_json(serialize.problem_to_json(p))
     assert back == p
 

@@ -17,7 +17,7 @@ from support import SCALAR, airy_problem, gaussian_problem
 
 def one_axis_gaussian_2d(cutoff: int = 8) -> eo.TruncatedSeries:
     """exp(z1^2/2) viewed as a two-variable series: constant in z2."""
-    g = eo.solve_kernel_axis(gaussian_problem(cutoff))
+    g = eo.solve_kernel_axis(gaussian_problem(), cutoff)
     return eo.make_series(
         2, cutoff, {(n[0], 0): c for n, c in g.terms()}
     )
@@ -37,7 +37,7 @@ def random_polynomial(rng, dim: int, degree: int) -> eo.TruncatedSeries:
 
 
 def test_derivative_span_gaussian_full_rank():
-    f = eo.solve_kernel_axis(gaussian_problem(8))
+    f = eo.solve_kernel_axis(gaussian_problem(), 8)
     span = eo.derivative_span(f, 4, 4)
     assert span.matrix.shape == (5, 5)
     # independent oracle: plain matrix rank without row scaling
@@ -60,7 +60,7 @@ def test_derivative_span_constant_generator():
 
 
 def test_derivative_span_demands_exactness():
-    f = eo.solve_kernel_axis(gaussian_problem(6))
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
     with pytest.raises(ValueError, match="exact_degree >= 8"):
         eo.derivative_span(f, 4, 4)
 
@@ -90,7 +90,7 @@ def test_translate_span_needs_samples():
 
 
 def test_translate_span_matches_derivative_rank_for_truncated_gaussian():
-    f = eo.solve_kernel_axis(gaussian_problem(8))
+    f = eo.solve_kernel_axis(gaussian_problem(), 8)
     d_rank = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8).rank
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", eo.ApproximationWarning)
@@ -99,7 +99,7 @@ def test_translate_span_matches_derivative_rank_for_truncated_gaussian():
 
 
 def test_translate_span_warns_once_for_a_truncation():
-    f = eo.solve_kernel_axis(gaussian_problem(8))
+    f = eo.solve_kernel_axis(gaussian_problem(), 8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         eo.translate_span(f, 4, eo.sample_box(1, 10, seed=5))
@@ -328,7 +328,7 @@ def test_rank_report_counterexample_generator():
 
 
 def test_rank_report_product_gaussian_complete():
-    f = eo.joint_kernel([gaussian_problem(8), gaussian_problem(8)])
+    f = eo.joint_kernel([gaussian_problem(), gaussian_problem()], 8)
     report = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8)
     assert (report.rank, report.ambient_dim) == (15, 15)
     assert report.complete_at_truncation
@@ -353,7 +353,7 @@ def test_rank_report_rejects_empty_matrix():
 
 
 def test_rank_unchanged_by_row_scaling():
-    f = eo.solve_kernel_axis(gaussian_problem(8))
+    f = eo.solve_kernel_axis(gaussian_problem(), 8)
     span = eo.derivative_span(f, 4, 4)
     scaled = eo.SpanMatrix(
         matrix=span.matrix * np.array([1.0, 1e6, 1e-6, 3.0, 42.0])[:, None],
@@ -402,7 +402,7 @@ def test_derivative_and_translate_ranks_agree_on_random_polynomials():
 
 
 def test_approximate_coordinate_by_gaussian_derivatives():
-    f = eo.solve_kernel_axis(gaussian_problem(6))
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
     target = eo.monomial(1, 3, (1,))
     result = eo.approximate_target(f, target, 3, 3)
     assert result.coefficient((1,)) == pytest.approx(2.5, abs=1e-12)
@@ -412,7 +412,7 @@ def test_approximate_coordinate_by_gaussian_derivatives():
 
 
 def test_approximate_constant_trivial():
-    f = eo.solve_kernel_axis(gaussian_problem(4))
+    f = eo.solve_kernel_axis(gaussian_problem(), 4)
     target = eo.make_series(1, 0, {(0,): 1.0}, is_polynomial=True)
     result = eo.approximate_target(f, target, 0, 0)
     assert result.coefficient((0,)) == pytest.approx(1.0)
@@ -428,7 +428,7 @@ def test_approximate_orthogonal_target_leaves_unit_residual():
 
 def test_approximate_zero_residual_when_complete():
     rng = np.random.default_rng(77)
-    f = eo.joint_kernel([gaussian_problem(8), gaussian_problem(8)])
+    f = eo.joint_kernel([gaussian_problem(), gaussian_problem()], 8)
     basis = eo.monomial_basis(2, 4)
     target = eo.make_series(
         2, 4,
@@ -440,7 +440,7 @@ def test_approximate_zero_residual_when_complete():
 
 
 def test_approximate_rejects_nonpolynomial_target():
-    f = eo.solve_kernel_axis(gaussian_problem(6))
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
     target = eo.make_series(1, 3, {(1,): 1.0})
     with pytest.raises(ValueError, match="polynomial"):
         eo.approximate_target(f, target, 3, 3)

@@ -98,7 +98,7 @@ def test_symbolic_vs_numeric_commutator_route():
 
 
 def test_apply_weyl_annihilates_gaussian():
-    f = eo.solve_kernel_axis(gaussian_problem(6))
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
     t = eo.WeylOperator.derivative(1, (1,)) - eo.WeylOperator.coordinate(1, 1)
     out = eo.apply_weyl(t, f)
     assert out.exact_degree == 5
@@ -265,14 +265,14 @@ def test_cr_operator_requires_nonzero_constant():
 
 
 def test_apply_cr_gaussian_kernel():
-    f = eo.solve_kernel_axis(gaussian_problem(8))
+    f = eo.solve_kernel_axis(gaussian_problem(), 8)
     [op] = gaussian_family(1)
     out = eo.apply_cr_operator(op, f)
     assert out.max_exact_coefficient() <= 1e-15
 
 
 def test_apply_cr_airy_kernel():
-    f = eo.solve_kernel_axis(airy_problem(8))
+    f = eo.solve_kernel_axis(airy_problem(), 8)
     [op] = airy_family(1)
     out = eo.apply_cr_operator(op, f)
     assert out.max_exact_coefficient() <= 1e-15

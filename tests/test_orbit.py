@@ -22,7 +22,7 @@ def test_iterates_of_coordinate():
 
 
 def test_kernel_element_is_fixed_at_zero():
-    f = eo.solve_kernel_axis(gaussian_problem(10))
+    f = eo.solve_kernel_axis(gaussian_problem(), 10)
     rec = eo.iterate_orbit(shift_op(), f, 5)
     assert all(it.max_exact_coefficient() <= 1e-14 for it in rec.iterates[1:])
 
@@ -35,7 +35,7 @@ def test_zero_steps_keeps_only_initial_vector():
 
 
 def test_budget_error_names_the_failing_step():
-    f = eo.solve_kernel_axis(gaussian_problem(6))
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
     with pytest.raises(ValueError, match="step 7"):
         eo.iterate_orbit(shift_op(), f, 9)
 
@@ -51,7 +51,7 @@ def test_orbit_concatenation_consistency():
 
 
 def test_visit_density_of_kernel_orbit_is_one():
-    f = eo.solve_kernel_axis(gaussian_problem(10))
+    f = eo.solve_kernel_axis(gaussian_problem(), 10)
     rec = eo.iterate_orbit(shift_op(), f, 5)
     for delta in (0.1, 1e-6, 10.0):
         annotated = eo.measure_visits(rec, eo.zero_series(1, 10), delta, SPEC)

@@ -74,10 +74,32 @@ def test_term_table_checks_every_index_refuses_a_repeat_and_sorts():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        # int() would run the order as (1, 0)
+        (lambda: eo.differentiate(eo.make_series(2, 3, {(2, 1): 1.0}), (1.5, 0)),
+         r"non-integral entry in derivative order \(1.5, 0\)"),
+        # int() would store the coefficient at (1,)
+        (lambda: eo.make_series(1, 3, [((1.7,), 2.0)]), r"non-integral entry in index \(1.7,\)"),
+    ],
+    ids=["derivative_order", "series_index"],
+)
+def test_a_non_integral_index_entry_is_refused_not_truncated(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_integral_floats_and_numpy_integers_are_indices():
+    f = eo.make_series(2, 3, {(2, 1): 1.0})
+    assert eo.differentiate(f, (np.int64(1), 1.0)) == eo.differentiate(f, (1, 1))
+    assert eo.make_series(1, 3, [((2.0,), 2.0)]).terms() == [((2,), 2.0)]
+
+
+@pytest.mark.parametrize(
     "table_of",
     [
         lambda entries: eo.ConvolutionSymbol(1, entries).bcoeffs,
-        lambda entries: eo.LadderVector((gaussian_problem(4),), entries).terms,
+        lambda entries: eo.LadderVector((gaussian_problem(),), entries).terms,
         lambda entries: dict(eo.make_series(1, 4, entries).terms()),
     ],
     ids=["symbol", "ladder_vector", "series_literal"],
@@ -184,7 +206,7 @@ def test_rounded_weights_are_inf_past_the_float_range():
 def test_series_past_cutoff_170_build_solve_and_differentiate():
     # perm(171, 171) = 171! is past the float range
     assert eo.make_series(1, 171, {(0,): 1.0}).cutoff == 171
-    gaussian = eo.solve_kernel_axis(eo.AxisKernelProblem((0, 1), 1.0, (1,), 200))
+    gaussian = eo.solve_kernel_axis(eo.AxisKernelProblem((0, 1), 1.0, (1,)), 200)
     assert gaussian.cutoff == 200 and gaussian.coefficient((2,)) == 0.5
     assert eo.differentiate(gaussian, (2,)).coefficient((0,)) == 1.0
     with pytest.raises(OverflowError, match="past the float range"):
