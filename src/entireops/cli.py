@@ -182,13 +182,16 @@ SCENARIO_ONLY = frozenset(
 TASK_KINDS = tuple(TASK_PARAMS)
 
 
-def task_params(task: Any, dimension: int, kernel: bool) -> dict[str, Any]:
+def task_params(
+    task: Any, dimension: int, kernel: bool, axes: Sequence[int]
+) -> dict[str, Any]:
     """Every parameter of a task object, parsed, with absent keys defaulted.
 
     The one resolver of a task, from a file or a subcommand, for a scenario
-    of ``dimension`` with (``kernel``) or without a kernel generator.  Raises
-    ScenarioError for an unknown kind, an unknown or missing key, a value its
-    parser rejects, or a task that does not fit the scenario.
+    of ``dimension`` with (``kernel``) or without a kernel generator and
+    with operators on ``axes``.  Raises ScenarioError for an unknown kind,
+    an unknown or missing key, a value its parser rejects, or a task that
+    does not fit the scenario.
     """
     if not isinstance(task, dict) or "task" not in task:
         raise ScenarioError('a task must be an object with a "task" key')
@@ -215,6 +218,8 @@ def task_params(task: Any, dimension: int, kernel: bool) -> dict[str, Any]:
                 value = parse(value)
             if key == "terms":  # fhc labels, tabled in the scenario's dimension
                 value = term_table(dimension, value)
+            if key == "axis" and value not in axes:
+                raise ValueError(f"no operator on axis {value}")
         except KeyError as exc:
             raise ScenarioError(f"bad {key!r} in {kind} task: missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -253,7 +258,7 @@ def parse_scenario(obj: Any) -> Scenario:
                      "generator", "tasks"), "scenario")
     dimension = _entry(obj, "scenario", "dimension", _count)
     truncation = _entry(obj, "scenario", "truncation", _natural)
-    tolerance = _entry(obj, "scenario", "tolerance", _finite, 1e-8)
+    tolerance = _entry(obj, "scenario", "tolerance", _positive, 1e-8)
     rng_seed = _entry(obj, "scenario", "rng_seed", _natural, 0)
     ops = _entry(obj, "scenario", "operators", _list_of(cr_operator_from_json))
     generator = _entry(obj, "scenario", "generator", lambda value: value)
@@ -290,6 +295,7 @@ def parse_scenario(obj: Any) -> Scenario:
                 f"explicit generator has dim {explicit.dim}, scenario "
                 f"declares {dimension}"
             )
+    axes = [op.axis for op in ops]
     return Scenario(
         dimension=dimension,
         truncation=truncation,
@@ -299,7 +305,7 @@ def parse_scenario(obj: Any) -> Scenario:
         kernel_problems=kernel_problems,
         explicit_generator=explicit,
         tasks=tasks,
-        params=[task_params(task, dimension, explicit is None) for task in tasks],
+        params=[task_params(task, dimension, explicit is None, axes) for task in tasks],
     )
 
 
@@ -452,11 +458,9 @@ def _run_fhc(scn: Scenario, p: dict, ctx: dict):
 
 def _run_orbit(scn: Scenario, p: dict, ctx: dict):
     """Iterate an operator and report visits."""
-    candidates = [op for op in scn.operators if op.axis == p["axis"]]
-    if not candidates:
-        raise ScenarioError(f"no operator on axis {p['axis']} for orbit task")
+    op = next(op for op in scn.operators if op.axis == p["axis"])
     x = _series_argument(scn, p["initial"], _given(p["degree"], scn.truncation))
-    record = iterate_orbit(candidates[0], x, p["steps"])
+    record = iterate_orbit(op, x, p["steps"])
     spec = SemiNormSpec(m=p["m"], epsilon=p["epsilon"])
     target = _series_argument(scn, p["target"], x.cutoff)
     annotated = measure_visits(record, target, p["delta"], spec)
@@ -492,15 +496,18 @@ def execute_tasks(
 
     ``tasks=None`` runs the scenario's own tasks with the parameters resolved
     when it was parsed.  Other task objects are resolved here, all of them
-    before any runs.
+    before any runs, and so is a ``tolerance`` override.
     """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
+    if tolerance is not None:
+        tolerance = _entry({"tolerance": tolerance}, "run options", "tolerance", _positive)
     if tasks is None:
         tasks, resolved = scn.tasks, scn.params
     else:
         kernel = scn.kernel_problems is not None
-        resolved = [task_params(task, scn.dimension, kernel) for task in tasks]
+        axes = [op.axis for op in scn.operators]
+        resolved = [task_params(task, scn.dimension, kernel, axes) for task in tasks]
     outputs: list[tuple[str, str]] = []
     all_passed = True
     for i, (task, params) in enumerate(zip(tasks, resolved)):
@@ -511,9 +518,12 @@ def execute_tasks(
         }
         try:
             report, payload, passed = _RUNNERS[name](scn, params, ctx)
+            # a report holding a non-finite number fails its task here; a
+            # report kind with no csv profile is a ScenarioError
             if fmt == "json":
-                # a report holding a non-finite number fails its task here
                 text = to_json_text({"task": name, "passed": passed, **payload})
+            else:
+                text = report_to_csv(report)
         except ScenarioError:
             raise
         except (ValueError, OverflowError) as exc:
@@ -521,8 +531,6 @@ def execute_tasks(
             outputs.append((name, to_json_text(error)))
             all_passed = False
             continue
-        if fmt == "csv":
-            text = report_to_csv(report)  # raises ValueError for unsupported kinds
         outputs.append((name, text))
         all_passed = all_passed and passed
     return (EXIT_OK if all_passed else EXIT_TASK_FAILED), outputs

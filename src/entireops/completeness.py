@@ -11,9 +11,10 @@ Each span matrix is built in one pass by ``series``.  Derivative rows
 (``derivative_rows``) are one gather through one ``(order x row)`` plan over
 every order of the span, limited to the truncation prefix; their weights are
 the exact integers ``prod_j perm(s_j, n_j)`` rounded once (see ``series``).
-Translate rows (``translate_rows``) come from one batched translate over all
-samples, which warns once per call when f is a truncation rather than a
-polynomial.
+Translate rows (``translate_rows``) are the same plan with binomial factors
+``comb(m + k, k)`` over every order k up to f's cutoff, summed by one matmul
+with the sample powers ``s^k``; the call warns once when f is a truncation
+rather than a polynomial.
 
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative
@@ -124,7 +125,7 @@ def translate_span(
 ) -> SpanMatrix:
     """Rows: truncations of f(. + s) for each sample point s.
 
-    All rows come from one batched translate pass.  Exact for polynomial f;
+    All rows come from one plan gather and one matmul.  Exact for polynomial f;
     otherwise the rows of nonzero samples are truncation approximations (one
     ApproximationWarning per call) and downstream rank decisions are
     tolerance-based.

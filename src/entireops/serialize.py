@@ -21,7 +21,7 @@ from .series import Index, TruncatedSeries, make_series
 
 
 class ScenarioError(ValueError):
-    """Scenario file does not parse or violates the schema."""
+    """Scenario or run request refused: bad schema or value, or a format its report lacks."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,11 @@ def report_to_dict(report: Any) -> dict:
 
 
 def report_to_csv(report: Any) -> str:
-    """CSV body for the report kinds that have a tabular profile."""
+    """CSV body for the report kinds that have a tabular profile.
+
+    Any other kind raises ScenarioError: the request does not fit the task.
+    A non-finite number raises ValueError, as in JSON text.
+    """
     if isinstance(report, CompletenessReport):
         lines = ["index,singular_value"]
         for i, s in enumerate(report.singular_values):
@@ -244,8 +248,8 @@ def report_to_csv(report: Any) -> str:
             lines.append(f"{k},{_fmt_float(u)},{ratio}")
         return "\n".join(lines) + "\n"
     if isinstance(report, OrbitRecord):
-        raise ValueError("csv unsupported for complex series")
-    raise ValueError(f"csv unsupported for {type(report).__name__}")
+        raise ScenarioError("csv unsupported for complex series")
+    raise ScenarioError(f"csv unsupported for {type(report).__name__}")
 
 
 # ---------------------------------------------------------------------------

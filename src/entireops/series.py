@@ -37,11 +37,13 @@ range the plan raises OverflowError.
 of the operations they stand for.  The semi-norm upper sum has one array
 form, ``seminorm_rows``, over a block of coefficient rows (``seminorm_bound``
 is its one-row case); each row gets the number of a scalar loop over its
-terms in graded-lex order.  Translation has one term loop,
-``_translate_block``, which ``translate`` runs on one point and
-``translate_rows`` on many in a single pass, each point's arithmetic in the
-order of a scalar loop; the numbers they feed into reports are reproducible
-bit for bit.  Residual verdicts fold with ``worst``, which keeps a NaN
+terms in graded-lex order.  Translation is the same plan:
+``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so ``_translate_block``
+runs it over every order k with ``||k|| <= cutoff``, per-axis factors
+``comb(m + k, k)`` in place of ``perm(m + k, k)``, and sums the gathered
+rows with one matmul ``V @ B``, ``V[s, k] = s^k``.  ``translate`` runs it
+on one point and ``translate_rows`` on many; the rows are reproducible for
+equal inputs.  Residual verdicts fold with ``worst``, which keeps a NaN
 wherever it stands.
 
 A given multi-index is checked in one place, ``_checked_index``, and every
@@ -339,16 +341,19 @@ def linear_combine(
 
 
 def _derivative_plan(
-    layout: _Layout, orders: np.ndarray, rows: int
+    layout: _Layout, orders: np.ndarray, rows: int, factors: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather positions and weights of the leading ``rows`` rows of D^n, n in orders.
 
     ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``,
-    and ``rows >= 1``; both results are ``(K, rows)`` grids.  Cell (k, m) of
-    order n reads the index s = m + n: per axis j that some order steps
-    along, one lookup of the rounded factor ``perm(s_j, n_j)`` and one of
-    the n_j-th power of ``raised[j]`` in a table built for this call
-    (``_unit_powers``).  The weight ``float(prod_j perm(s_j, n_j))`` is the
+    and ``rows >= 1``; both results are ``(K, rows)`` grids.  ``factors`` is
+    the per-axis ``(exact, rounded)`` table laid out as ``step_weight``
+    (which it defaults to): the factor of order n_j on exponent m_j at [n_j,
+    m_j], 0 for ``m_j + n_j > cutoff``.  Cell (k, m) of order n reads the
+    index s = m + n: per axis j that some order steps along, one lookup of
+    the rounded factor (``perm(s_j, n_j)`` by default) and one of the n_j-th
+    power of ``raised[j]`` in a table built for this call (``_unit_powers``).
+    The weight, the exact product of the factors rounded once, is the
     product of the rounded factors below 2^53, where every factor and
     partial product is an exact integer; at or above it the cells with two
     or more non-unit factors are recomputed from the exact integers.  One
@@ -357,7 +362,7 @@ def _derivative_plan(
     basis; every other weight is at least 1, and one past the float range
     raises OverflowError.
     """
-    exact, rounded = layout.step_weight
+    exact, rounded = layout.step_weight if factors is None else factors
     tops = orders.max(axis=0).tolist()
     source, weight = np.arange(rows), None
     for j, top in enumerate(tops):
@@ -472,11 +477,23 @@ def derivative_rows(
     checked = (_checked_index(f.dim, n, "derivative order") for n in orders)
     capped = [[min(e, f.cutoff + 1) for e in n] for n in checked]
     table = np.array(capped, dtype=np.intp).reshape(len(orders), f.dim)
-    out = np.zeros((len(table), _size(f.dim, degree)), dtype=complex)
-    lowest = int(table.sum(axis=1).min(initial=f.cutoff + 1))
+    return _gather_rows(f, table, degree, layout.step_weight)
+
+
+def _gather_rows(
+    f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple
+) -> np.ndarray:
+    """One plan call with ``factors`` and one gather: the rows of checked orders.
+
+    Only the degree <= ``degree`` prefix that the cutoff determines is
+    gathered; the rest of each row is zero.
+    """
+    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
+    lowest = int(orders.sum(axis=1).min(initial=f.cutoff + 1))
     rows = min(out.shape[1], _size(f.dim, f.cutoff - lowest))
     if rows:
-        source, weight = _derivative_plan(layout, table, rows)
+        layout = _layout(f.dim, f.cutoff)
+        source, weight = _derivative_plan(layout, orders, rows, factors)
         # cells the cutoff leaves undetermined have weight 0 and stay +0j
         np.multiply(f.vector[source], weight, out=out[:, :rows], where=weight != 0)
     return out
@@ -527,70 +544,32 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, exact, poly, out)
 
 
-#: elements of the (pairs, shifts) weight arrays that translation holds at once
-_TRANSLATE_CHUNK = 1 << 16
-
-
 def _translate_block(
-    f: TruncatedSeries, shifts: Sequence[tuple[complex, ...]]
+    f: TruncatedSeries, shifts: Sequence[tuple[complex, ...]], degree: int
 ) -> np.ndarray:
-    """Coefficients of ``f(z + s)`` for each shift s: a ``(basis size, S)`` block.
+    """Row i is the degree <= ``degree`` coefficient vector of ``f(z + shifts[i])``.
 
-    The coefficient of z^m sums ``C(idx, m) a_idx prod_j s_j^(idx_j - m_j)``
-    over the terms a_idx of f and m <= idx.  One Python pass over those
-    pairs, in graded-lex order, forms the shift-free weight, the Python
-    complex ``a_idx * C(idx, m)``.  Then every shift sees the operations of
-    a scalar loop in the same order: one product per axis with a positive
-    power (powers by ``complex.__pow__``), then the sum into row m, pair
-    after pair (``np.add.at`` applies repeated rows in order).  The pairs
-    are taken in chunks of at most ``_TRANSLATE_CHUNK`` weights.  Complex
-    products run on split real and imaginary arrays, because numpy's complex
-    multiply may fuse a multiply-add and round differently from Python's.
-    The column of an all-zero shift is f's vector itself.
+    ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``: one plan over every
+    order k with ``||k|| <= cutoff``, per-axis factors ``comb(m + k, k)``,
+    gathers the rows B, and ``V @ B`` sums them, ``V[i, k] = shifts[i]^k``
+    by repeated multiplication (one past the float range raises
+    OverflowError).  B costs basis(cutoff) x basis(min(degree, cutoff))
+    cells, as a derivative span with ``max_order = cutoff`` does.  The row
+    of an all-zero shift is f's vector itself.
     """
-    dim, cutoff = f.dim, f.cutoff
-    layout = _layout(dim, cutoff)
-    # tabled once per call: C(a, b) as exact integers and shift_j ** e
-    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(cutoff + 1)]
-    rows: list[int] = []
-    weights: list[complex] = []
-    powers: list[Index] = []
-    for idx, c in f.terms():
-        for m in product(*(range(e + 1) for e in idx)):
-            binom = 1
-            for a, b in zip(idx, m):
-                binom *= comb[a][b]
-            rows.append(layout.position[m])
-            weights.append(c * binom)
-            powers.append(idx)
-    # the power of shift_j that pair p multiplies by: idx_j - m_j
-    exps = np.array(powers, dtype=np.intp).reshape(-1, dim) - layout.exponents[rows]
-    weight = np.array(weights, dtype=complex)
-    power = []
-    for j in range(dim):
-        table = np.array([[s[j] ** e for s in shifts] for e in range(cutoff + 1)])
-        power.append((table.real, table.imag))
-    re = np.zeros((len(layout.exponents), len(shifts)))
-    im = np.zeros((len(layout.exponents), len(shifts)))
-    chunk = max(1, _TRANSLATE_CHUNK // max(1, len(shifts)))
-    for lo in range(0, len(rows), chunk):
-        part = slice(lo, lo + chunk)
-        wr = np.repeat(weight[part].real[:, None], len(shifts), axis=1)
-        wi = np.repeat(weight[part].imag[:, None], len(shifts), axis=1)
-        for j in range(dim):
-            e = exps[part, j]
-            sel = np.flatnonzero(e)
-            pr, pi = power[j][0][e[sel]], power[j][1][e[sel]]
-            ar, ai = wr[sel], wi[sel]
-            wr[sel] = ar * pr - ai * pi
-            wi[sel] = ar * pi + ai * pr
-        np.add.at(re, rows[part], wr)
-        np.add.at(im, rows[part], wi)
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    for k, s in enumerate(shifts):
-        if not any(s):
-            out[:, k] = f.vector
+    layout = _layout(f.dim, f.cutoff)
+    factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)
+    binomial = layout.step_weight[0] // factorial[:, None]  # perm(m + n, n) / n!
+    block = _gather_rows(f, layout.exponents, degree, (binomial, _rounded(binomial)))
+    power = np.ones((len(shifts), f.dim, f.cutoff + 1), dtype=complex)
+    power[:, :, 1:] = np.array(shifts, dtype=complex).reshape(len(shifts), f.dim, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        np.cumprod(power, axis=2, out=power)
+        vandermonde = power[:, np.arange(f.dim), layout.exponents].prod(axis=2)
+    if np.isinf(vandermonde).any():  # V @ B would turn it into NaN, even times 0
+        raise OverflowError("a shift power is past the float range")
+    out = vandermonde @ block
+    out[[not any(s) for s in shifts]] = coefficient_vector(f, degree)
     return out
 
 
@@ -609,7 +588,7 @@ def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
         raise ValueError(f"shift {shift} does not match dim {f.dim}")
     if all(s == 0 for s in shift):
         return f
-    vector = _translate_block(f, [shift])[:, 0]
+    vector = _translate_block(f, [shift], f.cutoff)[0]
     if f.is_polynomial:
         return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, vector)
     _warn_approximate_translate()
@@ -621,17 +600,16 @@ def translate_rows(
 ) -> np.ndarray:
     """Row i is ``coefficient_vector(translate(f, shifts[i]), degree)``.
 
-    All rows come from one ``_translate_block`` pass.  For a non-polynomial
-    f one ApproximationWarning covers every nonzero shift of the call.
+    All rows are ``V @`` one plan gather (``_translate_block``): reproducible
+    for equal inputs, but not bit for bit those of a scalar term loop, which
+    sums in another order.  For a non-polynomial f one ApproximationWarning
+    covers every nonzero shift of the call.
     """
     shifts = [tuple(complex(c) for c in s) for s in shifts]
     for s in shifts:
         if len(s) != f.dim:
             raise ValueError(f"shift {s} does not match dim {f.dim}")
-    block = _translate_block(f, shifts)
-    out = np.zeros((len(shifts), _size(f.dim, degree)), dtype=complex)
-    kept = min(out.shape[1], len(block))
-    out[:, :kept] = block[:kept].T
+    out = _translate_block(f, shifts, degree)
     if not f.is_polynomial and any(any(s) for s in shifts):
         _warn_approximate_translate()
     return out

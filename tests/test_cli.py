@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -427,6 +428,22 @@ def test_task_that_does_not_fit_the_generator_exits_2_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "name, task", [("gaussian1d", {"task": "fhc", "axis": 3}), ("remark3", {"task": "orbit", "axis": 2})]
+)
+def test_axis_without_an_operator_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, name, task
+):
+    scenario = _scenario_file(tmp_path, name, [{"task": "verify-cr"}, task])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    assert cli.main([task["task"], name, "--axis", str(task["axis"])]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    message = f"error: bad 'axis' in {task['task']} task: no operator on axis {task['axis']}\n"
+    assert captured.err == 2 * message
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kind", ["kernel", "fhc"])
 def test_kernel_subcommand_on_an_explicit_generator_exits_2_before_it_runs(
     capsys, monkeypatch, kind
@@ -530,6 +547,25 @@ def test_non_finite_tolerance_flag_exits_2_before_any_task_runs(capsys, monkeypa
     assert exc.value.code == cli.EXIT_PARSE
     captured = capsys.readouterr()
     assert "invalid finite float value" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_tolerance_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, value
+):
+    scenario = Path(_scenario_file(tmp_path, "remark3", bundled_object("remark3")["tasks"]))
+    obj = json.loads(scenario.read_text())
+    obj["tolerance"] = value
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    assert cli.main(["run", "remark3", "--tolerance", str(value)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: bad 'tolerance' in scenario: must be positive, got {float(value)}",
+        f"error: bad 'tolerance' in run options: must be positive, got {float(value)}",
+    ]
     assert captured.out == ""
 
 
@@ -704,6 +740,25 @@ def test_csv_emission_for_completeness_and_fhc():
     rep = eo.convergence_report(x, 1, eo.SemiNormSpec(1, 2.0), 4, 4)
     csv = serialize.report_to_csv(rep)
     assert csv.splitlines()[0] == "k,u,ratio"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_fails_only_its_task_in_either_format(tmp_path, capsys, fmt):
+    # a huge seed makes the fhc majorants overflow; complete still runs
+    tasks = [
+        {"task": "fhc", "epsilon": 1e25, "kmax": 3, "realization_degree": 8},
+        {"task": "complete", "truncation": 2},
+    ]
+    scenario = Path(_scenario_file(tmp_path, "gaussian1d", tasks))
+    obj = json.loads(scenario.read_text())
+    obj["generator"]["kernel"][0]["seeds"] = [[1e140, 0.0]]
+    scenario.write_text(json.dumps(obj))
+    with np.errstate(over="ignore"):
+        assert cli.main(["run", str(scenario), "--format", fmt]) == cli.EXIT_TASK_FAILED
+    out = capsys.readouterr().out
+    assert out.count('"error": "non-finite float inf cannot be serialized"') == 1
+    complete = "index,singular_value\n" if fmt == "csv" else '"task": "complete"'
+    assert out.count(complete) == 1
 
 
 def test_csv_rejected_for_orbit_reports():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -155,6 +156,67 @@ def scalar_translate_row(f: eo.TruncatedSeries, shift, truncation: int) -> np.nd
     return out
 
 
+def _times(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def exact_translate_row(f: eo.TruncatedSeries, shift, truncation: int) -> list:
+    """Per coefficient m of ``f(z + shift)``, degree <= truncation: ``(re, im, size)``.
+
+    ``re`` and ``im`` are the exact parts of ``sum_k s^k C(m + k, k) a_(m+k)``
+    in Fraction arithmetic, on the float inputs as given; ``size`` is
+    ``sum_k |s^k C(m + k, k) a_(m+k)|``.
+    """
+    one = (Fraction(1), Fraction(0))
+    powers = []  # powers[j][e] = shift_j ** e, exactly
+    for s in shift:
+        s = complex(s)
+        column = [one]
+        for _ in range(f.cutoff):
+            column.append(_times(column[-1], (Fraction(s.real), Fraction(s.imag))))
+        powers.append(column)
+    terms = f.terms()
+    out = []
+    for m in eo.monomial_basis(f.dim, truncation):
+        re = im = Fraction(0)
+        size = 0.0
+        for idx, c in terms:
+            k = tuple(a - b for a, b in zip(idx, m))
+            if min(k) < 0:
+                continue
+            binom = math.prod(math.comb(a, b) for a, b in zip(idx, k))
+            term = (Fraction(c.real) * binom, Fraction(c.imag) * binom)
+            for column, e in zip(powers, k):
+                term = _times(term, column[e])
+            re, im = re + term[0], im + term[1]
+            size += math.hypot(term[0], term[1])
+        out.append((re, im, size))
+    return out
+
+
+def assert_within_rounding(f: eo.TruncatedSeries, shifts, truncation: int, matrix):
+    """Each part of each coefficient is within ``6 (K + d) u size`` of the exact value.
+
+    A translate row is ``V @ B`` summed over the K = comb(cutoff + d, d)
+    orders k; u = 2^-53.  Relative to the term ``s^k C(m + k, k) a_(m+k)``:
+    the power ``s^k`` takes fewer than ``||k|| + d`` complex products
+    (repeated products per axis, then one product over the axes), each
+    within sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007);
+    the rounded binomial and its product with ``a_(m+k)`` add 2u; and each
+    part of the complex matmul is a real dot product of length 2K, within
+    2K u of the sum of the term magnitudes in any summation order, product
+    rounding included (Higham, *Accuracy and Stability*, section 3.1).  With
+    ``||k|| <= cutoff < K`` and ``K + d >= 2`` the first-order sum is below
+    ``(3 + sqrt(5)) (K + d) u``; c = 6 leaves room for the second-order terms.
+    """
+    u = 2.0**-53
+    scale = 6 * (math.comb(f.cutoff + f.dim, f.dim) + f.dim) * u
+    for shift, row in zip(shifts, matrix):
+        for got, (re, im, size) in zip(row, exact_translate_row(f, shift, truncation)):
+            assert abs(Fraction(got.real) - re) <= scale * size
+            assert abs(Fraction(got.imag) - im) <= scale * size
+
+
 @st.composite
 def translate_case(draw):
     dim = draw(st.integers(1, 3))
@@ -168,25 +230,42 @@ def translate_case(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(translate_case())
-def test_translate_span_matches_per_sample_scalar_loop(case):
+def test_translate_span_is_the_exact_sum_within_its_rounding_bound(case):
     f, truncation, samples = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", eo.ApproximationWarning)
         span = eo.translate_span(f, truncation, samples)
-    expected = np.array([scalar_translate_row(f, s, truncation) for s in samples])
-    assert span.matrix.tobytes() == expected.tobytes()
+    assert_within_rounding(f, samples, truncation, span.matrix)
 
 
-def test_translate_span_is_the_same_pass_in_chunks(monkeypatch):
-    # a chunk holds at most 24 weights: three pairs of 8 samples at a time
-    f = dense_series(3, 2, 6, polynomial=False)
-    samples = [(0.0, 0.0)] + eo.sample_box(2, 7, seed=1)
+@pytest.mark.parametrize(
+    "f",
+    [
+        eo.solve_kernel_axis(gaussian_problem(), 200),
+        eo.make_series(1, 300, {(n,): 1 / (n + 1) for n in range(301)}, is_polynomial=True),
+    ],
+    ids=["gaussian_degree_200", "polynomial_cutoff_300"],
+)
+def test_translate_past_171_factorial_is_finite_and_exact_within_rounding(f):
+    # s^k / k! over the derivative weights k! C(m + k, k) would pass 171!
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", eo.ApproximationWarning)
-        whole = eo.translate_span(f, 5, samples)
-        monkeypatch.setattr(series, "_TRANSLATE_CHUNK", 24)
-        chunked = eo.translate_span(f, 5, samples)
-    assert chunked.matrix.tobytes() == whole.matrix.tobytes()
+        out = eo.translate(f, (-0.75,))
+    assert np.isfinite(out.vector).all()
+    assert_within_rounding(f, [(-0.75,)], f.cutoff, [out.vector])
+
+
+@pytest.mark.parametrize("shift", [(0.5, -0.25), (1.5, 0.0), (-1.0, 0.75j)])
+@pytest.mark.parametrize("where", [(1, 2), (3, 1), (4, 0)])
+def test_translate_with_an_infinite_coefficient_keeps_the_other_sums_finite(where, shift):
+    # only the sums of m <= where read the infinite coefficient; at the
+    # cutoff it also sits where the plan parks the cells past the cutoff
+    terms = {(0, 0): 1.0, (2, 1): 2.0, (0, 4): 0.5, where: math.inf}
+    f = eo.make_series(2, 4, terms, is_polynomial=True)
+    with np.errstate(invalid="ignore"):
+        got = eo.translate(f, shift).vector
+        finite = np.isfinite(scalar_translate_row(f, shift, 4))
+    assert finite.any() and np.isfinite(got[finite]).all()
 
 
 @st.composite

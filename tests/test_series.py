@@ -333,6 +333,21 @@ def test_translate_nonpolynomial_warns_and_clears_exactness():
     assert not out.is_polynomial
 
 
+@pytest.mark.parametrize(
+    "f, shift",
+    [
+        (eo.make_series(1, 5, {(0,): 1.0, (1,): 1.0}, is_polynomial=True), (1e100,)),
+        (eo.monomial(2, 2, (1, 1)), (1e200, -1e200j)),
+    ],
+    ids=["one_axis", "two_axes"],
+)
+def test_translate_with_a_shift_power_past_the_float_range_raises(f, shift):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and prints no RuntimeWarning on the way
+        with pytest.raises(OverflowError):
+            eo.translate(f, shift)
+
+
 def test_translate_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         eo.translate(eo.monomial(2, 2, (1, 0)), (1.0,))
