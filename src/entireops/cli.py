@@ -13,6 +13,8 @@ reproducible for equal scenario + seed.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 import json
 import math
@@ -527,13 +529,25 @@ def execute_tasks(
         except ScenarioError:
             raise
         except (ValueError, OverflowError) as exc:
-            error = {"task": name, "passed": False, "error": str(exc)}
-            outputs.append((name, to_json_text(error)))
+            if fmt == "json":
+                text = to_json_text({"task": name, "passed": False, "error": str(exc)})
+            else:
+                text = _error_csv(name, str(exc))
+            outputs.append((name, text))
             all_passed = False
             continue
         outputs.append((name, text))
         all_passed = all_passed and passed
     return (EXIT_OK if all_passed else EXIT_TASK_FAILED), outputs
+
+
+def _error_csv(name: str, error: str) -> str:
+    """The CSV report of a failed task: a header and one row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("task", "passed", "error"), (name, "false", error)]
+    )
+    return buf.getvalue()
 
 
 def run_scenario(

@@ -28,9 +28,9 @@ and :func:`apply_cr_operator` apply that form.  The symbolic algebra
 route is tested against.
 
 :func:`verify_commutation` re-derives the commutator table numerically,
-independently of the symbolic route, as a guard against ordering bugs: per
-probe degree it applies the kernel to the identity block of the monomials
-of that degree.
+independently of the symbolic route, as a guard against ordering bugs: it
+applies the kernel to the identity on every probe monomial at once, in
+column blocks small enough to be reused from the heap.
 """
 
 from __future__ import annotations
@@ -330,6 +330,13 @@ def apply_cr_operator(op: CROperator, f: TruncatedSeries) -> TruncatedSeries:
     return apply_weyl(op.as_weyl(), f)
 
 
+#: bytes of one probe block (16 per complex entry).  glibc serves a request of
+#: 128 KiB or more from freshly mapped pages, which every call faults in
+#: again; a smaller block, and every kernel temporary of its shape, is reused
+#: from the heap, so a warm call faults in no new pages.
+_PROBE_BLOCK_BYTES = 2**16
+
+
 @dataclass(frozen=True)
 class CommutationReport:
     """Worst commutator defect per (operator axis, partial axis) pair."""
@@ -352,10 +359,11 @@ def verify_commutation(
 
     For every operator T (claiming ladder constant a on its axis) and every
     partial D_k, applies ``T D_k - D_k T - delta * a * I`` to each monomial
-    of total degree <= probe_degree, one block of probes per degree, and
-    records the largest residual coefficient.  ``expected_a`` overrides the
-    claimed constants, which lets callers confirm that a deliberate mismatch
-    is detected.
+    of total degree <= probe_degree and records the largest residual
+    coefficient.  The probes are the identity on those monomials, taken in
+    column blocks; each block's ``D_k`` images serve every operator.
+    ``expected_a`` overrides the claimed constants, which lets callers
+    confirm that a deliberate mismatch is detected.
     """
     ops = list(ops)
     if not ops:
@@ -377,18 +385,21 @@ def verify_commutation(
     # a polynomial, exact on the whole basis of this cutoff
     cutoff = probe_degree + 1
     layout = _layout(dim, cutoff)
+    rows = len(layout.exponents)
+    count = _size(dim, probe_degree)  # the probes: a prefix of the basis
+    width = max(1, _PROBE_BLOCK_BYTES // (16 * rows))
     units = [_unit(dim, k) for k in range(1, dim + 1)]
     residuals: dict[tuple[int, int], float] = {}
-    for op, a_claim in zip(ops, claimed):
-        weyl = op.as_weyl()
-        for g in range(probe_degree + 1):
-            # the degree-g monomials are a contiguous range of the basis
-            first, stop = _size(dim, g - 1), _size(dim, g)
-            probes = np.zeros((len(layout.exponents), stop - first), dtype=complex)
-            probes[first:stop] = np.eye(stop - first)
+    for first in range(0, count, width):
+        cols = min(width, count - first)
+        probes = np.zeros((rows, cols), dtype=complex)
+        probes[np.arange(first, first + cols), np.arange(cols)] = 1.0
+        d_probes = [_gather_derivative(layout, probes, ek) for ek in units]
+        for op, a_claim in zip(ops, claimed):
+            weyl = op.as_weyl()
             t_probes, _ = _weyl_kernel(weyl, layout, probes)
-            for k, ek in enumerate(units, start=1):
-                t_dk, _ = _weyl_kernel(weyl, layout, _gather_derivative(layout, probes, ek))
+            for k, (ek, dk) in enumerate(zip(units, d_probes), start=1):
+                t_dk, _ = _weyl_kernel(weyl, layout, dk)
                 defect = t_dk - _gather_derivative(layout, t_probes, ek)
                 if k == op.axis:
                     defect -= a_claim * probes

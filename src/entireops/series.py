@@ -671,7 +671,10 @@ def seminorm_rows(
     ``np.cumsum`` adds along the row in sequence.  The table reaches the
     highest degree that holds a nonzero coefficient, so ``r ** d``
     overflowing there raises the OverflowError that the scalar loop raises,
-    while an overflowing degree above it is never formed.
+    while an overflowing degree above it is never formed.  A finite row
+    whose sum overflows raises OverflowError too, where the scalar loop
+    would return inf; a row holding inf or NaN keeps its non-finite sum,
+    and no numpy warning is printed either way.
     """
     degree = _layout(dim, cutoff).degree
     rows = np.asarray(rows, dtype=complex)
@@ -687,9 +690,19 @@ def seminorm_rows(
     width = filled[-1] + 1
     r = spec.radius
     power = np.array([r ** d for d in range(degree[width - 1] + 1)])
-    terms = np.hypot(rows.real[:, :width], rows.imag[:, :width]) * power[degree[:width]]
-    terms[~nonzero[:, :width]] = 0.0
-    return np.cumsum(terms, axis=1)[:, -1]
+    # an overflow of finite rows raises below; inf times an underflowed
+    # power is NaN, as in the scalar loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.hypot(rows.real[:, :width], rows.imag[:, :width]) * power[degree[:width]]
+        terms[~nonzero[:, :width]] = 0.0
+        sums = np.cumsum(terms, axis=1)[:, -1]
+    overflowed = np.isinf(sums)
+    if overflowed.any() and np.isfinite(rows[overflowed]).all(axis=1).any():
+        raise OverflowError(
+            "the semi-norm majorant sum |a_n| r^||n|| of a finite row is past "
+            "the float range"
+        )
+    return sums
 
 
 def seminorm_bound(f: TruncatedSeries, spec: SemiNormSpec) -> float:

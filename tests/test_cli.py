@@ -744,7 +744,8 @@ def test_csv_emission_for_completeness_and_fhc():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_report_fails_only_its_task_in_either_format(tmp_path, capsys, fmt):
-    # a huge seed makes the fhc majorants overflow; complete still runs
+    # a huge seed makes the fhc majorants overflow; complete still runs, and
+    # the failed task's report is in the requested format
     tasks = [
         {"task": "fhc", "epsilon": 1e25, "kmax": 3, "realization_degree": 8},
         {"task": "complete", "truncation": 2},
@@ -753,12 +754,22 @@ def test_non_finite_report_fails_only_its_task_in_either_format(tmp_path, capsys
     obj = json.loads(scenario.read_text())
     obj["generator"]["kernel"][0]["seeds"] = [[1e140, 0.0]]
     scenario.write_text(json.dumps(obj))
-    with np.errstate(over="ignore"):
-        assert cli.main(["run", str(scenario), "--format", fmt]) == cli.EXIT_TASK_FAILED
+    error = "the semi-norm majorant sum |a_n| r^||n|| of a finite row is past the float range"
+    if fmt == "json":
+        failed = serialize.to_json_text({"task": "fhc", "passed": False, "error": error})
+        complete = '"task": "complete"'
+    else:
+        failed = f"task,passed,error\nfhc,false,{error}\n"
+        complete = "index,singular_value\n"
+    assert cli.main(["run", str(scenario), "--format", fmt]) == cli.EXIT_TASK_FAILED
     out = capsys.readouterr().out
-    assert out.count('"error": "non-finite float inf cannot be serialized"') == 1
-    complete = "index,singular_value\n" if fmt == "csv" else '"task": "complete"'
+    assert out.startswith(failed)
     assert out.count(complete) == 1
+    out_dir = tmp_path / "reports"
+    code = cli.main(["run", str(scenario), "--format", fmt, "--out", str(out_dir)])
+    assert code == cli.EXIT_TASK_FAILED
+    assert sorted(p.name for p in out_dir.iterdir()) == [f"00_fhc.{fmt}", f"01_complete.{fmt}"]
+    assert (out_dir / f"00_fhc.{fmt}").read_text() == failed
 
 
 def test_csv_rejected_for_orbit_reports():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,3 +354,11 @@ def test_an_overflow_past_the_realization_degree_raises_as_before(growths, epsil
     with pytest.raises(OverflowError) as got:
         eo.convergence_report(x, 1, spec, 40, 14)
     assert str(got.value) == str(want.value)
+
+
+def test_majorants_past_the_float_range_raise_instead_of_a_stable_verdict():
+    # finite u with u_check = inf once read as stable; now the overflow raises
+    x = eo.LadderVector((eo.AxisKernelProblem((0, 1), 1.0, (1e100,)),), {(0,): 1.0})
+    with warnings.catch_warnings(action="error"):
+        with pytest.raises(OverflowError, match="semi-norm majorant"):
+            eo.convergence_report(x, 1, eo.SemiNormSpec(m=1, epsilon=1e20), 3, 8)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from support import (
@@ -374,8 +374,18 @@ def commutation_case(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(commutation_case())
+# d = 3 at probe degree 8: 165 probes over 220 basis rows, several column blocks
+@example((
+    [
+        gaussian_family(3)[0],
+        airy_family(3)[1],
+        eo.CROperator(3, 3, 0.5j, eo.ConvolutionSymbol(3, {(1, 1, 0): 0.5, (0, 0, 3): -2.0})),
+    ],
+    8,
+    None,
+))
 def test_verify_commutation_matches_per_monomial_reference(case):
-    """The per-degree probe blocks give each monomial's residual, bit for bit."""
+    """The column blocks of probes give each monomial's residual, bit for bit."""
     ops, probe_degree, expected_a = case
     report = eo.verify_commutation(ops, probe_degree, expected_a=expected_a)
     claimed = [op.a for op in ops] if expected_a is None else expected_a

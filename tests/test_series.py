@@ -451,6 +451,24 @@ def test_seminorm_nonzero_coefficient_where_the_power_overflows_raises_as_the_lo
     assert str(got.value) == str(want.value)
 
 
+def test_seminorm_sum_of_a_finite_row_past_the_float_range_raises_without_a_warning():
+    spec = eo.SemiNormSpec(1, 1e10)  # r ** 4 = 1e40 is finite, 1e300 * 1e40 is not
+    f = eo.make_series(1, 4, {(0,): 1.0, (4,): 1e300})
+    with warnings.catch_warnings(action="error"):
+        with pytest.raises(OverflowError, match="semi-norm majorant"):
+            eo.seminorm_bound(f, spec)
+    # a row that already holds inf keeps its non-finite sum: inf, or NaN
+    # where its power underflows to 0, as in the scalar loop
+    g = eo.make_series(1, 4, {(0,): 1.0, (2,): math.inf})
+    with warnings.catch_warnings(action="error"):
+        assert seminorm_rows(1, 4, np.stack([g.vector, g.vector]), spec).tolist() == [
+            math.inf, math.inf
+        ]
+        tiny = eo.SemiNormSpec(1, 1e-200)
+        assert math.isnan(eo.seminorm_bound(g, tiny))
+        assert math.isnan(scalar_seminorm(g, tiny))
+
+
 def test_seminorm_nan_coefficient_gives_nan():
     spec = eo.SemiNormSpec(1, 2.0)
     f = eo.make_series(2, 3, {(0, 0): 1.0, (1, 1): complex(math.nan, 1.0)})
