@@ -20,7 +20,6 @@ from .series import (
     differentiate,
     evaluate,
     graded_key,
-    index_binomial,
     index_factorial,
     index_order,
     linear_combine,
@@ -38,8 +37,6 @@ from .operators import (
     ConvolutionSymbol,
     CROperator,
     WeylOperator,
-    apply_convolution,
-    apply_cr_operator,
     apply_weyl,
     characteristic_roundtrip,
     commutator,

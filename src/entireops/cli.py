@@ -3,7 +3,7 @@
 A scenario JSON file declares a dimension, an operator family, a generator
 (either per-axis kernel problems or an explicit series literal) and a list
 of tasks.  Tasks run in order and each one emits a report (JSON by default;
-CSV where the report has a tabular profile) to stdout or to ``--out``.
+CSV for the task kinds in ``CSV_TASKS``) to stdout or to ``--out``.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors, 3 internal errors.  Output is bytewise
@@ -182,6 +182,9 @@ SCENARIO_ONLY = frozenset(
 )
 
 TASK_KINDS = tuple(TASK_PARAMS)
+
+#: the task kinds whose report has a CSV profile (``serialize.report_to_csv``)
+CSV_TASKS = ("complete", "fhc")
 
 
 def task_params(
@@ -498,7 +501,8 @@ def execute_tasks(
 
     ``tasks=None`` runs the scenario's own tasks with the parameters resolved
     when it was parsed.  Other task objects are resolved here, all of them
-    before any runs, and so is a ``tolerance`` override.
+    before any runs, and so are a ``tolerance`` override and the format: a
+    CSV request for a task kind outside ``CSV_TASKS`` is refused.
     """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
@@ -510,6 +514,11 @@ def execute_tasks(
         kernel = scn.kernel_problems is not None
         axes = [op.axis for op in scn.operators]
         resolved = [task_params(task, scn.dimension, kernel, axes) for task in tasks]
+    no_csv = [t["task"] for t in tasks if fmt == "csv" and t["task"] not in CSV_TASKS]
+    if no_csv:
+        raise ScenarioError(
+            f"csv unsupported for the {no_csv[0]} task; csv covers {', '.join(CSV_TASKS)}"
+        )
     outputs: list[tuple[str, str]] = []
     all_passed = True
     for i, (task, params) in enumerate(zip(tasks, resolved)):
@@ -520,8 +529,7 @@ def execute_tasks(
         }
         try:
             report, payload, passed = _RUNNERS[name](scn, params, ctx)
-            # a report holding a non-finite number fails its task here; a
-            # report kind with no csv profile is a ScenarioError
+            # a report holding a non-finite number fails its task here
             if fmt == "json":
                 text = to_json_text({"task": name, "passed": passed, **payload})
             else:
@@ -678,7 +686,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(outputs, args.format, args.out, sys.stdout)
         return code
     except ValueError as exc:
-        # a ScenarioError, or an unsupported format / report kind
+        # a ScenarioError, or a format the tasks do not support
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # noqa: BLE001 - report and exit 3

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import CROperator, apply_cr_operator
+from .operators import CROperator, apply_weyl
 from .series import TruncatedSeries, _layout, worst
 
 #: solver aborts when a coefficient magnitude passes this (overflow hygiene)
@@ -143,7 +143,7 @@ def verify_kernel(
     for op in ops:
         if op.dim != f.dim:
             raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
-        image = apply_cr_operator(op, f)
+        image = apply_weyl(op, f)
         if not image.is_polynomial and image.exact_degree < 0:
             raise ValueError(
                 "truncation too small to verify: the operator consumed the "

@@ -21,11 +21,11 @@ Three layers:
 one loop over the stored terms that acts on a coefficient vector or on a
 ``(basis size, batch)`` block of them.  :func:`apply_weyl` runs it on a
 series' vector and derives the exactness flags from the per-term rules of
-the series primitives.  Convolution symbols and CR operators build their
-normal-ordered Weyl form once, at construction; :func:`apply_convolution`
-and :func:`apply_cr_operator` apply that form.  The symbolic algebra
-(:func:`commutator`) never touches series and is the oracle the numeric
-route is tested against.
+the series primitives.  Both read only ``dim`` and the normal-ordered
+``terms`` table, which all three shapes carry (a CR operator's is built in
+one ``WeylOperator`` call), so one path applies every operator.  The
+symbolic algebra (:func:`commutator`) never touches series and is the
+oracle the numeric route is tested against.
 
 :func:`verify_commutation` re-derives the commutator table numerically,
 independently of the symbolic route, as a guard against ordering bugs: it
@@ -36,7 +36,7 @@ column blocks small enough to be reused from the heap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -180,7 +180,7 @@ def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
 
 
 def _weyl_kernel(
-    op: WeylOperator, layout: _Layout, data: np.ndarray
+    op: Operator, layout: _Layout, data: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """Apply the operator to a coefficient vector or block over ``layout``.
 
@@ -202,8 +202,8 @@ def _weyl_kernel(
     return acc, spilled
 
 
-def apply_weyl(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
-    """Apply the operator to a series; every operator application ends here.
+def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
+    """Apply an operator of any of the three shapes to a series.
 
     The flags follow the series primitives term by term: a polynomial stays
     fully exact and stays a polynomial unless a nonzero coefficient is
@@ -213,7 +213,7 @@ def apply_weyl(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     """
     if op.dim != f.dim:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
-    if op.is_zero():
+    if not op.terms:
         return zero_series(f.dim, f.cutoff)
     out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
     if f.is_polynomial:
@@ -238,6 +238,8 @@ class ConvolutionSymbol:
 
     dim: int
     bcoeffs: Mapping[Index, complex]
+    #: ``sum_n (b_n / n!) D^n`` as a normal-ordered Weyl table
+    terms: Mapping[TermKey, complex] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -245,21 +247,12 @@ class ConvolutionSymbol:
         object.__setattr__(self, "bcoeffs", term_table(self.dim, self.bcoeffs))
         zero = (0,) * self.dim
         terms = {(zero, n): c / index_factorial(n) for n, c in self.bcoeffs.items()}
-        object.__setattr__(self, "_weyl", WeylOperator(self.dim, terms))
+        object.__setattr__(self, "terms", WeylOperator(self.dim, terms).terms)
 
     @property
     def max_order(self) -> int:
         """Largest total degree in the support (0 for the zero symbol)."""
         return max((sum(n) for n in self.bcoeffs), default=0)
-
-    def as_weyl(self) -> WeylOperator:
-        """``sum_n (b_n / n!) D^n``, built once at construction."""
-        return self._weyl
-
-
-def apply_convolution(sym: ConvolutionSymbol, f: TruncatedSeries) -> TruncatedSeries:
-    """Action ``f -> sum_n b_n D^n f / n!`` of the convolution operator."""
-    return apply_weyl(sym.as_weyl(), f)
 
 
 def dual_pairing(sym: ConvolutionSymbol, f: TruncatedSeries) -> complex:
@@ -305,6 +298,8 @@ class CROperator:
     axis: int
     a: complex
     conv: ConvolutionSymbol
+    #: ``sum_n (b_n / n!) D^n - a z_axis`` as a normal-ordered Weyl table
+    terms: Mapping[TermKey, complex] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.axis <= self.dim:
@@ -317,17 +312,15 @@ class CROperator:
             raise ValueError(
                 f"symbol dim {self.conv.dim} does not match operator dim {self.dim}"
             )
-        weyl = self.conv.as_weyl() + (-a) * WeylOperator.coordinate(self.dim, self.axis)
-        object.__setattr__(self, "_weyl", weyl)
+        # the arithmetic of the operator sum conv + (-a) * z_axis: it sets
+        # the signs of zero, and an infinite a leaves a NaN part
+        z_term = (_unit(self.dim, self.axis), (0,) * self.dim)
+        table = {**self.conv.terms, z_term: 0j + (-a) * (1 + 0j)}
+        object.__setattr__(self, "terms", WeylOperator(self.dim, table).terms)
 
-    def as_weyl(self) -> WeylOperator:
-        """``sum_n (b_n / n!) D^n - a z_axis``, built once at construction."""
-        return self._weyl
 
-
-def apply_cr_operator(op: CROperator, f: TruncatedSeries) -> TruncatedSeries:
-    """``T f = (convolution part of T) f - a * z_axis * f``."""
-    return apply_weyl(op.as_weyl(), f)
+#: the three operator shapes; each carries ``dim`` and a normal-ordered ``terms``
+Operator = WeylOperator | ConvolutionSymbol | CROperator
 
 
 #: bytes of one probe block (16 per complex entry).  glibc serves a request of
@@ -396,10 +389,9 @@ def verify_commutation(
         probes[np.arange(first, first + cols), np.arange(cols)] = 1.0
         d_probes = [_gather_derivative(layout, probes, ek) for ek in units]
         for op, a_claim in zip(ops, claimed):
-            weyl = op.as_weyl()
-            t_probes, _ = _weyl_kernel(weyl, layout, probes)
+            t_probes, _ = _weyl_kernel(op, layout, probes)
             for k, (ek, dk) in enumerate(zip(units, d_probes), start=1):
-                t_dk, _ = _weyl_kernel(weyl, layout, dk)
+                t_dk, _ = _weyl_kernel(op, layout, dk)
                 defect = t_dk - _gather_derivative(layout, t_probes, ek)
                 if k == op.axis:
                     defect -= a_claim * probes

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .operators import CROperator, apply_cr_operator
+from .operators import CROperator, apply_weyl
 from .series import (
     SemiNormSpec,
     TruncatedSeries,
@@ -69,7 +69,7 @@ def iterate_orbit(
         )
     iterates = [x]
     for _ in range(steps):
-        iterates.append(apply_cr_operator(op, iterates[-1]))
+        iterates.append(apply_weyl(op, iterates[-1]))
     return OrbitRecord(iterates=tuple(iterates))
 
 

@@ -231,8 +231,9 @@ def report_to_dict(report: Any) -> dict:
 def report_to_csv(report: Any) -> str:
     """CSV body for the report kinds that have a tabular profile.
 
-    Any other kind raises ScenarioError: the request does not fit the task.
-    A non-finite number raises ValueError, as in JSON text.
+    These are the reports of the task kinds in ``cli.CSV_TASKS``; any other
+    kind raises ScenarioError.  A non-finite number raises ValueError, as in
+    JSON text.
     """
     if isinstance(report, CompletenessReport):
         lines = ["index,singular_value"]

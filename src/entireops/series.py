@@ -62,7 +62,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -85,14 +84,6 @@ def index_factorial(n: Index) -> int:
     out = 1
     for e in n:
         out *= math.factorial(e)
-    return out
-
-
-def index_binomial(n: Index, k: Index) -> int:
-    """Product of per-axis binomial coefficients ``C(n_j, k_j)``."""
-    out = 1
-    for a, b in zip(n, k):
-        out *= math.comb(a, b)
     return out
 
 
@@ -146,14 +137,21 @@ def _rounded(exact: np.ndarray) -> np.ndarray:
     return out
 
 
+def _degree_indices(dim: int, degree: int) -> list[Index]:
+    """The indices of total degree ``degree`` in lex order, first entry ascending."""
+    if dim == 1:
+        return [(degree,)]
+    return [(e, *tail) for e in range(degree + 1)
+            for tail in _degree_indices(dim - 1, degree - e)]
+
+
 @lru_cache(maxsize=64)
 def _layout(dim: int, cutoff: int) -> _Layout:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    indices = [n for n in product(range(cutoff + 1), repeat=dim) if sum(n) <= cutoff]
-    indices.sort(key=graded_key)
+    indices = [n for d in range(cutoff + 1) for n in _degree_indices(dim, d)]
     exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
     raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
     steps = range(cutoff + 1)

@@ -45,7 +45,7 @@ def test_criterion_2_ladder_oracle_equivalence():
             first_axis_powers = [g]
             for _ in range(4):
                 first_axis_powers.append(
-                    eo.apply_cr_operator(family_ops[0], first_axis_powers[-1])
+                    eo.apply_weyl(family_ops[0], first_axis_powers[-1])
                 )
             for k1 in range(5):
                 h = first_axis_powers[k1]
@@ -61,7 +61,7 @@ def test_criterion_2_ladder_oracle_equivalence():
                         deviation = delta.max_exact_coefficient()
                     worst = max(worst, deviation)
                     if k2 < 4:
-                        h = eo.apply_cr_operator(family_ops[1], h)
+                        h = eo.apply_weyl(family_ops[1], h)
     check(
         2,
         f"ladder action vs brute force, {cases} cases (worst {worst:.2e})",
@@ -185,7 +185,7 @@ def test_criterion_7_route_equality():
             is_polynomial=True,
         )
         for sym in symbols:
-            image = eo.apply_convolution(sym, f)
+            image = eo.apply_weyl(sym, f)
             for _ in range(20):
                 lam = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),)
                 lhs = eo.evaluate(image, lam)

@@ -772,6 +772,36 @@ def test_non_finite_report_fails_only_its_task_in_either_format(tmp_path, capsys
     assert (out_dir / f"00_fhc.{fmt}").read_text() == failed
 
 
+@pytest.mark.parametrize("overflowing", [False, True])
+def test_csv_for_a_kind_without_profile_exits_2_before_any_task_runs(
+    tmp_path, overflowing
+):
+    # complete has a csv profile and kernel has none; with an overflowing
+    # kernel the kernel task would fail, and the refusal must not depend on it
+    tasks = [{"task": "complete", "truncation": 2}, {"task": "kernel", "degree": 6}]
+    scenario = Path(_scenario_file(tmp_path, "gaussian1d", tasks))
+    if overflowing:
+        obj = json.loads(scenario.read_text())
+        obj["operators"][0]["a"] = [1e100, 0.0]
+        obj["generator"]["kernel"][0]["a"] = [1e100, 0.0]
+        obj["generator"]["kernel"][0]["seeds"] = [[1e149, 0.0]]
+        scenario.write_text(json.dumps(obj))
+        code = cli.main(["run", str(scenario), "--out", str(tmp_path / "json")])
+        assert code == cli.EXIT_TASK_FAILED
+    calls = []
+
+    def counted(run):
+        return lambda *args: calls.append(run) or run(*args)
+
+    runners = {kind: counted(run) for kind, run in cli._RUNNERS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._RUNNERS, runners), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["run", str(scenario), "--format", "csv"])
+    assert code == cli.EXIT_PARSE
+    assert (out.getvalue(), calls) == ("", [])
+    assert "csv unsupported for the kernel task" in err.getvalue()
+
+
 def test_csv_rejected_for_orbit_reports():
     rec = eo.iterate_orbit(gaussian_family(1)[0], eo.monomial(1, 3, (1,)), 1)
     with pytest.raises(ValueError, match="csv unsupported for complex series"):

@@ -216,7 +216,7 @@ def test_lowering_agrees_with_operator_application():
     op = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {(1,): 1.0}))
     for n in range(4):
         x = eo.LadderVector(gens, {(n,): 1.0})
-        numeric = eo.apply_cr_operator(op, eo.realize(x, 6))
+        numeric = eo.apply_weyl(op, eo.realize(x, 6))
         symbolic = eo.realize(eo.apply_lowering(x, 1), 6)
         aligned = eo.with_cutoff(symbolic, numeric.cutoff)
         diff = eo.linear_combine([(1, numeric), (-1, aligned)])

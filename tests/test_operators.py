@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
+from entireops import cli
 from support import (
     SCALAR,
     airy_family,
@@ -87,7 +91,7 @@ def test_symbolic_vs_numeric_commutator_route():
     for ops in (gaussian_family(2), airy_family(2)):
         for op in ops:
             for k in (1, 2):
-                sym = eo.commutator(op.as_weyl(), eo.WeylOperator.derivative(2, tuple(1 if j == k - 1 else 0 for j in range(2))))
+                sym = eo.commutator(eo.WeylOperator(2, op.terms), eo.WeylOperator.derivative(2, tuple(1 if j == k - 1 else 0 for j in range(2))))
                 expected = (op.a if k == op.axis else 0.0) * eo.WeylOperator.identity(2)
                 assert weyl_terms_close(sym, expected)
 
@@ -169,27 +173,27 @@ def test_apply_weyl_matches_termwise_composition(case):
 def test_apply_convolution_dirac_is_identity():
     f = eo.make_series(1, 4, {(0,): 1, (3,): 2.0})
     sym = eo.ConvolutionSymbol(1, {(0,): 1.0})
-    assert max_coeff_diff(eo.apply_convolution(sym, f), dict(f.terms())) == 0
+    assert max_coeff_diff(eo.apply_weyl(sym, f), dict(f.terms())) == 0
 
 
 def test_apply_convolution_first_order_is_derivative():
     f = eo.make_series(1, 5, {(1,): 3.0, (4,): 1.0})
     sym = eo.ConvolutionSymbol(1, {(1,): 1.0})
-    out = eo.apply_convolution(sym, f)
+    out = eo.apply_weyl(sym, f)
     expected = eo.differentiate(f, (1,))
     assert max_coeff_diff(out, dict(expected.terms())) == 0
 
 
 def test_apply_convolution_second_order():
     sym = eo.ConvolutionSymbol(1, {(2,): 2.0})
-    out = eo.apply_convolution(sym, eo.monomial(1, 3, (3,)))
+    out = eo.apply_weyl(sym, eo.monomial(1, 3, (3,)))
     assert max_coeff_diff(out, {(1,): 6.0}) == 0
 
 
 def test_apply_convolution_exactness_drop():
     f = eo.make_series(1, 6, {(0,): 1.0, (2,): 0.5})  # exact to 6, not polynomial
     sym = eo.ConvolutionSymbol(1, {(2,): 2.0})
-    assert eo.apply_convolution(sym, f).exact_degree == 4
+    assert eo.apply_weyl(sym, f).exact_degree == 4
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +268,110 @@ def test_cr_operator_requires_nonzero_constant():
         eo.CROperator(1, 1, 0.0, eo.ConvolutionSymbol(1, {(1,): 1.0}))
 
 
+def algebra_cr_operator(op: eo.CROperator) -> eo.WeylOperator:
+    """``T = M_F - a z_axis`` composed in the symbolic algebra."""
+    conv = eo.WeylOperator(op.dim, op.conv.terms)
+    return conv + (-op.a) * eo.WeylOperator.coordinate(op.dim, op.axis)
+
+
+def term_bits(terms) -> list:
+    """Keys in stored order with the bytes of both parts (signs of zero included)."""
+    return [(key, struct.pack("<dd", c.real, c.imag)) for key, c in terms.items()]
+
+
+def assert_cr_table_is_the_algebra(op: eo.CROperator, f: eo.TruncatedSeries) -> None:
+    oracle = algebra_cr_operator(op)
+    assert term_bits(op.terms) == term_bits(oracle.terms)
+    got, want = eo.apply_weyl(op, f), eo.apply_weyl(oracle, f)
+    assert np.array_equal(got.vector, want.vector, equal_nan=True)
+    assert (got.exact_degree, got.is_polynomial) == (want.exact_degree, want.is_polynomial)
+
+
+def rng_series(dim: int, cutoff: int, seed: int) -> eo.TruncatedSeries:
+    rng = np.random.default_rng(seed)
+    coeffs = {n: complex(*rng.uniform(-1, 1, 2)) for n in eo.monomial_basis(dim, cutoff)}
+    return eo.make_series(dim, cutoff, coeffs, is_polynomial=bool(seed % 2))
+
+
+@pytest.mark.parametrize("name", cli.BUNDLED)
+def test_bundled_cr_tables_are_the_algebra(name):
+    scn = cli.load_scenario(name)
+    for op in scn.operators:
+        assert_cr_table_is_the_algebra(op, rng_series(op.dim, 6, op.axis))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(cr_operators), st.integers(0, 9))
+def test_drawn_cr_tables_are_the_algebra(op, seed):
+    assert_cr_table_is_the_algebra(op, rng_series(op.dim, 5, seed))
+
+
+@pytest.mark.parametrize(
+    "a, stored",
+    [
+        (1.5, (-1.5, 0.0)),
+        (-1.5, (1.5, 0.0)),
+        (complex(2.0, -0.0), (-2.0, 0.0)),
+        (complex(-0.0, -1.0), (0.0, 1.0)),
+        (complex(0.0, 1.0), (0.0, -1.0)),
+    ],
+)
+def test_cr_table_keeps_the_algebras_signs_of_zero(a, stored):
+    op = eo.CROperator(2, 1, a, eo.ConvolutionSymbol(2, {(1, 0): 1.0, (0, 2): -2.0}))
+    assert_cr_table_is_the_algebra(op, rng_series(2, 4, 1))
+    z = op.terms[((1, 0), (0, 0))]
+    assert struct.pack("<dd", z.real, z.imag) == struct.pack("<dd", *stored)
+
+
+def test_cr_table_of_an_infinite_constant_is_the_algebras():
+    # -inf * (1 + 0j) has a NaN imaginary part, which numpy multiplies quietly
+    op = eo.CROperator(1, 1, math.inf, eo.ConvolutionSymbol(1, {(1,): 1.0}))
+    assert_cr_table_is_the_algebra(op, rng_series(1, 4, 2))
+    assert np.isnan(eo.apply_weyl(op, rng_series(1, 4, 2)).vector[1:]).all()
+
+
+def test_symbol_table_is_b_over_factorial():
+    sym = eo.ConvolutionSymbol(2, {(0, 0): 3.0, (2, 1): 4.0 - 2j, (0, 3): 6.0})
+    zero = (0, 0)
+    assert sym.terms == {
+        (zero, n): b / (math.factorial(n[0]) * math.factorial(n[1]))
+        for n, b in sym.bcoeffs.items()
+    }
+    assert list(sym.terms) == [(zero, n) for n in sym.bcoeffs]
+
+
+def test_cr_operator_builds_its_table_in_one_construction(monkeypatch):
+    sym = eo.ConvolutionSymbol(3, {(0, 2, 0): 2.0, (1, 0, 0): 1.0})
+    calls = []
+    post_init = eo.WeylOperator.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(eo.WeylOperator, "__post_init__", counted)
+    op = eo.CROperator(3, 2, 1.5, sym)
+    assert len(calls) == 1
+    assert calls[0].terms is op.terms
+
+
 def test_apply_cr_gaussian_kernel():
     f = eo.solve_kernel_axis(gaussian_problem(), 8)
     [op] = gaussian_family(1)
-    out = eo.apply_cr_operator(op, f)
+    out = eo.apply_weyl(op, f)
     assert out.max_exact_coefficient() <= 1e-15
 
 
 def test_apply_cr_airy_kernel():
     f = eo.solve_kernel_axis(airy_problem(), 8)
     [op] = airy_family(1)
-    out = eo.apply_cr_operator(op, f)
+    out = eo.apply_weyl(op, f)
     assert out.max_exact_coefficient() <= 1e-15
 
 
 def test_apply_cr_on_coordinate():
     [op] = gaussian_family(1)
-    out = eo.apply_cr_operator(op, eo.monomial(1, 3, (1,)))
+    out = eo.apply_weyl(op, eo.monomial(1, 3, (1,)))
     assert max_coeff_diff(out, {(0,): 1.0, (2,): -1.0}) == 0
 
 
@@ -295,8 +386,8 @@ def test_convolution_part_commutes_with_translation():
             is_polynomial=True,
         )
         lam = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),)
-        a = eo.translate(eo.apply_convolution(sym, f), lam)
-        b = eo.apply_convolution(sym, eo.translate(f, lam))
+        a = eo.translate(eo.apply_weyl(sym, f), lam)
+        b = eo.apply_weyl(sym, eo.translate(f, lam))
         diff = eo.linear_combine([(1, a), (-1, b)])
         assert diff.max_exact_coefficient() <= 1e-12
 
@@ -349,11 +440,11 @@ def per_monomial_residuals(ops, probe_degree, claimed):
     for op, a in zip(ops, claimed):
         for n in eo.monomial_basis(dim, probe_degree):
             probe = eo.monomial(dim, cutoff, n)
-            t_probe = eo.apply_cr_operator(op, probe)
+            t_probe = eo.apply_weyl(op, probe)
             for k, ek in enumerate(units, start=1):
                 defect = eo.linear_combine(
                     [
-                        (1.0, eo.apply_cr_operator(op, eo.differentiate(probe, ek))),
+                        (1.0, eo.apply_weyl(op, eo.differentiate(probe, ek))),
                         (-1.0, eo.differentiate(t_probe, ek)),
                         (-(a if k == op.axis else 0.0), probe),
                     ]
@@ -418,7 +509,7 @@ def test_route_equality_on_random_polynomials():
             is_polynomial=True,
         )
         for sym in symbols:
-            image = eo.apply_convolution(sym, f)
+            image = eo.apply_weyl(sym, f)
             for _ in range(5):
                 lam = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),)
                 lhs = eo.evaluate(image, lam)

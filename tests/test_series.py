@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ def test_graded_lex_basis_order():
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
     ]
     assert len(eo.monomial_basis(2, 4)) == math.comb(6, 2)
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_basis_is_the_filtered_sorted_cube(dim):
+    # reference: every index of the (cutoff + 1)^dim cube, filtered by total
+    # degree and sorted into graded-lex order
+    for cutoff in range(9):
+        cube = product(range(cutoff + 1), repeat=dim)
+        want = sorted((n for n in cube if sum(n) <= cutoff), key=eo.graded_key)
+        assert eo.monomial_basis(dim, cutoff) == want
+
+
+def test_basis_of_a_wide_dimension():
+    # the (3 + 1)^12 cube holds 1.7e7 indices; the basis holds comb(15, 12)
+    basis = eo.monomial_basis(12, 3)
+    assert len(basis) == len(set(basis)) == math.comb(15, 12)
+    assert basis[:3] == [(0,) * 12, (0,) * 11 + (1,), (0,) * 10 + (1, 0)]
+    assert basis == sorted(basis, key=eo.graded_key)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +653,7 @@ def _step(f, f0, kind, arg):
     if kind == "cutoff":
         return eo.with_cutoff(f, max(0, f.cutoff + arg))
     if kind == "cr":
-        return eo.apply_cr_operator(arg, f)
+        return eo.apply_weyl(arg, f)
     f0 = eo.with_cutoff(f0, f.cutoff)
     return eo.linear_combine([(arg[0], f), (arg[1], f0)])
 
