@@ -2,8 +2,9 @@
 
 A scenario JSON file declares a dimension, an operator family, a generator
 (either per-axis kernel problems or an explicit series literal) and a list
-of tasks.  Tasks run in order and each one emits a report (JSON by default;
-CSV for the task kinds in ``CSV_TASKS``) to stdout or to ``--out``.
+of tasks.  Tasks run in order.  Each kind's runner builds its whole report
+as an ordered dict, emitted to stdout or to ``--out`` as JSON by default or,
+for the kinds in ``CSV_PROFILES``, as CSV rows read from that dict.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors, 3 internal errors.  Output is bytewise
@@ -13,8 +14,6 @@ reproducible for equal scenario + seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 import json
 import math
@@ -41,12 +40,11 @@ from .serialize import (
     coeffs_from_json,
     cr_operator_from_json,
     problem_from_json,
-    report_to_csv,
-    report_to_dict,
     scenario_bool,
     scenario_int,
     series_from_json,
     series_to_json,
+    to_csv_text,
     to_json_text,
 )
 from .series import (
@@ -182,9 +180,6 @@ SCENARIO_ONLY = frozenset(
 )
 
 TASK_KINDS = tuple(TASK_PARAMS)
-
-#: the task kinds whose report has a CSV profile (``serialize.report_to_csv``)
-CSV_TASKS = ("complete", "fhc")
 
 
 def task_params(
@@ -373,7 +368,9 @@ def _given(value: Any, derived: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# task runners: each takes task_params and returns (report, payload, passed)
+# task runners: each takes task_params and returns (report payload, passed).
+# The payload is the whole report of its kind after the "task" and "passed"
+# keys, in the order it is written.
 # ---------------------------------------------------------------------------
 
 
@@ -382,16 +379,30 @@ def _run_verify_cr(scn: Scenario, p: dict, ctx: dict):
     report = verify_commutation(
         scn.operators, p["probe_degree"], tolerance=p["max_residual"]
     )
-    return report, report_to_dict(report), report.passed
+    payload = {
+        "probe_degree": report.probe_degree,
+        "residuals": [
+            {"op_axis": j, "partial_axis": k, "residual": r}
+            for (j, k), r in sorted(report.residuals.items())
+        ],
+        "max_residual": report.max_residual,
+        "tolerance": report.tolerance,
+    }
+    return payload, report.passed
 
 
 def _run_kernel(scn: Scenario, p: dict, ctx: dict):
     """Solve and verify the joint kernel."""
     f = generator_series(scn, _given(p["degree"], scn.truncation))
     report = verify_kernel(scn.operators, f, tolerance=p["max_residual"])
-    payload = report_to_dict(report)
-    payload["series"] = series_to_json(f)
-    return report, payload, report.passed
+    payload = {
+        "axes": list(report.axes),
+        "residuals": list(report.residuals),
+        "max_residual": report.max_residual,
+        "tolerance": report.tolerance,
+        "series": series_to_json(f),
+    }
+    return payload, report.passed
 
 
 def _run_complete(scn: Scenario, p: dict, ctx: dict):
@@ -412,7 +423,15 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
             warnings.simplefilter("ignore", ApproximationWarning)
             span = translate_span(f, trunc, samples)
     report = rank_report(span, tolerance)
-    payload = report_to_dict(report)
+    payload = {
+        "rank": report.rank,
+        "ambient": report.ambient_dim,
+        "complete_at_truncation": report.complete_at_truncation,
+        "N": report.truncation,
+        "max_order": report.max_order,
+        "tolerance": report.tolerance,
+        "diagnostics": list(report.singular_values),
+    }
     if p["trajectory"] is not None:
         offset = max_order - trunc
         rows = []
@@ -433,7 +452,7 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
         passed = report.complete_at_truncation == p["expect_complete"]
     if p["expect_rank"] is not None:
         passed = passed and report.rank == p["expect_rank"]
-    return report, payload, passed
+    return payload, passed
 
 
 def _run_approximate(scn: Scenario, p: dict, ctx: dict):
@@ -443,7 +462,12 @@ def _run_approximate(scn: Scenario, p: dict, ctx: dict):
     max_order = _given(p["max_order"], trunc)
     f = generator_series(scn, trunc + max_order)
     result = approximate_target(f, target, trunc, max_order)
-    return result, report_to_dict(result), result.residual <= p["max_residual"]
+    payload = {
+        "orders": [list(n) for n in result.orders],
+        "coefficients": [[c.real, c.imag] for c in result.coefficients],
+        "residual": result.residual,
+    }
+    return payload, result.residual <= p["max_residual"]
 
 
 def _run_fhc(scn: Scenario, p: dict, ctx: dict):
@@ -455,10 +479,21 @@ def _run_fhc(scn: Scenario, p: dict, ctx: dict):
     report = convergence_report(
         x, p["axis"], spec, p["kmax"], p["realization_degree"]
     )
+    payload = {
+        "axis": report.axis,
+        "m": report.m,
+        "epsilon": report.epsilon,
+        "bound": report.bound,
+        "u": list(report.u),
+        "ratios": list(report.ratios),
+        "kth_roots": list(report.kth_roots),
+        "partial_sums": list(report.partial_sums),
+        "stable": report.stable,
+    }
     passed = report.stable
     if p["max_kth_root"] is not None:
         passed = passed and report.kth_roots[-1] <= p["max_kth_root"]
-    return report, report_to_dict(report), passed
+    return payload, passed
 
 
 def _run_orbit(scn: Scenario, p: dict, ctx: dict):
@@ -469,14 +504,19 @@ def _run_orbit(scn: Scenario, p: dict, ctx: dict):
     spec = SemiNormSpec(m=p["m"], epsilon=p["epsilon"])
     target = _series_argument(scn, p["target"], x.cutoff)
     annotated = measure_visits(record, target, p["delta"], spec)
-    payload = report_to_dict(annotated)
-    payload["note"] = DENSITY_DISCLAIMER
+    payload = {
+        "steps": annotated.steps,
+        "hits": list(annotated.hits),
+        "density_proxy": annotated.density_proxy,
+        "distances": list(annotated.distances),
+        "note": DENSITY_DISCLAIMER,
+    }
     passed = True
     if p["min_density"] is not None:
         passed = annotated.density_proxy >= p["min_density"]
     if p["max_density"] is not None:
         passed = passed and annotated.density_proxy <= p["max_density"]
-    return annotated, payload, passed
+    return payload, passed
 
 
 _RUNNERS = {
@@ -486,6 +526,20 @@ _RUNNERS = {
     "approximate": _run_approximate,
     "fhc": _run_fhc,
     "orbit": _run_orbit,
+}
+
+#: kind -> (CSV header, the rows of a report payload); no other kind has CSV
+CSV_PROFILES = {
+    "complete": (
+        ("index", "singular_value"),
+        lambda payload: enumerate(payload["diagnostics"]),
+    ),
+    "fhc": (
+        ("k", "u", "ratio"),
+        lambda payload: zip(
+            range(len(payload["u"])), payload["u"], [None, *payload["ratios"]]
+        ),
+    ),
 }
 
 
@@ -502,7 +556,7 @@ def execute_tasks(
     ``tasks=None`` runs the scenario's own tasks with the parameters resolved
     when it was parsed.  Other task objects are resolved here, all of them
     before any runs, and so are a ``tolerance`` override and the format: a
-    CSV request for a task kind outside ``CSV_TASKS`` is refused.
+    CSV request for a task kind outside ``CSV_PROFILES`` is refused.
     """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
@@ -514,10 +568,10 @@ def execute_tasks(
         kernel = scn.kernel_problems is not None
         axes = [op.axis for op in scn.operators]
         resolved = [task_params(task, scn.dimension, kernel, axes) for task in tasks]
-    no_csv = [t["task"] for t in tasks if fmt == "csv" and t["task"] not in CSV_TASKS]
+    no_csv = [t["task"] for t in tasks if fmt == "csv" and t["task"] not in CSV_PROFILES]
     if no_csv:
         raise ScenarioError(
-            f"csv unsupported for the {no_csv[0]} task; csv covers {', '.join(CSV_TASKS)}"
+            f"csv unsupported for the {no_csv[0]} task; csv covers {', '.join(CSV_PROFILES)}"
         )
     outputs: list[tuple[str, str]] = []
     all_passed = True
@@ -528,34 +582,25 @@ def execute_tasks(
             "seed": (seed if seed is not None else scn.rng_seed) + i,
         }
         try:
-            report, payload, passed = _RUNNERS[name](scn, params, ctx)
+            payload, passed = _RUNNERS[name](scn, params, ctx)
             # a report holding a non-finite number fails its task here
             if fmt == "json":
                 text = to_json_text({"task": name, "passed": passed, **payload})
             else:
-                text = report_to_csv(report)
+                header, rows = CSV_PROFILES[name]
+                text = to_csv_text(header, rows(payload))
         except ScenarioError:
             raise
         except (ValueError, OverflowError) as exc:
+            failed = {"task": name, "passed": False, "error": str(exc)}
             if fmt == "json":
-                text = to_json_text({"task": name, "passed": False, "error": str(exc)})
+                text = to_json_text(failed)
             else:
-                text = _error_csv(name, str(exc))
-            outputs.append((name, text))
-            all_passed = False
-            continue
+                text = to_csv_text(failed, [failed.values()])
+            passed = False
         outputs.append((name, text))
         all_passed = all_passed and passed
     return (EXIT_OK if all_passed else EXIT_TASK_FAILED), outputs
-
-
-def _error_csv(name: str, error: str) -> str:
-    """The CSV report of a failed task: a header and one row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [("task", "passed", "error"), (name, "false", error)]
-    )
-    return buf.getvalue()
 
 
 def run_scenario(

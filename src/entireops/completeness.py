@@ -51,7 +51,6 @@ class SpanMatrix:
     row_labels: tuple
     truncation: int
     dim: int
-    source: str  # "derivative" | "translate"
     max_order: int | None = None
 
     def __post_init__(self) -> None:
@@ -115,7 +114,6 @@ def derivative_span(
         row_labels=tuple(orders),
         truncation=truncation,
         dim=f.dim,
-        source="derivative",
         max_order=max_order,
     )
 
@@ -138,7 +136,6 @@ def translate_span(
         row_labels=tuple(samples),
         truncation=truncation,
         dim=f.dim,
-        source="translate",
     )
 
 

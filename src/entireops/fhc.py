@@ -38,10 +38,12 @@ from .series import (
     SemiNormSpec,
     TruncatedSeries,
     _checked_index,
-    combine_derivatives,
     derivative_rows,
+    differentiate,
+    linear_combine,
     seminorm_rows,
     term_table,
+    with_cutoff,
     worst,
     zero_series,
 )
@@ -174,7 +176,8 @@ def realize(x: LadderVector, degree: int) -> TruncatedSeries:
     f = joint_kernel(x.generator, degree + x.max_order)
     if not x.terms:
         return zero_series(x.dim, degree)
-    return combine_derivatives(f, x.terms, degree)
+    parts = [(c, differentiate(f, n)) for n, c in x.terms.items()]
+    return with_cutoff(linear_combine(parts), degree)
 
 
 def _raised_rows(
@@ -185,9 +188,9 @@ def _raised_rows(
     f must be the generator solved out to at least ``degree + max_order(x) +
     kmax``.  The k-fold raised coefficients come from ``apply_raising``'s
     sequential division; one ``derivative_rows`` call gathers every raised
-    label, and each row adds its terms in label order as
-    ``combine_derivatives`` does, skipping a coefficient that has underflowed
-    to zero as the ladder vector drops it.
+    label, and each row adds its terms in label order as ``realize``'s
+    ``linear_combine`` does, skipping a coefficient that has underflowed to
+    zero as the ladder vector drops it.
     """
     j = axis - 1
     a = x.ladder_constants[j]

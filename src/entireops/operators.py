@@ -215,7 +215,9 @@ def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
     if not op.terms:
         return zero_series(f.dim, f.cutoff)
-    out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
+    # a non-finite coefficient times a zero entry is NaN, and stays in the result
+    with np.errstate(invalid="ignore"):
+        out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
     if f.is_polynomial:
         return TruncatedSeries(f.dim, f.cutoff, f.cutoff, not spilled, out)
     exact = min(
@@ -383,21 +385,23 @@ def verify_commutation(
     width = max(1, _PROBE_BLOCK_BYTES // (16 * rows))
     units = [_unit(dim, k) for k in range(1, dim + 1)]
     residuals: dict[tuple[int, int], float] = {}
-    for first in range(0, count, width):
-        cols = min(width, count - first)
-        probes = np.zeros((rows, cols), dtype=complex)
-        probes[np.arange(first, first + cols), np.arange(cols)] = 1.0
-        d_probes = [_gather_derivative(layout, probes, ek) for ek in units]
-        for op, a_claim in zip(ops, claimed):
-            t_probes, _ = _weyl_kernel(op, layout, probes)
-            for k, (ek, dk) in enumerate(zip(units, d_probes), start=1):
-                t_dk, _ = _weyl_kernel(op, layout, dk)
-                defect = t_dk - _gather_derivative(layout, t_probes, ek)
-                if k == op.axis:
-                    defect -= a_claim * probes
-                # worst keeps a NaN, so a non-finite defect cannot pass
-                key = (op.axis, k)
-                residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
+    # a non-finite coefficient times a zero entry is NaN: it stays in the
+    # defect, and worst keeps a NaN, so a non-finite defect cannot pass
+    with np.errstate(invalid="ignore"):
+        for first in range(0, count, width):
+            cols = min(width, count - first)
+            probes = np.zeros((rows, cols), dtype=complex)
+            probes[np.arange(first, first + cols), np.arange(cols)] = 1.0
+            d_probes = [_gather_derivative(layout, probes, ek) for ek in units]
+            for op, a_claim in zip(ops, claimed):
+                t_probes, _ = _weyl_kernel(op, layout, probes)
+                for k, (ek, dk) in enumerate(zip(units, d_probes), start=1):
+                    t_dk, _ = _weyl_kernel(op, layout, dk)
+                    defect = t_dk - _gather_derivative(layout, t_probes, ek)
+                    if k == op.axis:
+                        defect -= a_claim * probes
+                    key = (op.axis, k)
+                    residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
     max_residual = worst(residuals.values())
     return CommutationReport(
         residuals=residuals,

@@ -1,22 +1,24 @@
-"""JSON wire formats and deterministic report emission.
+"""Scenario reading and deterministic report text.
 
-Emission rules: stable field ordering (keys are written in insertion
-order, and every builder here inserts them in a fixed order), floats
-printed with 17 significant digits, index lists graded-lex sorted.  The
-emitted text is therefore bytewise reproducible for equal inputs.
+The readers turn scenario JSON into library objects (series literals, CR
+operators, kernel problems) and refuse what does not fit.  The task runners
+in ``cli`` build each report as an ordered dict; the two writers here emit
+it: ``to_json_text`` writes keys in insertion order, and ``to_csv_text``
+writes a header and rows.  Both print floats with 17 significant digits and
+refuse non-finite ones, so the emitted text is bytewise reproducible for
+equal inputs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from typing import Any, Iterable, Mapping
 
-from .completeness import ApproximationResult, CompletenessReport
-from .fhc import ConvergenceReport
-from .kernel import AxisKernelProblem, KernelReport
-from .operators import CommutationReport, ConvolutionSymbol, CROperator
-from .orbit import OrbitRecord
+from .kernel import AxisKernelProblem
+from .operators import ConvolutionSymbol, CROperator
 from .series import Index, TruncatedSeries, make_series
 
 
@@ -29,22 +31,12 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _pair(c: complex) -> list[float]:
-    c = complex(c)
-    return [c.real, c.imag]
-
-
-def _coeff_entries(pairs: Iterable[tuple[Index, complex]]) -> list[dict]:
-    """Entries for (index, coefficient) pairs already in graded-lex order."""
-    return [{"idx": list(idx), "re": c.real, "im": c.imag} for idx, c in pairs]
-
-
 def series_to_json(f: TruncatedSeries) -> dict:
     return {
         "dim": f.dim,
         "cutoff": f.cutoff,
         "polynomial": f.is_polynomial,
-        "coeffs": _coeff_entries(f.terms()),
+        "coeffs": [{"idx": list(n), "re": c.real, "im": c.imag} for n, c in f.terms()],
     }
 
 
@@ -118,19 +110,6 @@ def series_from_json(obj: Mapping) -> TruncatedSeries:
     )
 
 
-def symbol_to_json(sym: ConvolutionSymbol) -> list[dict]:
-    return _coeff_entries(sym.bcoeffs.items())
-
-
-def cr_operator_to_json(op: CROperator) -> dict:
-    return {
-        "dim": op.dim,
-        "axis": op.axis,
-        "a": _pair(op.a),
-        "symbol": symbol_to_json(op.conv),
-    }
-
-
 def cr_operator_from_json(obj: Mapping) -> CROperator:
     check_keys(obj, ("dim", "axis", "a", "symbol"), "operator")
     dim = scenario_int(obj["dim"])
@@ -140,14 +119,6 @@ def cr_operator_from_json(obj: Mapping) -> CROperator:
         a=_finite_complex(obj["a"], '"a"'),
         conv=ConvolutionSymbol(dim, coeffs_from_json(obj["symbol"])),
     )
-
-
-def problem_to_json(p: AxisKernelProblem) -> dict:
-    return {
-        "charpoly": [_pair(c) for c in p.charpoly],
-        "a": _pair(p.a),
-        "seeds": [_pair(s) for s in p.seeds],
-    }
 
 
 def problem_from_json(obj: Mapping) -> AxisKernelProblem:
@@ -164,97 +135,7 @@ def problem_from_json(obj: Mapping) -> AxisKernelProblem:
 
 
 # ---------------------------------------------------------------------------
-# report payloads
-# ---------------------------------------------------------------------------
-
-
-def report_to_dict(report: Any) -> dict:
-    """Fixed-key-order payload for each report type."""
-    if isinstance(report, CommutationReport):
-        pairs = [
-            {"op_axis": j, "partial_axis": k, "residual": r}
-            for (j, k), r in sorted(report.residuals.items())
-        ]
-        return {
-            "probe_degree": report.probe_degree,
-            "residuals": pairs,
-            "max_residual": report.max_residual,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        }
-    if isinstance(report, KernelReport):
-        return {
-            "axes": list(report.axes),
-            "residuals": list(report.residuals),
-            "max_residual": report.max_residual,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        }
-    if isinstance(report, CompletenessReport):
-        return {
-            "rank": report.rank,
-            "ambient": report.ambient_dim,
-            "complete_at_truncation": report.complete_at_truncation,
-            "N": report.truncation,
-            "max_order": report.max_order,
-            "tolerance": report.tolerance,
-            "diagnostics": list(report.singular_values),
-        }
-    if isinstance(report, ApproximationResult):
-        return {
-            "orders": [list(n) for n in report.orders],
-            "coefficients": [_pair(c) for c in report.coefficients],
-            "residual": report.residual,
-        }
-    if isinstance(report, ConvergenceReport):
-        return {
-            "axis": report.axis,
-            "m": report.m,
-            "epsilon": report.epsilon,
-            "bound": report.bound,
-            "u": list(report.u),
-            "ratios": list(report.ratios),
-            "kth_roots": list(report.kth_roots),
-            "partial_sums": list(report.partial_sums),
-            "stable": report.stable,
-        }
-    if isinstance(report, OrbitRecord):
-        return {
-            "steps": report.steps,
-            "hits": list(report.hits) if report.hits is not None else [],
-            "density_proxy": report.density_proxy,
-            "distances": list(report.distances) if report.distances is not None else [],
-        }
-    raise TypeError(f"no JSON payload defined for {type(report).__name__}")
-
-
-def report_to_csv(report: Any) -> str:
-    """CSV body for the report kinds that have a tabular profile.
-
-    These are the reports of the task kinds in ``cli.CSV_TASKS``; any other
-    kind raises ScenarioError.  A non-finite number raises ValueError, as in
-    JSON text.
-    """
-    if isinstance(report, CompletenessReport):
-        lines = ["index,singular_value"]
-        for i, s in enumerate(report.singular_values):
-            lines.append(f"{i},{_fmt_float(s)}")
-        return "\n".join(lines) + "\n"
-    if isinstance(report, ConvergenceReport):
-        lines = ["k,u,ratio"]
-        for k, u in enumerate(report.u):
-            ratio = "" if k == 0 or report.ratios[k - 1] is None else _fmt_float(
-                report.ratios[k - 1]
-            )
-            lines.append(f"{k},{_fmt_float(u)},{ratio}")
-        return "\n".join(lines) + "\n"
-    if isinstance(report, OrbitRecord):
-        raise ScenarioError("csv unsupported for complex series")
-    raise ScenarioError(f"csv unsupported for {type(report).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# deterministic JSON text
+# deterministic report text
 # ---------------------------------------------------------------------------
 
 
@@ -262,6 +143,26 @@ def _fmt_float(v: float) -> str:
     if v != v or v in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite float {v} cannot be serialized")
     return format(v, ".17g")
+
+
+def _csv_cell(value: Any) -> Any:
+    """A cell as JSON text writes its value; None is an empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt_float(value)
+    return value
+
+
+def to_csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """CSV text of a header and rows, written by the ``csv`` module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 #: spaces per nesting level of the emitted JSON

@@ -25,18 +25,16 @@ only the leading rows it is asked for, as ``(K, rows)`` grids of source
 positions and weights, from one factor lookup and one lookup into a table of
 unit-step powers per axis and one mask for the cells past the cutoff.
 ``derivative_rows`` (the rows of a derivative span) is one plan call and one
-gather, and ``combine_derivatives`` one ``derivative_rows`` call and an
-ordered sum; ``_gather_derivative`` (behind ``differentiate`` and the
-operator kernels) runs the plan with K = 1, or slices the cached tables for
-a unit order.  A weight is the exact integer ``prod_j perm(s_j, n_j)``
-rounded once: the product of the rounded per-axis factors below 2^53, where
-every factor and partial product is exact; above it, a cell with two or
-more non-unit factors is recomputed from exact integers, and past the float
-range the plan raises OverflowError.
-``derivative_rows`` and ``combine_derivatives`` carry the exactness rules
-of the operations they stand for.  The semi-norm upper sum has one array
-form, ``seminorm_rows``, over a block of coefficient rows (``seminorm_bound``
-is its one-row case); each row gets the number of a scalar loop over its
+gather; ``_gather_derivative`` (behind ``differentiate`` and the operator
+kernels) runs the plan with K = 1, or slices the cached tables for a unit
+order.  A weight is the exact integer ``prod_j perm(s_j, n_j)`` rounded
+once: the product of the rounded per-axis factors below 2^53, where every
+factor and partial product is exact; above it, a cell with two or more
+non-unit factors is recomputed from exact integers, and past the float range
+the plan raises OverflowError.  ``derivative_rows`` carries the exactness
+rules of the derivatives it stands for.  The semi-norm upper sum has one
+array form, ``seminorm_rows``, over a block of coefficient rows
+(``seminorm_bound`` is its one-row case); each row gets the number of a scalar loop over its
 terms in graded-lex order.  Translation is the same plan:
 ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so ``_translate_block``
 runs it over every order k with ``||k|| <= cutoff``, per-axis factors
@@ -495,34 +493,6 @@ def _gather_rows(
         # cells the cutoff leaves undetermined have weight 0 and stay +0j
         np.multiply(f.vector[source], weight, out=out[:, :rows], where=weight != 0)
     return out
-
-
-def combine_derivatives(
-    f: TruncatedSeries, terms: Mapping[Index, complex], degree: int
-) -> TruncatedSeries:
-    """``sum c_n D^n f`` over ``terms = {n: c_n}``, re-truncated to the degree.
-
-    Vector and flags equal ``with_cutoff(linear_combine([(c_n, differentiate(f,
-    n)), ...]), degree)``: one ``derivative_rows`` call gathers the kept
-    rows, which are added in term order.  A polynomial f is the exception:
-    its result stays a polynomial only if the dropped tail vanishes, so all
-    of its rows are gathered.
-    """
-    if not terms:
-        raise ValueError("combine_derivatives needs at least one term")
-    gathered = max(degree, f.cutoff) if f.is_polynomial else degree
-    rows = derivative_rows(f, list(terms), gathered)
-    acc = np.zeros(rows.shape[1], dtype=complex)
-    for c, row in zip(terms.values(), rows):
-        w = complex(c)
-        if w != 0:
-            acc += w * row
-    kept = _size(f.dim, degree)
-    if f.is_polynomial:
-        poly = not np.count_nonzero(acc[kept:])
-        return TruncatedSeries(f.dim, degree, degree, poly, acc[:kept])
-    exact = max(-1, f.exact_degree - max(sum(map(int, n)) for n in terms))
-    return TruncatedSeries(f.dim, degree, min(exact, degree), False, acc)
 
 
 def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from entireops import cli, serialize
-from support import airy_problem, bundled_object, gaussian_family, gaussian_problem
+from support import airy_problem, bundled_object, gaussian_family
 
 
 def run_to_text(source: str, **kwargs) -> tuple[int, str]:
@@ -730,16 +731,14 @@ def test_float_formatting_17_digits():
     assert '"flag": true' in text
 
 
-def test_csv_emission_for_completeness_and_fhc():
-    f = eo.solve_kernel_axis(gaussian_problem(), 8)
-    report = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8)
-    csv = serialize.report_to_csv(report)
-    assert csv.startswith("index,singular_value")
-    assert len(csv.strip().splitlines()) == 6
-    x = eo.LadderVector((gaussian_problem(),), {(0,): 1.0})
-    rep = eo.convergence_report(x, 1, eo.SemiNormSpec(1, 2.0), 4, 4)
-    csv = serialize.report_to_csv(rep)
-    assert csv.splitlines()[0] == "k,u,ratio"
+def test_csv_text_quotes_what_its_cells_hold():
+    message = 'bad "x", then\na new line'
+    text = serialize.to_csv_text(("task", "passed", "error"), [("fhc", False, message)])
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["task", "passed", "error"], ["fhc", "false", message]
+    ]
+    text = serialize.to_csv_text(("k", "u", "ratio"), [(0, 1 / 3, None)])
+    assert text == "k,u,ratio\n0,0.33333333333333331,\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -802,14 +801,28 @@ def test_csv_for_a_kind_without_profile_exits_2_before_any_task_runs(
     assert "csv unsupported for the kernel task" in err.getvalue()
 
 
-def test_csv_rejected_for_orbit_reports():
-    rec = eo.iterate_orbit(gaussian_family(1)[0], eo.monomial(1, 3, (1,)), 1)
-    with pytest.raises(ValueError, match="csv unsupported for complex series"):
-        serialize.report_to_csv(rec)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cr", "gaussian1d"],
+        ["kernel", "gaussian1d"],
+        ["approximate", "gaussian1d", "--target-monomial", "1"],
+        ["orbit", "gaussian1d"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_for_each_kind_without_profile_exits_2_before_its_runner(
+    capsys, monkeypatch, argv
+):
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main([*argv, "--format", "csv"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"csv unsupported for the {argv[0]} task; csv covers complete, fhc" in captured.err
 
 
 # ---------------------------------------------------------------------------
-# schema round trips
+# scenario schema: series round trips and readers
 # ---------------------------------------------------------------------------
 
 
@@ -827,16 +840,14 @@ def test_series_json_indices_graded_lex_sorted():
     assert [tuple(e["idx"]) for e in obj["coeffs"]] == [(0, 1), (1, 1), (2, 0)]
 
 
-def test_operator_roundtrip():
-    op = gaussian_family(2)[1]
-    back = serialize.cr_operator_from_json(serialize.cr_operator_to_json(op))
-    assert back == op
+def test_operator_reader():
+    obj = {"dim": 2, "axis": 2, "a": [1.0, 0.0], "symbol": [{"idx": [0, 1], "re": 1.0}]}
+    assert serialize.cr_operator_from_json(obj) == gaussian_family(2)[1]
 
 
-def test_problem_roundtrip():
-    p = airy_problem(a=complex(0.5, 1.0))
-    back = serialize.problem_from_json(serialize.problem_to_json(p))
-    assert back == p
+def test_problem_reader():
+    obj = {"charpoly": [[0, 0], [0, 0], [1, 0]], "a": [0.5, 1.0], "seeds": [[1, 0], [0, 0]]}
+    assert serialize.problem_from_json(obj) == airy_problem(a=complex(0.5, 1.0))
 
 
 def test_scenario_reports_reparse_as_json():

@@ -425,7 +425,6 @@ def test_rank_report_rejects_empty_matrix():
         row_labels=(),
         truncation=4,
         dim=1,
-        source="derivative",
     )
     with pytest.raises(ValueError, match="empty"):
         eo.rank_report(span, 1e-8)
@@ -439,7 +438,6 @@ def test_rank_unchanged_by_row_scaling():
         row_labels=span.row_labels,
         truncation=span.truncation,
         dim=span.dim,
-        source=span.source,
         max_order=span.max_order,
     )
     assert eo.rank_report(scaled, 1e-8).rank == eo.rank_report(span, 1e-8).rank

@@ -1,8 +1,11 @@
 """Bundled scenario reports are frozen: byte-for-byte equal to the references.
 
-The references are the reports recorded for the benchmark in
-``perfbench/ref/bundled/``; any change to the emitted bytes of a shipped
-scenario shows up here first.
+The JSON references are the reports recorded for the benchmark in
+``perfbench/ref/bundled/``.  The CSV references in ``tests/ref/csv/`` are
+the ``--format csv`` reports of every bundled task with a CSV profile, run
+together per scenario (their seeds count from the scenario's ``rng_seed``
+in that order) and named ``<scenario>_<position>_<kind>.csv``.  Any change
+to the emitted bytes of a shipped scenario shows up here first.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from entireops import cli
 from support import bundled_object
 
 REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "bundled"
+CSV_REF = Path(__file__).resolve().parent / "ref" / "csv"
 
 
 @pytest.mark.parametrize("name", cli.BUNDLED)
@@ -24,6 +28,20 @@ def test_bundled_report_bytes_frozen(name):
     buf = io.StringIO()
     cli.run_scenario(name, stream=buf)
     assert buf.getvalue() == (REF / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", cli.BUNDLED)
+def test_bundled_csv_report_bytes_frozen(name):
+    scn = cli.load_scenario(name)
+    tasks = [task for task in scn.tasks if task["task"] in cli.CSV_PROFILES]
+    code, outputs = cli.execute_tasks(scn, tasks, fmt="csv")
+    assert code == cli.EXIT_OK
+    refs = sorted(CSV_REF.glob(f"{name}_*.csv"))
+    assert [ref.name for ref in refs] == [
+        f"{name}_{i:02d}_{kind}.csv" for i, (kind, _) in enumerate(outputs)
+    ]
+    for ref, (_, text) in zip(refs, outputs):
+        assert text == ref.read_text()
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import entireops as eo
 from entireops import series
-from entireops.series import combine_derivatives, seminorm_rows, worst
-from support import SCALAR, cr_operators, gaussian_problem, max_coeff_diff, scalar_seminorm
+from entireops.series import seminorm_rows, worst
+from support import cr_operators, gaussian_problem, max_coeff_diff, scalar_seminorm
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
 
@@ -259,39 +259,6 @@ def test_worst_keeps_a_nan_in_any_position():
     for values in ([math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan]):
         assert math.isnan(worst(values))
         assert math.isnan(worst(np.array(values)))
-
-
-@st.composite
-def combine_case(draw):
-    """A sparse series with any exactness flags, derivative terms and a degree."""
-    dim = draw(st.integers(1, 3))
-    cutoff = draw(st.integers(0, 6))
-    polynomial = draw(st.booleans())
-    basis = eo.monomial_basis(dim, cutoff)
-    vector = np.zeros(len(basis), dtype=complex)
-    for n in draw(st.lists(st.sampled_from(basis), unique=True, max_size=6)):
-        vector[basis.index(n)] = draw(SCALAR)
-    exact = cutoff if polynomial else draw(st.integers(-1, cutoff))
-    f = eo.TruncatedSeries(dim, cutoff, exact, polynomial, vector)
-    labels = draw(
-        st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=4, unique=True)
-    )
-    terms = {n: draw(SCALAR | st.just(0j)) for n in sorted(labels, key=eo.graded_key)}
-    return f, terms, draw(st.integers(0, cutoff + 2))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(combine_case())
-def test_combine_derivatives_matches_full_derivatives_cut_to_degree(case):
-    # only the kept rows are gathered; vector and flags must not notice
-    f, terms, degree = case
-    got = combine_derivatives(f, terms, degree)
-    parts = [(c, eo.differentiate(f, n)) for n, c in terms.items()]
-    want = eo.with_cutoff(eo.linear_combine(parts), degree)
-    assert (got.cutoff, got.exact_degree, got.is_polynomial) == (
-        want.cutoff, want.exact_degree, want.is_polynomial
-    )
-    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 # ---------------------------------------------------------------------------
