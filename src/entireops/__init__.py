@@ -72,6 +72,6 @@ from .fhc import (
     realize,
     verify_right_inverse,
 )
-from .orbit import OrbitRecord, iterate_orbit, measure_visits
+from .orbit import VisitReport, iterate_orbit, measure_visits
 
 __version__ = "0.1.0"

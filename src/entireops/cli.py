@@ -7,8 +7,8 @@ as an ordered dict, emitted to stdout or to ``--out`` as JSON by default or,
 for the kinds in ``CSV_PROFILES``, as CSV rows read from that dict.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
-2 scenario/format errors, 3 internal errors.  Output is bytewise
-reproducible for equal scenario + seed.
+2 scenario/format errors (found before any task runs), 3 internal errors.
+Output is bytewise reproducible for equal scenario + seed.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ def generator_series(scn: Scenario, degree: int) -> TruncatedSeries:
     f = scn.explicit_generator
     assert f is not None
     if not f.is_polynomial and f.exact_degree < degree:
-        raise ScenarioError(
+        raise ValueError(
             f"explicit generator is exact to degree {f.exact_degree} but the "
             f"task needs {degree}"
         )
@@ -500,22 +500,22 @@ def _run_orbit(scn: Scenario, p: dict, ctx: dict):
     """Iterate an operator and report visits."""
     op = next(op for op in scn.operators if op.axis == p["axis"])
     x = _series_argument(scn, p["initial"], _given(p["degree"], scn.truncation))
-    record = iterate_orbit(op, x, p["steps"])
+    iterates = iterate_orbit(op, x, p["steps"])
     spec = SemiNormSpec(m=p["m"], epsilon=p["epsilon"])
     target = _series_argument(scn, p["target"], x.cutoff)
-    annotated = measure_visits(record, target, p["delta"], spec)
+    visits = measure_visits(iterates, target, p["delta"], spec)
     payload = {
-        "steps": annotated.steps,
-        "hits": list(annotated.hits),
-        "density_proxy": annotated.density_proxy,
-        "distances": list(annotated.distances),
+        "steps": visits.steps,
+        "hits": list(visits.hits),
+        "density_proxy": visits.density_proxy,
+        "distances": list(visits.distances),
         "note": DENSITY_DISCLAIMER,
     }
     passed = True
     if p["min_density"] is not None:
-        passed = annotated.density_proxy >= p["min_density"]
+        passed = visits.density_proxy >= p["min_density"]
     if p["max_density"] is not None:
-        passed = passed and annotated.density_proxy <= p["max_density"]
+        passed = passed and visits.density_proxy <= p["max_density"]
     return payload, passed
 
 
@@ -589,8 +589,6 @@ def execute_tasks(
             else:
                 header, rows = CSV_PROFILES[name]
                 text = to_csv_text(header, rows(payload))
-        except ScenarioError:
-            raise
         except (ValueError, OverflowError) as exc:
             failed = {"task": name, "passed": False, "error": str(exc)}
             if fmt == "json":

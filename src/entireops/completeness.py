@@ -31,6 +31,7 @@ import numpy as np
 
 from .series import (
     TruncatedSeries,
+    _checked_index,
     coefficient_vector,
     derivative_rows,
     monomial_basis,
@@ -84,7 +85,8 @@ class ApproximationResult:
     residual: float
 
     def coefficient(self, order: Sequence[int]) -> complex:
-        key = tuple(int(e) for e in order)
+        """The weight of D^order f; an order absent from ``orders`` is a KeyError."""
+        key = _checked_index(len(self.orders[0]), order, "derivative order")
         for label, c in zip(self.orders, self.coefficients):
             if label == key:
                 return c

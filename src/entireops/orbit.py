@@ -1,8 +1,10 @@
 """Finite-horizon orbit statistics for one-axis operators.
 
 Iterating an operator on a truncated series consumes exactness: each step
-eats as many guaranteed degrees as the order of the convolution part.  The
-orbit runner enforces that budget up front and tracks exactness per step.
+eats as many guaranteed degrees as the order of the convolution part.
+``iterate_orbit`` enforces that budget up front and returns the tuple of
+iterates; ``measure_visits`` bounds their distances to a target by one
+``seminorm_rows`` call on the block of differences.
 
 The visit-density number reported here is a finite, one-sided PROXY for the
 lower density of hitting times: it counts the iterates T^k x, 1 <= k <= N,
@@ -14,42 +16,28 @@ labels the value accordingly and nothing here extrapolates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .operators import CROperator, apply_weyl
-from .series import (
-    SemiNormSpec,
-    TruncatedSeries,
-    linear_combine,
-    seminorm_bound,
-    with_cutoff,
-)
+from .series import SemiNormSpec, TruncatedSeries, coefficient_vector, seminorm_rows
 
 
 @dataclass(frozen=True)
-class OrbitRecord:
-    """Iterates x, Tx, T^2 x, ... plus optional distance/hit statistics."""
+class VisitReport:
+    """Visit statistics of an orbit of ``steps`` steps, in the order they are written."""
 
-    iterates: tuple[TruncatedSeries, ...]
-    distances: tuple[float, ...] | None = None
-    hits: tuple[int, ...] | None = None
-    density_proxy: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.iterates:
-            raise ValueError("an orbit record needs at least the initial vector")
-        if self.distances is not None and len(self.distances) != len(self.iterates):
-            raise ValueError("distances must align with the iterates")
-
-    @property
-    def steps(self) -> int:
-        return len(self.iterates) - 1
+    steps: int
+    hits: tuple[int, ...]
+    density_proxy: float
+    distances: tuple[float, ...]
 
 
 def iterate_orbit(
     op: CROperator, x: TruncatedSeries, steps: int
-) -> OrbitRecord:
-    """Repeatedly apply the operator, tracking exactness per step.
+) -> tuple[TruncatedSeries, ...]:
+    """The iterates ``(x, Tx, ..., T^steps x)``, tracking exactness per step.
 
     Each step consumes order(conv) exact degrees, so the initial exact
     degree must cover steps * order(conv); otherwise the step at which the
@@ -70,37 +58,37 @@ def iterate_orbit(
     iterates = [x]
     for _ in range(steps):
         iterates.append(apply_weyl(op, iterates[-1]))
-    return OrbitRecord(iterates=tuple(iterates))
+    return tuple(iterates)
 
 
 def measure_visits(
-    rec: OrbitRecord,
+    iterates: tuple[TruncatedSeries, ...],
     target: TruncatedSeries,
     delta: float,
     spec: SemiNormSpec,
-) -> OrbitRecord:
-    """Annotate a record with distance bounds, hit times and the density proxy.
+) -> VisitReport:
+    """Distance bounds, hit times and the density proxy of an orbit.
 
     distance_k is the semi-norm upper bound of iterate_k - target, so a hit
     (distance < delta) certifies closeness of the stored polynomials while a
-    miss is only evidence.
+    miss is only evidence.  The iterates share one basis, as from ``iterate_orbit``.
     """
+    if not iterates:
+        raise ValueError("an orbit needs at least the initial vector")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    first = rec.iterates[0]
+    first = iterates[0]
     if target.dim != first.dim:
         raise ValueError(f"dim mismatch: orbit {first.dim} vs target {target.dim}")
-    distances = []
-    for it in rec.iterates:
-        diff = linear_combine([(1.0, it), (-1.0, with_cutoff(target, it.cutoff))])
-        distances.append(seminorm_bound(diff, spec))
+    # the weighted sums of linear_combine: an infinite entry gives the same
+    # NaN as iterate - target does there, where a plain subtraction keeps inf
+    block = np.zeros((len(iterates), len(first.vector)), dtype=complex)
+    block += (1 + 0j) * np.stack([it.vector for it in iterates])
+    block += (-1 + 0j) * coefficient_vector(target, first.cutoff)
+    distances = tuple(seminorm_rows(first.dim, first.cutoff, block, spec).tolist())
     hits = tuple(k for k, dist in enumerate(distances) if dist < delta)
+    steps = len(iterates) - 1
     # the #{1 <= n <= N : n in A} / N shape of a lower density: the initial
     # vector (k = 0) is listed among the hits but not counted
-    proxy = sum(1 for k in hits if k >= 1) / max(rec.steps, 1)
-    return replace(
-        rec,
-        distances=tuple(distances),
-        hits=hits,
-        density_proxy=proxy,
-    )
+    proxy = sum(1 for k in hits if k >= 1) / max(steps, 1)
+    return VisitReport(steps, hits, proxy, distances)

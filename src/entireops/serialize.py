@@ -4,9 +4,9 @@ The readers turn scenario JSON into library objects (series literals, CR
 operators, kernel problems) and refuse what does not fit.  The task runners
 in ``cli`` build each report as an ordered dict; the two writers here emit
 it: ``to_json_text`` writes keys in insertion order, and ``to_csv_text``
-writes a header and rows.  Both print floats with 17 significant digits and
-refuse non-finite ones, so the emitted text is bytewise reproducible for
-equal inputs.
+writes a header and rows.  Both write a scalar by one rule, ``_scalar_text``
+(floats with 17 significant digits, non-finite ones refused), so the emitted
+text is bytewise reproducible for equal inputs.
 """
 
 from __future__ import annotations
@@ -145,85 +145,71 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _csv_cell(value: Any) -> Any:
-    """A cell as JSON text writes its value; None is an empty cell."""
+#: the values a one-line list may hold
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _scalar_text(value: Any) -> str:
+    """JSON text of a scalar: null, a bool, an int, a 17-digit float or a string."""
     if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return repr(value)
     if isinstance(value, float):
         return _fmt_float(value)
-    return value
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def to_csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
-    """CSV text of a header and rows, written by the ``csv`` module."""
+    """CSV text of rows by the ``csv`` module: None is an empty cell, other non-strings JSON text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    writer.writerows(
+        ["" if v is None else v if isinstance(v, str) else _scalar_text(v) for v in row]
+        for row in rows
+    )
     return buf.getvalue()
 
 
-#: spaces per nesting level of the emitted JSON
-INDENT = 2
-
-
 def to_json_text(value: Any) -> str:
-    """Serialize with insertion-order keys and 17-significant-digit floats."""
+    """JSON text with insertion-order keys, two spaces of indent per level and
+    a list of scalars only (the empty list too) on one line."""
     out: list[str] = []
-    _write_json(value, out, 0)
+
+    def walk(value: Any, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            sep = "{\n"
+            for k, v in value.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"JSON object keys must be strings, got {k!r}")
+                out.append(f"{sep}{inner}{json.dumps(k)}: ")
+                walk(v, inner)
+                sep = ",\n"
+            out.append(f"\n{pad}}}")
+        elif isinstance(value, (list, tuple)):
+            if all(isinstance(v, _SCALARS) for v in value):
+                out.append("[" + ", ".join(map(_scalar_text, value)) + "]")
+                return
+            sep = "[\n"
+            for v in value:
+                out.append(sep + inner)
+                walk(v, inner)
+                sep = ",\n"
+            out.append(f"\n{pad}]")
+        else:
+            out.append(_scalar_text(value))
+
+    walk(value, "")
     out.append("\n")
     return "".join(out)
-
-
-def _write_json(value: Any, out: list[str], level: int) -> None:
-    pad = " " * (INDENT * (level + 1))
-    close_pad = " " * (INDENT * level)
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            out.append(f"{pad}{json.dumps(k)}: ")
-            _write_json(v, out, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(f"{close_pad}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        flat = all(
-            isinstance(v, (int, float, str, bool, type(None))) for v in value
-        )
-        if flat:
-            parts = []
-            for v in value:
-                sub: list[str] = []
-                _write_json(v, sub, 0)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(value):
-            out.append(pad)
-            _write_json(v, out, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(f"{close_pad}]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -221,7 +221,8 @@ class TruncatedSeries:
         )
 
     def coefficient(self, idx: Sequence[int]) -> complex:
-        pos = _layout(self.dim, self.cutoff).position.get(tuple(int(e) for e in idx))
+        idx = _checked_index(self.dim, idx, "index")
+        pos = _layout(self.dim, self.cutoff).position.get(idx)
         return 0j if pos is None else complex(self.vector[pos])
 
     def terms(self) -> list[tuple[Index, complex]]:
@@ -636,13 +637,15 @@ def seminorm_rows(
     loop over its nonzero coefficients in graded-lex order, bit for bit:
     ``np.hypot`` of the parts is ``abs(complex)``, ``r ** d`` comes from a
     table of Python powers, a zero coefficient adds nothing, and
-    ``np.cumsum`` adds along the row in sequence.  The table reaches the
-    highest degree that holds a nonzero coefficient, so ``r ** d``
-    overflowing there raises the OverflowError that the scalar loop raises,
-    while an overflowing degree above it is never formed.  A finite row
-    whose sum overflows raises OverflowError too, where the scalar loop
-    would return inf; a row holding inf or NaN keeps its non-finite sum,
-    and no numpy warning is printed either way.
+    ``np.cumsum`` adds along the row in sequence.  The table stops at the
+    first degree whose ``r ** d`` overflows, and a row with a nonzero
+    coefficient there or above raises the OverflowError of that power, as
+    its scalar loop does; a degree above the highest nonzero one is never
+    formed.  A finite row whose sum overflows raises OverflowError too,
+    where the scalar loop would return inf; a row holding inf or NaN keeps
+    its non-finite sum, and no numpy warning is printed either way.  Of
+    several failing rows the first one's error is raised, so a loop of
+    one-row calls over the block raises the same error.
     """
     degree = _layout(dim, cutoff).degree
     rows = np.asarray(rows, dtype=complex)
@@ -655,9 +658,17 @@ def seminorm_rows(
     filled = np.flatnonzero(nonzero.any(axis=0))
     if not len(filled):
         return np.zeros(len(rows))
-    width = filled[-1] + 1
     r = spec.radius
-    power = np.array([r ** d for d in range(degree[width - 1] + 1)])
+    powers: list[float] = []
+    try:
+        for d in range(degree[filled[-1]] + 1):
+            powers.append(r ** d)
+    except OverflowError as exc:
+        past_range = exc
+    power = np.array(powers)
+    # the columns whose power is finite; a row with a nonzero beyond them
+    # fails as its own scalar loop would
+    width = min(filled[-1] + 1, _size(dim, len(power) - 1))
     # an overflow of finite rows raises below; inf times an underflowed
     # power is NaN, as in the scalar loop
     with np.errstate(over="ignore", invalid="ignore"):
@@ -665,7 +676,11 @@ def seminorm_rows(
         terms[~nonzero[:, :width]] = 0.0
         sums = np.cumsum(terms, axis=1)[:, -1]
     overflowed = np.isinf(sums)
-    if overflowed.any() and np.isfinite(rows[overflowed]).all(axis=1).any():
+    overflowed[overflowed] = np.isfinite(rows[overflowed]).all(axis=1)
+    failing = nonzero[:, width:].any(axis=1) | overflowed
+    if failing.any():
+        if nonzero[failing.argmax(), width:].any():
+            raise past_range
         raise OverflowError(
             "the semi-norm majorant sum |a_n| r^||n|| of a finite row is past "
             "the float range"

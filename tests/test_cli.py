@@ -108,6 +108,28 @@ def test_task_error_is_reported_not_raised(tmp_path):
     assert "exactness budget" in text
 
 
+def test_generator_short_of_a_task_fails_that_task_and_keeps_earlier_reports(
+    tmp_path, capsys
+):
+    # remark3's explicit generator is exact to degree 8; complete N=6 M=6
+    # needs 12, which is known only once the task runs
+    obj = bundled_object("remark3")
+    obj["generator"]["explicit"]["polynomial"] = False
+    obj["tasks"] = [
+        {"task": "verify-cr", "probe_degree": 2},
+        {"task": "complete", "truncation": 6, "max_order": 6},
+    ]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["run", str(path)]) == cli.EXIT_TASK_FAILED
+    captured = capsys.readouterr()
+    error = "explicit generator is exact to degree 8 but the task needs 12"
+    failed = serialize.to_json_text({"task": "complete", "passed": False, "error": error})
+    assert captured.out.startswith('{\n  "task": "verify-cr",\n  "passed": true,')
+    assert captured.out.endswith(failed)
+    assert captured.err == ""
+
+
 def test_out_directory_writes_one_report_per_task(tmp_path):
     out = tmp_path / "reports"
     code = cli.run_scenario("remark3", out=str(out), stream=io.StringIO())
@@ -729,6 +751,40 @@ def test_float_formatting_17_digits():
     assert "0.33333333333333331" in text
     assert '"n": 7' in text
     assert '"flag": true' in text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ({}, "{}"),
+        ([], "[]"),
+        ({"a": {}}, '{\n  "a": {}\n}'),
+        ([[]], "[\n  []\n]"),
+        ([[1, 2], [3]], "[\n  [1, 2],\n  [3]\n]"),
+        ([{"x": 1}, 2], '[\n  {\n    "x": 1\n  },\n  2\n]'),
+        ((1, "a"), '[1, "a"]'),
+        ([None, True, False, "q\"", 0.5, -3], '[null, true, false, "q\\"", 0.5, -3]'),
+    ],
+    ids=["empty-object", "empty-list", "nested-empty-object", "nested-empty-list",
+         "lists-of-scalars", "object-in-list", "tuple", "mixed-scalars"],
+)
+def test_json_text_layout(value, text):
+    assert serialize.to_json_text(value) == text + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ({1: 2}, TypeError, "JSON object keys must be strings, got 1"),
+        ({"a": [object()]}, TypeError, "cannot serialize object"),
+        ({"a": [1.0, math.nan]}, ValueError, "non-finite float nan cannot be serialized"),
+    ],
+    ids=["non-str-key", "unknown-type", "nan"],
+)
+def test_json_text_refusals(value, error, message):
+    with pytest.raises(error) as exc:
+        serialize.to_json_text(value)
+    assert str(exc.value) == message
 
 
 def test_csv_text_quotes_what_its_cells_hold():

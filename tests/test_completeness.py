@@ -488,6 +488,25 @@ def test_approximate_coordinate_by_gaussian_derivatives():
     assert result.residual <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ((1.5,), r"non-integral entry in derivative order \(1.5,\)"),
+        ((1, 0), r"derivative order \(1, 0\) does not match dim 1"),
+        ((-1,), r"negative entry in derivative order \(-1,\)"),
+    ],
+    ids=["non-integral", "wrong-length", "negative"],
+)
+def test_approximation_coefficient_checks_its_order(order, message):
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
+    result = eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
+    with pytest.raises(ValueError, match=message):
+        result.coefficient(order)
+    assert result.coefficient((1.0,)) == result.coefficient((1,))
+    with pytest.raises(KeyError, match=r"no derivative order \(4,\)"):
+        result.coefficient((4,))
+
+
 def test_approximate_constant_trivial():
     f = eo.solve_kernel_axis(gaussian_problem(), 4)
     target = eo.make_series(1, 0, {(0,): 1.0}, is_polynomial=True)

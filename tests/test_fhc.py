@@ -137,6 +137,14 @@ def test_right_inverse_on_random_vectors():
             assert eo.verify_right_inverse(x, axis)
 
 
+@pytest.mark.parametrize(
+    "c", [math.nan, math.inf, complex(0.0, math.nan)], ids=["nan", "inf", "nan-imag"]
+)
+def test_right_inverse_is_not_verified_on_a_non_finite_coefficient(c):
+    assert not eo.verify_right_inverse(gauss_vector({(0,): 1.0, (2,): c}), 1)
+    assert eo.verify_right_inverse(gauss_vector({(0,): 1.0, (2,): 0.5 - 2j}), 1)
+
+
 def test_left_inverse_fails_on_kernel_label():
     x = gauss_vector({(0,): 1.0})
     y = eo.apply_raising(eo.apply_lowering(x, 1), 1)

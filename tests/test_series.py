@@ -90,6 +90,23 @@ def test_a_non_integral_index_entry_is_refused_not_truncated(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "idx, message",
+    [
+        ((1.5,), r"non-integral entry in index \(1.5,\)"),
+        ((1, 0), r"index \(1, 0\) does not match dim 1"),
+        ((-1,), r"negative entry in index \(-1,\)"),
+    ],
+    ids=["non-integral", "wrong-length", "negative"],
+)
+def test_coefficient_lookup_checks_its_index(idx, message):
+    f = eo.make_series(1, 3, {(1,): 2.0})
+    with pytest.raises(ValueError, match=message):
+        f.coefficient(idx)
+    assert f.coefficient((1.0,)) == 2.0
+    assert f.coefficient((4,)) == 0j  # past the cutoff
+
+
 def test_integral_floats_and_numpy_integers_are_indices():
     f = eo.make_series(2, 3, {(2, 1): 1.0})
     assert eo.differentiate(f, (np.int64(1), 1.0)) == eo.differentiate(f, (1, 1))
@@ -453,6 +470,25 @@ def test_seminorm_sum_of_a_finite_row_past_the_float_range_raises_without_a_warn
         tiny = eo.SemiNormSpec(1, 1e-200)
         assert math.isnan(eo.seminorm_bound(g, tiny))
         assert math.isnan(scalar_seminorm(g, tiny))
+
+
+@pytest.mark.parametrize("power_row_first", [False, True])
+def test_seminorm_rows_raise_the_error_of_the_first_failing_row(power_row_first):
+    spec = eo.SemiNormSpec(1, 1e200)  # r ** 2 overflows
+    rows = [
+        eo.make_series(1, 4, {(1,): 1e120}).vector,  # its sum 1e320 overflows
+        eo.make_series(1, 4, {(2,): 1.0}).vector,  # its power r ** 2 overflows
+    ]
+    if power_row_first:
+        rows.reverse()
+    block = np.stack([np.zeros(5), *rows])
+    with pytest.raises(OverflowError) as want:
+        for row in block:
+            eo.seminorm_bound(eo.TruncatedSeries(1, 4, 4, False, row), spec)
+    with pytest.raises(OverflowError) as got:
+        seminorm_rows(1, 4, block, spec)
+    assert str(got.value) == str(want.value)
+    assert ("Numerical result out of range" in str(got.value)) == power_row_first
 
 
 def test_seminorm_nan_coefficient_gives_nan():
