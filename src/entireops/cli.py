@@ -2,9 +2,14 @@
 
 A scenario JSON file declares a dimension, an operator family, a generator
 (either per-axis kernel problems or an explicit series literal) and a list
-of tasks.  Tasks run in order.  Each kind's runner builds its whole report
-as an ordered dict, emitted to stdout or to ``--out`` as JSON by default or,
-for the kinds in ``CSV_PROFILES``, as CSV rows read from that dict.
+of tasks.  The header, the generator and each task are read by
+``serialize.read_object`` from their key tables here (``SCENARIO_KEYS``,
+``GENERATOR_KEYS``, ``TASK_PARAMS``).  A task subcommand's flags carry raw
+strings into the same task reader, ``task_params``, so a flag and a file key
+are parsed once, by one parser.  Tasks run in order.  Each kind's runner
+builds its whole report as an ordered dict, emitted to stdout or to
+``--out`` as JSON by default or, for the kinds in ``CSV_PROFILES``, as CSV
+rows read from that dict.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors (found before any task runs), 3 internal errors.
@@ -35,13 +40,19 @@ from .kernel import AxisKernelProblem, joint_kernel, verify_kernel
 from .operators import CROperator, verify_commutation
 from .orbit import iterate_orbit, measure_visits
 from .serialize import (
+    REQUIRED,
+    Schema,
     ScenarioError,
-    check_keys,
+    _count,
+    _finite,
+    _list_of,
+    _natural,
+    _positive,
     coeffs_from_json,
     cr_operator_from_json,
     problem_from_json,
+    read_object,
     scenario_bool,
-    scenario_int,
     series_from_json,
     series_to_json,
     to_csv_text,
@@ -70,67 +81,20 @@ DENSITY_DISCLAIMER = (
 )
 
 
-def _finite(value: Any) -> float:
-    """Parser of every float a scenario or a flag gives: bools, inf and NaN are refused."""
-    if isinstance(value, bool):
-        raise ValueError(f"must be a number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {x}")
-    return x
-
-
-_finite.__name__ = "finite float"  # argparse names the type in its error messages
-
-
 def _box(value: Any) -> tuple[float, float]:
     low, high = value
     return _finite(low), _finite(high)
-
-
-def _list_of(parse: Any) -> Any:
-    return lambda value: [parse(v) for v in value]
 
 
 def _series_or_name(value: Any) -> TruncatedSeries | str:
     return value if value in ("generator", "zero") else series_from_json(value)
 
 
-def _int_from(low: int, name: str):
-    """Parser of an integer that must be at least ``low``."""
-
-    def parse(value: Any) -> int:
-        n = scenario_int(value)
-        if n < low:
-            raise ValueError(f"must be >= {low}, got {n}")
-        return n
-
-    parse.__name__ = name  # argparse names the type in its error messages
-    return parse
-
-
-_natural = _int_from(0, "non-negative int")
-_count = _int_from(1, "positive int")
-
-
-def _positive(value: Any) -> float:
-    x = _finite(value)
-    if not x > 0:
-        raise ValueError(f"must be positive, got {x}")
-    return x
-
-
-_positive.__name__ = "positive float"
-
-
-#: marks a key that every task of its kind must give
-REQUIRED = object()
-
-#: kind -> key -> (parser, default).  A tuple parser lists the allowed
-#: values; the parsers also hold the sign and range bounds that the library
-#: enforces.  A None default is derived by the runner (from the scenario or
-#: the task's other keys) or leaves an optional table or pass check unset.
-TASK_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
+#: kind -> the key table of its task objects (besides "task").  The parsers
+#: also hold the sign and range bounds that the library enforces.  A None
+#: default is derived by the runner (from the scenario or the task's other
+#: keys) or leaves an optional table or pass check unset.
+TASK_PARAMS: dict[str, Schema] = {
     "verify-cr": {"probe_degree": (_natural, 8), "max_residual": (_finite, 1e-12)},
     "kernel": {"degree": (_natural, None), "max_residual": (_finite, 1e-12)},
     "complete": {
@@ -193,39 +157,26 @@ def task_params(
     an unknown or missing key, a value its parser rejects, or a task that
     does not fit the scenario.
     """
-    if not isinstance(task, dict) or "task" not in task:
-        raise ScenarioError('a task must be an object with a "task" key')
+    if not isinstance(task, dict):
+        raise ScenarioError(f"task must be an object, got {task!r}")
+    if "task" not in task:
+        raise ScenarioError("missing key 'task' in task")
     kind = task["task"]
     if kind not in TASK_KINDS:
         raise ScenarioError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
     if kind in ("kernel", "fhc") and not kernel:
         raise ScenarioError(f"{kind} task needs a kernel generator")
-    schema = TASK_PARAMS[kind]
-    check_keys(task, ("task", *schema), f"{kind} task")
-    params: dict[str, Any] = {}
-    for key, (parse, default) in schema.items():
-        if key not in task:
-            if default is REQUIRED:
-                raise ScenarioError(f"missing key {key!r} in {kind} task")
-            params[key] = default
-            continue
-        value = task[key]
-        try:
-            if isinstance(parse, tuple):
-                if value not in parse:
-                    raise ValueError(f"expected one of {parse}")
-            else:
-                value = parse(value)
-            if key == "terms":  # fhc labels, tabled in the scenario's dimension
-                value = term_table(dimension, value)
-            if key == "axis" and value not in axes:
-                raise ValueError(f"no operator on axis {value}")
-        except KeyError as exc:
-            raise ScenarioError(f"bad {key!r} in {kind} task: missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"bad {key!r} in {kind} task: {exc}") from exc
-        params[key] = value
-    return params
+
+    def fit(key: str, value: Any) -> Any:
+        if key == "terms" and value is not None:  # fhc labels, tabled in the dimension
+            return term_table(dimension, value)
+        if key == "axis" and value not in axes:
+            raise ValueError(f"no operator on axis {value}")
+        if isinstance(value, TruncatedSeries) and value.dim != dimension:
+            raise ValueError(f"series of dim {value.dim} does not match dim {dimension}")
+        return value
+
+    return read_object(task, {"task": (None, REQUIRED), **TASK_PARAMS[kind]}, f"{kind} task", fit)
 
 
 @dataclass
@@ -242,41 +193,35 @@ class Scenario:
     params: list[dict]
 
 
-def _entry(obj: dict, where: str, key: str, parse: Any, default: Any = REQUIRED) -> Any:
-    """One parsed value of a scenario object; a bad one is a ScenarioError naming it."""
-    value = obj.get(key, default)
-    if value is REQUIRED:
-        raise ScenarioError(f"missing key {key!r} in {where}")
-    try:
-        return parse(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad {key!r} in {where}: {exc}") from exc
+GENERATOR_KEYS: Schema = {
+    "kernel": (_list_of(problem_from_json), None),
+    "explicit": (series_from_json, None),
+}
+
+SCENARIO_KEYS: Schema = {
+    "dimension": (_count, REQUIRED),
+    "truncation": (_natural, REQUIRED),
+    "tolerance": (_positive, 1e-8),
+    "rng_seed": (_natural, 0),
+    "operators": (_list_of(cr_operator_from_json), REQUIRED),
+    "generator": (lambda value: read_object(value, GENERATOR_KEYS, "generator"), REQUIRED),
+    "tasks": (list, REQUIRED),
+}
 
 
 def parse_scenario(obj: Any) -> Scenario:
-    check_keys(obj, ("dimension", "truncation", "tolerance", "rng_seed", "operators",
-                     "generator", "tasks"), "scenario")
-    dimension = _entry(obj, "scenario", "dimension", _count)
-    truncation = _entry(obj, "scenario", "truncation", _natural)
-    tolerance = _entry(obj, "scenario", "tolerance", _positive, 1e-8)
-    rng_seed = _entry(obj, "scenario", "rng_seed", _natural, 0)
-    ops = _entry(obj, "scenario", "operators", _list_of(cr_operator_from_json))
-    generator = _entry(obj, "scenario", "generator", lambda value: value)
-    check_keys(generator, ("kernel", "explicit"), "generator")
-    if len(generator) != 1:
+    header = read_object(obj, SCENARIO_KEYS, "scenario")
+    dimension, ops = header["dimension"], header["operators"]
+    generator = header.pop("generator")
+    kernel_problems, explicit = generator["kernel"], generator["explicit"]
+    if (kernel_problems is None) == (explicit is None):
         raise ScenarioError('generator must contain one of "kernel" and "explicit"')
-    tasks = _entry(obj, "scenario", "tasks", list)
     for op in ops:
         if op.dim != dimension:
             raise ScenarioError(
-                f"operator on axis {op.axis} has dim {op.dim}, scenario "
-                f"declares {dimension}"
+                f"operator on axis {op.axis} has dim {op.dim}, scenario declares {dimension}"
             )
-    kernel_problems: list[AxisKernelProblem] | None = None
-    explicit: TruncatedSeries | None = None
-    if "kernel" in generator:
-        problems = _list_of(problem_from_json)
-        kernel_problems = _entry(generator, "generator", "kernel", problems)
+    if kernel_problems is not None:
         if len(kernel_problems) != dimension:
             raise ScenarioError(
                 f"kernel generation needs one axis problem per coordinate: "
@@ -285,27 +230,16 @@ def parse_scenario(obj: Any) -> Scenario:
         axes_covered = sorted(op.axis for op in ops)
         if axes_covered != list(range(1, dimension + 1)):
             raise ScenarioError(
-                "kernel generation needs one operator per axis, got axes "
-                f"{axes_covered}"
+                f"kernel generation needs one operator per axis, got axes {axes_covered}"
             )
-    else:
-        explicit = _entry(generator, "generator", "explicit", series_from_json)
-        if explicit.dim != dimension:
-            raise ScenarioError(
-                f"explicit generator has dim {explicit.dim}, scenario "
-                f"declares {dimension}"
-            )
+    elif explicit.dim != dimension:
+        raise ScenarioError(
+            f"explicit generator has dim {explicit.dim}, scenario declares {dimension}"
+        )
     axes = [op.axis for op in ops]
+    params = [task_params(t, dimension, explicit is None, axes) for t in header["tasks"]]
     return Scenario(
-        dimension=dimension,
-        truncation=truncation,
-        tolerance=tolerance,
-        rng_seed=rng_seed,
-        operators=ops,
-        kernel_problems=kernel_problems,
-        explicit_generator=explicit,
-        tasks=tasks,
-        params=[task_params(task, dimension, explicit is None, axes) for task in tasks],
+        **header, kernel_problems=kernel_problems, explicit_generator=explicit, params=params
     )
 
 
@@ -316,18 +250,12 @@ def load_scenario(source: str) -> Scenario:
     back to the files shipped inside the package.
     """
     path = Path(source)
-    text: str | None = None
+    name = path.stem if path.suffix == ".json" else source
     if path.is_file():
         text = path.read_text()
+    elif name in BUNDLED:
+        text = (resources.files("entireops") / f"scenarios/{name}.json").read_text()
     else:
-        name = path.stem if path.suffix == ".json" else source
-        if name in BUNDLED:
-            text = (
-                resources.files("entireops")
-                .joinpath(f"scenarios/{name}.json")
-                .read_text()
-            )
-    if text is None:
         raise ScenarioError(
             f"scenario {source!r} not found (bundled names: {', '.join(BUNDLED)})"
         )
@@ -561,22 +489,22 @@ def execute_tasks(
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
     if tolerance is not None:
-        tolerance = _entry({"tolerance": tolerance}, "run options", "tolerance", _positive)
-    if tasks is None:
-        tasks, resolved = scn.tasks, scn.params
-    else:
+        options = {"tolerance": SCENARIO_KEYS["tolerance"]}
+        tolerance = read_object({"tolerance": tolerance}, options, "run options")["tolerance"]
+    resolved = scn.params
+    if tasks is not None:
         kernel = scn.kernel_problems is not None
         axes = [op.axis for op in scn.operators]
         resolved = [task_params(task, scn.dimension, kernel, axes) for task in tasks]
-    no_csv = [t["task"] for t in tasks if fmt == "csv" and t["task"] not in CSV_PROFILES]
+    no_csv = [p["task"] for p in resolved if fmt == "csv" and p["task"] not in CSV_PROFILES]
     if no_csv:
         raise ScenarioError(
             f"csv unsupported for the {no_csv[0]} task; csv covers {', '.join(CSV_PROFILES)}"
         )
     outputs: list[tuple[str, str]] = []
     all_passed = True
-    for i, (task, params) in enumerate(zip(tasks, resolved)):
-        name = task["task"]
+    for i, params in enumerate(resolved):
+        name = params["task"]
         ctx = {
             "tolerance": tolerance,
             "seed": (seed if seed is not None else scn.rng_seed) + i,
@@ -686,16 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
             if key in SCENARIO_ONLY:
                 file_only.append(f"{key} ({_describe(default)})")
                 continue
-            kwargs: dict[str, Any] = (
-                {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
-            )
-            if default is REQUIRED:
-                kwargs["required"] = True
-            else:
-                kwargs["default"] = default
-            p.add_argument(
-                "--" + key.replace("_", "-"), help=_describe(default), **kwargs
-            )
+            # the value stays a string until task_params reads it
+            choices = parse if isinstance(parse, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"), choices=choices, help=_describe(default))
         p.epilog = "scenario-file keys: " + (", ".join(file_only) or "none")
     return parser
 

@@ -205,8 +205,15 @@ def approximate_target(
     span = derivative_span(f, truncation, max_order)
     a = span.matrix.T
     t = coefficient_vector(target, truncation)
-    c, _, _, _ = np.linalg.lstsq(a, t, rcond=None)
-    residual = float(np.linalg.norm(a @ c - t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, _, _, _ = np.linalg.lstsq(a, t, rcond=None)
+        defect = a @ c - t
+        residual = float(np.linalg.norm(defect))
+        if residual == math.inf:  # the sum of squares overflowed, not the norm
+            scale = np.abs(defect).max()
+            residual = float(scale * np.linalg.norm(defect / scale))
+    if not math.isfinite(residual):  # a non-finite coefficient leaves one here too
+        raise OverflowError("the least-squares solution is not finite")
     return ApproximationResult(
         orders=span.row_labels,
         coefficients=tuple(complex(v) for v in c),

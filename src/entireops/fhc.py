@@ -37,6 +37,7 @@ from .series import (
     Index,
     SemiNormSpec,
     TruncatedSeries,
+    _checked_axis,
     _checked_index,
     derivative_rows,
     differentiate,
@@ -106,8 +107,7 @@ def operator_power_on_basis(
 
 def apply_lowering(x: LadderVector, axis: int) -> LadderVector:
     """Apply the axis operator: ``(c, n) -> (c a_j n_j, n - e_j)``, dropping n_j = 0."""
-    if not 1 <= axis <= x.dim:
-        raise ValueError(f"axis {axis} out of range for dim {x.dim}")
+    axis = _checked_axis(x.dim, axis)
     j = axis - 1
     a = x.ladder_constants[j]
     out: dict[Index, complex] = {}
@@ -121,8 +121,7 @@ def apply_lowering(x: LadderVector, axis: int) -> LadderVector:
 
 def apply_raising(x: LadderVector, axis: int) -> LadderVector:
     """Apply the right inverse: ``(c, n) -> (c / (a_j (n_j + 1)), n + e_j)``."""
-    if not 1 <= axis <= x.dim:
-        raise ValueError(f"axis {axis} out of range for dim {x.dim}")
+    axis = _checked_axis(x.dim, axis)
     j = axis - 1
     a = x.ladder_constants[j]
     out: dict[Index, complex] = {}
@@ -154,8 +153,7 @@ def nilpotency_index(x: LadderVector, axis: int) -> int:
     """
     if x.is_zero():
         raise ValueError("the zero vector has no nilpotency index")
-    if not 1 <= axis <= x.dim:
-        raise ValueError(f"axis {axis} out of range for dim {x.dim}")
+    axis = _checked_axis(x.dim, axis)
     return 1 + max(n[axis - 1] for n in x.terms)
 
 
@@ -267,8 +265,7 @@ def convergence_report(
     are the leading columns of the degree-(d + 4) rows; both sets of
     majorants are the numbers of a realization per k and degree.
     """
-    if not 1 <= axis <= x.dim:
-        raise ValueError(f"axis {axis} out of range for dim {x.dim}")
+    axis = _checked_axis(x.dim, axis)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if realization_degree < 0:

@@ -48,6 +48,7 @@ from .series import (
     _gather_derivative,
     _layout,
     _Layout,
+    _checked_axis,
     _checked_index,
     _scatter_coordinate,
     _size,
@@ -304,8 +305,7 @@ class CROperator:
     terms: Mapping[TermKey, complex] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.axis <= self.dim:
-            raise ValueError(f"axis {self.axis} out of range for dim {self.dim}")
+        object.__setattr__(self, "axis", _checked_axis(self.dim, self.axis))
         a = complex(self.a)
         if a == 0:
             raise ValueError("the ladder constant a must be nonzero")

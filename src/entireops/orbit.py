@@ -41,7 +41,8 @@ def iterate_orbit(
 
     Each step consumes order(conv) exact degrees, so the initial exact
     degree must cover steps * order(conv); otherwise the step at which the
-    budget runs out is reported.
+    budget runs out is reported.  An iterate with a non-finite coefficient
+    is an OverflowError naming its step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -56,8 +57,11 @@ def iterate_orbit(
             f"part; step {supported + 1} of {steps} would exceed it"
         )
     iterates = [x]
-    for _ in range(steps):
-        iterates.append(apply_weyl(op, iterates[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            iterates.append(apply_weyl(op, iterates[-1]))
+            if not np.isfinite(iterates[-1].vector).all():
+                raise OverflowError(f"orbit overflows at step {step}: a coefficient is not finite")
     return tuple(iterates)
 
 

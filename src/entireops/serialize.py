@@ -1,7 +1,11 @@
 """Scenario reading and deterministic report text.
 
-The readers turn scenario JSON into library objects (series literals, CR
-operators, kernel problems) and refuse what does not fit.  The task runners
+Every scenario object is read by one reader, ``read_object``, from its key
+table (key -> parser and default); the errors name the key and the object.
+The value parsers here (integers, finite floats, ``[re, im]`` pairs) serve
+the scenario keys and the subcommand flags alike, and the readers turn
+series literals, CR operators and kernel problems into library objects.
+The task runners
 in ``cli`` build each report as an ordered dict; the two writers here emit
 it: ``to_json_text`` writes keys in insertion order, and ``to_csv_text``
 writes a header and rows.  Both write a scalar by one rule, ``_scalar_text``
@@ -15,7 +19,7 @@ import csv
 import io
 import json
 import math
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .kernel import AxisKernelProblem
 from .operators import ConvolutionSymbol, CROperator
@@ -51,7 +55,8 @@ def scenario_int(value: Any) -> int:
     in magnitude (past it a float is not one exact integer); not a bool.
     """
     exact = isinstance(value, float) and value.is_integer() and abs(value) < 2.0**53
-    if isinstance(value, bool) or not (exact or isinstance(value, (int, str))):
+    digits = isinstance(value, str) and value.strip().removeprefix("-").isdecimal()
+    if isinstance(value, bool) or not (exact or digits or isinstance(value, int)):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
 
@@ -63,13 +68,45 @@ def scenario_bool(value: Any) -> bool:
     return value
 
 
-def check_keys(obj: Any, keys: tuple[str, ...], where: str) -> None:
-    """The one check that a scenario object is an object with only the given keys."""
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be an object, got {obj!r}")
-    for key in obj:
-        if key not in keys:
-            raise ScenarioError(f"unknown key {key!r} in {where}; expected one of {keys}")
+def _finite(value: Any) -> float:
+    """Parser of every float a scenario or a flag gives: bools, inf and NaN are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+_finite.__name__ = "finite float"  # argparse names the type in its error messages
+
+
+def _positive(value: Any) -> float:
+    x = _finite(value)
+    if not x > 0:
+        raise ValueError(f"must be positive, got {x}")
+    return x
+
+
+def _int_from(low: int):
+    """Parser of an integer that must be at least ``low``."""
+
+    def parse(value: Any) -> int:
+        n = scenario_int(value)
+        if n < low:
+            raise ValueError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
+
+
+_natural = _int_from(0)
+_natural.__name__ = "non-negative int"  # the --seed flag's type
+_count = _int_from(1)
+
+
+def _list_of(parse: Any) -> Any:
+    return lambda value: [parse(v) for v in value]
 
 
 def _finite_complex(pair: Any, key: str) -> complex:
@@ -88,50 +125,113 @@ def _finite_complex(pair: Any, key: str) -> complex:
     return c
 
 
+def _pair(key: str) -> Any:
+    return lambda value: _finite_complex(value, key)
+
+
+# ---------------------------------------------------------------------------
+# scenario objects
+# ---------------------------------------------------------------------------
+
+#: marks a key that every object of its kind must give
+REQUIRED = object()
+
+#: key -> (parser, default) of one kind of scenario object.  A tuple parser
+#: lists the allowed values, and a None parser keeps the value as given; a
+#: REQUIRED default marks a mandatory key.
+Schema = Mapping[str, tuple[Any, Any]]
+
+
+def read_object(
+    obj: Any, schema: Schema, where: str, fit: Callable[[str, Any], Any] | None = None
+) -> dict[str, Any]:
+    """Every key of a scenario object, parsed, with absent keys defaulted.
+
+    The one reader of a scenario object: the header, the generator, a task,
+    an operator, a kernel problem, a series literal and a coefficient entry.
+    A value that is not an object, an unknown or missing key, or a value its
+    parser refuses is a ScenarioError naming the key and ``where``.  ``fit``,
+    if given, sees every key's value, given or default, and returns the
+    value to keep; it checks the value against the object's context.
+    """
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in schema:
+            raise ScenarioError(f"unknown key {key!r} in {where}; expected one of {tuple(schema)}")
+    values = {}
+    for key, (parse, default) in schema.items():
+        if key not in obj and default is REQUIRED:
+            raise ScenarioError(f"missing key {key!r} in {where}")
+        value = obj.get(key, default)
+        try:
+            if isinstance(parse, tuple) and value not in parse:
+                raise ValueError(f"expected one of {parse}")
+            if key in obj and callable(parse):
+                value = parse(value)
+            if fit is not None:
+                value = fit(key, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"bad {key!r} in {where}: {exc}") from exc
+        values[key] = value
+    return values
+
+
+COEFFICIENT_KEYS: Schema = {
+    "idx": (lambda idx: tuple(map(scenario_int, idx)), REQUIRED),
+    "re": (None, REQUIRED),  # both parts are read as one pair, by _finite_complex
+    "im": (None, 0.0),
+}
+
+
+def _coefficient(entry: Any) -> tuple[Index, complex]:
+    e = read_object(entry, COEFFICIENT_KEYS, "coefficient entry")
+    return e["idx"], _finite_complex((e["re"], e["im"]), f"coefficient at index {list(e['idx'])}")
+
+
 def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
     """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
-    pairs = []
-    for e in entries:
-        check_keys(e, ("idx", "re", "im"), "coefficient entry")
-        idx = tuple(map(scenario_int, e["idx"]))
-        key = f"coefficient at index {list(idx)}"
-        pairs.append((idx, _finite_complex((e["re"], e.get("im", 0.0)), key)))
-    return pairs
+    return [_coefficient(e) for e in entries]
 
 
-def series_from_json(obj: Mapping) -> TruncatedSeries:
-    check_keys(obj, ("dim", "cutoff", "polynomial", "coeffs"), "series literal")
-    entries = coeffs_from_json(obj["coeffs"])
-    return make_series(
-        scenario_int(obj["dim"]),
-        scenario_int(obj["cutoff"]),
-        entries,
-        scenario_bool(obj["polynomial"]),
-    )
+SERIES_KEYS: Schema = {
+    "dim": (scenario_int, REQUIRED),
+    "cutoff": (scenario_int, REQUIRED),
+    "polynomial": (scenario_bool, REQUIRED),
+    "coeffs": (coeffs_from_json, REQUIRED),
+}
 
 
-def cr_operator_from_json(obj: Mapping) -> CROperator:
-    check_keys(obj, ("dim", "axis", "a", "symbol"), "operator")
-    dim = scenario_int(obj["dim"])
-    return CROperator(
-        dim=dim,
-        axis=scenario_int(obj["axis"]),
-        a=_finite_complex(obj["a"], '"a"'),
-        conv=ConvolutionSymbol(dim, coeffs_from_json(obj["symbol"])),
-    )
+def series_from_json(obj: Any) -> TruncatedSeries:
+    s = read_object(obj, SERIES_KEYS, "series literal")
+    return make_series(s["dim"], s["cutoff"], s["coeffs"], s["polynomial"])
 
 
-def problem_from_json(obj: Mapping) -> AxisKernelProblem:
-    """An axis problem; a given ``degree`` must be an integer >= 0 and is not stored."""
-    check_keys(obj, ("charpoly", "a", "seeds", "degree"), "kernel problem")
-    degree = scenario_int(obj.get("degree", 0))
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return AxisKernelProblem(
-        charpoly=tuple(_finite_complex(c, '"charpoly"') for c in obj["charpoly"]),
-        a=_finite_complex(obj["a"], '"a"'),
-        seeds=tuple(_finite_complex(s, '"seeds"') for s in obj["seeds"]),
-    )
+OPERATOR_KEYS: Schema = {
+    "dim": (scenario_int, REQUIRED),
+    "axis": (scenario_int, REQUIRED),
+    "a": (_pair('"a"'), REQUIRED),
+    "symbol": (coeffs_from_json, REQUIRED),
+}
+
+
+def cr_operator_from_json(obj: Any) -> CROperator:
+    op = read_object(obj, OPERATOR_KEYS, "operator")
+    return CROperator(op["dim"], op["axis"], op["a"], ConvolutionSymbol(op["dim"], op["symbol"]))
+
+
+#: a given ``degree`` must be an integer >= 0 and is not stored
+PROBLEM_KEYS: Schema = {
+    "charpoly": (_list_of(_pair('"charpoly"')), REQUIRED),
+    "a": (_pair('"a"'), REQUIRED),
+    "seeds": (_list_of(_pair('"seeds"')), REQUIRED),
+    "degree": (_natural, 0),
+}
+
+
+def problem_from_json(obj: Any) -> AxisKernelProblem:
+    p = read_object(obj, PROBLEM_KEYS, "kernel problem")
+    return AxisKernelProblem(charpoly=p["charpoly"], a=p["a"], seeds=p["seeds"])
 
 
 # ---------------------------------------------------------------------------

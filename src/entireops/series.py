@@ -271,6 +271,16 @@ def _checked_index(dim: int, idx: Sequence[int], what: str) -> Index:
     return idx
 
 
+def _checked_axis(dim: int, axis: int) -> int:
+    """The one check of a given 1-based axis: an integer from 1 to ``dim``."""
+    j = int(axis)
+    if j != axis:
+        raise ValueError(f"non-integral axis {axis!r}")
+    if not 1 <= j <= dim:
+        raise ValueError(f"axis {axis} out of range for dim {dim}")
+    return j
+
+
 def term_table(dim: int, entries: Entries) -> dict[Index, complex]:
     """The ``{index: coefficient}`` table of series literals, symbols and ladder vectors.
 
@@ -503,8 +513,7 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     the result is no longer a whole polynomial, but the kept vector is still
     exact (multiplication by z only shifts known coefficients).
     """
-    if not 1 <= axis <= f.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.dim}")
+    axis = _checked_axis(f.dim, axis)
     layout = _layout(f.dim, f.cutoff)
     out = _scatter_coordinate(layout, f.vector, axis)
     kept = len(layout.raised[axis - 1])

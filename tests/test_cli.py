@@ -393,6 +393,43 @@ def test_unknown_key_in_any_scenario_object_exits_2_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "path, key, message",
+    [
+        ((), "dimension", "missing key 'dimension' in scenario"),
+        # the generator needs exactly one of its two keys, not a given one
+        (("generator",), "kernel", 'generator must contain one of "kernel" and "explicit"'),
+        (("tasks", 2), "truncation", "missing key 'truncation' in complete task"),
+        (("operators", 1), "symbol", "missing key 'symbol' in operator"),
+        (("generator", "kernel", 0), "seeds", "missing key 'seeds' in kernel problem"),
+        (("tasks", 1, "target"), "coeffs", "missing key 'coeffs' in series literal"),
+        (("operators", 0, "symbol", 0), "idx", "missing key 'idx' in coefficient entry"),
+    ],
+    ids=["header", "generator", "task", "operator", "kernel_problem", "series_literal",
+         "coefficient_entry"],
+)
+def test_missing_key_in_any_scenario_object_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, path, key, message
+):
+    tasks = [
+        {"task": "kernel"},
+        {"task": "approximate", "target": copy.deepcopy(_TARGET)},
+        {"task": "complete", "truncation": 2},
+    ]
+    scenario = Path(_scenario_file(tmp_path, "gaussian2d", tasks))
+    obj = json.loads(scenario.read_text())
+    node = obj
+    for step in path:
+        node = node[step]
+    del node[key]
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_repeated_symbol_index_exits_2_before_any_task_runs(tmp_path, capsys, monkeypatch):
     # read last-entry-wins, the operator would run with b = 5
     scenario = Path(_scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}]))
@@ -430,6 +467,10 @@ def test_non_object_generator_exits_2_before_any_task_runs(tmp_path, capsys, mon
     assert captured.out == ""
 
 
+#: a series literal of dimension 1
+_LINE = {"dim": 1, "cutoff": 1, "polynomial": True, "coeffs": [{"idx": [1], "re": 1.0}]}
+
+
 @pytest.mark.parametrize(
     "name, task, message",
     [
@@ -437,8 +478,16 @@ def test_non_object_generator_exits_2_before_any_task_runs(tmp_path, capsys, mon
          "bad 'terms' in fhc task: index (0, 0) does not match dim 1"),
         ("remark3", {"task": "kernel"}, "kernel task needs a kernel generator"),
         ("remark3", {"task": "fhc"}, "fhc task needs a kernel generator"),
+        ("gaussian2d", {"task": "orbit", "initial": _LINE},
+         "bad 'initial' in orbit task: series of dim 1 does not match dim 2"),
+        ("gaussian2d", {"task": "orbit", "target": _LINE},
+         "bad 'target' in orbit task: series of dim 1 does not match dim 2"),
+        ("gaussian2d", {"task": "approximate", "target": _LINE},
+         "bad 'target' in approximate task: series of dim 1 does not match dim 2"),
     ],
-    ids=["fhc_terms_of_another_dim", "kernel_on_explicit", "fhc_on_explicit"],
+    ids=["fhc_terms_of_another_dim", "kernel_on_explicit", "fhc_on_explicit",
+         "orbit_initial_of_another_dim", "orbit_target_of_another_dim",
+         "approximate_target_of_another_dim"],
 )
 def test_task_that_does_not_fit_the_generator_exits_2_before_any_task_runs(
     tmp_path, capsys, monkeypatch, name, task, message
@@ -448,6 +497,46 @@ def test_task_that_does_not_fit_the_generator_exits_2_before_any_task_runs(
     assert cli.main(["run", scenario]) == cli.EXIT_PARSE
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+def test_default_axis_without_an_operator_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch
+):
+    # remark3 with its one operator moved to axis 2: the orbit axis defaults to 1
+    obj = bundled_object("remark3")
+    obj["operators"][0].update(axis=2, symbol=[{"idx": [0, 1], "re": 1.0}])
+    obj["tasks"] = [{"task": "verify-cr"}, {"task": "orbit"}]
+    scenario = tmp_path / "axis2.json"
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad 'axis' in orbit task: no operator on axis 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbit", "gaussian1d", "--steps", "-1"],
+         "bad 'steps' in orbit task: must be >= 0, got -1"),
+        (["fhc", "gaussian1d", "--kmax", "2.5"],
+         "bad 'kmax' in fhc task: must be an integer, got '2.5'"),
+        (["verify-cr", "gaussian1d", "--max-residual", "nan"],
+         "bad 'max_residual' in verify-cr task: must be finite, got nan"),
+        (["complete", "gaussian1d"], "missing key 'truncation' in complete task"),
+        (["approximate", "gaussian1d", "--target-monomial", "1,0"],
+         "bad 'target' in approximate task: series of dim 2 does not match dim 1"),
+    ],
+)
+def test_bad_flag_value_is_read_by_the_task_reader_before_the_task_runs(
+    capsys, monkeypatch, argv, message
+):
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -479,7 +568,9 @@ def test_kernel_subcommand_on_an_explicit_generator_exits_2_before_it_runs(
 
 
 @pytest.mark.parametrize(
-    "value, message", [(-1, "degree must be >= 0, got -1"), (2.5, "must be an integer, got 2.5")]
+    "value, message",
+    [pytest.param(-1, "bad 'degree' in kernel problem: must be >= 0, got -1", id="negative"),
+     (2.5, "must be an integer, got 2.5")],
 )
 def test_bad_kernel_problem_degree_exits_2_before_any_task_runs(
     tmp_path, capsys, monkeypatch, value, message
@@ -645,13 +736,25 @@ def _with(name: str, path: tuple, value) -> dict:
     return obj
 
 
+def _without(name: str, path: tuple, key: str) -> tuple:
+    """A bundled scenario with the key of the object at the path dropped, as a mutation."""
+    obj = bundled_object(name)
+    node = obj
+    for step in path:
+        node = node[step]
+    del node[key]
+    return obj, False, (path, key)
+
+
 @st.composite
 def mutated_scenario(draw):
     """A bundled scenario with one number replaced, one list resized or one key dropped or added.
 
-    Returns the object and whether the mutation must be refused: a key
-    added to any object, or a number replaced by a non-finite value, a bool
-    or a string.  ``"@"`` stands for the JSON literal 1e400, which reads as inf.
+    Returns the object, whether the mutation must be refused (a key added
+    to any object, or a number replaced by a non-finite value, a bool or a
+    string) and the key of the object at ``path`` that was dropped, if any,
+    as ``(path, key)``.  ``"@"`` stands for the JSON literal 1e400, which
+    reads as inf.
     """
     obj = bundled_object(draw(st.sampled_from(cli.BUNDLED)))
     kind, path = draw(st.sampled_from(list(_sites(obj))))
@@ -659,7 +762,7 @@ def mutated_scenario(draw):
     for step in path[:-1]:
         parent = parent[step]
     node = parent[path[-1]] if path else obj
-    refused = False
+    refused, dropped = False, None
     if kind == "number":
         bad = [math.inf, math.nan, "@", True, False, "x"]
         value = draw(st.sampled_from(bad + [1e300, -abs(node) - 1, node + 0.5]))
@@ -671,22 +774,48 @@ def mutated_scenario(draw):
         else:
             node.append(copy.deepcopy(node[-1]) if node else 0)
     elif node and draw(st.booleans()):
-        del node[draw(st.sampled_from(sorted(node)))]
+        dropped = path, draw(st.sampled_from(sorted(node)))
+        del node[dropped[1]]
     else:
         node["extra"] = 1
         refused = True
-    return obj, refused
+    return obj, refused, dropped
+
+
+def _required(obj: dict, path: tuple, key: str) -> bool:
+    """Whether the scenario object at the path must give the key."""
+    parent = path[-2] if len(path) > 1 else None
+    if not path:
+        schema = cli.SCENARIO_KEYS
+    elif path[-1] == "generator":
+        schema = cli.GENERATOR_KEYS
+    elif parent == "operators":
+        schema = serialize.OPERATOR_KEYS
+    elif parent == "kernel":
+        schema = serialize.PROBLEM_KEYS
+    elif parent in ("symbol", "coeffs", "terms"):
+        schema = serialize.COEFFICIENT_KEYS
+    elif parent == "tasks":
+        task = obj["tasks"][path[-1]]
+        # the kind picks the task's key table, so it is always required
+        schema = cli.TASK_PARAMS[task["task"]] if "task" in task else {}
+    else:
+        assert path[-1] in ("explicit", "target", "initial"), path
+        schema = serialize.SERIES_KEYS
+    return schema.get(key, (None, serialize.REQUIRED))[1] is serialize.REQUIRED
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(mutated_scenario())
-@example((_short_pair(), True))
-@example((_with("gaussian1d", ("tasks", 0, "max_residual"), True), True))
-@example((_with("remark3", ("generator", "explicit", "extra"), 1), True))
+@example((_short_pair(), True, None))
+@example((_with("gaussian1d", ("tasks", 0, "max_residual"), True), True, None))
+@example((_with("remark3", ("generator", "explicit", "extra"), 1), True, None))
+@example(_without("gaussian2d", ("operators", 1), "symbol"))
+@example(_without("gaussian1d", ("tasks", 0), "task"))
 def test_mutated_bundled_scenario_reports_every_task_or_exits_2_before_any_runs(
     tmp_path_factory, mutation
 ):
-    obj, refused = mutation
+    obj, refused, dropped = mutation
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(obj).replace('"@"', "1e400"))
     calls = []
@@ -703,6 +832,11 @@ def test_mutated_bundled_scenario_reports_every_task_or_exits_2_before_any_runs(
         code = cli.main(["run", str(path)])
     assert code in (cli.EXIT_OK, cli.EXIT_TASK_FAILED, cli.EXIT_PARSE), err.getvalue()
     assert code == cli.EXIT_PARSE or not refused, json.dumps(obj)
+    if dropped is not None:
+        path, key = dropped
+        if _required(obj, path, key):
+            assert code == cli.EXIT_PARSE, json.dumps(obj)
+            assert f"missing key {key!r}" in err.getvalue()
     if code == cli.EXIT_PARSE:
         assert (out.getvalue(), calls) == ("", []), err.getvalue()
     else:
@@ -795,6 +929,25 @@ def test_csv_text_quotes_what_its_cells_hold():
     ]
     text = serialize.to_csv_text(("k", "u", "ratio"), [(0, 1 / 3, None)])
     assert text == "k,u,ratio\n0,0.33333333333333331,\n"
+
+
+def test_overflowing_orbit_fails_its_task_naming_the_step_and_prints_no_warning(
+    tmp_path, capsys
+):
+    obj = bundled_object("gaussian1d")
+    obj["operators"][0]["a"] = [1e300, 0.0]
+    obj["generator"]["kernel"][0]["a"] = [1e300, 0.0]
+    initial = {"dim": 1, "cutoff": 4, "polynomial": True,
+               "coeffs": [{"idx": [1], "re": 1e300, "im": 1e300}]}
+    obj["tasks"] = [{"task": "orbit", "steps": 2, "degree": 4, "initial": initial}]
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(obj))
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_TASK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert report["error"].startswith("orbit overflows at step 1")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -488,6 +488,15 @@ def test_approximate_coordinate_by_gaussian_derivatives():
     assert result.residual <= 1e-12
 
 
+def test_approximate_a_huge_target_keeps_a_finite_residual_without_a_warning():
+    # the sum of the squared defects overflows though their norm does not
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
+    small = eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
+    huge = eo.approximate_target(f, eo.make_series(1, 3, {(1,): 1e300}, True), 3, 3)
+    assert huge.coefficient((1,)) == pytest.approx(1e300 * small.coefficient((1,)), rel=1e-12)
+    assert 0 < huge.residual <= 1e300 * 1e-12
+
+
 @pytest.mark.parametrize(
     "order, message",
     [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def test_budget_error_names_the_failing_step():
     f = eo.solve_kernel_axis(gaussian_problem(), 6)
     with pytest.raises(ValueError, match="step 7"):
         eo.iterate_orbit(shift_op(), f, 9)
+
+
+def test_an_overflowing_iterate_names_its_step_without_a_warning():
+    op = eo.CROperator(1, 1, 1e300, eo.ConvolutionSymbol(1, {(1,): 1.0}))
+    x = eo.make_series(1, 4, {(1,): complex(1e300, 1e300)}, is_polynomial=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="orbit overflows at step 1"):
+            eo.iterate_orbit(op, x, 2)
 
 
 def test_orbit_concatenation_consistency():

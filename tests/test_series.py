@@ -90,6 +90,33 @@ def test_a_non_integral_index_entry_is_refused_not_truncated(call, message):
         call()
 
 
+def _ladder_vector() -> eo.LadderVector:
+    return eo.LadderVector((gaussian_problem(), gaussian_problem()), {(1, 1): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda axis: eo.multiply_coordinate(eo.make_series(2, 3, {(0, 0): 1.0}), axis),
+        # 1 <= 1.5 <= 2 passed, and the operator was built as D_1 - I
+        lambda axis: eo.CROperator(2, axis, 1.0, eo.ConvolutionSymbol(2, {(1, 0): 1.0})),
+        lambda axis: eo.apply_lowering(_ladder_vector(), axis),
+        lambda axis: eo.apply_raising(_ladder_vector(), axis),
+        lambda axis: eo.nilpotency_index(_ladder_vector(), axis),
+        lambda axis: eo.convergence_report(_ladder_vector(), axis, eo.SemiNormSpec(1, 2.0), 2, 2),
+    ],
+    ids=["multiply_coordinate", "CROperator", "apply_lowering", "apply_raising",
+         "nilpotency_index", "convergence_report"],
+)
+def test_every_axis_is_checked_in_range_and_integral(call):
+    with pytest.raises(ValueError, match=r"non-integral axis 1.5"):
+        call(1.5)
+    for axis in (0, 3):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for dim 2"):
+            call(axis)
+    call(2.0)  # an integral float is the integer
+
+
 @pytest.mark.parametrize(
     "idx, message",
     [
@@ -253,7 +280,8 @@ def test_two_axis_derivative_weight_past_the_float_range_raises():
     # each factor, 170! and 5!, is a float; their product is not
     f = eo.make_series(2, 175, {(170, 5): 1.0})
     # the overflowing product warns nothing on the way to the OverflowError
-    with warnings.catch_warnings(action="error"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="past the float range"):
             eo.differentiate(f, (170, 5))
         with pytest.raises(OverflowError, match="past the float range"):
@@ -265,7 +293,8 @@ def test_an_inf_factor_in_a_masked_cell_leaves_the_per_order_rows():
     # and the step past the cutoff gives 0 on axis 2; the cell is masked
     f = eo.make_series(2, 175, {(0, 171): 1.0, (3, 2): 2.0, (171, 4): 0.5})
     orders = [(0, 0), (171, 5), (1, 1)]
-    with warnings.catch_warnings(action="error"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rows = series.derivative_rows(f, orders, 175)
     expected = [eo.coefficient_vector(eo.differentiate(f, n), 175) for n in orders]
     assert np.array_equal(rows, expected)
@@ -457,13 +486,15 @@ def test_seminorm_nonzero_coefficient_where_the_power_overflows_raises_as_the_lo
 def test_seminorm_sum_of_a_finite_row_past_the_float_range_raises_without_a_warning():
     spec = eo.SemiNormSpec(1, 1e10)  # r ** 4 = 1e40 is finite, 1e300 * 1e40 is not
     f = eo.make_series(1, 4, {(0,): 1.0, (4,): 1e300})
-    with warnings.catch_warnings(action="error"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="semi-norm majorant"):
             eo.seminorm_bound(f, spec)
     # a row that already holds inf keeps its non-finite sum: inf, or NaN
     # where its power underflows to 0, as in the scalar loop
     g = eo.make_series(1, 4, {(0,): 1.0, (2,): math.inf})
-    with warnings.catch_warnings(action="error"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert seminorm_rows(1, 4, np.stack([g.vector, g.vector]), spec).tolist() == [
             math.inf, math.inf
         ]
