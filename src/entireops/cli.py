@@ -209,6 +209,25 @@ SCENARIO_KEYS: Schema = {
 }
 
 
+def _check_equation(problem: AxisKernelProblem, op: CROperator) -> None:
+    """Refuse a kernel problem that is not the equation of the operator on its axis.
+
+    ``T_j = sum_n (b_n / n!) D^n - a z_j`` states ``C(D_j) f = a z_j f`` only
+    if its symbol lies on axis j; then ``a`` must be the problem's and
+    ``charpoly[k]`` the stored ``b_(k e_j) / k!``, up to a relative 1e-12.
+    """
+    j = op.axis - 1
+    off = [list(n) for _, n in op.conv.terms if sum(n) != n[j]]
+    if off:
+        raise ScenarioError(f"operator on axis {op.axis} has symbol term {off[0]} off its axis")
+    symbol = {n[j]: c for (_, n), c in op.conv.terms.items()}
+    stated = dict(enumerate(problem.charpoly))
+    pairs = [(f"charpoly[{k}]", stated.get(k, 0j), symbol.get(k, 0j)) for k in {*stated, *symbol}]
+    for key, given, want in [("a", problem.a, op.a), *pairs]:
+        if abs(given - want) > 1e-12 * max(abs(given), abs(want)):
+            raise ScenarioError(f"kernel problem on axis {op.axis} has {key} = {given}, not {want}")
+
+
 def parse_scenario(obj: Any) -> Scenario:
     header = read_object(obj, SCENARIO_KEYS, "scenario")
     dimension, ops = header["dimension"], header["operators"]
@@ -232,6 +251,8 @@ def parse_scenario(obj: Any) -> Scenario:
             raise ScenarioError(
                 f"kernel generation needs one operator per axis, got axes {axes_covered}"
             )
+        for op in ops:
+            _check_equation(kernel_problems[op.axis - 1], op)
     elif explicit.dim != dimension:
         raise ScenarioError(
             f"explicit generator has dim {explicit.dim}, scenario declares {dimension}"
@@ -338,9 +359,13 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
     trunc = p["truncation"]
     max_order = _given(p["max_order"], trunc)
     tolerance = _given(ctx["tolerance"], _given(p["tolerance"], scn.tolerance))
+
+    def derivative_report(n: int, order: int):
+        f = generator_series(scn, n + order)
+        return rank_report(derivative_span(f, n, order), tolerance)
+
     if p["mode"] == "derivative":
-        f = generator_series(scn, trunc + max_order)
-        span = derivative_span(f, trunc, max_order)
+        report = derivative_report(trunc, max_order)
     else:
         f = generator_series(scn, trunc)
         ambient = math.comb(trunc + scn.dimension, scn.dimension)
@@ -350,7 +375,7 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
             # asking for translate mode on a truncation accepts approximate rows
             warnings.simplefilter("ignore", ApproximationWarning)
             span = translate_span(f, trunc, samples)
-    report = rank_report(span, tolerance)
+        report = rank_report(span, tolerance)
     payload = {
         "rank": report.rank,
         "ambient": report.ambient_dim,
@@ -362,19 +387,12 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
     }
     if p["trajectory"] is not None:
         offset = max_order - trunc
-        rows = []
-        for n in p["trajectory"]:
-            fn = generator_series(scn, 2 * n + offset)
-            rep_n = rank_report(derivative_span(fn, n, n + offset), tolerance)
-            rows.append(
-                {
-                    "N": n,
-                    "rank": rep_n.rank,
-                    "ambient": rep_n.ambient_dim,
-                    "complete_at_truncation": rep_n.complete_at_truncation,
-                }
-            )
-        payload["trajectory"] = rows
+        reports = [derivative_report(n, n + offset) for n in p["trajectory"]]
+        payload["trajectory"] = [
+            {"N": r.truncation, "rank": r.rank, "ambient": r.ambient_dim,
+             "complete_at_truncation": r.complete_at_truncation}
+            for r in reports
+        ]
     passed = True
     if p["expect_complete"] is not None:
         passed = report.complete_at_truncation == p["expect_complete"]
@@ -471,6 +489,14 @@ CSV_PROFILES = {
 }
 
 
+#: overrides of the scenario's tolerance and rng_seed, read by the header's
+#: parsers; a None default keeps the scenario's value
+RUN_OPTIONS: Schema = {
+    "tolerance": (SCENARIO_KEYS["tolerance"][0], None),
+    "seed": (SCENARIO_KEYS["rng_seed"][0], None),
+}
+
+
 def execute_tasks(
     scn: Scenario,
     tasks: Sequence[dict] | None = None,
@@ -483,14 +509,14 @@ def execute_tasks(
 
     ``tasks=None`` runs the scenario's own tasks with the parameters resolved
     when it was parsed.  Other task objects are resolved here, all of them
-    before any runs, and so are a ``tolerance`` override and the format: a
-    CSV request for a task kind outside ``CSV_PROFILES`` is refused.
+    before any runs, and so are the ``tolerance`` and ``seed`` overrides (by
+    the scenario keys' parsers) and the format: a CSV request for a task kind
+    outside ``CSV_PROFILES`` is refused.
     """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
-    if tolerance is not None:
-        options = {"tolerance": SCENARIO_KEYS["tolerance"]}
-        tolerance = read_object({"tolerance": tolerance}, options, "run options")["tolerance"]
+    overrides = (("tolerance", tolerance), ("seed", seed))
+    options = read_object({k: v for k, v in overrides if v is not None}, RUN_OPTIONS, "run options")
     resolved = scn.params
     if tasks is not None:
         kernel = scn.kernel_problems is not None
@@ -506,8 +532,8 @@ def execute_tasks(
     for i, params in enumerate(resolved):
         name = params["task"]
         ctx = {
-            "tolerance": tolerance,
-            "seed": (seed if seed is not None else scn.rng_seed) + i,
+            "tolerance": options["tolerance"],
+            "seed": _given(options["seed"], scn.rng_seed) + i,
         }
         try:
             payload, passed = _RUNNERS[name](scn, params, ctx)
@@ -628,7 +654,10 @@ def _task_from_args(args: argparse.Namespace) -> dict:
         if key not in SCENARIO_ONLY and getattr(args, key) is not None:
             task[key] = getattr(args, key)
     if kind == "approximate":
-        idx = [int(e) for e in args.target_monomial.split(",")]
+        try:
+            idx = [_natural(e) for e in args.target_monomial.split(",")]
+        except ValueError as exc:
+            raise ScenarioError(f"bad --target-monomial entry: {exc}") from exc
         task["target"] = {
             "dim": len(idx),
             "cutoff": sum(idx),

@@ -16,18 +16,21 @@ formal combination ``sum c_n [D^n f]``, its labels read by
 numeric series enter only when semi-norm sizes of the raised iterates are
 estimated (:func:`convergence_report`), because the exactness of the ladder
 identities and of the right-inverse property should be tested exactly.
-There the raised iterates ``S^k x``, k <= kmax, are realized together: one
-generator solve, their coefficients by ``apply_raising``'s division, one
-``derivative_rows`` gather of every raised label, and one semi-norm sum over
-the block of rows (``seminorm_rows``).  The generator carries no degree:
-:func:`realize` and :func:`convergence_report` each solve it to the degree
-they need with ``kernel.joint_kernel``.
+Every realization is one ``derivative_rows`` gather of the labels of one or
+more label tables, each row summed in label order (``_realized_rows``):
+:func:`realize` is its one-row case, and :func:`convergence_report` realizes
+the raised iterates ``S^k x``, k <= kmax, together, their coefficients from
+the one raising rule on a label table (``_raised``, behind
+:func:`apply_raising` too), then sums the semi-norms of the block of rows in
+one ``seminorm_rows`` call.  The generator carries no degree: both solve it
+to the degree they need with ``kernel.joint_kernel``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,11 +43,8 @@ from .series import (
     _checked_axis,
     _checked_index,
     derivative_rows,
-    differentiate,
-    linear_combine,
     seminorm_rows,
     term_table,
-    with_cutoff,
     worst,
     zero_series,
 )
@@ -119,16 +119,20 @@ def apply_lowering(x: LadderVector, axis: int) -> LadderVector:
     return LadderVector(x.generator, out)
 
 
+def _raised(terms: Mapping[Index, complex], j: int, a: complex) -> dict[Index, complex]:
+    """S_j on a label table: ``(c, n) -> (c / (a (n_j + 1)), n + e_j)``, j 0-based.
+
+    Raising changes each label injectively and keeps graded-lex order, so
+    the table stays in label order; a coefficient that underflows to 0 is
+    kept here and dropped by ``LadderVector``.
+    """
+    return {n[:j] + (n[j] + 1,) + n[j + 1 :]: c / (a * (n[j] + 1)) for n, c in terms.items()}
+
+
 def apply_raising(x: LadderVector, axis: int) -> LadderVector:
     """Apply the right inverse: ``(c, n) -> (c / (a_j (n_j + 1)), n + e_j)``."""
     axis = _checked_axis(x.dim, axis)
-    j = axis - 1
-    a = x.ladder_constants[j]
-    out: dict[Index, complex] = {}
-    for n, c in x.terms.items():
-        m = n[:j] + (n[j] + 1,) + n[j + 1 :]
-        out[m] = c / (a * (n[j] + 1))
-    return LadderVector(x.generator, out)
+    return LadderVector(x.generator, _raised(x.terms, axis - 1, x.ladder_constants[axis - 1]))
 
 
 def verify_right_inverse(
@@ -168,46 +172,35 @@ def realize(x: LadderVector, degree: int) -> TruncatedSeries:
     """Realize the combination as a series, exact to the requested degree.
 
     The generator is solved out to ``degree + max_order(x)`` so every
-    differentiated term is still exact on the kept region.
+    differentiated term is still exact on the kept region; it is no
+    polynomial, so neither is a nonzero realization.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     f = joint_kernel(x.generator, degree + x.max_order)
     if not x.terms:
         return zero_series(x.dim, degree)
-    parts = [(c, differentiate(f, n)) for n, c in x.terms.items()]
-    return with_cutoff(linear_combine(parts), degree)
+    (row,) = _realized_rows(f, [x.terms], degree)
+    return TruncatedSeries(x.dim, degree, degree, False, row)
 
 
-def _raised_rows(
-    x: LadderVector, axis: int, f: TruncatedSeries, kmax: int, degree: int
+def _realized_rows(
+    f: TruncatedSeries, tables: Sequence[Mapping[Index, complex]], degree: int
 ) -> np.ndarray:
-    """Row k is the coefficient vector of ``realize(S^k x, degree)``, k <= kmax.
+    """Row i is the coefficient vector of the realization of ``tables[i]`` to ``degree``.
 
-    f must be the generator solved out to at least ``degree + max_order(x) +
-    kmax``.  The k-fold raised coefficients come from ``apply_raising``'s
-    sequential division; one ``derivative_rows`` call gathers every raised
-    label, and each row adds its terms in label order as ``realize``'s
-    ``linear_combine`` does, skipping a coefficient that has underflowed to
-    zero as the ladder vector drops it.
+    f must be the generator solved out to at least ``degree`` plus the
+    highest label order.  One ``derivative_rows`` call gathers every label,
+    and each row adds its terms in label order as ``linear_combine`` does,
+    skipping a zero coefficient (an underflowed raising: ``0 * inf`` is
+    NaN) as the ladder vector drops it.
     """
-    j = axis - 1
-    a = x.ladder_constants[j]
-    count = len(x.terms)
-    coeffs = np.zeros((kmax + 1, count), dtype=complex)
-    for t, (n, c) in enumerate(x.terms.items()):
-        for k in range(kmax + 1):
-            coeffs[k, t] = c
-            c = c / (a * (n[j] + k + 1))
-    orders = [
-        n[:j] + (n[j] + k,) + n[j + 1 :] for k in range(kmax + 1) for n in x.terms
-    ]
-    gathered = derivative_rows(f, orders, degree)
-    acc = np.zeros((kmax + 1, gathered.shape[1]), dtype=complex)
-    for t in range(count):
-        w = coeffs[:, t, None]
-        # rows t, t + count, ... are term t raised 0, 1, ... times
-        np.add(acc, w * gathered[t::count], out=acc, where=w != 0)
+    gathered = iter(derivative_rows(f, [n for table in tables for n in table], degree))
+    acc = np.zeros((len(tables), math.comb(degree + f.dim, degree)), dtype=complex)
+    for row, table in zip(acc, tables):
+        for c, part in zip(table.values(), gathered):
+            if c != 0:
+                row += c * part
     return acc
 
 
@@ -279,6 +272,9 @@ def convergence_report(
     a_j = x.ladder_constants[axis - 1]
     bound = 1.0 / (abs(a_j) * spec.m * spec.epsilon)
 
+    tables = [x.terms]  # S^k x for k <= kmax, as plain label tables
+    for _ in range(kmax):
+        tables.append(_raised(tables[-1], axis - 1, a_j))
     d = realization_degree
     check = d + STABILITY_DEGREE_STEP
     try:
@@ -287,9 +283,9 @@ def convergence_report(
         # errors keep the order of a degree-d pass before a degree-(d + 4)
         # one: an overflow of the shorter solve, then of its majorants
         f = joint_kernel(x.generator, d + x.max_order + kmax)
-        seminorm_rows(x.dim, d, _raised_rows(x, axis, f, kmax, d), spec)
+        seminorm_rows(x.dim, d, _realized_rows(f, tables, d), spec)
         raise
-    rows = _raised_rows(x, axis, f, kmax, check)
+    rows = _realized_rows(f, tables, check)
     u = seminorm_rows(x.dim, d, rows[:, : math.comb(d + x.dim, d)], spec).tolist()
     u_check = seminorm_rows(x.dim, check, rows, spec).tolist()
 
@@ -297,11 +293,6 @@ def convergence_report(
         (u[k + 1] / u[k]) if u[k] > 0 else None for k in range(kmax)
     ]
     kth_roots = [u[k] ** (1.0 / k) for k in range(1, kmax + 1)]
-    partial_sums: list[float] = []
-    acc = 0.0
-    for v in u:
-        acc += v
-        partial_sums.append(acc)
 
     trend = u[kmax] ** (1.0 / kmax)
     trend_check = u_check[kmax] ** (1.0 / kmax)
@@ -316,6 +307,6 @@ def convergence_report(
         u=tuple(u),
         ratios=tuple(ratios),
         kth_roots=tuple(kth_roots),
-        partial_sums=tuple(partial_sums),
+        partial_sums=tuple(accumulate(u)),
         stable=stable,
     )

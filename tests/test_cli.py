@@ -70,6 +70,39 @@ def test_kernel_generator_needs_operator_per_axis(tmp_path):
         cli.parse_scenario(obj)
 
 
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        # the ladder constant of a family the scenario does not state
+        ("gaussian1d", ("generator", "kernel", 0, "a"), [4.0, 0.0],
+         "kernel problem on axis 1 has a = (4+0j), not (1+0j)"),
+        ("mixed", ("generator", "kernel", 1, "charpoly"), [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+         "kernel problem on axis 2 has charpoly[2] = (2+0j), not (1+0j)"),
+        ("gaussian2d", ("operators", 0, "symbol"),
+         [{"idx": [1, 0], "re": 1.0}, {"idx": [0, 1], "re": 1.0}],
+         "operator on axis 1 has symbol term [0, 1] off its axis"),
+    ],
+)
+def test_a_kernel_problem_must_state_its_axis_operator(
+    capsys, monkeypatch, tmp_path, name, path, value, message
+):
+    obj = _with(name, path, value)
+    with pytest.raises(cli.ScenarioError) as exc:
+        cli.parse_scenario(obj)
+    assert str(exc.value) == message
+    scenario = tmp_path / "mismatch.json"
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_kernel_problem_may_differ_from_its_operator_by_rounding():
+    obj = _with("airy2d", ("operators", 0, "a"), [1.0 + 2e-16, 0.0])
+    obj["operators"][1]["symbol"][0]["re"] = 2.0 * (1 - 1e-15)
+    assert cli.parse_scenario(obj).kernel_problems is not None
+
+
 # ---------------------------------------------------------------------------
 # running scenarios
 # ---------------------------------------------------------------------------
@@ -528,6 +561,14 @@ def test_default_axis_without_an_operator_exits_2_before_any_task_runs(
         (["complete", "gaussian1d"], "missing key 'truncation' in complete task"),
         (["approximate", "gaussian1d", "--target-monomial", "1,0"],
          "bad 'target' in approximate task: series of dim 2 does not match dim 1"),
+        (["approximate", "gaussian1d", "--target-monomial", "x"],
+         "bad --target-monomial entry: must be an integer, got 'x'"),
+        (["approximate", "gaussian1d", "--target-monomial", "1.0"],
+         "bad --target-monomial entry: must be an integer, got '1.0'"),
+        (["approximate", "gaussian1d", "--target-monomial", "-1"],
+         "bad --target-monomial entry: must be >= 0, got -1"),
+        (["approximate", "gaussian2d", "--target-monomial", "1,-1"],
+         "bad --target-monomial entry: must be >= 0, got -1"),
     ],
 )
 def test_bad_flag_value_is_read_by_the_task_reader_before_the_task_runs(
@@ -872,6 +913,16 @@ def test_repeat_runs_are_bytewise_identical():
     code2, text2 = run_to_text("gaussian2d", seed=7041)
     assert code1 == code2 == cli.EXIT_OK
     assert text1 == text2
+
+
+@pytest.mark.parametrize(
+    "seed, message", [(2.5, "must be an integer, got 2.5"), (-5, "must be >= 0, got -5")]
+)
+def test_a_bad_seed_override_is_refused_before_any_task_runs(monkeypatch, seed, message):
+    _fail_if_a_task_runs(monkeypatch)
+    with pytest.raises(cli.ScenarioError) as exc:
+        run_to_text("gaussian2d", seed=seed)
+    assert str(exc.value) == f"bad 'seed' in run options: {message}"
 
 
 def test_seed_changes_translate_sampling():

@@ -339,6 +339,39 @@ def test_batched_majorants_equal_the_per_k_path_exactly(case):
     assert report.stable == stable
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(majorant_case())
+def test_realize_equals_the_differentiate_combine_cut_composition(case):
+    x, degree = case[0], case[4]
+    f = eo.joint_kernel(x.generator, degree + x.max_order)
+    parts = [(c, eo.differentiate(f, n)) for n, c in x.terms.items()]
+    want = eo.zero_series(x.dim, degree)
+    if parts:
+        want = eo.with_cutoff(eo.linear_combine(parts), degree)
+    got = eo.realize(x, degree)
+    assert (got.exact_degree, got.is_polynomial) == (want.exact_degree, want.is_polynomial)
+    # bit for bit: equal bytes, so signed zeros and NaN payloads agree too
+    assert got.vector.tobytes() == want.vector.tobytes()
+
+
+def test_realize_of_the_zero_vector_is_the_polynomial_zero_series():
+    x = eo.LadderVector((gaussian_problem(), airy_problem()), {})
+    assert eo.realize(x, 5) == eo.zero_series(2, 5)  # equality compares the flags too
+
+
+def test_an_underflowed_raised_coefficient_adds_nothing():
+    # near k = 140 the raised coefficient 1 / (5000^k k!) is 0 while the
+    # gathered D^k f is past the float range; 0 * inf would be NaN
+    x = gauss_vector({(0,): 1.0}, a=5000.0)
+    spec = eo.SemiNormSpec(1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        u = per_k_majorants(x, 1, spec, 140, 6)
+        report = eo.convergence_report(x, 1, spec, 140, 6)
+    assert report.u == tuple(u)
+    assert u[-1] == 0.0
+
+
 def overflowing_problem(growth: float) -> eo.AxisKernelProblem:
     """Axis problem ``(D - growth) f = z f``: f_k grows like growth^k / k!."""
     return eo.AxisKernelProblem((-growth, 1), 1.0, (1,))
@@ -363,6 +396,12 @@ def test_an_overflow_past_the_realization_degree_raises_as_before(growths, epsil
     with pytest.raises(OverflowError) as got:
         eo.convergence_report(x, 1, spec, 40, 14)
     assert str(got.value) == str(want.value)
+
+
+def test_realize_solves_the_generator_even_for_the_zero_vector():
+    x = eo.LadderVector((overflowing_problem(1e4),), {})
+    with pytest.raises(OverflowError, match="exceeded"):
+        eo.realize(x, 60)
 
 
 def test_majorants_past_the_float_range_raise_instead_of_a_stable_verdict():
