@@ -6,7 +6,8 @@ of tasks.  The header, the generator and each task are read by
 ``serialize.read_object`` from their key tables here (``SCENARIO_KEYS``,
 ``GENERATOR_KEYS``, ``TASK_PARAMS``).  A task subcommand's flags carry raw
 strings into the same task reader, ``task_params``, so a flag and a file key
-are parsed once, by one parser.  Tasks run in order.  Each kind's runner
+are parsed once, by one parser; ``--tolerance`` and ``--seed`` likewise reach
+``RUN_OPTIONS`` as raw strings.  Tasks run in order.  Each kind's runner
 builds its whole report as an ordered dict, emitted to stdout or to
 ``--out`` as JSON by default or, for the kinds in ``CSV_PROFILES``, as CSV
 rows read from that dict.
@@ -62,6 +63,7 @@ from .series import (
     ApproximationWarning,
     SemiNormSpec,
     TruncatedSeries,
+    _checked_layout,
     term_table,
     with_cutoff,
     worst,
@@ -231,6 +233,10 @@ def _check_equation(problem: AxisKernelProblem, op: CROperator) -> None:
 def parse_scenario(obj: Any) -> Scenario:
     header = read_object(obj, SCENARIO_KEYS, "scenario")
     dimension, ops = header["dimension"], header["operators"]
+    try:
+        _checked_layout(dimension, header["truncation"])
+    except ValueError as exc:
+        raise ScenarioError(f"scenario too large: {exc}") from exc
     generator = header.pop("generator")
     kernel_problems, explicit = generator["kernel"], generator["explicit"]
     if (kernel_problems is None) == (explicit is None):
@@ -490,7 +496,8 @@ CSV_PROFILES = {
 
 
 #: overrides of the scenario's tolerance and rng_seed, read by the header's
-#: parsers; a None default keeps the scenario's value
+#: parsers (the only parse of the --tolerance and --seed flags' raw strings);
+#: a None default keeps the scenario's value
 RUN_OPTIONS: Schema = {
     "tolerance": (SCENARIO_KEYS["tolerance"][0], None),
     "seed": (SCENARIO_KEYS["rng_seed"][0], None),
@@ -597,10 +604,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
     parser.add_argument("--out", default=None, help="write reports into a directory")
-    parser.add_argument(
-        "--tolerance", type=_finite, default=None, help="override rank tolerance"
-    )
-    parser.add_argument("--seed", type=_natural, default=None, help="override rng seed")
+    # raw strings, parsed once by RUN_OPTIONS
+    parser.add_argument("--tolerance", help="override rank tolerance")
+    parser.add_argument("--seed", help="override rng seed")
 
 
 def _describe(default: Any) -> str:

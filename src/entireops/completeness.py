@@ -11,10 +11,13 @@ Each span matrix is built in one pass by ``series``.  Derivative rows
 (``derivative_rows``) are one gather through one ``(order x row)`` plan over
 every order of the span, limited to the truncation prefix; their weights are
 the exact integers ``prod_j perm(s_j, n_j)`` rounded once (see ``series``).
-Translate rows (``translate_rows``) are the same plan with binomial factors
+Translate rows come from one function, ``translate_rows`` (``translate``
+is its one-row case): the same plan with binomial factors
 ``comb(m + k, k)`` over every order k up to f's cutoff, summed by one matmul
-with the sample powers ``s^k``; the call warns once when f is a truncation
-rather than a polynomial.
+with the sample powers ``s^k``.  Each sample goes through the one point
+check, ``series._checked_point``, and ``translate_rows`` emits the one
+ApproximationWarning of the call, at the caller of ``translate_span``, when
+f is a truncation rather than a polynomial.
 
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative
@@ -32,6 +35,7 @@ import numpy as np
 from .series import (
     TruncatedSeries,
     _checked_index,
+    _checked_point,
     coefficient_vector,
     derivative_rows,
     monomial_basis,
@@ -130,7 +134,7 @@ def translate_span(
     ApproximationWarning per call) and downstream rank decisions are
     tolerance-based.
     """
-    samples = [tuple(complex(c) for c in s) for s in samples]
+    samples = [_checked_point(f.dim, s, "shift") for s in samples]
     if not samples:
         raise ValueError("at least one translation sample required")
     return SpanMatrix(

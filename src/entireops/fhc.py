@@ -21,9 +21,11 @@ more label tables, each row summed in label order (``_realized_rows``):
 :func:`realize` is its one-row case, and :func:`convergence_report` realizes
 the raised iterates ``S^k x``, k <= kmax, together, their coefficients from
 the one raising rule on a label table (``_raised``, behind
-:func:`apply_raising` too), then sums the semi-norms of the block of rows in
-one ``seminorm_rows`` call.  The generator carries no degree: both solve it
-to the degree they need with ``kernel.joint_kernel``.
+:func:`apply_raising` too, which refuses a coefficient that underflows to
+0, so no verdict rests on a majorant lost to underflow), then sums the
+semi-norms of the block of rows in one ``seminorm_rows`` call.  The
+generator carries no degree: both solve it to the degree they need with
+``kernel.joint_kernel``.
 """
 
 from __future__ import annotations
@@ -123,10 +125,14 @@ def _raised(terms: Mapping[Index, complex], j: int, a: complex) -> dict[Index, c
     """S_j on a label table: ``(c, n) -> (c / (a (n_j + 1)), n + e_j)``, j 0-based.
 
     Raising changes each label injectively and keeps graded-lex order, so
-    the table stays in label order; a coefficient that underflows to 0 is
-    kept here and dropped by ``LadderVector``.
+    the table stays in label order.  A nonzero coefficient whose raised
+    value underflows to 0 raises OverflowError: a majorant read from it
+    would be a float artifact, not a bound.
     """
-    return {n[:j] + (n[j] + 1,) + n[j + 1 :]: c / (a * (n[j] + 1)) for n, c in terms.items()}
+    out = {n[:j] + (n[j] + 1,) + n[j + 1 :]: c / (a * (n[j] + 1)) for n, c in terms.items()}
+    if 0 in out.values():
+        raise OverflowError(f"a coefficient of S_{j + 1} underflows to 0 in float")
+    return out
 
 
 def apply_raising(x: LadderVector, axis: int) -> LadderVector:
@@ -191,16 +197,13 @@ def _realized_rows(
 
     f must be the generator solved out to at least ``degree`` plus the
     highest label order.  One ``derivative_rows`` call gathers every label,
-    and each row adds its terms in label order as ``linear_combine`` does,
-    skipping a zero coefficient (an underflowed raising: ``0 * inf`` is
-    NaN) as the ladder vector drops it.
+    and each row adds its terms in label order as ``linear_combine`` does.
     """
     gathered = iter(derivative_rows(f, [n for table in tables for n in table], degree))
     acc = np.zeros((len(tables), math.comb(degree + f.dim, degree)), dtype=complex)
     for row, table in zip(acc, tables):
         for c, part in zip(table.values(), gathered):
-            if c != 0:
-                row += c * part
+            row += c * part
     return acc
 
 

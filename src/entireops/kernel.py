@@ -78,6 +78,9 @@ def solve_kernel_axis(problem: AxisKernelProblem, degree: int) -> TruncatedSerie
     """Solve the axis recurrence upward from the seeds; exact to the degree."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    # the layout of the result refuses a degree past its budget, before the
+    # list of degree + 1 coefficients exists
+    _layout(1, degree)
     p = problem.order
     c = problem.charpoly
     n_coeffs = degree + 1

@@ -20,12 +20,12 @@ Three layers:
 :func:`_weyl_kernel` is the one place where an operator meets coefficients:
 one loop over the stored terms that acts on a coefficient vector or on a
 ``(basis size, batch)`` block of them.  :func:`apply_weyl` runs it on a
-series' vector and derives the exactness flags from the per-term rules of
-the series primitives.  Both read only ``dim`` and the normal-ordered
-``terms`` table, which all three shapes carry (a CR operator's is built in
-one ``WeylOperator`` call), so one path applies every operator.  The
-symbolic algebra (:func:`commutator`) never touches series and is the
-oracle the numeric route is tested against.
+series' vector and reads each term's exact degree from the one rule of the
+series primitives, ``series._exact_after``.  Both read only ``dim`` and the
+normal-ordered ``terms`` table, which all three shapes carry (a CR
+operator's is built in one ``WeylOperator`` call), so one path applies every
+operator.  The symbolic algebra (:func:`commutator`) never touches series
+and is the oracle the numeric route is tested against.
 
 :func:`verify_commutation` re-derives the commutator table numerically,
 independently of the symbolic route, as a guard against ordering bugs: it
@@ -50,6 +50,8 @@ from .series import (
     _Layout,
     _checked_axis,
     _checked_index,
+    _checked_point,
+    _exact_after,
     _scatter_coordinate,
     _size,
     graded_key,
@@ -206,11 +208,10 @@ def _weyl_kernel(
 def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
     """Apply an operator of any of the three shapes to a series.
 
-    The flags follow the series primitives term by term: a polynomial stays
-    fully exact and stays a polynomial unless a nonzero coefficient is
-    pushed past the cutoff; otherwise D^beta lowers ``exact_degree`` by
-    ``||beta||`` (not below -1), z^alpha raises it by ``||alpha||`` (not past
-    the cutoff), and the sum keeps the least of the terms.
+    Each term's exact degree is the one rule of the series primitives,
+    ``series._exact_after``, and the sum keeps the least of the terms; a
+    polynomial stays a polynomial unless a nonzero coefficient is pushed
+    past the cutoff.
     """
     if op.dim != f.dim:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
@@ -219,13 +220,8 @@ def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
     # a non-finite coefficient times a zero entry is NaN, and stays in the result
     with np.errstate(invalid="ignore"):
         out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
-    if f.is_polynomial:
-        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, not spilled, out)
-    exact = min(
-        min(f.cutoff, max(-1, f.exact_degree - sum(dpow)) + sum(zpow))
-        for zpow, dpow in op.terms
-    )
-    return TruncatedSeries(f.dim, f.cutoff, exact, False, out)
+    exact = min(_exact_after(f, sum(zpow), sum(dpow)) for zpow, dpow in op.terms)
+    return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial and not spilled, out)
 
 
 @dataclass(frozen=True)
@@ -280,9 +276,7 @@ def dual_pairing(sym: ConvolutionSymbol, f: TruncatedSeries) -> complex:
 
 def characteristic_roundtrip(sym: ConvolutionSymbol, point: Sequence[complex]) -> complex:
     """Evaluate the characteristic function ``sum_n b_n point^n / n!``."""
-    point = tuple(complex(p) for p in point)
-    if len(point) != sym.dim:
-        raise ValueError(f"point {point} does not match dim {sym.dim}")
+    point = _checked_point(sym.dim, point, "point")
     total = 0j
     for n, b in sym.bcoeffs.items():
         term = b / index_factorial(n)
@@ -347,7 +341,6 @@ def verify_commutation(
     ops: Sequence[CROperator],
     probe_degree: int,
     *,
-    expected_a: Sequence[complex] | None = None,
     tolerance: float = 1e-12,
 ) -> CommutationReport:
     """Numerically re-check the commutator table on monomials.
@@ -357,8 +350,6 @@ def verify_commutation(
     of total degree <= probe_degree and records the largest residual
     coefficient.  The probes are the identity on those monomials, taken in
     column blocks; each block's ``D_k`` images serve every operator.
-    ``expected_a`` overrides the claimed constants, which lets callers
-    confirm that a deliberate mismatch is detected.
     """
     ops = list(ops)
     if not ops:
@@ -369,12 +360,6 @@ def verify_commutation(
     dim = dims.pop()
     if probe_degree < 0:
         raise ValueError(f"probe_degree must be >= 0, got {probe_degree}")
-    if expected_a is None:
-        claimed = [op.a for op in ops]
-    else:
-        claimed = [complex(a) for a in expected_a]
-        if len(claimed) != len(ops):
-            raise ValueError("expected_a must align with the operator list")
 
     # z-multiplication never overflows the probes, so every defect below is
     # a polynomial, exact on the whole basis of this cutoff
@@ -393,13 +378,13 @@ def verify_commutation(
             probes = np.zeros((rows, cols), dtype=complex)
             probes[np.arange(first, first + cols), np.arange(cols)] = 1.0
             d_probes = [_gather_derivative(layout, probes, ek) for ek in units]
-            for op, a_claim in zip(ops, claimed):
+            for op in ops:
                 t_probes, _ = _weyl_kernel(op, layout, probes)
                 for k, (ek, dk) in enumerate(zip(units, d_probes), start=1):
                     t_dk, _ = _weyl_kernel(op, layout, dk)
                     defect = t_dk - _gather_derivative(layout, t_probes, ek)
                     if k == op.axis:
-                        defect -= a_claim * probes
+                        defect -= op.a * probes
                     key = (op.axis, k)
                     residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
     max_residual = worst(residuals.values())

@@ -78,9 +78,6 @@ def _finite(value: Any) -> float:
     return x
 
 
-_finite.__name__ = "finite float"  # argparse names the type in its error messages
-
-
 def _positive(value: Any) -> float:
     x = _finite(value)
     if not x > 0:
@@ -101,7 +98,6 @@ def _int_from(low: int):
 
 
 _natural = _int_from(0)
-_natural.__name__ = "non-negative int"  # the --seed flag's type
 _count = _int_from(1)
 
 

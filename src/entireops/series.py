@@ -31,22 +31,29 @@ order.  A weight is the exact integer ``prod_j perm(s_j, n_j)`` rounded
 once: the product of the rounded per-axis factors below 2^53, where every
 factor and partial product is exact; above it, a cell with two or more
 non-unit factors is recomputed from exact integers, and past the float range
-the plan raises OverflowError.  ``derivative_rows`` carries the exactness
-rules of the derivatives it stands for.  The semi-norm upper sum has one
-array form, ``seminorm_rows``, over a block of coefficient rows
-(``seminorm_bound`` is its one-row case); each row gets the number of a scalar loop over its
-terms in graded-lex order.  Translation is the same plan:
-``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so ``_translate_block``
-runs it over every order k with ``||k|| <= cutoff``, per-axis factors
-``comb(m + k, k)`` in place of ``perm(m + k, k)``, and sums the gathered
-rows with one matmul ``V @ B``, ``V[s, k] = s^k``.  ``translate`` runs it
-on one point and ``translate_rows`` on many; the rows are reproducible for
-equal inputs.  Residual verdicts fold with ``worst``, which keeps a NaN
-wherever it stands.
+the plan raises OverflowError.  The exactness rule of a ``z^alpha D^beta``
+term is stated once, ``_exact_after``: ``differentiate``,
+``multiply_coordinate`` and ``operators.apply_weyl`` all read it, and
+``derivative_rows`` carries the rules of the derivatives it stands for.  The
+semi-norm upper sum has one array form, ``seminorm_rows``, over a block of
+coefficient rows (``seminorm_bound`` is its one-row case); each row gets the
+number of a scalar loop over its terms in graded-lex order.  Translation is
+the same plan, built in one place, ``translate_rows``:
+``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so it runs the plan over
+every order k with ``||k|| <= cutoff``, per-axis factors ``comb(m + k, k)``
+in place of ``perm(m + k, k)``, sums the gathered rows with one matmul
+``V @ B``, ``V[s, k] = s^k``, and emits the one ApproximationWarning;
+``translate`` is its one-row case.  The rows are reproducible for equal
+inputs.  Residual verdicts fold with ``worst``, which keeps a NaN wherever
+it stands.
 
-A given multi-index is checked in one place, ``_checked_index``, and every
-``{index: coefficient}`` table (series literals, convolution symbols, ladder
-vectors) is read by ``term_table``, which also refuses a repeated index.
+A given multi-index is checked in one place, ``_checked_index``, a given
+axis in ``_checked_axis``, a given point (a shift, a sample, an evaluation
+point) in ``_checked_point``, and a layout's ``(dim, cutoff)`` in
+``_checked_layout``, which refuses, before any table exists, a layout whose
+estimated size passes one budget.  Every ``{index: coefficient}`` table
+(series literals, convolution symbols, ladder vectors) is read by
+``term_table``, which also refuses a repeated index.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
@@ -143,12 +150,41 @@ def _degree_indices(dim: int, degree: int) -> list[Index]:
             for tail in _degree_indices(dim - 1, degree - e)]
 
 
-@lru_cache(maxsize=64)
-def _layout(dim: int, cutoff: int) -> _Layout:
+#: the most bytes the tables of one layout may take, as ``_checked_layout``
+#: estimates them: about ten times the largest estimate of a layout built by
+#: the tests, the bundled scenarios or the benchmark (27 MB, dim 1 at cutoff
+#: 300; 8.7 MB at dim 2, cutoff 175)
+_LAYOUT_BUDGET = 2**28
+
+
+def _checked_layout(dim: int, cutoff: int) -> None:
+    """The one check of a layout's ``(dim, cutoff)``, before any table is built.
+
+    Refuses dim < 1, cutoff < 0, and a layout whose tables would take more
+    than ``_LAYOUT_BUDGET`` bytes.  The estimate uses float logarithms only:
+    per basis row, its index tuple and position entry and its entries in
+    the exponent, degree and per-axis tables; per cell of the ``(cutoff + 2)
+    x (cutoff + 1)`` step table, a pointer, a float and an integer of at most
+    log2(cutoff!) bits.  It bounds the measured size from above.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    d, n = min(dim, 2**32), min(cutoff, 2**32)  # past 2^32, either is past any budget
+    log_rows = math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)
+    cell_bytes = 44 + math.lgamma(n + 1) / math.log(256)
+    estimate = math.exp(min(log_rows, 200.0)) * (128 + 40 * d) + (n + 2) * (n + 1) * cell_bytes
+    if estimate > _LAYOUT_BUDGET:
+        raise ValueError(
+            f"the tables of degree <= {cutoff} in dim {dim} would take about "
+            f"{estimate:.3g} bytes, past the budget of {_LAYOUT_BUDGET}"
+        )
+
+
+@lru_cache(maxsize=64)
+def _layout(dim: int, cutoff: int) -> _Layout:
+    _checked_layout(dim, cutoff)
     indices = [n for d in range(cutoff + 1) for n in _degree_indices(dim, d)]
     exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
     raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
@@ -279,6 +315,14 @@ def _checked_axis(dim: int, axis: int) -> int:
     if not 1 <= j <= dim:
         raise ValueError(f"axis {axis} out of range for dim {dim}")
     return j
+
+
+def _checked_point(dim: int, point: Sequence[complex], what: str) -> tuple[complex, ...]:
+    """The one check of a given point of C^dim: ``dim`` entries, read as complex."""
+    point = tuple(complex(p) for p in point)
+    if len(point) != dim:
+        raise ValueError(f"{what} {point} does not match dim {dim}")
+    return point
 
 
 def term_table(dim: int, entries: Entries) -> dict[Index, complex]:
@@ -455,6 +499,20 @@ def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> np.ndar
     return out
 
 
+def _exact_after(f: TruncatedSeries, raised: int, lowered: int) -> int:
+    """The exact degree of ``z^alpha D^beta f``: ``||alpha||`` raised, ``||beta||`` lowered.
+
+    A polynomial stays exact up to its cutoff.  Otherwise D^beta lowers the
+    guaranteed degree by ``lowered`` (not below -1, no guarantee) and
+    z^alpha then raises it by ``raised`` (not past the cutoff), since
+    multiplication by z only shifts known coefficients and fills the new
+    low-degree ones with genuine zeros.
+    """
+    if f.is_polynomial:
+        return f.cutoff
+    return min(f.cutoff, max(-1, f.exact_degree - lowered) + raised)
+
+
 def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     """Partial derivative D^order: coefficient of z^m becomes ((m+order)!/m!) a_{m+order}.
 
@@ -466,7 +524,7 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     if not any(order):
         return f
     out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
-    exact = f.cutoff if f.is_polynomial else max(-1, f.exact_degree - sum(order))
+    exact = _exact_after(f, 0, sum(order))
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
 
 
@@ -518,12 +576,11 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     out = _scatter_coordinate(layout, f.vector, axis)
     kept = len(layout.raised[axis - 1])
     poly = f.is_polynomial and not np.count_nonzero(f.vector[kept:])
-    exact = f.cutoff if f.is_polynomial else min(f.cutoff, f.exact_degree + 1)
-    return TruncatedSeries(f.dim, f.cutoff, exact, poly, out)
+    return TruncatedSeries(f.dim, f.cutoff, _exact_after(f, 1, 0), poly, out)
 
 
-def _translate_block(
-    f: TruncatedSeries, shifts: Sequence[tuple[complex, ...]], degree: int
+def translate_rows(
+    f: TruncatedSeries, shifts: Sequence[Sequence[complex]], degree: int
 ) -> np.ndarray:
     """Row i is the degree <= ``degree`` coefficient vector of ``f(z + shifts[i])``.
 
@@ -532,9 +589,14 @@ def _translate_block(
     gathers the rows B, and ``V @ B`` sums them, ``V[i, k] = shifts[i]^k``
     by repeated multiplication (one past the float range raises
     OverflowError).  B costs basis(cutoff) x basis(min(degree, cutoff))
-    cells, as a derivative span with ``max_order = cutoff`` does.  The row
-    of an all-zero shift is f's vector itself.
+    cells, as a derivative span with ``max_order = cutoff`` does.  The rows
+    are reproducible for equal inputs, but not bit for bit those of a scalar
+    term loop, which sums in another order.  The row of an all-zero shift is
+    f's vector itself.  For a non-polynomial f one ApproximationWarning
+    covers every nonzero shift of the call; it names the caller of
+    ``translate`` or ``completeness.translate_span``, the two callers.
     """
+    shifts = [_checked_point(f.dim, s, "shift") for s in shifts]
     layout = _layout(f.dim, f.cutoff)
     factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)
     binomial = layout.step_weight[0] // factorial[:, None]  # perm(m + n, n) / n!
@@ -547,67 +609,38 @@ def _translate_block(
     if np.isinf(vandermonde).any():  # V @ B would turn it into NaN, even times 0
         raise OverflowError("a shift power is past the float range")
     out = vandermonde @ block
-    out[[not any(s) for s in shifts]] = coefficient_vector(f, degree)
+    zero = [not any(s) for s in shifts]
+    out[zero] = coefficient_vector(f, degree)
+    if not (f.is_polynomial or all(zero)):
+        warnings.warn(
+            "translating a non-polynomial truncation: the result has no "
+            "exactness guarantee",
+            ApproximationWarning,
+            stacklevel=3,
+        )
     return out
 
 
 def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
     """Shift of argument: returns the coefficients of ``f(z + shift)``.
 
-    The coefficient of z^m is ``sum_k C(m+k, k) a_{m+k} shift^k`` over stored
-    indices (``_translate_block`` on one shift).  For a polynomial this is
-    exact.  Otherwise the missing tail of f contaminates every output
-    coefficient, so the result is flagged exactness-free (exact_degree = -1)
-    and an ApproximationWarning is emitted; rank tests that consume such rows
-    are tolerance-based.
+    The one-row case of ``translate_rows``; an all-zero shift returns f
+    itself.  For a polynomial the result is exact.  Otherwise the missing
+    tail of f contaminates every output coefficient, so the result is
+    flagged exactness-free (exact_degree = -1) and an ApproximationWarning
+    is emitted; rank tests that consume such rows are tolerance-based.
     """
-    shift = tuple(complex(s) for s in shift)
-    if len(shift) != f.dim:
-        raise ValueError(f"shift {shift} does not match dim {f.dim}")
-    if all(s == 0 for s in shift):
+    shift = _checked_point(f.dim, shift, "shift")
+    if not any(shift):
         return f
-    vector = _translate_block(f, [shift], f.cutoff)[0]
-    if f.is_polynomial:
-        return TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, vector)
-    _warn_approximate_translate()
-    return TruncatedSeries(f.dim, f.cutoff, -1, False, vector)
-
-
-def translate_rows(
-    f: TruncatedSeries, shifts: Sequence[Sequence[complex]], degree: int
-) -> np.ndarray:
-    """Row i is ``coefficient_vector(translate(f, shifts[i]), degree)``.
-
-    All rows are ``V @`` one plan gather (``_translate_block``): reproducible
-    for equal inputs, but not bit for bit those of a scalar term loop, which
-    sums in another order.  For a non-polynomial f one ApproximationWarning
-    covers every nonzero shift of the call.
-    """
-    shifts = [tuple(complex(c) for c in s) for s in shifts]
-    for s in shifts:
-        if len(s) != f.dim:
-            raise ValueError(f"shift {s} does not match dim {f.dim}")
-    out = _translate_block(f, shifts, degree)
-    if not f.is_polynomial and any(any(s) for s in shifts):
-        _warn_approximate_translate()
-    return out
-
-
-def _warn_approximate_translate() -> None:
-    """Warn, at the caller of translate or translate_rows, of approximate rows."""
-    warnings.warn(
-        "translating a non-polynomial truncation: the result has no "
-        "exactness guarantee",
-        ApproximationWarning,
-        stacklevel=3,
-    )
+    (vector,) = translate_rows(f, [shift], f.cutoff)
+    exact = f.cutoff if f.is_polynomial else -1
+    return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, vector)
 
 
 def evaluate(f: TruncatedSeries, point: Sequence[complex]) -> complex:
     """Value of the stored polynomial at the point (no tail correction)."""
-    point = np.array([complex(p) for p in point])
-    if len(point) != f.dim:
-        raise ValueError(f"point {tuple(point)} does not match dim {f.dim}")
+    point = np.array(_checked_point(f.dim, point, "point"))
     monomials = np.prod(point ** _layout(f.dim, f.cutoff).exponents, axis=1)
     return complex(f.vector @ monomials)
 

@@ -682,26 +682,40 @@ def test_bad_header_value_exits_2_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key, value", [("truncation", 1000000000), ("dimension", 1000000000)])
+def test_a_header_too_large_to_lay_out_exits_2_before_any_table_exists(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    obj = bundled_object("gaussian1d")
+    obj[key] = value
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    layout = mock.Mock(side_effect=AssertionError("a layout was built"))
+    monkeypatch.setattr(eo.series, "_layout", layout)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: scenario too large: the tables of degree <= ")
+    assert "past the budget" in captured.err and captured.out == ""
+
+
 def test_integer_flags_take_digit_strings_and_refuse_a_negative_seed(capsys, monkeypatch):
     assert cli.main(["orbit", "gaussian1d", "--steps", "2", "--axis", "1"]) == cli.EXIT_OK
     assert '"steps": 2' in capsys.readouterr().out
     _fail_if_a_task_runs(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "gaussian1d", "--seed", "-5"])
-    assert exc.value.code == cli.EXIT_PARSE
+    assert cli.main(["run", "gaussian1d", "--seed", "-5"]) == cli.EXIT_PARSE
     captured = capsys.readouterr()
-    assert "invalid non-negative int value" in captured.err
+    assert captured.err == "error: bad 'seed' in run options: must be >= 0, got -5\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["1e400", "nan"])
 def test_non_finite_tolerance_flag_exits_2_before_any_task_runs(capsys, monkeypatch, value):
     _fail_if_a_task_runs(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "gaussian1d", "--tolerance", value])
-    assert exc.value.code == cli.EXIT_PARSE
+    assert cli.main(["run", "gaussian1d", "--tolerance", value]) == cli.EXIT_PARSE
     captured = capsys.readouterr()
-    assert "invalid finite float value" in captured.err
+    shown = float(value)
+    assert captured.err == f"error: bad 'tolerance' in run options: must be finite, got {shown}\n"
     assert captured.out == ""
 
 

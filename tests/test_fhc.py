@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import warnings
 
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
+from entireops import cli
 from entireops.fhc import STABILITY_DEGREE_STEP, STABILITY_REL_TOL
 from entireops.series import worst
-from support import SCALAR, airy_problem, gaussian_problem, scalar_seminorm
+from support import SCALAR, airy_problem, bundled_object, gaussian_problem, scalar_seminorm
 
 
 def gauss_vector(terms, a=1.0, dim=1) -> eo.LadderVector:
@@ -359,17 +362,35 @@ def test_realize_of_the_zero_vector_is_the_polynomial_zero_series():
     assert eo.realize(x, 5) == eo.zero_series(2, 5)  # equality compares the flags too
 
 
-def test_an_underflowed_raised_coefficient_adds_nothing():
-    # near k = 140 the raised coefficient 1 / (5000^k k!) is 0 while the
-    # gathered D^k f is past the float range; 0 * inf would be NaN
+def test_an_underflowed_raised_coefficient_is_refused():
+    # from k = 64 on the raised coefficient 1 / (5000^k k!) is 0 in float,
+    # while the true majorant of S^64 x is about 10^-163.4: a verdict read
+    # from u[k] = 0 would be a float artifact
     x = gauss_vector({(0,): 1.0}, a=5000.0)
     spec = eo.SemiNormSpec(1, 1.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        u = per_k_majorants(x, 1, spec, 140, 6)
-        report = eo.convergence_report(x, 1, spec, 140, 6)
-    assert report.u == tuple(u)
-    assert u[-1] == 0.0
+        warnings.simplefilter("error")  # refused before any gather overflows
+        with pytest.raises(OverflowError, match="coefficient of S_1 underflows to 0"):
+            eo.convergence_report(x, 1, spec, 140, 6)
+    for _ in range(63):
+        x = eo.apply_raising(x, 1)
+    assert x.terms[(63,)] != 0
+    with pytest.raises(OverflowError, match="underflows to 0"):
+        eo.apply_raising(x, 1)
+
+
+def test_an_underflowed_fhc_task_fails_instead_of_reporting_stable(tmp_path):
+    obj = bundled_object("gaussian1d")
+    obj["operators"][0]["a"] = [5000.0, 0.0]
+    obj["generator"]["kernel"][0]["a"] = [5000.0, 0.0]
+    obj["tasks"] = [{"task": "fhc", "epsilon": 1.0, "kmax": 140, "realization_degree": 6}]
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(obj))
+    buf = io.StringIO()
+    assert cli.run_scenario(str(path), stream=buf) == cli.EXIT_TASK_FAILED
+    report = json.loads(buf.getvalue())
+    assert report["passed"] is False and "stable" not in report
+    assert report["error"] == "a coefficient of S_1 underflows to 0 in float"
 
 
 def overflowing_problem(growth: float) -> eo.AxisKernelProblem:

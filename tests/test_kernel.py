@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,24 @@ def test_seed_count_must_match_order():
 def test_growth_guard_trips_on_adversarial_charpoly():
     with pytest.raises(OverflowError, match="exceeded"):
         eo.solve_kernel_axis(eo.AxisKernelProblem((0, 1e-120), 1.0, (1.0,)), 8)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: eo.solve_kernel_axis(gaussian_problem(), 10**9),
+     lambda: eo.joint_kernel([gaussian_problem(), airy_problem()], 10**9)],
+    ids=["axis", "joint"],
+)
+def test_a_solve_past_the_layout_budget_is_refused_before_its_coefficients_exist(solve):
+    # a complete task of truncation 10^9 ran out of memory building this list
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="past the budget"):
+            solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_joint_kernel_product_coefficients():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -430,9 +431,14 @@ def test_commutation_family_closed_under_symbol_change():
     assert report.max_residual <= 1e-12
 
 
+def claiming(op: eo.CROperator, a: complex) -> SimpleNamespace:
+    """A stand-in for op that claims the ladder constant a, its terms unchanged."""
+    return SimpleNamespace(dim=op.dim, axis=op.axis, a=complex(a), terms=op.terms)
+
+
 def test_commutation_detects_mismatched_constant():
     [op] = gaussian_family(1)
-    report = eo.verify_commutation([op], 4, expected_a=[2.0])
+    report = eo.verify_commutation([claiming(op, 2.0)], 4)
     assert report.max_residual == pytest.approx(1.0)
     assert not report.passed
 
@@ -494,8 +500,8 @@ def commutation_case(draw):
 def test_verify_commutation_matches_per_monomial_reference(case):
     """The column blocks of probes give each monomial's residual, bit for bit."""
     ops, probe_degree, expected_a = case
-    report = eo.verify_commutation(ops, probe_degree, expected_a=expected_a)
     claimed = [op.a for op in ops] if expected_a is None else expected_a
+    report = eo.verify_commutation(list(map(claiming, ops, claimed)), probe_degree)
     want = per_monomial_residuals(ops, probe_degree, claimed)
     assert list(report.residuals.items()) == list(want.items())
     assert report.max_residual == max(want.values())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -266,6 +267,37 @@ def test_rounded_weights_are_inf_past_the_float_range():
     assert rounded.tolist() == [sys.float_info.max, sys.float_info.max, math.inf, math.inf]
 
 
+@pytest.mark.parametrize(
+    "dim, cutoff", [(2, 10**9), (10**9, 1), (10**9, 10**9), (1, 10**400), (1, 1000)]
+)
+def test_a_layout_past_the_budget_is_refused_before_any_table_exists(dim, cutoff):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"degree <= {cutoff} in dim {dim} would take"):
+            eo.make_series(dim, cutoff, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("dim, cutoff", [(1, 300), (2, 175), (3, 20), (12, 3)])
+def test_the_layout_estimate_bounds_the_built_tables(monkeypatch, dim, cutoff):
+    # the largest layouts the tests build, per dimension; the budget is ten
+    # times the largest estimate among them
+    tracemalloc.start()
+    try:
+        tables = series._layout.__wrapped__(dim, cutoff)  # past the cache
+        built, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del tables
+    series._checked_layout(dim, cutoff)
+    monkeypatch.setattr(series, "_LAYOUT_BUDGET", built)
+    with pytest.raises(ValueError, match="past the budget"):
+        series._checked_layout(dim, cutoff)
+
+
 def test_series_past_cutoff_170_build_solve_and_differentiate():
     # perm(171, 171) = 171! is past the float range
     assert eo.make_series(1, 171, {(0,): 1.0}).cutoff == 171
@@ -383,6 +415,35 @@ def test_translate_with_a_shift_power_past_the_float_range_raises(f, shift):
 def test_translate_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         eo.translate(eo.monomial(2, 2, (1, 0)), (1.0,))
+
+
+def test_translate_and_translate_span_warn_at_their_caller():
+    # translate_rows emits the one warning; it names this file, not series.py
+    f = gauss_series()
+    with pytest.warns(eo.ApproximationWarning) as caught:
+        eo.translate(f, (1,))
+        eo.translate_span(f, 3, [(0.5,), (1.0,)])
+    assert [w.filename for w in caught] == [__file__] * 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eo.translate(eo.monomial(2, 2, (1, 0)), (1.0,)),
+         "shift ((1+0j),) does not match dim 2"),
+        (lambda: eo.translate_span(eo.monomial(2, 2, (1, 0)), 2, [(0, 0), (1, 2, 3)]),
+         "shift ((1+0j), (2+0j), (3+0j)) does not match dim 2"),
+        (lambda: eo.evaluate(eo.monomial(1, 2, (1,)), (1.0, 2j)),
+         "point ((1+0j), 2j) does not match dim 1"),
+        (lambda: eo.characteristic_roundtrip(eo.ConvolutionSymbol(2, {(1, 0): 1.0}), [3]),
+         "point ((3+0j),) does not match dim 2"),
+    ],
+    ids=["translate", "translate_span", "evaluate", "characteristic_roundtrip"],
+)
+def test_every_given_point_goes_through_the_one_point_check(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
