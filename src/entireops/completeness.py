@@ -34,6 +34,7 @@ import numpy as np
 
 from .series import (
     TruncatedSeries,
+    _checked_bytes,
     _checked_index,
     _checked_point,
     coefficient_vector,
@@ -152,7 +153,11 @@ def sample_box(
     low: float = -1.0,
     high: float = 1.0,
 ) -> list[tuple[float, ...]]:
-    """Seeded uniform draw of real sample points from the box [low, high]^dim."""
+    """Seeded uniform draw of real sample points from the box [low, high]^dim.
+
+    The draw and its tuples must fit the byte budget before either exists.
+    """
+    _checked_bytes(count * (64 + 40 * dim), f"{count} samples in dim {dim}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(low, high, size=(count, dim))
     return [tuple(float(c) for c in row) for row in pts]

@@ -21,16 +21,19 @@ more label tables, each row summed in label order (``_realized_rows``):
 :func:`realize` is its one-row case, and :func:`convergence_report` realizes
 the raised iterates ``S^k x``, k <= kmax, together, their coefficients from
 the one raising rule on a label table (``_raised``, behind
-:func:`apply_raising` too, which refuses a coefficient that underflows to
-0, so no verdict rests on a majorant lost to underflow), then sums the
-semi-norms of the block of rows in one ``seminorm_rows`` call.  The
+:func:`apply_raising` too, which refuses a raised coefficient that is not
+a normal float, so no verdict rests on a majorant lost to underflow or
+overflow), then sums the semi-norms of the block of rows in one
+``seminorm_rows`` call.  The
 generator carries no degree: both solve it to the degree they need with
 ``kernel.joint_kernel``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -125,13 +128,23 @@ def _raised(terms: Mapping[Index, complex], j: int, a: complex) -> dict[Index, c
     """S_j on a label table: ``(c, n) -> (c / (a (n_j + 1)), n + e_j)``, j 0-based.
 
     Raising changes each label injectively and keeps graded-lex order, so
-    the table stays in label order.  A nonzero coefficient whose raised
-    value underflows to 0 raises OverflowError: a majorant read from it
-    would be a float artifact, not a bound.
+    the table stays in label order.  A finite coefficient must raise to a
+    normal float: a raised value below ``sys.float_info.min`` in magnitude
+    (a subnormal keeps few significant bits) or past the float range raises
+    OverflowError, since a majorant read from it would be a float artifact,
+    not a bound.  A coefficient that is already NaN or inf passes through.
     """
-    out = {n[:j] + (n[j] + 1,) + n[j + 1 :]: c / (a * (n[j] + 1)) for n, c in terms.items()}
-    if 0 in out.values():
-        raise OverflowError(f"a coefficient of S_{j + 1} underflows to 0 in float")
+    out = {}
+    for n, c in terms.items():
+        raised = c / (a * (n[j] + 1))
+        if cmath.isfinite(c):
+            if not cmath.isfinite(raised):
+                raise OverflowError(f"a coefficient of S_{j + 1} overflows past the float range")
+            if math.hypot(raised.real, raised.imag) < sys.float_info.min:
+                raise OverflowError(
+                    f"a coefficient of S_{j + 1} underflows below the normal float range"
+                )
+        out[n[:j] + (n[j] + 1,) + n[j + 1 :]] = raised
     return out
 
 

@@ -193,14 +193,13 @@ def _weyl_kernel(
     coefficient was pushed past the cutoff.
     """
     acc = np.zeros(data.shape, dtype=complex)
-    top = len(layout.raised[0])  # rows of degree cutoff start here
     spilled = False
     for (zpow, dpow), c in op.terms.items():
         g = _gather_derivative(layout, data, dpow)
         for axis, power in enumerate(zpow, start=1):
             for _ in range(power):
-                spilled = spilled or bool(g[top:].any())
-                g = _scatter_coordinate(layout, g, axis)
+                g, spill = _scatter_coordinate(layout, g, axis)
+                spilled |= spill
         acc += c * g
     return acc, spilled
 

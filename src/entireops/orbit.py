@@ -2,9 +2,11 @@
 
 Iterating an operator on a truncated series consumes exactness: each step
 eats as many guaranteed degrees as the order of the convolution part.
-``iterate_orbit`` enforces that budget up front and returns the tuple of
-iterates; ``measure_visits`` bounds their distances to a target by one
-``seminorm_rows`` call on the block of differences.
+``iterate_orbit`` reads that per step from each iterate's ``exact_degree``,
+which ``apply_weyl`` sets by the one exactness rule of the series
+primitives, and returns the tuple of iterates; ``measure_visits`` bounds
+their distances to a target by one ``seminorm_rows`` call on the block of
+differences.
 
 The visit-density number reported here is a finite, one-sided PROXY for the
 lower density of hitting times: it counts the iterates T^k x, 1 <= k <= N,
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CROperator, apply_weyl
-from .series import SemiNormSpec, TruncatedSeries, coefficient_vector, seminorm_rows
+from .series import SemiNormSpec, TruncatedSeries, _checked_bytes, coefficient_vector, seminorm_rows
 
 
 @dataclass(frozen=True)
@@ -39,27 +41,28 @@ def iterate_orbit(
 ) -> tuple[TruncatedSeries, ...]:
     """The iterates ``(x, Tx, ..., T^steps x)``, tracking exactness per step.
 
-    Each step consumes order(conv) exact degrees, so the initial exact
-    degree must cover steps * order(conv); otherwise the step at which the
-    budget runs out is reported.  An iterate with a non-finite coefficient
-    is an OverflowError naming its step.
+    Each iterate's exact degree is the one ``apply_weyl`` gives it; the
+    first iterate with no guaranteed coefficient (exact_degree -1) is a
+    ValueError naming its step, and then the first with a non-finite
+    coefficient an OverflowError naming its step.  Every iterate is kept,
+    so ``steps + 1`` coefficient vectors must fit the byte budget of
+    ``series._checked_bytes`` before the first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if op.dim != x.dim:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {x.dim}")
-    order = op.conv.max_order
-    if order > 0 and steps * order > x.exact_degree:
-        supported = x.exact_degree // order
-        raise ValueError(
-            f"exactness budget exhausted: exact_degree {x.exact_degree} "
-            f"supports {supported} steps of an order-{order} convolution "
-            f"part; step {supported + 1} of {steps} would exceed it"
-        )
+    _checked_bytes((steps + 1) * (16 * len(x.vector) + 1024), f"an orbit of {steps} steps")
     iterates = [x]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             iterates.append(apply_weyl(op, iterates[-1]))
+            if iterates[-1].exact_degree < 0:
+                raise ValueError(
+                    f"exactness budget exhausted: exact_degree {x.exact_degree} "
+                    f"supports {step - 1} steps of an order-{op.conv.max_order} "
+                    f"convolution part; step {step} of {steps} would exceed it"
+                )
             if not np.isfinite(iterates[-1].vector).all():
                 raise OverflowError(f"orbit overflows at step {step}: a coefficient is not finite")
     return tuple(iterates)

@@ -150,11 +150,19 @@ def _degree_indices(dim: int, degree: int) -> list[Index]:
             for tail in _degree_indices(dim - 1, degree - e)]
 
 
-#: the most bytes the tables of one layout may take, as ``_checked_layout``
-#: estimates them: about ten times the largest estimate of a layout built by
-#: the tests, the bundled scenarios or the benchmark (27 MB, dim 1 at cutoff
-#: 300; 8.7 MB at dim 2, cutoff 175)
+#: the most bytes one layout's tables, or one call's row block, sample draw
+#: or orbit, may take by its estimate: about ten times the largest estimate
+#: of a layout built by the tests, the bundled scenarios or the benchmark
+#: (27 MB, dim 1 at cutoff 300; 8.7 MB at dim 2, cutoff 175)
 _LAYOUT_BUDGET = 2**28
+
+
+def _checked_bytes(estimate: float, what: str) -> None:
+    """The one budget check: refuse ``what`` if its estimated bytes pass ``_LAYOUT_BUDGET``."""
+    if estimate > _LAYOUT_BUDGET:
+        raise ValueError(
+            f"{what} would take about {estimate:.3g} bytes, past the budget of {_LAYOUT_BUDGET}"
+        )
 
 
 def _checked_layout(dim: int, cutoff: int) -> None:
@@ -175,11 +183,7 @@ def _checked_layout(dim: int, cutoff: int) -> None:
     log_rows = math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)
     cell_bytes = 44 + math.lgamma(n + 1) / math.log(256)
     estimate = math.exp(min(log_rows, 200.0)) * (128 + 40 * d) + (n + 2) * (n + 1) * cell_bytes
-    if estimate > _LAYOUT_BUDGET:
-        raise ValueError(
-            f"the tables of degree <= {cutoff} in dim {dim} would take about "
-            f"{estimate:.3g} bytes, past the budget of {_LAYOUT_BUDGET}"
-        )
+    _checked_bytes(estimate, f"the tables of degree <= {cutoff} in dim {dim}")
 
 
 @lru_cache(maxsize=64)
@@ -488,15 +492,16 @@ def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.nd
     return out
 
 
-def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> np.ndarray:
+def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> tuple[np.ndarray, bool]:
     """Multiplication by z_axis (1-based) on the leading axis of a vector or block.
 
-    Rows of degree ``cutoff`` would move past the cutoff and are dropped.
+    Rows of degree ``cutoff`` would move past the cutoff and are dropped;
+    also returns whether a nonzero (or NaN) one was.
     """
     target = layout.raised[axis - 1]
     out = np.zeros(data.shape, dtype=complex)
     out[target] = data[: len(target)]  # the degree <= cutoff - 1 prefix
-    return out
+    return out, bool(data[len(target) :].any())
 
 
 def _exact_after(f: TruncatedSeries, raised: int, lowered: int) -> int:
@@ -551,13 +556,20 @@ def _gather_rows(
     """One plan call with ``factors`` and one gather: the rows of checked orders.
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
-    gathered; the rest of each row is zero.
+    gathered; the rest of each row is zero.  Before anything is built, an
+    upper estimate of the bytes must fit the budget: 16 a cell of the block,
+    64 a gathered cell for the plan's grids and the gathered temporary, and
+    one unit-power table.
     """
-    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
+    width = _size(f.dim, degree)
     lowest = int(orders.sum(axis=1).min(initial=f.cutoff + 1))
-    rows = min(out.shape[1], _size(f.dim, f.cutoff - lowest))
+    rows = min(width, _size(f.dim, f.cutoff - lowest))
+    layout = _layout(f.dim, f.cutoff)
+    powers = 8 * (f.cutoff + 2) * len(layout.exponents)
+    _checked_bytes(len(orders) * (16 * width + 64 * rows) + powers,
+                   f"{len(orders)} rows of degree <= {degree} in dim {f.dim}")
+    out = np.zeros((len(orders), width), dtype=complex)
     if rows:
-        layout = _layout(f.dim, f.cutoff)
         source, weight = _derivative_plan(layout, orders, rows, factors)
         # cells the cutoff leaves undetermined have weight 0 and stay +0j
         np.multiply(f.vector[source], weight, out=out[:, :rows], where=weight != 0)
@@ -572,10 +584,8 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     exact (multiplication by z only shifts known coefficients).
     """
     axis = _checked_axis(f.dim, axis)
-    layout = _layout(f.dim, f.cutoff)
-    out = _scatter_coordinate(layout, f.vector, axis)
-    kept = len(layout.raised[axis - 1])
-    poly = f.is_polynomial and not np.count_nonzero(f.vector[kept:])
+    out, spilled = _scatter_coordinate(_layout(f.dim, f.cutoff), f.vector, axis)
+    poly = f.is_polynomial and not spilled
     return TruncatedSeries(f.dim, f.cutoff, _exact_after(f, 1, 0), poly, out)
 
 
@@ -598,6 +608,10 @@ def translate_rows(
     """
     shifts = [_checked_point(f.dim, s, "shift") for s in shifts]
     layout = _layout(f.dim, f.cutoff)
+    # per shift: its power table, its Vandermonde row with the per-axis
+    # products behind it, and its output row
+    cells = f.dim * (f.cutoff + 1) + (f.dim + 1) * len(layout.exponents) + _size(f.dim, degree)
+    _checked_bytes(16 * len(shifts) * cells, f"{len(shifts)} translates of degree <= {degree}")
     factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)
     binomial = layout.step_weight[0] // factorial[:, None]  # perm(m + n, n) / n!
     block = _gather_rows(f, layout.exponents, degree, (binomial, _rounded(binomial)))

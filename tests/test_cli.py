@@ -141,6 +141,21 @@ def test_task_error_is_reported_not_raised(tmp_path):
     assert "exactness budget" in text
 
 
+def test_a_sample_count_past_the_budget_fails_only_its_task(tmp_path):
+    obj = bundled_object("gaussian2d")
+    translate = next(t for t in obj["tasks"] if t.get("mode") == "translate")
+    translate["samples"] = 1000000000
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(obj))
+    code, outputs = cli.execute_tasks(cli.load_scenario(str(path)))
+    assert code == cli.EXIT_TASK_FAILED
+    reports = [json.loads(text) for _, text in outputs]
+    assert [r["passed"] for r in reports] == [t is not translate for t in obj["tasks"]]
+    failed = reports[obj["tasks"].index(translate)]
+    assert "1000000000 samples in dim 2" in failed["error"]
+    assert "past the budget" in failed["error"]
+
+
 def test_generator_short_of_a_task_fails_that_task_and_keeps_earlier_reports(
     tmp_path, capsys
 ):

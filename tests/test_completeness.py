@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -549,3 +550,52 @@ def test_approximate_rejects_nonpolynomial_target():
     target = eo.make_series(1, 3, {(1,): 1.0})
     with pytest.raises(ValueError, match="polynomial"):
         eo.approximate_target(f, target, 3, 3)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # a 31626 x 31626 complex span, 16 GB, of a dim-2 cubic
+        (lambda: eo.derivative_span(eo.make_series(2, 3, {(3, 0): 1.0}, True), 250, 250),
+         "31626 rows of degree <= 250 in dim 2 would take .* past the budget"),
+        (lambda: eo.sample_box(2, 10**9, 0), "1000000000 samples in dim 2 .* past the budget"),
+        # ten rows of 2 003 001 coefficients, 320 MB
+        (lambda: eo.translate_span(eo.monomial(2, 3, (1, 1)), 2000, [(0.5, 0.5)] * 10),
+         "10 translates of degree <= 2000 .* past the budget"),
+    ],
+    ids=["derivative_span", "sample_box", "translate_span"],
+)
+def test_a_block_past_the_budget_is_refused_before_it_exists(call, match):
+    def refused():
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    assert traced_peak(refused) < 2**26
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eo.derivative_span(one_axis_gaussian_2d(24), 12, 12),
+        lambda: series.translate_rows(eo.monomial(2, 24, (1, 1)), [(0.5, 0.25)] * 5, 24),
+        lambda: eo.sample_box(3, 4000, 0),
+    ],
+    ids=["derivative_span", "translate_block", "sample_box"],
+)
+def test_the_block_estimate_bounds_the_built_block(monkeypatch, call):
+    call()  # the layouts are cached from here on
+    peak = traced_peak(call)
+    monkeypatch.setattr(series, "_LAYOUT_BUDGET", peak)
+    with pytest.raises(ValueError, match="past the budget"):
+        call()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -363,20 +364,36 @@ def test_realize_of_the_zero_vector_is_the_polynomial_zero_series():
 
 
 def test_an_underflowed_raised_coefficient_is_refused():
-    # from k = 64 on the raised coefficient 1 / (5000^k k!) is 0 in float,
-    # while the true majorant of S^64 x is about 10^-163.4: a verdict read
-    # from u[k] = 0 would be a float artifact
+    # from k = 61 on the raised coefficient 1 / (5000^k k!) is subnormal in
+    # float (4.5e-310 at k = 61, correct to about 3 digits at k = 63, 0 from
+    # k = 64), while the true majorant of S^64 x is about 10^-163.4: a
+    # verdict read from such a u[k] would be a float artifact
     x = gauss_vector({(0,): 1.0}, a=5000.0)
     spec = eo.SemiNormSpec(1, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any gather overflows
-        with pytest.raises(OverflowError, match="coefficient of S_1 underflows to 0"):
-            eo.convergence_report(x, 1, spec, 140, 6)
-    for _ in range(63):
+        with pytest.raises(
+            OverflowError, match="coefficient of S_1 underflows below the normal float range"
+        ):
+            eo.convergence_report(x, 1, spec, 61, 6)
+    for _ in range(60):
         x = eo.apply_raising(x, 1)
-    assert x.terms[(63,)] != 0
-    with pytest.raises(OverflowError, match="underflows to 0"):
+    assert abs(x.terms[(60,)]) >= sys.float_info.min
+    with pytest.raises(OverflowError, match="underflows below the normal float range"):
         eo.apply_raising(x, 1)
+
+
+def test_an_overflowed_raised_coefficient_is_refused_at_its_raising():
+    # with a = 1e-300 the second raising 1 / (a^2 2!) is past the float
+    # range; the refusal comes there, before the other label tables exist
+    x = gauss_vector({(0,): 1.0}, a=1e-300)
+    spec = eo.SemiNormSpec(1, 2e300)
+    with pytest.raises(OverflowError, match="coefficient of S_1 overflows past the float range"):
+        eo.convergence_report(x, 1, spec, 10**9, 6)
+    once = eo.apply_raising(x, 1)
+    assert math.isfinite(abs(once.terms[(1,)]))
+    with pytest.raises(OverflowError, match="overflows past the float range"):
+        eo.apply_raising(once, 1)
 
 
 def test_an_underflowed_fhc_task_fails_instead_of_reporting_stable(tmp_path):
@@ -390,7 +407,7 @@ def test_an_underflowed_fhc_task_fails_instead_of_reporting_stable(tmp_path):
     assert cli.run_scenario(str(path), stream=buf) == cli.EXIT_TASK_FAILED
     report = json.loads(buf.getvalue())
     assert report["passed"] is False and "stable" not in report
-    assert report["error"] == "a coefficient of S_1 underflows to 0 in float"
+    assert report["error"] == "a coefficient of S_1 underflows below the normal float range"
 
 
 def overflowing_problem(growth: float) -> eo.AxisKernelProblem:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
+from entireops import series
 from support import gaussian_family, gaussian_problem, max_coeff_diff
 
 SPEC = eo.SemiNormSpec(1, 2.0)
@@ -44,6 +46,71 @@ def test_budget_error_names_the_failing_step():
     f = eo.solve_kernel_axis(gaussian_problem(), 6)
     with pytest.raises(ValueError, match="step 7"):
         eo.iterate_orbit(shift_op(), f, 9)
+
+
+def test_a_spilling_polynomial_spends_its_exactness_one_degree_a_step():
+    # z^4 at cutoff 4 under T = D - z: the first step spills z^5, so the
+    # iterates are truncations exact to 4, 3, ..., 0; step 6 has none left
+    x = eo.monomial(1, 4, (4,))
+    rec = eo.iterate_orbit(shift_op(), x, 5)
+    assert [it.exact_degree for it in rec] == [4, 4, 3, 2, 1, 0]
+    assert not rec[-1].is_polynomial
+    with pytest.raises(ValueError, match=r"supports 5 steps .*; step 6 of 6 would"):
+        eo.iterate_orbit(shift_op(), x, 6)
+
+
+def exactness_free(cutoff: int = 4) -> eo.TruncatedSeries:
+    """A truncation with no guaranteed coefficient, as a translate of one is."""
+    g = eo.solve_kernel_axis(gaussian_problem(), cutoff)
+    with pytest.warns(eo.ApproximationWarning):
+        x = eo.translate(g, (0.5,))
+    assert x.exact_degree == -1
+    return x
+
+
+def test_an_exactness_free_input_is_refused_at_its_first_step():
+    with pytest.raises(ValueError, match=r"supports 0 steps .*; step 1 of 1 would"):
+        eo.iterate_orbit(shift_op(), exactness_free(), 1)
+    assert eo.iterate_orbit(shift_op(), exactness_free(), 0)[0].exact_degree == -1
+
+
+def test_an_order_zero_operator_checks_exactness_too():
+    # T = 2 - z: D lowers nothing, yet an input with no guarantee yields none
+    op = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {(0,): 2.0}))
+    with pytest.raises(ValueError, match=r"order-0 convolution part; step 1 of 3"):
+        eo.iterate_orbit(op, exactness_free(), 3)
+    x = eo.solve_kernel_axis(gaussian_problem(), 4)
+    assert [it.exact_degree for it in eo.iterate_orbit(op, x, 3)] == [4, 4, 4, 4]
+
+
+def test_an_orbit_past_the_budget_is_refused_before_its_first_step():
+    # an order-0 operator never runs out of exactness, so only the budget
+    # stops an orbit that would keep 10^9 iterates
+    op = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {(0,): 2.0}))
+    x = eo.monomial(1, 4, (1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="an orbit of 1000000000 steps .* past the budget"):
+            eo.iterate_orbit(op, x, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
+
+
+def test_the_orbit_estimate_bounds_the_kept_iterates(monkeypatch):
+    op = eo.CROperator(2, 1, 1.0, eo.ConvolutionSymbol(2, {(0, 0): 0.5}))
+    x = eo.monomial(2, 20, (1, 1))
+    eo.iterate_orbit(op, x, 50)  # the layout is cached from here on
+    tracemalloc.start()
+    try:
+        eo.iterate_orbit(op, x, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(series, "_LAYOUT_BUDGET", peak)
+    with pytest.raises(ValueError, match="past the budget"):
+        eo.iterate_orbit(op, x, 50)
 
 
 def test_an_overflowing_iterate_names_its_step_without_a_warning():
