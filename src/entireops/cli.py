@@ -20,11 +20,11 @@ Output is bytewise reproducible for equal scenario + seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence, TextIO
@@ -36,7 +36,7 @@ from .completeness import (
     sample_box,
     translate_span,
 )
-from .fhc import LadderVector, convergence_report
+from .fhc import LadderVector, _radius_floor, convergence_report
 from .kernel import AxisKernelProblem, joint_kernel, verify_kernel
 from .operators import CROperator, verify_commutation
 from .orbit import iterate_orbit, measure_visits
@@ -64,9 +64,10 @@ from .series import (
     SemiNormSpec,
     TruncatedSeries,
     _checked_layout,
+    _checked_rows,
+    _size,
     term_table,
     with_cutoff,
-    worst,
     zero_series,
 )
 
@@ -148,16 +149,14 @@ SCENARIO_ONLY = frozenset(
 TASK_KINDS = tuple(TASK_PARAMS)
 
 
-def task_params(
-    task: Any, dimension: int, kernel: bool, axes: Sequence[int]
-) -> dict[str, Any]:
+def task_params(task: Any, scn: Scenario) -> dict[str, Any]:
     """Every parameter of a task object, parsed, with absent keys defaulted.
 
-    The one resolver of a task, from a file or a subcommand, for a scenario
-    of ``dimension`` with (``kernel``) or without a kernel generator and
-    with operators on ``axes``.  Raises ScenarioError for an unknown kind,
-    an unknown or missing key, a value its parser rejects, or a task that
-    does not fit the scenario.
+    The one resolver of a task, from a file or a subcommand, against the
+    scenario it runs in: its dimension, whether its generator is a kernel
+    one, and the axes of its operators.  Raises ScenarioError for an unknown
+    kind, an unknown or missing key, a value its parser rejects, or a task
+    that does not fit the scenario.
     """
     if not isinstance(task, dict):
         raise ScenarioError(f"task must be an object, got {task!r}")
@@ -166,22 +165,22 @@ def task_params(
     kind = task["task"]
     if kind not in TASK_KINDS:
         raise ScenarioError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
-    if kind in ("kernel", "fhc") and not kernel:
+    if kind in ("kernel", "fhc") and scn.kernel_problems is None:
         raise ScenarioError(f"{kind} task needs a kernel generator")
 
     def fit(key: str, value: Any) -> Any:
         if key == "terms" and value is not None:  # fhc labels, tabled in the dimension
-            return term_table(dimension, value)
-        if key == "axis" and value not in axes:
+            return term_table(scn.dimension, value)
+        if key == "axis" and value not in [op.axis for op in scn.operators]:
             raise ValueError(f"no operator on axis {value}")
-        if isinstance(value, TruncatedSeries) and value.dim != dimension:
-            raise ValueError(f"series of dim {value.dim} does not match dim {dimension}")
+        if isinstance(value, TruncatedSeries) and value.dim != scn.dimension:
+            raise ValueError(f"series of dim {value.dim} does not match dim {scn.dimension}")
         return value
 
     return read_object(task, {"task": (None, REQUIRED), **TASK_PARAMS[kind]}, f"{kind} task", fit)
 
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
     dimension: int
     truncation: int
@@ -190,9 +189,8 @@ class Scenario:
     operators: list[CROperator]
     kernel_problems: list[AxisKernelProblem] | None
     explicit_generator: TruncatedSeries | None
+    #: the task_params of each task, resolved against this scenario
     tasks: list[dict]
-    #: task_params of each task, resolved once when the scenario is parsed
-    params: list[dict]
 
 
 GENERATOR_KEYS: Schema = {
@@ -263,11 +261,9 @@ def parse_scenario(obj: Any) -> Scenario:
         raise ScenarioError(
             f"explicit generator has dim {explicit.dim}, scenario declares {dimension}"
         )
-    axes = [op.axis for op in ops]
-    params = [task_params(t, dimension, explicit is None, axes) for t in header["tasks"]]
-    return Scenario(
-        **header, kernel_problems=kernel_problems, explicit_generator=explicit, params=params
-    )
+    scn = Scenario(**header, kernel_problems=kernel_problems, explicit_generator=explicit)
+    scn.tasks = [task_params(task, scn) for task in scn.tasks]
+    return scn
 
 
 def load_scenario(source: str) -> Scenario:
@@ -305,6 +301,16 @@ def generator_series(scn: Scenario, degree: int) -> TruncatedSeries:
             f"task needs {degree}"
         )
     return with_cutoff(f, degree)
+
+
+def _span_generator(scn: Scenario, n: int, order: int) -> TruncatedSeries:
+    """The generator exact to ``n + order``, solved once its derivative span fits the budget.
+
+    The span's orders include the zero order, so this is the check of the
+    span's own gather, made before the solve.
+    """
+    _checked_rows(scn.dimension, n + order, _size(scn.dimension, order), n, 0)
+    return generator_series(scn, n + order)
 
 
 def _series_argument(
@@ -367,8 +373,7 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
     tolerance = _given(ctx["tolerance"], _given(p["tolerance"], scn.tolerance))
 
     def derivative_report(n: int, order: int):
-        f = generator_series(scn, n + order)
-        return rank_report(derivative_span(f, n, order), tolerance)
+        return rank_report(derivative_span(_span_generator(scn, n, order), n, order), tolerance)
 
     if p["mode"] == "derivative":
         report = derivative_report(trunc, max_order)
@@ -412,8 +417,7 @@ def _run_approximate(scn: Scenario, p: dict, ctx: dict):
     target = p["target"]
     trunc = _given(p["truncation"], target.cutoff)
     max_order = _given(p["max_order"], trunc)
-    f = generator_series(scn, trunc + max_order)
-    result = approximate_target(f, target, trunc, max_order)
+    result = approximate_target(_span_generator(scn, trunc, max_order), target, trunc, max_order)
     payload = {
         "orders": [list(n) for n in result.orders],
         "coefficients": [[c.real, c.imag] for c in result.coefficients],
@@ -426,8 +430,7 @@ def _run_fhc(scn: Scenario, p: dict, ctx: dict):
     """Ladder convergence diagnostics."""
     terms = _given(p["terms"], {(0,) * scn.dimension: 1.0})
     x = LadderVector(tuple(scn.kernel_problems), terms)
-    default_eps = 2.0 * worst(1.0 / abs(a) for a in x.ladder_constants)
-    spec = SemiNormSpec(m=p["m"], epsilon=_given(p["epsilon"], default_eps))
+    spec = SemiNormSpec(m=p["m"], epsilon=_given(p["epsilon"], 2.0 * _radius_floor(x)))
     report = convergence_report(
         x, p["axis"], spec, p["kmax"], p["realization_degree"]
     )
@@ -506,37 +509,31 @@ RUN_OPTIONS: Schema = {
 
 def execute_tasks(
     scn: Scenario,
-    tasks: Sequence[dict] | None = None,
     *,
     fmt: str = "json",
     tolerance: float | None = None,
     seed: int | None = None,
 ) -> tuple[int, list[tuple[str, str]]]:
-    """Run tasks in order; returns (exit code, [(task name, report text)]).
+    """Run the scenario's tasks in order; returns (exit code, [(task name, report text)]).
 
-    ``tasks=None`` runs the scenario's own tasks with the parameters resolved
-    when it was parsed.  Other task objects are resolved here, all of them
-    before any runs, and so are the ``tolerance`` and ``seed`` overrides (by
-    the scenario keys' parsers) and the format: a CSV request for a task kind
-    outside ``CSV_PROFILES`` is refused.
+    The tasks are already resolved against ``scn`` by ``task_params``; task
+    i runs with the seed ``rng_seed + i`` (``seed + i`` if given).  Before
+    any task runs, the ``tolerance`` and ``seed`` overrides are read by the
+    scenario keys' parsers and the format is checked: a CSV request for a
+    task kind outside ``CSV_PROFILES`` is refused.
     """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
     overrides = (("tolerance", tolerance), ("seed", seed))
     options = read_object({k: v for k, v in overrides if v is not None}, RUN_OPTIONS, "run options")
-    resolved = scn.params
-    if tasks is not None:
-        kernel = scn.kernel_problems is not None
-        axes = [op.axis for op in scn.operators]
-        resolved = [task_params(task, scn.dimension, kernel, axes) for task in tasks]
-    no_csv = [p["task"] for p in resolved if fmt == "csv" and p["task"] not in CSV_PROFILES]
+    no_csv = [p["task"] for p in scn.tasks if fmt == "csv" and p["task"] not in CSV_PROFILES]
     if no_csv:
         raise ScenarioError(
             f"csv unsupported for the {no_csv[0]} task; csv covers {', '.join(CSV_PROFILES)}"
         )
     outputs: list[tuple[str, str]] = []
     all_passed = True
-    for i, params in enumerate(resolved):
+    for i, params in enumerate(scn.tasks):
         name = params["task"]
         ctx = {
             "tolerance": options["tolerance"],
@@ -678,9 +675,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = load_scenario(args.scenario)
-        tasks = None if args.command == "run" else [_task_from_args(args)]
+        if args.command != "run":
+            scn = dataclasses.replace(scn, tasks=[task_params(_task_from_args(args), scn)])
         code, outputs = execute_tasks(
-            scn, tasks, fmt=args.format, tolerance=args.tolerance, seed=args.seed
+            scn, fmt=args.format, tolerance=args.tolerance, seed=args.seed
         )
         _emit(outputs, args.format, args.out, sys.stdout)
         return code

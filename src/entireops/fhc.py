@@ -251,6 +251,11 @@ STABILITY_DEGREE_STEP = 4
 STABILITY_REL_TOL = 0.05
 
 
+def _radius_floor(x: LadderVector) -> float:
+    """``max_s 1/|a_s|``, the bound that the polydisc scale epsilon must exceed."""
+    return worst(1.0 / abs(a) for a in x.ladder_constants)
+
+
 def convergence_report(
     x: LadderVector,
     axis: int,
@@ -279,7 +284,7 @@ def convergence_report(
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if realization_degree < 0:
         raise ValueError("realization_degree must be >= 0")
-    floor = worst(1.0 / abs(a) for a in x.ladder_constants)
+    floor = _radius_floor(x)
     if not spec.epsilon > floor:
         raise ValueError(
             f"epsilon {spec.epsilon} violates the radius condition: it must "

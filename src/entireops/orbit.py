@@ -79,6 +79,8 @@ def measure_visits(
     distance_k is the semi-norm upper bound of iterate_k - target, so a hit
     (distance < delta) certifies closeness of the stored polynomials while a
     miss is only evidence.  The iterates share one basis, as from ``iterate_orbit``.
+    The block of differences and the temporaries of its semi-norms must fit
+    the byte budget of ``series._checked_bytes`` before the block is built.
     """
     if not iterates:
         raise ValueError("an orbit needs at least the initial vector")
@@ -87,6 +89,10 @@ def measure_visits(
     first = iterates[0]
     if target.dim != first.dim:
         raise ValueError(f"dim mismatch: orbit {first.dim} vs target {target.dim}")
+    # the block, the stacked iterates or their scaled copy, and the float
+    # temporaries of seminorm_rows: 48 bytes a cell
+    _checked_bytes(48 * len(iterates) * len(first.vector),
+                   f"the distances of {len(iterates)} iterates")
     # the weighted sums of linear_combine: an infinite entry gives the same
     # NaN as iterate - target does there, where a plain subtraction keeps inf
     block = np.zeros((len(iterates), len(first.vector)), dtype=complex)

@@ -550,25 +550,37 @@ def derivative_rows(
     return _gather_rows(f, table, degree, layout.step_weight)
 
 
+def _checked_rows(dim: int, cutoff: int, count: int, degree: int, lowest: int) -> int:
+    """The budget check of ``count`` gathered rows, before anything is built.
+
+    The rows are the degree <= ``degree`` prefixes of derivatives of a
+    series of ``cutoff`` in ``dim``, the lowest of total order ``lowest``.
+    An upper estimate of the bytes must fit the budget: 16 a cell of the
+    block, 64 a gathered cell for the plan's grids and the gathered
+    temporary, and one unit-power table.  Returns the number of leading
+    cells the cutoff determines in some row.
+    """
+    width = _size(dim, degree)
+    rows = min(width, _size(dim, cutoff - lowest))
+    powers = 8 * (cutoff + 2) * _size(dim, cutoff)
+    _checked_bytes(count * (16 * width + 64 * rows) + powers,
+                   f"{count} rows of degree <= {degree} in dim {dim}")
+    return rows
+
+
 def _gather_rows(
     f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple
 ) -> np.ndarray:
     """One plan call with ``factors`` and one gather: the rows of checked orders.
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
-    gathered; the rest of each row is zero.  Before anything is built, an
-    upper estimate of the bytes must fit the budget: 16 a cell of the block,
-    64 a gathered cell for the plan's grids and the gathered temporary, and
-    one unit-power table.
+    gathered; the rest of each row is zero.  ``_checked_rows`` refuses a
+    block past the budget first.
     """
-    width = _size(f.dim, degree)
     lowest = int(orders.sum(axis=1).min(initial=f.cutoff + 1))
-    rows = min(width, _size(f.dim, f.cutoff - lowest))
+    rows = _checked_rows(f.dim, f.cutoff, len(orders), degree, lowest)
     layout = _layout(f.dim, f.cutoff)
-    powers = 8 * (f.cutoff + 2) * len(layout.exponents)
-    _checked_bytes(len(orders) * (16 * width + 64 * rows) + powers,
-                   f"{len(orders)} rows of degree <= {degree} in dim {f.dim}")
-    out = np.zeros((len(orders), width), dtype=complex)
+    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
     if rows:
         source, weight = _derivative_plan(layout, orders, rows, factors)
         # cells the cutoff leaves undetermined have weight 0 and stay +0j

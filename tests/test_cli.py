@@ -8,8 +8,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -154,6 +156,43 @@ def test_a_sample_count_past_the_budget_fails_only_its_task(tmp_path):
     failed = reports[obj["tasks"].index(translate)]
     assert "1000000000 samples in dim 2" in failed["error"]
     assert "past the budget" in failed["error"]
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"task": "complete", "truncation": 250, "max_order": 250},
+        {"task": "complete", "truncation": 2, "max_order": 2, "trajectory": [250]},
+        {"task": "approximate", "truncation": 250, "target": {
+            "dim": 2, "cutoff": 1, "polynomial": True, "coeffs": [{"idx": [1, 0], "re": 1.0}]}},
+    ],
+    ids=["complete", "complete_trajectory", "approximate"],
+)
+def test_a_derivative_span_past_the_budget_fails_its_task_before_the_solve(
+    tmp_path, monkeypatch, task
+):
+    # the d = 2, degree-500 solve would take 1.5 s and about 150 MB
+    solve, degrees = cli.joint_kernel, []
+    monkeypatch.setattr(
+        cli, "joint_kernel", lambda problems, degree: degrees.append(degree) or solve(problems, degree)
+    )
+    tasks = [{"task": "complete", "truncation": 2}, task]
+    scenario = _scenario_file(tmp_path, "gaussian2d", tasks)
+    tracemalloc.start()
+    try:
+        code, outputs = cli.execute_tasks(cli.load_scenario(scenario))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_TASK_FAILED
+    reports = [json.loads(text) for _, text in outputs]
+    assert [r["passed"] for r in reports] == [True, False]
+    assert re.fullmatch(
+        r"31626 rows of degree <= 250 in dim 2 would take about 8.05e\+10 bytes, "
+        r"past the budget of \d+", reports[1]["error"]
+    )
+    assert peak < 2**26
+    assert max(degrees) == 4
 
 
 def test_generator_short_of_a_task_fails_that_task_and_keeps_earlier_reports(
@@ -546,6 +585,55 @@ def test_task_that_does_not_fit_the_generator_exits_2_before_any_task_runs(
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+_DIM3_OPERATOR = {"dim": 3, "axis": 1, "a": [1.0, 0.0], "symbol": [{"idx": [1, 0, 0], "re": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("gaussian1d", ("tasks", 1), 5, "task must be an object, got 5"),
+        ("gaussian1d", ("tasks", 1), {"task": "prove"},
+         f"unknown task kind 'prove'; expected one of {cli.TASK_KINDS}"),
+        ("gaussian2d", ("operators", 0), _DIM3_OPERATOR,
+         "operator on axis 1 has dim 3, scenario declares 2"),
+        ("remark3", ("generator", "explicit"), _LINE,
+         "explicit generator has dim 1, scenario declares 2"),
+    ],
+    ids=["task_not_an_object", "unknown_task_kind", "operator_of_another_dim",
+         "explicit_generator_of_another_dim"],
+)
+def test_scenario_part_that_does_not_fit_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, name, path, value, message
+):
+    obj = _with(name, ("tasks",), [{"task": "verify-cr"}, {"task": "verify-cr"}])
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    scenario = tmp_path / "misfit.json"
+    scenario.write_text(json.dumps(obj))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_unsupported_format_is_refused_before_any_task_runs(monkeypatch):
+    scn = cli.load_scenario("remark3")
+    _fail_if_a_task_runs(monkeypatch)
+    with pytest.raises(cli.ScenarioError) as exc:
+        cli.execute_tasks(scn, fmt="xml")
+    assert str(exc.value) == "unsupported format 'xml'"
+
+
+@pytest.mark.parametrize("max_density, code", [(1.0, cli.EXIT_OK), (0.5, cli.EXIT_TASK_FAILED)])
+def test_orbit_max_density_fails_a_denser_orbit(tmp_path, max_density, code):
+    orbit = {**bundled_object("gaussian1d")["tasks"][-1], "max_density": max_density}
+    assert orbit["task"] == "orbit"
+    exit_code, text = run_to_text(_scenario_file(tmp_path, "gaussian1d", [orbit]))
+    report = json.loads(text)
+    assert (exit_code, report["passed"], report["density_proxy"]) == (code, code == 0, 1.0)
 
 
 def test_default_axis_without_an_operator_exits_2_before_any_task_runs(

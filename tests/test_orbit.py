@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from entireops import series
+from entireops import orbit, series
 from support import gaussian_family, gaussian_problem, max_coeff_diff
 
 SPEC = eo.SemiNormSpec(1, 2.0)
@@ -111,6 +111,32 @@ def test_the_orbit_estimate_bounds_the_kept_iterates(monkeypatch):
     monkeypatch.setattr(series, "_LAYOUT_BUDGET", peak)
     with pytest.raises(ValueError, match="past the budget"):
         eo.iterate_orbit(op, x, 50)
+
+
+def test_the_visit_estimate_bounds_the_block_and_its_temporaries(monkeypatch):
+    # the orbit of an order-0 operator keeps its exactness, so 150 steps run
+    op = eo.CROperator(2, 1, 0.5, eo.ConvolutionSymbol(2, {(0, 0): 1.0}))
+    x, target = eo.monomial(2, 80, (1, 1)), eo.zero_series(2, 80)
+    estimates = []
+    checked = orbit._checked_bytes
+    monkeypatch.setattr(
+        orbit, "_checked_bytes", lambda estimate, what: estimates.append(estimate) or checked(estimate, what)
+    )
+    iterates = eo.iterate_orbit(op, x, 150)
+    eo.measure_visits(iterates, target, 0.1, SPEC)  # the layout is cached from here on
+    tracemalloc.start()
+    try:
+        eo.measure_visits(iterates, target, 0.1, SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    orbit_estimate, visits_estimate = estimates[0], estimates[-1]
+    assert orbit_estimate < peak <= visits_estimate
+    budget = (orbit_estimate + peak) // 2
+    monkeypatch.setattr(series, "_LAYOUT_BUDGET", budget)
+    assert len(eo.iterate_orbit(op, x, 150)) == 151
+    with pytest.raises(ValueError, match=f"the distances of 151 iterates .* past the budget of {budget}"):
+        eo.measure_visits(iterates, target, 0.1, SPEC)
 
 
 def test_an_overflowing_iterate_names_its_step_without_a_warning():
