@@ -21,13 +21,11 @@ from .series import (
     evaluate,
     graded_key,
     index_factorial,
-    index_order,
     linear_combine,
     make_series,
     monomial,
     monomial_basis,
     multiply_coordinate,
-    seminorm_bound,
     translate,
     with_cutoff,
     zero_series,
@@ -38,7 +36,6 @@ from .operators import (
     CROperator,
     WeylOperator,
     apply_weyl,
-    characteristic_roundtrip,
     commutator,
     dual_pairing,
     verify_commutation,
@@ -68,7 +65,6 @@ from .fhc import (
     convergence_report,
     nilpotency_index,
     operator_power_on_basis,
-    raising_power_scalar,
     realize,
     verify_right_inverse,
 )

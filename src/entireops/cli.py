@@ -65,6 +65,7 @@ from .series import (
     TruncatedSeries,
     _checked_layout,
     _checked_rows,
+    _checked_translates,
     _size,
     term_table,
     with_cutoff,
@@ -378,10 +379,17 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
     if p["mode"] == "derivative":
         report = derivative_report(trunc, max_order)
     else:
-        f = generator_series(scn, trunc)
         ambient = math.comb(trunc + scn.dimension, scn.dimension)
         count = _given(p["samples"], 3 * ambient)
         samples = sample_box(scn.dimension, count, ctx["seed"], *p["box"])
+        # an explicit polynomial is translated whole: its coefficients past
+        # the truncation reach the low degrees of its translates.  The
+        # block's budget is checked before any other generator is solved.
+        f = scn.explicit_generator
+        whole = f is not None and f.is_polynomial
+        _checked_translates(scn.dimension, f.cutoff if whole else trunc, count, trunc)
+        if not whole:
+            f = generator_series(scn, trunc)
         with warnings.catch_warnings():
             # asking for translate mode on a truncation accepts approximate rows
             warnings.simplefilter("ignore", ApproximationWarning)

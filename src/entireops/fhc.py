@@ -6,27 +6,29 @@ operators act on the derivative basis as an exact lowering ladder,
     T_j [D^n f] = a_j n_j [D^(n - e_j) f]        (zero when n_j = 0),
 
 and more generally the k-th power multiplies by ``a^k n!/(n-k)!`` and drops
-the label by k (annihilating it when any k_j > n_j).  The raising map
+the label by k (annihilating it when any k_j > n_j).  That is the one
+lowering rule, :func:`operator_power_on_basis`; :func:`apply_lowering` is
+its ``k = e_j`` case.  The raising map
 
     S_j [D^n f] = 1 / (a_j (n_j + 1)) [D^(n + e_j) f]
 
-is an exact right inverse of T_j.  A :class:`LadderVector` is a finite
-formal combination ``sum c_n [D^n f]``, its labels read by
-``series.term_table``, on which both maps act symbolically;
-numeric series enter only when semi-norm sizes of the raised iterates are
-estimated (:func:`convergence_report`), because the exactness of the ladder
+is an exact right inverse of T_j.  Its one rule is ``_raised``, one
+division per step: the reports rest on that rounding, not on the closed
+form ``n_j! / (a_j^k (n_j + k)!)`` of k steps.  A :class:`LadderVector` is a
+finite formal combination ``sum c_n [D^n f]``, its labels read by
+``series.term_table``, on which both maps act symbolically; numeric series
+enter only when semi-norm sizes of the raised iterates are estimated
+(:func:`convergence_report`), because the exactness of the ladder
 identities and of the right-inverse property should be tested exactly.
 Every realization is one ``derivative_rows`` gather of the labels of one or
 more label tables, each row summed in label order (``_realized_rows``):
 :func:`realize` is its one-row case, and :func:`convergence_report` realizes
 the raised iterates ``S^k x``, k <= kmax, together, their coefficients from
-the one raising rule on a label table (``_raised``, behind
-:func:`apply_raising` too, which refuses a raised coefficient that is not
-a normal float, so no verdict rests on a majorant lost to underflow or
-overflow), then sums the semi-norms of the block of rows in one
-``seminorm_rows`` call.  The
-generator carries no degree: both solve it to the degree they need with
-``kernel.joint_kernel``.
+``_raised`` (behind :func:`apply_raising` too, which refuses a raised
+coefficient that is not a normal float, so no verdict rests on a majorant
+lost to underflow or overflow), then sums the semi-norms of the block of
+rows in one ``seminorm_rows`` call.  The generator carries no degree: both
+solve it to the degree they need with ``kernel.joint_kernel``.
 """
 
 from __future__ import annotations
@@ -111,16 +113,18 @@ def operator_power_on_basis(
 
 
 def apply_lowering(x: LadderVector, axis: int) -> LadderVector:
-    """Apply the axis operator: ``(c, n) -> (c a_j n_j, n - e_j)``, dropping n_j = 0."""
+    """Apply the axis operator: the ``k = e_j`` case of :func:`operator_power_on_basis`.
+
+    A label with n_j = 0 is annihilated; distinct labels lower to distinct labels.
+    """
     axis = _checked_axis(x.dim, axis)
-    j = axis - 1
-    a = x.ladder_constants[j]
+    unit = tuple(int(s == axis - 1) for s in range(x.dim))
     out: dict[Index, complex] = {}
     for n, c in x.terms.items():
-        if n[j] == 0:
-            continue
-        m = n[:j] + (n[j] - 1,) + n[j + 1 :]
-        out[m] = out.get(m, 0j) + c * a * n[j]
+        action = operator_power_on_basis(unit, n, x.ladder_constants)
+        if action is not None:
+            scalar, m = action
+            out[m] = c * scalar
     return LadderVector(x.generator, out)
 
 
@@ -178,13 +182,6 @@ def nilpotency_index(x: LadderVector, axis: int) -> int:
         raise ValueError("the zero vector has no nilpotency index")
     axis = _checked_axis(x.dim, axis)
     return 1 + max(n[axis - 1] for n in x.terms)
-
-
-def raising_power_scalar(n_j: int, k: int, a_j: complex) -> complex:
-    """Closed form ``n_j! / (a_j^k (n_j + k)!)`` of the k-fold raising factor."""
-    if n_j < 0 or k < 0:
-        raise ValueError("n_j and k must be >= 0")
-    return 1.0 / (complex(a_j) ** k * math.perm(n_j + k, k))
 
 
 def realize(x: LadderVector, degree: int) -> TruncatedSeries:

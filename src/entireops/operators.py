@@ -50,13 +50,11 @@ from .series import (
     _Layout,
     _checked_axis,
     _checked_index,
-    _checked_point,
     _exact_after,
     _scatter_coordinate,
     _size,
     graded_key,
     index_factorial,
-    index_order,
     term_table,
     worst,
     zero_series,
@@ -264,25 +262,12 @@ def dual_pairing(sym: ConvolutionSymbol, f: TruncatedSeries) -> complex:
         raise ValueError(f"dim mismatch: symbol {sym.dim} vs series {f.dim}")
     total = 0j
     for n, b in sym.bcoeffs.items():
-        if not f.is_polynomial and index_order(n) > f.exact_degree:
+        if not f.is_polynomial and sum(n) > f.exact_degree:
             raise ValueError(
                 f"pairing not determined at this truncation: symbol index {n} "
                 f"lies beyond exact_degree {f.exact_degree}"
             )
         total += b * f.coefficient(n)
-    return total
-
-
-def characteristic_roundtrip(sym: ConvolutionSymbol, point: Sequence[complex]) -> complex:
-    """Evaluate the characteristic function ``sum_n b_n point^n / n!``."""
-    point = _checked_point(sym.dim, point, "point")
-    total = 0j
-    for n, b in sym.bcoeffs.items():
-        term = b / index_factorial(n)
-        for zj, e in zip(point, n):
-            if e:
-                term *= zj**e
-        total += term
     return total
 
 

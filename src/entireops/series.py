@@ -35,15 +35,17 @@ the plan raises OverflowError.  The exactness rule of a ``z^alpha D^beta``
 term is stated once, ``_exact_after``: ``differentiate``,
 ``multiply_coordinate`` and ``operators.apply_weyl`` all read it, and
 ``derivative_rows`` carries the rules of the derivatives it stands for.  The
-semi-norm upper sum has one array form, ``seminorm_rows``, over a block of
-coefficient rows (``seminorm_bound`` is its one-row case); each row gets the
-number of a scalar loop over its terms in graded-lex order.  Translation is
-the same plan, built in one place, ``translate_rows``:
-``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so it runs the plan over
-every order k with ``||k|| <= cutoff``, per-axis factors ``comb(m + k, k)``
-in place of ``perm(m + k, k)``, sums the gathered rows with one matmul
-``V @ B``, ``V[s, k] = s^k``, and emits the one ApproximationWarning;
-``translate`` is its one-row case.  The rows are reproducible for equal
+semi-norm upper sum has one form, ``seminorm_rows``, over a block of
+coefficient rows; each row gets the number of a scalar loop over its terms
+in graded-lex order.  Translation is the same plan, built in one place,
+``translate_rows``: ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so it
+runs the plan over every order k with ``||k|| <= cutoff``, per-axis
+factors ``comb(m + k, k)`` in place of ``perm(m + k, k)``, sums the
+gathered rows with one matmul ``V @ B``, ``V[s, k] = s^k``, and emits the
+one ApproximationWarning; ``translate`` is its one-row case.  Its byte
+estimate is stated once, ``_checked_translates``, as ``_checked_rows`` is
+for a derivative span, so a caller can make the same check before it
+solves the series to translate.  The rows are reproducible for equal
 inputs.  Residual verdicts fold with ``worst``, which keeps a NaN wherever
 it stands.
 
@@ -77,11 +79,6 @@ Entries = Iterable[tuple[Sequence[int], complex]] | Mapping[Index, complex]
 
 class ApproximationWarning(UserWarning):
     """The returned series carries no exactness guarantee (exact_degree = -1)."""
-
-
-def index_order(n: Index) -> int:
-    """Total degree ``||n|| = n_1 + ... + n_d``."""
-    return sum(n)
 
 
 def index_factorial(n: Index) -> int:
@@ -601,6 +598,19 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, _exact_after(f, 1, 0), poly, out)
 
 
+def _checked_translates(dim: int, cutoff: int, count: int, degree: int) -> None:
+    """The budget check of ``count`` translates of a series of ``cutoff``, before anything is built.
+
+    Per shift: its power table, its Vandermonde row with the per-axis
+    products behind it, and its output row, 16 bytes a cell; then the
+    gathered block of every order up to the cutoff, as ``_checked_rows``
+    estimates it.
+    """
+    cells = dim * (cutoff + 1) + (dim + 1) * _size(dim, cutoff) + _size(dim, degree)
+    _checked_bytes(16 * count * cells, f"{count} translates of degree <= {degree}")
+    _checked_rows(dim, cutoff, _size(dim, cutoff), degree, 0)
+
+
 def translate_rows(
     f: TruncatedSeries, shifts: Sequence[Sequence[complex]], degree: int
 ) -> np.ndarray:
@@ -620,10 +630,7 @@ def translate_rows(
     """
     shifts = [_checked_point(f.dim, s, "shift") for s in shifts]
     layout = _layout(f.dim, f.cutoff)
-    # per shift: its power table, its Vandermonde row with the per-axis
-    # products behind it, and its output row
-    cells = f.dim * (f.cutoff + 1) + (f.dim + 1) * len(layout.exponents) + _size(f.dim, degree)
-    _checked_bytes(16 * len(shifts) * cells, f"{len(shifts)} translates of degree <= {degree}")
+    _checked_translates(f.dim, f.cutoff, len(shifts), degree)
     factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)
     binomial = layout.step_weight[0] // factorial[:, None]  # perm(m + n, n) / n!
     block = _gather_rows(f, layout.exponents, degree, (binomial, _rounded(binomial)))
@@ -754,14 +761,3 @@ def seminorm_rows(
             "the float range"
         )
     return sums
-
-
-def seminorm_bound(f: TruncatedSeries, spec: SemiNormSpec) -> float:
-    """Upper bound for ``sup |f|`` over the polydisc of the spec.
-
-    Returns ``sum |a_n| r^||n||`` with ``r = m * epsilon``, summed in
-    graded-lex order: ``seminorm_rows`` on the one row of f's vector.  It
-    bounds the stored polynomial on the whole polydisc, with equality for a
-    single monomial; no lower estimate is computed.
-    """
-    return float(seminorm_rows(f.dim, f.cutoff, f.vector[None], spec)[0])

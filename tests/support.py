@@ -1,15 +1,18 @@
 """Shared builders for the test suite: the two shipped operator families,
-a hypothesis strategy for random CR operators, the scalar semi-norm loop and
-the bundled scenario objects."""
+a hypothesis strategy for random CR operators, the scalar semi-norm loop,
+the closed forms that check the library's raising and pairing, and the
+bundled scenario objects."""
 
 from __future__ import annotations
 
 import json
+import math
 
 from hypothesis import strategies as st
 
 import entireops as eo
 from entireops import cli
+from entireops.series import seminorm_rows
 
 #: real numbers bounded away from 0, so no drawn coefficient vanishes
 UNIT = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
@@ -68,6 +71,28 @@ def scalar_seminorm(f: eo.TruncatedSeries, spec: eo.SemiNormSpec) -> float:
     for idx, c in f.terms():
         upper += abs(c) * spec.radius ** sum(idx)
     return upper
+
+
+def seminorm_row(f: eo.TruncatedSeries, spec: eo.SemiNormSpec) -> float:
+    """``seminorm_rows`` on the one-row block of f's vector."""
+    return float(seminorm_rows(f.dim, f.cutoff, f.vector[None], spec)[0])
+
+
+def raising_power_scalar(n_j: int, k: int, a_j: complex) -> complex:
+    """Closed form ``n_j! / (a_j^k (n_j + k)!)`` of the k-fold raising factor."""
+    return 1.0 / (complex(a_j) ** k * math.perm(n_j + k, k))
+
+
+def characteristic_roundtrip(sym: eo.ConvolutionSymbol, point) -> complex:
+    """The characteristic function ``sum_n b_n point^n / n!`` of a symbol, term by term."""
+    total = 0j
+    for n, b in sym.bcoeffs.items():
+        term = b / eo.index_factorial(n)
+        for zj, e in zip(point, n):
+            if e:
+                term *= complex(zj) ** e
+        total += term
+    return total
 
 
 @st.composite

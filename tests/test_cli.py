@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -193,6 +194,47 @@ def test_a_derivative_span_past_the_budget_fails_its_task_before_the_solve(
     )
     assert peak < 2**26
     assert max(degrees) == 4
+
+
+def test_a_translate_span_past_the_budget_fails_its_task_before_the_solve(tmp_path, monkeypatch):
+    # the d = 2, degree-250 solve would take about 3 s before the refusal
+    degrees = []
+    monkeypatch.setattr(cli, "joint_kernel", lambda problems, degree: degrees.append(degree))
+    tasks = [{"task": "complete", "truncation": 250, "mode": "translate"}]
+    scenario = _scenario_file(tmp_path, "gaussian2d", tasks)
+    tracemalloc.start()
+    try:
+        code, outputs = cli.execute_tasks(cli.load_scenario(scenario))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_TASK_FAILED
+    (_, text), = outputs
+    assert re.fullmatch(
+        r"94878 translates of degree <= 250 would take about 1.93e\+11 bytes, "
+        r"past the budget of \d+", json.loads(text)["error"]
+    )
+    assert peak < 2**26
+    assert degrees == []
+
+
+def test_an_explicit_polynomial_generator_is_translated_whole():
+    # z^3 cut to degree 1 is 0, but its translates span {1, z} at degree 1
+    obj = {
+        "dimension": 1,
+        "truncation": 3,
+        "operators": [{"dim": 1, "axis": 1, "a": [1.0, 0.0], "symbol": [{"idx": [1], "re": 1.0}]}],
+        "generator": {"explicit": {
+            "dim": 1, "cutoff": 3, "polynomial": True, "coeffs": [{"idx": [3], "re": 1.0}]}},
+        "tasks": [{"task": "complete", "truncation": 1, "mode": "translate", "samples": 6}],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, outputs = cli.execute_tasks(cli.parse_scenario(obj))
+    assert code == cli.EXIT_OK
+    (_, text), = outputs
+    report = json.loads(text)
+    assert (report["rank"], report["ambient"], report["complete_at_truncation"]) == (2, 2, True)
 
 
 def test_generator_short_of_a_task_fails_that_task_and_keeps_earlier_reports(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from hypothesis import given, settings, strategies as st
 import entireops as eo
 from entireops import series
 from support import SCALAR, airy_problem, gaussian_problem
+
+# the benchmark's exact GF(2^31 - 1) span ranks, independent of entireops
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import certify  # noqa: E402
 
 
 def one_axis_gaussian_2d(cutoff: int = 8) -> eo.TruncatedSeries:
@@ -472,6 +478,38 @@ def test_derivative_and_translate_ranks_agree_on_random_polynomials():
         samples = eo.sample_box(dim, 3 * ambient, seed=900 + trial)
         t_rank = eo.rank_report(eo.translate_span(f, n, samples), 1e-8).rank
         assert d_rank == t_rank
+
+
+#: dyadic reals in [-2, 2], exact in floats and in Fraction
+DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+NONZERO_DYADIC = DYADIC.filter(bool)
+
+
+@st.composite
+def dyadic_kernel_problems(draw) -> list[eo.AxisKernelProblem]:
+    """One real dyadic axis problem of order <= 3 per axis, d <= 2."""
+    problems = []
+    for _ in range(draw(st.integers(1, 2))):
+        order = draw(st.integers(1, 3))
+        charpoly = draw(st.lists(DYADIC, min_size=order, max_size=order))
+        seeds = draw(st.lists(DYADIC, min_size=order, max_size=order).filter(any))
+        problems.append(eo.AxisKernelProblem(
+            charpoly + [draw(NONZERO_DYADIC)], draw(NONZERO_DYADIC), seeds))
+    return problems
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dyadic_kernel_problems(), st.integers(0, 8))
+def test_float_rank_never_exceeds_the_exact_rank_mod_p(problems, n):
+    # rank mod p <= rank over Q, so a float rank above it is a false rank
+    as_json = [
+        {"charpoly": [[c.real, 0] for c in p.charpoly], "a": [p.a.real, 0],
+         "seeds": [[s.real, 0] for s in p.seeds]}
+        for p in problems
+    ]
+    exact = certify.rank_mod_p(certify.kernel_span_mod_p(as_json, n, n))
+    span = eo.derivative_span(eo.joint_kernel(problems, 2 * n), n, n)
+    assert eo.rank_report(span, 1e-10).rank <= exact
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ import entireops as eo
 from entireops import cli
 from entireops.fhc import STABILITY_DEGREE_STEP, STABILITY_REL_TOL
 from entireops.series import worst
-from support import SCALAR, airy_problem, bundled_object, gaussian_problem, scalar_seminorm
+from support import (
+    SCALAR,
+    airy_problem,
+    bundled_object,
+    gaussian_problem,
+    raising_power_scalar,
+    scalar_seminorm,
+)
 
 
 def gauss_vector(terms, a=1.0, dim=1) -> eo.LadderVector:
@@ -117,7 +124,7 @@ def test_raising_power_scalar_closed_form():
             x = eo.apply_raising(x, 1)
         (idx, scalar), = x.terms.items()
         assert idx == (n_j + k,)
-        expected = eo.raising_power_scalar(n_j, k, a)
+        expected = raising_power_scalar(n_j, k, a)
         assert scalar == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(
             math.factorial(n_j) / (a**k * math.factorial(n_j + k)), rel=1e-14

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import entireops as eo
 from entireops import orbit, series
-from support import gaussian_family, gaussian_problem, max_coeff_diff
+from support import gaussian_family, gaussian_problem, max_coeff_diff, seminorm_row
 
 SPEC = eo.SemiNormSpec(1, 2.0)
 
@@ -216,9 +216,9 @@ def outcome(call):
 
 
 def per_iterate_distances(iterates, target, spec):
-    """One difference and one seminorm_bound per iterate."""
+    """One difference and one one-row semi-norm per iterate."""
     return [
-        eo.seminorm_bound(
+        seminorm_row(
             eo.linear_combine([(1, it), (-1, eo.with_cutoff(target, it.cutoff))]), spec
         )
         for it in iterates
