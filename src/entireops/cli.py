@@ -19,7 +19,6 @@ Output is bytewise reproducible for equal scenario + seed.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 import json
@@ -27,7 +26,7 @@ import math
 import warnings
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Sequence, TextIO
 
 from .completeness import (
     derivative_span,
@@ -72,6 +71,9 @@ from .series import (
     zero_series,
 )
 
+if TYPE_CHECKING:  # the command line imports argparse in build_parser
+    import argparse
+
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_PARSE = 2
@@ -86,8 +88,17 @@ DENSITY_DISCLAIMER = (
 
 
 def _box(value: Any) -> tuple[float, float]:
+    """A sample box ``[low, high]``: finite ends, ``low <= high`` and a finite width.
+
+    The width's sign bit is read as ``sample_box`` reads it, so the box
+    ``[0.0, -0.0]`` is refused here too.
+    """
     low, high = value
-    return _finite(low), _finite(high)
+    low, high = _finite(low), _finite(high)
+    width = high - low
+    if not (math.isfinite(width) and math.copysign(1.0, width) > 0):
+        raise ValueError(f"high - low is {width}: the box needs low <= high and a finite width")
+    return low, high
 
 
 def _series_or_name(value: Any) -> TruncatedSeries | str:
@@ -624,6 +635,8 @@ def _describe(default: Any) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """``run``, plus one subcommand per task kind with a flag per TASK_PARAMS key."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="entireops",
         description=(

@@ -486,6 +486,22 @@ def test_bool_float_is_a_scenario_error_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "box", [[1, -1], [-1e308, 1e308], [0.0, -0.0]], ids=["reversed", "overflowing", "signed_zero"]
+)
+def test_a_box_that_sample_box_refuses_is_a_scenario_error_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, box
+):
+    # sample_box refuses each of these; the file is refused before any task runs
+    task = {"task": "complete", "truncation": 2, "mode": "translate", "box": box}
+    path = _scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}, task])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", path]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "error: bad 'box'" in captured.err and "needs low <= high" in captured.err
+    assert captured.out == ""
+
+
 _TARGET = {"dim": 2, "cutoff": 1, "polynomial": True, "coeffs": [{"idx": [1, 0], "re": 1.0}]}
 
 
@@ -1060,6 +1076,23 @@ def test_module_entry_point(tmp_path):
     helped = entireops("fhc", "gaussian1d", "--help")
     assert helped.returncode == 0
     assert "default: 12" in helped.stdout and "default: 6" in helped.stdout
+
+
+def test_a_scenario_run_loads_neither_numpy_random_nor_argparse():
+    # a fresh interpreter: the translate samples are drawn in pure Python,
+    # and argparse belongs to the command line only
+    code = (
+        "import io, sys\n"
+        "from entireops import cli\n"
+        "cli.run_scenario('gaussian2d', stream=io.StringIO())\n"
+        "print(sorted({'numpy.random', 'secrets', 'argparse'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,65 @@ def test_translate_span_zero_sample_row_is_the_coefficient_vector():
 
 
 # ---------------------------------------------------------------------------
+# the sample stream: numpy's default_rng(seed).uniform, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def drawn(draw) -> bytes | tuple[type, str]:
+    """The C-order float64 bytes of a draw, or the type and message of its refusal."""
+    try:
+        return np.asarray(draw(), dtype=np.float64).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def numpy_stream_outcome(dim: int, count: int, seed: int, low: float, high: float):
+    """``sample_box``'s outcome, asserted equal to numpy's Generator draw first."""
+    ours = drawn(lambda: eo.sample_box(dim, count, seed, low, high))
+    assert ours == drawn(lambda: np.random.default_rng(seed).uniform(low, high, size=(count, dim)))
+    return ours
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+def test_sample_box_is_numpys_default_rng_uniform_bit_for_bit(seed):
+    # one to five 32-bit seed words; 2**128 + 1 mixes a fifth word into the pool
+    for dim in (1, 2, 3):
+        for low, high in [(-1.0, 1.0), (-3.5, 1e-3), (2.0, 2.0), (-1e300, 1e300)]:
+            assert isinstance(numpy_stream_outcome(dim, 9, seed, low, high), bytes)
+    points = eo.sample_box(3, 4, seed)
+    assert all(type(c) is float for p in points for c in p)
+
+
+#: seeds of one to eight 32-bit words, so that long seeds are drawn often
+SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8).map(
+    lambda words: sum(w << 32 * i for i, w in enumerate(words))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(SEEDS, st.integers(1, 3), st.integers(0, 12), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+def test_sample_box_matches_numpy_on_a_derandomized_sweep(seed, dim, count, low, high):
+    # a reversed box is refused by both, with one message
+    numpy_stream_outcome(dim, count, seed, low, high)
+
+
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        ((2, 3, -1, -1.0, 1.0), (ValueError, "expected non-negative integer")),
+        ((2, 3, 0, 1.0, -1.0), (ValueError, "high - low < 0")),
+        ((2, 3, 0, 0.0, -0.0), (ValueError, "high - low < 0")),
+        ((2, 3, 0, -1e308, 1e308), (OverflowError, "high - low range exceeds valid bounds")),
+        ((2, 3, 0, math.nan, 1.0), (OverflowError, "high - low range exceeds valid bounds")),
+        # the seed is refused before the box
+        ((2, 3, -1, 1.0, -1.0), (ValueError, "expected non-negative integer")),
+    ],
+)
+def test_sample_box_refuses_as_numpy_does(args, refusal):
+    assert numpy_stream_outcome(*args) == refusal
+
+
+# ---------------------------------------------------------------------------
 # batched span builders against per-row references
 # ---------------------------------------------------------------------------
 
@@ -607,7 +666,9 @@ def traced_peak(call) -> int:
         # a 31626 x 31626 complex span, 16 GB, of a dim-2 cubic
         (lambda: eo.derivative_span(eo.make_series(2, 3, {(3, 0): 1.0}, True), 250, 250),
          "31626 rows of degree <= 250 in dim 2 would take .* past the budget"),
-        (lambda: eo.sample_box(2, 10**9, 0), "1000000000 samples in dim 2 .* past the budget"),
+        # the budget is checked before the seed and the box
+        (lambda: eo.sample_box(2, 10**9, -1, 1.0, -1.0),
+         "1000000000 samples in dim 2 .* past the budget"),
         # ten rows of 2 003 001 coefficients, 320 MB
         (lambda: eo.translate_span(eo.monomial(2, 3, (1, 1)), 2000, [(0.5, 0.5)] * 10),
          "10 translates of degree <= 2000 .* past the budget"),
