@@ -17,20 +17,22 @@ Three layers:
   back produces an operator commuting with all partials, i.e. a convolution
   operator, so the relation is structural here rather than checked.
 
-:func:`_weyl_kernel` is the one place where an operator meets coefficients:
-one loop over the stored terms that acts on a coefficient vector or on a
-``(basis size, batch)`` block of them.  :func:`apply_weyl` runs it on a
-series' vector and reads each term's exact degree from the one rule of the
-series primitives, ``series._exact_after``.  Both read only ``dim`` and the
-normal-ordered ``terms`` table, which all three shapes carry (a CR
-operator's is built in one ``WeylOperator`` call), so one path applies every
-operator.  The symbolic algebra (:func:`commutator`) never touches series
-and is the oracle the numeric route is tested against.
+:func:`_weyl_kernel` is the one place where an operator meets a series'
+coefficients: one loop over the stored terms that acts on a coefficient
+vector or on a ``(basis size, batch)`` block of them.  :func:`apply_weyl`
+runs it on a series' vector and reads each term's exact degree from the
+one rule of the series primitives, ``series._exact_after``.  Both read only
+``dim`` and the normal-ordered ``terms`` table, which all three shapes
+carry (a CR operator's is built in one ``WeylOperator`` call), so one path
+applies every operator.  The symbolic algebra (:func:`commutator`) never
+touches series and is the oracle the numeric route is tested against.
 
 :func:`verify_commutation` re-derives the commutator table numerically,
-independently of the symbolic route, as a guard against ordering bugs: it
-applies the kernel to the identity on every probe monomial at once, in
-column blocks small enough to be reused from the heap.
+independently of the symbolic route, as a guard against ordering bugs.  A
+term sends a monomial to one monomial, so it carries each term's images of
+every probe monomial as one slot (a position and a value per probe), read
+from the layout tables the kernel's gather reads, and folds the defect slot
+by slot with the kernel's arithmetic on the identity.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 from .series import (
     Index,
     TruncatedSeries,
+    _derivative_plan,
     _gather_derivative,
     _layout,
     _Layout,
@@ -303,13 +306,6 @@ class CROperator:
 Operator = WeylOperator | ConvolutionSymbol | CROperator
 
 
-#: bytes of one probe block (16 per complex entry).  glibc serves a request of
-#: 128 KiB or more from freshly mapped pages, which every call faults in
-#: again; a smaller block, and every kernel temporary of its shape, is reused
-#: from the heap, so a warm call faults in no new pages.
-_PROBE_BLOCK_BYTES = 2**16
-
-
 @dataclass(frozen=True)
 class CommutationReport:
     """Worst commutator defect per (operator axis, partial axis) pair."""
@@ -319,6 +315,40 @@ class CommutationReport:
     probe_degree: int
     tolerance: float
     passed: bool
+
+
+def _monomial_images(
+    op: CROperator, layout: _Layout, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each term ``z^alpha D^beta`` of ``op`` sends each probe monomial.
+
+    Row t is term t in stored order; column p < ``count`` is the probe e_p
+    (basis position p), and column ``count`` a cell that no term reaches.
+    Returns the position of the image monomial ``p - beta + alpha`` (-1 for
+    none: ``p < beta`` somewhere, or past the cutoff) and its weight
+    ``perm(p, beta)`` (0 for none), read from ``series._derivative_plan`` with
+    its source inverted; z^alpha only moves a position along ``raised``.
+    """
+    zpow = np.array([z for z, _ in op.terms], dtype=np.intp)
+    dpow = np.array([d for _, d in op.terms], dtype=np.intp)
+    position = np.full((len(zpow), count + 1), -1)
+    weight = np.zeros(position.shape)
+    # D^beta of a probe (degree < cutoff) is nonzero only for ||beta|| < cutoff;
+    # the z-term (beta = 0) always acts, so the plan gets at least one order
+    acting = np.flatnonzero(dpow.sum(axis=1) < layout.cutoff)
+    orders = dpow[acting]
+    source, w = _derivative_plan(layout, orders, count)
+    t, m = np.nonzero(layout.degree[:count] + orders.sum(axis=1)[:, None] < layout.cutoff)
+    position[acting[t], source[t, m]] = m
+    weight[acting[t], source[t, m]] = w[t, m]
+    for j in np.flatnonzero(zpow.any(axis=0)):
+        up = np.full(len(layout.exponents) + 1, -1)  # index -1: none stays none
+        up[:count] = layout.raised[j]
+        for step in range(zpow[:, j].max()):
+            lift = zpow[:, j] > step
+            position[lift] = up[position[lift]]
+    weight[position < 0] = 0.0
+    return position, weight
 
 
 def verify_commutation(
@@ -332,8 +362,16 @@ def verify_commutation(
     For every operator T (claiming ladder constant a on its axis) and every
     partial D_k, applies ``T D_k - D_k T - delta * a * I`` to each monomial
     of total degree <= probe_degree and records the largest residual
-    coefficient.  The probes are the identity on those monomials, taken in
-    column blocks; each block's ``D_k`` images serve every operator.
+    coefficient.  A term ``c z^alpha D^beta`` sends a monomial to one
+    monomial, so each term's images of all probes are one slot: a position
+    (or none) and a value per probe.  The terms of a CR operator have
+    pairwise distinct shifts ``alpha - beta`` (its symbol terms are
+    ``(0, n)`` with distinct n, its z-term ``(e_axis, 0)``), so slot t of
+    ``T D_k e_p`` and of ``D_k T e_p`` is the one on monomial
+    ``p - e_k + alpha - beta``, no two slots share one, and the defect is
+    folded slot by slot.  Each value takes the numpy operations of
+    ``_weyl_kernel`` on the identity, in the same order, so each residual
+    has the bits of that dense route.
     """
     ops = list(ops)
     if not ops:
@@ -347,30 +385,35 @@ def verify_commutation(
 
     # z-multiplication never overflows the probes, so every defect below is
     # a polynomial, exact on the whole basis of this cutoff
-    cutoff = probe_degree + 1
-    layout = _layout(dim, cutoff)
-    rows = len(layout.exponents)
+    layout = _layout(dim, probe_degree + 1)
     count = _size(dim, probe_degree)  # the probes: a prefix of the basis
-    width = max(1, _PROBE_BLOCK_BYTES // (16 * rows))
-    units = [_unit(dim, k) for k in range(1, dim + 1)]
+    # per axis k, over the basis and one cell past it (index -1): the
+    # position of m - e_k and the weight m_k of D_k, or -1 and 0
+    lowered = np.full((dim, len(layout.exponents) + 1), -1)
+    lowered_weight = np.zeros(lowered.shape)
+    for j, (raised, w) in enumerate(zip(layout.raised, layout.unit_weight)):
+        lowered[j, raised] = np.arange(count)
+        lowered_weight[j, raised] = w
+    probes = np.append(np.arange(count), -1)  # the probes, then the cell past them
+    # D_k e_p for every probe and axis: where it lands, and (1 + 0j) p_k
+    d_cells, d_probes = lowered[:, probes], (1 + 0j) * lowered_weight[:, probes]
     residuals: dict[tuple[int, int], float] = {}
-    # a non-finite coefficient times a zero entry is NaN: it stays in the
-    # defect, and worst keeps a NaN, so a non-finite defect cannot pass
+    # a non-finite coefficient times a zero entry is NaN, as is a non-finite
+    # a: both reach the cell no term reaches (the last column), and worst
+    # keeps a NaN, so a non-finite defect cannot pass
     with np.errstate(invalid="ignore"):
-        for first in range(0, count, width):
-            cols = min(width, count - first)
-            probes = np.zeros((rows, cols), dtype=complex)
-            probes[np.arange(first, first + cols), np.arange(cols)] = 1.0
-            d_probes = [_gather_derivative(layout, probes, ek) for ek in units]
-            for op in ops:
-                t_probes, _ = _weyl_kernel(op, layout, probes)
-                for k, (ek, dk) in enumerate(zip(units, d_probes), start=1):
-                    t_dk, _ = _weyl_kernel(op, layout, dk)
-                    defect = t_dk - _gather_derivative(layout, t_probes, ek)
-                    if k == op.axis:
-                        defect -= op.a * probes
-                    key = (op.axis, k)
-                    residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
+        for op in ops:
+            position, weight = _monomial_images(op, layout, count)
+            coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
+            t_probes = coeffs * ((1 + 0j) * weight)
+            for k in range(dim):
+                t_dk = coeffs * (d_probes[k] * weight[:, d_cells[k]])
+                down = lowered_weight[k, position]  # 0 where an image has m_k = 0
+                defect = t_dk - np.where(down > 0, t_probes * down, 0)
+                if k + 1 == op.axis:  # a at the one slot whose D_k T image is e_p
+                    defect -= op.a * (lowered[k, position] == np.arange(count + 1))
+                key = (op.axis, k + 1)
+                residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
     max_residual = worst(residuals.values())
     return CommutationReport(
         residuals=residuals,

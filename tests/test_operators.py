@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from entireops import cli
+from entireops.series import worst
 from support import (
     SCALAR,
     airy_family,
@@ -465,15 +467,16 @@ def per_monomial_residuals(ops, probe_degree, claimed):
             probe = eo.monomial(dim, cutoff, n)
             t_probe = eo.apply_weyl(op, probe)
             for k, ek in enumerate(units, start=1):
-                defect = eo.linear_combine(
-                    [
-                        (1.0, eo.apply_weyl(op, eo.differentiate(probe, ek))),
-                        (-1.0, eo.differentiate(t_probe, ek)),
-                        (-(a if k == op.axis else 0.0), probe),
-                    ]
-                )
-                worst = residuals.get((op.axis, k), 0.0)
-                residuals[(op.axis, k)] = max(worst, defect.max_exact_coefficient())
+                with np.errstate(invalid="ignore"):  # a non-finite a times a zero entry
+                    defect = eo.linear_combine(
+                        [
+                            (1.0, eo.apply_weyl(op, eo.differentiate(probe, ek))),
+                            (-1.0, eo.differentiate(t_probe, ek)),
+                            (-(a if k == op.axis else 0.0), probe),
+                        ]
+                    )
+                key = (op.axis, k)
+                residuals[key] = worst((residuals.get(key, 0.0), defect.max_exact_coefficient()))
     return residuals
 
 
@@ -486,26 +489,81 @@ def commutation_case(draw):
     return ops, probe_degree, expected_a
 
 
+def cr(dim: int, axis: int, a: complex, bcoeffs: dict) -> eo.CROperator:
+    return eo.CROperator(dim, axis, a, eo.ConvolutionSymbol(dim, bcoeffs))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(commutation_case())
-# d = 3 at probe degree 8: 165 probes over 220 basis rows, several column blocks
+# d = 3 at probe degree 8: 165 probes over 220 basis rows
 @example((
-    [
-        gaussian_family(3)[0],
-        airy_family(3)[1],
-        eo.CROperator(3, 3, 0.5j, eo.ConvolutionSymbol(3, {(1, 1, 0): 0.5, (0, 0, 3): -2.0})),
-    ],
+    [gaussian_family(3)[0], airy_family(3)[1], cr(3, 3, 0.5j, {(1, 1, 0): 0.5, (0, 0, 3): -2.0})],
     8,
     None,
 ))
+# a symbol order past the cutoff acts on no probe
+@example(([cr(2, 1, 1.0, {(0, 5): 3.0, (1, 0): 1.0})], 2, None))
+# c = 1e300 times weights up to 16 perm(15, 8) = 4.2e9 overflows, and inf - inf is
+# NaN; c = 1e300 (1 + i) on D^3 stays finite and leaves a rounding residual
+@example((
+    [cr(2, 1, 1e300, {(8, 0): 40320e300, (1, 0): -1e300}),
+     cr(2, 2, -1.0, {(0, 3): (1e300 + 1e300j) * 6})],
+    16,
+    None,
+))
+# 1e308 p_2 overflows at e_(0, 2), whose image e_(0, 1) D_1 never reads: (1, 1) stays 0
+@example(([cr(2, 1, 1.0, {(0, 1): 1e308})], 2, None))
+# non-finite symbol entries: every defect is NaN
+@example((
+    [cr(2, 1, 1.0, {(1, 0): math.nan, (0, 2): math.inf}), cr(2, 2, 1.0, {(0, 1): -math.inf})],
+    3,
+    None,
+))
+# a non-finite claimed constant; the first operator's only term is its z-term
+@example((
+    [cr(1, 1, 1.0, {}), cr(1, 1, 2.0, {(1,): 1.0})],
+    3,
+    [math.inf, complex(1.0, math.nan)],
+))
+@example((gaussian_family(4), 4, None))
 def test_verify_commutation_matches_per_monomial_reference(case):
-    """The column blocks of probes give each monomial's residual, bit for bit."""
+    """The slots of all probes give each monomial's residual, bit for bit."""
     ops, probe_degree, expected_a = case
     claimed = [op.a for op in ops] if expected_a is None else expected_a
-    report = eo.verify_commutation(list(map(claiming, ops, claimed)), probe_degree)
-    want = per_monomial_residuals(ops, probe_degree, claimed)
-    assert list(report.residuals.items()) == list(want.items())
-    assert report.max_residual == max(want.values())
+    with np.errstate(over="ignore"):  # an overflow is part of the arithmetic pinned here
+        report = eo.verify_commutation(list(map(claiming, ops, claimed)), probe_degree)
+        want = per_monomial_residuals(ops, probe_degree, claimed)
+    # .hex() is a residual's exact bits, and reads "nan" for every NaN
+    assert [(key, r.hex()) for key, r in report.residuals.items()] == [
+        (key, r.hex()) for key, r in want.items()
+    ]
+    assert report.max_residual.hex() == worst(want.values()).hex()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(cr_operators))
+def test_cr_operator_terms_have_distinct_shifts(op):
+    """verify_commutation's premise: no two terms of a CR operator shift a monomial alike."""
+    shifts = [tuple(np.subtract(zpow, dpow)) for zpow, dpow in op.terms]
+    assert len(set(shifts)) == len(shifts)
+
+
+@pytest.mark.parametrize(
+    "ops, probe_degree",
+    [(gaussian_family(3), 8), ([gaussian_family(2)[0], airy_family(2)[1]], 12)],
+    ids=["d3-p8", "d2-p12"],
+)
+def test_verify_commutation_stays_below_a_fresh_mapping(ops, probe_degree):
+    # glibc serves a request of 128 KiB or more from freshly mapped pages,
+    # which every call would fault in again
+    eo.verify_commutation(ops, probe_degree)  # the layout tables are cached
+    tracemalloc.start()
+    try:
+        eo.verify_commutation(ops, probe_degree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**17
 
 
 # ---------------------------------------------------------------------------
