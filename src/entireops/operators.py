@@ -51,6 +51,7 @@ from .series import (
     _gather_derivative,
     _layout,
     _Layout,
+    _lowering,
     _checked_axis,
     _checked_index,
     _exact_after,
@@ -217,8 +218,9 @@ def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
     if not op.terms:
         return zero_series(f.dim, f.cutoff)
-    # a non-finite coefficient times a zero entry is NaN, and stays in the result
-    with np.errstate(invalid="ignore"):
+    # a non-finite coefficient times a zero entry is NaN, and an overflow is
+    # inf: either stays in the result
+    with np.errstate(invalid="ignore", over="ignore"):
         out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
     exact = min(_exact_after(f, sum(zpow), sum(dpow)) for zpow, dpow in op.terms)
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial and not spilled, out)
@@ -387,21 +389,16 @@ def verify_commutation(
     # a polynomial, exact on the whole basis of this cutoff
     layout = _layout(dim, probe_degree + 1)
     count = _size(dim, probe_degree)  # the probes: a prefix of the basis
-    # per axis k, over the basis and one cell past it (index -1): the
-    # position of m - e_k and the weight m_k of D_k, or -1 and 0
-    lowered = np.full((dim, len(layout.exponents) + 1), -1)
-    lowered_weight = np.zeros(lowered.shape)
-    for j, (raised, w) in enumerate(zip(layout.raised, layout.unit_weight)):
-        lowered[j, raised] = np.arange(count)
-        lowered_weight[j, raised] = w
+    lowered, lowered_weight = _lowering(dim, probe_degree + 1)
     probes = np.append(np.arange(count), -1)  # the probes, then the cell past them
     # D_k e_p for every probe and axis: where it lands, and (1 + 0j) p_k
     d_cells, d_probes = lowered[:, probes], (1 + 0j) * lowered_weight[:, probes]
     residuals: dict[tuple[int, int], float] = {}
     # a non-finite coefficient times a zero entry is NaN, as is a non-finite
     # a: both reach the cell no term reaches (the last column), and worst
-    # keeps a NaN, so a non-finite defect cannot pass
-    with np.errstate(invalid="ignore"):
+    # keeps a NaN, so a non-finite defect cannot pass; an overflow is an inf
+    # or NaN residual, which fails the same way
+    with np.errstate(invalid="ignore", over="ignore"):
         for op in ops:
             position, weight = _monomial_images(op, layout, count)
             coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]

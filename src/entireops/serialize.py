@@ -9,16 +9,21 @@ The task runners
 in ``cli`` build each report as an ordered dict; the two writers here emit
 it: ``to_json_text`` writes keys in insertion order, and ``to_csv_text``
 writes a header and rows.  Both write a scalar by one rule, ``_scalar_text``
-(floats with 17 significant digits, non-finite ones refused), so the emitted
-text is bytewise reproducible for equal inputs.
+(floats with 17 significant digits, non-finite ones refused; strings quoted
+by ``json.encoder.encode_basestring_ascii``, the function ``json.dumps``
+calls), so the emitted text is bytewise reproducible for equal inputs.
+``to_json_text`` checks a value's exact type first: an exact builtin int,
+or finite float, it writes in place in that rule's format; a dict, list or
+tuple it walks; anything else goes to ``_scalar_text``.  Keys are quoted
+by the same function as strings.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping
 
 from .kernel import AxisKernelProblem
@@ -235,18 +240,20 @@ def problem_from_json(obj: Any) -> AxisKernelProblem:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float {v} cannot be serialized")
-    return format(v, ".17g")
+#: every float the writers emit has 17 significant digits
+_FLOAT_FORMAT = ".17g"
 
-
-#: the values a one-line list may hold
-_SCALARS = (type(None), bool, int, float, str)
+#: the values ``to_json_text`` walks into; every other value is a scalar
+_CONTAINERS = (dict, list, tuple)
 
 
 def _scalar_text(value: Any) -> str:
-    """JSON text of a scalar: null, a bool, an int, a 17-digit float or a string."""
+    """JSON text of a scalar: null, a bool, an int, a 17-digit float or a string.
+
+    The one statement of the scalar rule.  A string is quoted by
+    ``encode_basestring_ascii``, the function ``json.dumps`` calls; a
+    non-finite float, or a value of any other type, is refused.
+    """
     if value is None:
         return "null"
     if value is True:
@@ -254,11 +261,13 @@ def _scalar_text(value: Any) -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return repr(value)
     if isinstance(value, float):
-        return _fmt_float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {value} cannot be serialized")
+        return format(value, _FLOAT_FORMAT)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -276,27 +285,52 @@ def to_csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
 
 def to_json_text(value: Any) -> str:
     """JSON text with insertion-order keys, two spaces of indent per level and
-    a list of scalars only (the empty list too) on one line."""
+    a list of scalars only (the empty list too) on one line.
+
+    A scalar that is an exact builtin int, or a finite exact builtin float,
+    is written in place in ``_scalar_text``'s format; every other scalar
+    goes through ``_scalar_text``.  A key is quoted by
+    ``encode_basestring_ascii``, as ``json.dumps`` quotes it.  A list's item
+    texts are built in the pass that decides whether it fits on one line.
+    """
     out: list[str] = []
 
     def walk(value: Any, pad: str) -> None:
         inner = pad + "  "
         if isinstance(value, dict):
-            if not value:
-                out.append("{}")
-                return
             sep = "{\n"
             for k, v in value.items():
                 if not isinstance(k, str):
                     raise TypeError(f"JSON object keys must be strings, got {k!r}")
-                out.append(f"{sep}{inner}{json.dumps(k)}: ")
-                walk(v, inner)
+                key = f"{sep}{inner}{encode_basestring_ascii(k)}: "
                 sep = ",\n"
-            out.append(f"\n{pad}}}")
+                t = type(v)
+                if t is float and math.isfinite(v):
+                    out.append(key + format(v, _FLOAT_FORMAT))
+                elif t is int:
+                    out.append(key + repr(v))
+                elif isinstance(v, _CONTAINERS):
+                    out.append(key)
+                    walk(v, inner)
+                else:
+                    out.append(key + _scalar_text(v))
+            out.append(f"\n{pad}}}" if value else "{}")
         elif isinstance(value, (list, tuple)):
-            if all(isinstance(v, _SCALARS) for v in value):
-                out.append("[" + ", ".join(map(_scalar_text, value)) + "]")
+            texts = []
+            for v in value:
+                t = type(v)
+                if t is float and math.isfinite(v):
+                    texts.append(format(v, _FLOAT_FORMAT))
+                elif t is int:
+                    texts.append(repr(v))
+                elif isinstance(v, _CONTAINERS):
+                    break
+                else:
+                    texts.append(_scalar_text(v))
+            else:
+                out.append(f"[{', '.join(texts)}]")
                 return
+            # an item is a container: every item on its own line
             sep = "[\n"
             for v in value:
                 out.append(sep + inner)

@@ -150,7 +150,7 @@ def _degree_indices(dim: int, degree: int) -> list[Index]:
 #: the most bytes one layout's tables, or one call's row block, sample draw
 #: or orbit, may take by its estimate: about ten times the largest estimate
 #: of a layout built by the tests, the bundled scenarios or the benchmark
-#: (27 MB, dim 1 at cutoff 300; 8.7 MB at dim 2, cutoff 175)
+#: (27 MB, dim 1 at cutoff 300; 9.2 MB at dim 2, cutoff 175)
 _LAYOUT_BUDGET = 2**28
 
 
@@ -168,9 +168,10 @@ def _checked_layout(dim: int, cutoff: int) -> None:
     Refuses dim < 1, cutoff < 0, and a layout whose tables would take more
     than ``_LAYOUT_BUDGET`` bytes.  The estimate uses float logarithms only:
     per basis row, its index tuple and position entry and its entries in
-    the exponent, degree and per-axis tables; per cell of the ``(cutoff + 2)
-    x (cutoff + 1)`` step table, a pointer, a float and an integer of at most
-    log2(cutoff!) bits.  It bounds the measured size from above.
+    the exponent, degree and per-axis tables and in ``_lowering``'s; per
+    cell of the ``(cutoff + 2) x (cutoff + 1)`` step table, a pointer, a
+    float and an integer of at most log2(cutoff!) bits.  It bounds the
+    measured size from above.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -179,7 +180,7 @@ def _checked_layout(dim: int, cutoff: int) -> None:
     d, n = min(dim, 2**32), min(cutoff, 2**32)  # past 2^32, either is past any budget
     log_rows = math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)
     cell_bytes = 44 + math.lgamma(n + 1) / math.log(256)
-    estimate = math.exp(min(log_rows, 200.0)) * (128 + 40 * d) + (n + 2) * (n + 1) * cell_bytes
+    estimate = math.exp(min(log_rows, 200.0)) * (128 + 56 * d) + (n + 2) * (n + 1) * cell_bytes
     _checked_bytes(estimate, f"the tables of degree <= {cutoff} in dim {dim}")
 
 
@@ -204,6 +205,24 @@ def _layout(dim: int, cutoff: int) -> _Layout:
         unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
         step_weight=(step_weight, _rounded(step_weight)),
     )
+
+
+@lru_cache(maxsize=64)
+def _lowering(dim: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """D_j read as a lowering over the basis of ``(dim, cutoff)``.
+
+    Per axis j, over the basis and one cell past it (index -1): the position
+    of n - e_j where n_j >= 1, else -1, and the weight n_j, else 0.  Cached
+    apart from the layout, so that only the layouts ``verify_commutation``
+    reads carry them.
+    """
+    layout = _layout(dim, cutoff)
+    lowered = np.full((dim, len(layout.exponents) + 1), -1)
+    weight = np.zeros(lowered.shape)
+    for j, (raised, w) in enumerate(zip(layout.raised, layout.unit_weight)):
+        lowered[j, raised] = np.arange(len(raised))
+        weight[j, raised] = w
+    return lowered, weight
 
 
 def _size(dim: int, degree: int) -> int:

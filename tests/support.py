@@ -1,10 +1,12 @@
 """Shared builders for the test suite: the two shipped operator families,
 a hypothesis strategy for random CR operators, the scalar semi-norm loop,
-the closed forms that check the library's raising and pairing, and the
-bundled scenario objects."""
+the closed forms that check the library's raising and pairing, the
+reference report writers, and the bundled scenario objects."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -103,3 +105,86 @@ def cr_operators(draw, dim: int, max_order: int = 3) -> eo.CROperator:
     )
     symbol = eo.ConvolutionSymbol(dim, {n: draw(SCALAR) for n in support})
     return eo.CROperator(dim, draw(st.integers(1, dim)), draw(SCALAR), symbol)
+
+
+# ---------------------------------------------------------------------------
+# reference report writers: the plain recursive walk that
+# serialize.to_json_text and serialize._scalar_text replace, kept as the
+# oracle of their text and of their refusals
+# ---------------------------------------------------------------------------
+
+
+def _reference_fmt_float(v: float) -> str:
+    if v != v or v in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite float {v} cannot be serialized")
+    return format(v, ".17g")
+
+
+#: the values a one-line list may hold
+_REFERENCE_SCALARS = (type(None), bool, int, float, str)
+
+
+def reference_scalar_text(value) -> str:
+    """JSON text of a scalar: null, a bool, an int, a 17-digit float or a string."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        return _reference_fmt_float(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_csv_text(header, rows) -> str:
+    """``serialize.to_csv_text`` with ``reference_scalar_text``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        ["" if v is None else v if isinstance(v, str) else reference_scalar_text(v) for v in row]
+        for row in rows
+    )
+    return buf.getvalue()
+
+
+def reference_json_text(value) -> str:
+    """JSON text with insertion-order keys, two spaces of indent per level and
+    a list of scalars only (the empty list too) on one line."""
+    out: list[str] = []
+
+    def walk(value, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            sep = "{\n"
+            for k, v in value.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"JSON object keys must be strings, got {k!r}")
+                out.append(f"{sep}{inner}{json.dumps(k)}: ")
+                walk(v, inner)
+                sep = ",\n"
+            out.append(f"\n{pad}}}")
+        elif isinstance(value, (list, tuple)):
+            if all(isinstance(v, _REFERENCE_SCALARS) for v in value):
+                out.append("[" + ", ".join(map(reference_scalar_text, value)) + "]")
+                return
+            sep = "[\n"
+            for v in value:
+                out.append(sep + inner)
+                walk(v, inner)
+                sep = ",\n"
+            out.append(f"\n{pad}]")
+        else:
+            out.append(reference_scalar_text(value))
+
+    walk(value, "")
+    out.append("\n")
+    return "".join(out)

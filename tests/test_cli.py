@@ -23,7 +23,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from entireops import cli, serialize
-from support import airy_problem, bundled_object, gaussian_family
+from support import (
+    airy_problem,
+    bundled_object,
+    gaussian_family,
+    reference_csv_text,
+    reference_json_text,
+)
 
 
 def run_to_text(source: str, **kwargs) -> tuple[int, str]:
@@ -1172,6 +1178,74 @@ def test_csv_text_quotes_what_its_cells_hold():
     ]
     text = serialize.to_csv_text(("k", "u", "ratio"), [(0, 1 / 3, None)])
     assert text == "k,u,ratio\n0,0.33333333333333331,\n"
+
+
+class _Text(str):
+    """A str subclass: written as the string it holds."""
+
+
+def _sometimes(strategy, rare, one_in: int = 12):
+    """``strategy``, or once in about ``one_in`` draws ``rare``."""
+    return st.integers(1, one_in).flatmap(lambda n: rare if n == 1 else strategy)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e308, -1e308]
+)
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€𝄞", "\ud800"])
+#: every scalar the writers take, and once in a while one they refuse
+_CELLS = _sometimes(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64 - 2, 2**70) | st.integers(-(2**70), -(2**64))
+    | _FINITE
+    | _FINITE.map(np.float64)
+    | _TEXT
+    | _TEXT.map(_Text),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, np.float64(math.nan), np.int64(7), np.bool_(True), object()]
+    ),
+)
+_KEYS = _sometimes(_TEXT | _TEXT.map(_Text), st.sampled_from([1, None, True]), one_in=30)
+_VALUES = st.recursive(
+    _CELLS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _written(write, *args):
+    """The text a writer returns, or the type and message of its refusal."""
+    try:
+        return write(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_VALUES)
+# a non-finite float before, and after, an unknown scalar in one list
+@example([1, math.nan, object()])
+@example([1, np.int64(2), math.inf])
+@example({"a": [np.bool_(False), 0.5, -math.inf]})
+@example({"a": math.nan, 1: 2})
+@example({None: math.nan})
+@example({"a": [0.5, {"b": None}, "c", [_Text("d"), 2**64]], "": ()})
+def test_json_text_matches_the_reference_walk(value):
+    assert _written(serialize.to_json_text, value) == _written(reference_json_text, value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_TEXT, max_size=4), st.lists(st.lists(_CELLS, max_size=5), max_size=4))
+@example(["k"], [[1, math.nan, object()], [2.5]])
+@example(["k"], [[np.int64(3), -math.inf]])
+def test_csv_text_matches_the_reference_writer(header, rows):
+    assert _written(serialize.to_csv_text, header, rows) == _written(
+        reference_csv_text, header, rows
+    )
 
 
 def test_overflowing_orbit_fails_its_task_naming_the_step_and_prints_no_warning(

@@ -530,14 +530,26 @@ def test_verify_commutation_matches_per_monomial_reference(case):
     """The slots of all probes give each monomial's residual, bit for bit."""
     ops, probe_degree, expected_a = case
     claimed = [op.a for op in ops] if expected_a is None else expected_a
-    with np.errstate(over="ignore"):  # an overflow is part of the arithmetic pinned here
-        report = eo.verify_commutation(list(map(claiming, ops, claimed)), probe_degree)
+    report = eo.verify_commutation(list(map(claiming, ops, claimed)), probe_degree)
+    with np.errstate(over="ignore"):  # the reference's differentiate overflows where the library does
         want = per_monomial_residuals(ops, probe_degree, claimed)
     # .hex() is a residual's exact bits, and reads "nan" for every NaN
     assert [(key, r.hex()) for key, r in report.residuals.items()] == [
         (key, r.hex()) for key, r in want.items()
     ]
     assert report.max_residual.hex() == worst(want.values()).hex()
+
+
+def test_an_overflow_is_an_inf_or_nan_in_the_result_and_no_warning():
+    # the overflow example above, with no errstate around the library calls
+    ops = [cr(2, 1, 1e300, {(8, 0): 40320e300, (1, 0): -1e300}),
+           cr(2, 2, -1.0, {(0, 3): (1e300 + 1e300j) * 6})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = eo.verify_commutation(ops, 16)
+        image = eo.apply_weyl(cr(2, 1, 1e300, {(8, 0): 40320e300}), eo.monomial(2, 17, (16, 0)))
+    assert np.isnan(report.max_residual) and not report.passed
+    assert np.isinf(image.vector).any()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

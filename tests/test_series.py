@@ -287,9 +287,11 @@ def test_a_layout_past_the_budget_is_refused_before_any_table_exists(dim, cutoff
 def test_the_layout_estimate_bounds_the_built_tables(monkeypatch, dim, cutoff):
     # the largest layouts the tests build, per dimension; the budget is ten
     # times the largest estimate among them
+    series._layout(dim, cutoff)  # the lowering tables read the cached layout
     tracemalloc.start()
     try:
-        tables = series._layout.__wrapped__(dim, cutoff)  # past the cache
+        # past the cache: a layout's tables and its lowering tables
+        tables = series._layout.__wrapped__(dim, cutoff), series._lowering.__wrapped__(dim, cutoff)
         built, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
