@@ -7,10 +7,12 @@ over the monomials of total degree <= N: the reports therefore state
 completeness AT TRUNCATION (N, max_order) only, and expose the singular
 value profile so borderline cases can be judged.
 
-Each span matrix is built in one pass by ``series``.  Derivative rows
-(``derivative_rows``) are one gather through one ``(order x row)`` plan over
-every order of the span, limited to the truncation prefix; their weights are
-the exact integers ``prod_j perm(s_j, n_j)`` rounded once (see ``series``).
+Each span matrix is built in one pass by ``series``.  Derivative rows are
+one gather (``series._gather_rows``, the gather of ``derivative_rows``)
+through one ``(order x row)`` plan over every order of the span, read from
+the exponent matrix of the degree <= max_order layout and limited to the
+truncation prefix; their weights are the exact integers
+``prod_j perm(s_j, n_j)`` rounded once (see ``series``).
 Translate rows come from one function, ``translate_rows`` (``translate``
 is its one-row case): the same plan with binomial factors
 ``comb(m + k, k)`` over every order k up to f's cutoff, summed by one matmul
@@ -46,9 +48,9 @@ from .series import (
     _checked_bytes,
     _checked_index,
     _checked_point,
+    _gather_rows,
+    _layout,
     coefficient_vector,
-    derivative_rows,
-    monomial_basis,
     translate_rows,
 )
 
@@ -124,10 +126,13 @@ def derivative_span(
             f"(truncation {truncation} + max_order {max_order}), "
             f"have {f.exact_degree}"
         )
-    orders = monomial_basis(f.dim, max_order)
+    # the orders are the basis of degree <= max_order, so none needs the
+    # index check; entries are capped at cutoff + 1, as derivative_rows does
+    orders = _layout(f.dim, max_order)
+    capped = np.minimum(orders.exponents, f.cutoff + 1)
     return SpanMatrix(
-        matrix=derivative_rows(f, orders, truncation),
-        row_labels=tuple(orders),
+        matrix=_gather_rows(f, capped, truncation),
+        row_labels=tuple(orders.position),
         truncation=truncation,
         dim=f.dim,
         max_order=max_order,
@@ -268,7 +273,10 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     """Numerical rank of the (row-normalized) span matrix via SVD.
 
     rank = number of singular values above tolerance * largest; the full
-    spectrum is returned as diagnostics.  Deterministic for fixed input.
+    spectrum is returned as diagnostics.  Deterministic for fixed input on
+    the same numpy and BLAS build with the same BLAS thread count: the SVD's
+    blocked reductions depend on the thread count, so another count can move
+    the last bits of the small singular values.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -277,7 +285,7 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     m = span.matrix.copy()
     peak = np.abs(m).max(axis=1)
     scaled = peak > 0  # zero rows stay as they are
-    m[scaled] /= peak[scaled, None]
+    np.divide(m, peak[:, None], out=m, where=scaled[:, None])
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         rank = 0

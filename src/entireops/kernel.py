@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import CROperator, apply_weyl
-from .series import TruncatedSeries, _layout, worst
+from .series import TruncatedSeries, _checked_layout, _layout, worst
 
 #: solver aborts when a coefficient magnitude passes this (overflow hygiene)
 GROWTH_LIMIT = 1e150
@@ -78,9 +78,9 @@ def solve_kernel_axis(problem: AxisKernelProblem, degree: int) -> TruncatedSerie
     """Solve the axis recurrence upward from the seeds; exact to the degree."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    # the layout of the result refuses a degree past its budget, before the
-    # list of degree + 1 coefficients exists
-    _layout(1, degree)
+    # the layout check of the result refuses a degree past its budget, before
+    # the list of degree + 1 coefficients exists
+    _checked_layout(1, degree)
     p = problem.order
     c = problem.charpoly
     n_coeffs = degree + 1

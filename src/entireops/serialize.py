@@ -262,8 +262,8 @@ def _scalar_text(value: Any) -> str:
         return "false"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return repr(value)
+    if isinstance(value, int):  # an int subclass (an IntEnum member) as its number
+        return int.__repr__(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite float {value} cannot be serialized")

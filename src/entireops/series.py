@@ -14,8 +14,13 @@ re-truncation is a slice.  Two pieces of bookkeeping ride along:
   beyond the cutoff are genuine zeros.
 
 The tables behind the layout (basis, index positions, exponent matrix and
-degrees, unit-step gather maps, per-axis derivative weights) are built once
-per ``(dim, cutoff)`` and owned by this module.  Differentiation and
+degrees, unit-step gather maps, per-axis derivative weights) are owned by
+this module and built once per ``(dim, cutoff)``, the first time a gather or
+a lookup reads them: the exponent matrix by one numpy gather per dim level
+(``_graded_exponents``), and the per-axis weights as one step table per
+cutoff, shared by every dim (``_step_weight``).  A series, or a solve, that
+needs only the size of its basis makes the layout's budget check
+(``_checked_layout``, cached) and builds no table.  Differentiation and
 coordinate multiplication are a gather and a scatter on the leading axis
 (``_gather_derivative``, ``_scatter_coordinate``), so the same kernels act
 on one coefficient vector or on a ``(basis size, batch)`` block of them;
@@ -123,7 +128,8 @@ class _Layout(NamedTuple):
     unit_weight: tuple[np.ndarray, ...]
     #: ``perm(m + n, n)`` at [n, m], the weight of D^n on exponent m along one
     #: axis, for ``m + n <= cutoff`` (0 elsewhere, so row ``cutoff + 1`` is all
-    #: 0): exact integers and their floats (inf past the float range)
+    #: 0): exact integers and their floats (inf past the float range); one
+    #: table per cutoff, shared by every dim (``_step_weight``)
     step_weight: tuple[np.ndarray, np.ndarray]
 
 
@@ -137,14 +143,6 @@ def _rounded(exact: np.ndarray) -> np.ndarray:
     out = np.full(exact.shape, math.inf)
     out[fits] = exact[fits].astype(float)
     return out
-
-
-def _degree_indices(dim: int, degree: int) -> list[Index]:
-    """The indices of total degree ``degree`` in lex order, first entry ascending."""
-    if dim == 1:
-        return [(degree,)]
-    return [(e, *tail) for e in range(degree + 1)
-            for tail in _degree_indices(dim - 1, degree - e)]
 
 
 #: the most bytes one layout's tables, or one call's row block, sample draw
@@ -162,6 +160,7 @@ def _checked_bytes(estimate: float, what: str) -> None:
         )
 
 
+@lru_cache(maxsize=256)
 def _checked_layout(dim: int, cutoff: int) -> None:
     """The one check of a layout's ``(dim, cutoff)``, before any table is built.
 
@@ -171,7 +170,10 @@ def _checked_layout(dim: int, cutoff: int) -> None:
     the exponent, degree and per-axis tables and in ``_lowering``'s; per
     cell of the ``(cutoff + 2) x (cutoff + 1)`` step table, a pointer, a
     float and an integer of at most log2(cutoff!) bits.  It bounds the
-    measured size from above.
+    measured size from above: the layouts of one cutoff share one step table
+    (``_step_weight``), and the estimate counts one per layout.  A passed
+    check is cached, so a series or a solve that needs only the size of its
+    basis pays a cache hit, not the estimate.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -184,26 +186,62 @@ def _checked_layout(dim: int, cutoff: int) -> None:
     _checked_bytes(estimate, f"the tables of degree <= {cutoff} in dim {dim}")
 
 
+def _graded_exponents(dim: int, cutoff: int) -> np.ndarray:
+    """The indices of degree <= ``cutoff`` in graded-lex order, as a ``(size, dim)`` matrix.
+
+    The degree-k block of dim d is, for e = 0 .. k in order, e prepended to
+    the degree-(k - e) block of dim d - 1; so each dim is one gather of the
+    rows of the one before, and dim 1 is 0 .. cutoff.
+    """
+    table = np.arange(cutoff + 1, dtype=np.intp).reshape(-1, 1)
+    if dim == 1:
+        return table
+    steps = np.arange(cutoff + 1)
+    degree = steps.repeat(steps + 1)  # the blocks (k, e), e = 0 .. k, in order
+    first = np.arange(len(degree)) - steps.cumsum().repeat(steps + 1)
+    lower = degree - first
+    count = np.ones(cutoff + 1, dtype=np.intp)  # rows per degree of dim 1
+    for _ in range(dim - 1):
+        end = count.cumsum()  # the rows per degree of the next dim
+        length = count[lower]
+        # row i of block (k, e) is the i-th row of degree k - e in the table
+        offset = (end - count)[lower] - (length.cumsum() - length)
+        rows = offset.repeat(length) + np.arange(length.sum())
+        table = np.column_stack((first.repeat(length), table[rows]))
+        count = end
+    return table
+
+
+@lru_cache(maxsize=64)
+def _step_weight(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_Layout.step_weight`` of ``cutoff``, one table shared by every dim.
+
+    Row n is ``perm(m + n, n) = (m + n) perm(m + n - 1, n - 1)``, the row
+    before it times ``m + n``, on Python integers; row ``cutoff + 1`` is
+    all 0.
+    """
+    rows = [[1] * (cutoff + 1)]
+    for n in range(1, cutoff + 1):
+        last = rows[-1]
+        rows.append([(m + n) * last[m] for m in range(cutoff + 1 - n)] + [0] * n)
+    rows.append([0] * (cutoff + 1))
+    exact = np.array(rows, dtype=object)
+    return exact, _rounded(exact)
+
+
 @lru_cache(maxsize=64)
 def _layout(dim: int, cutoff: int) -> _Layout:
     _checked_layout(dim, cutoff)
-    indices = [n for d in range(cutoff + 1) for n in _degree_indices(dim, d)]
-    exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
+    exponents = _graded_exponents(dim, cutoff)
     raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
-    steps = range(cutoff + 1)
-    step_weight = np.array(
-        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps]
-        + [[0] * len(steps)],
-        dtype=object,
-    )
     return _Layout(
         cutoff=cutoff,
-        position={n: i for i, n in enumerate(indices)},
+        position=dict(zip(zip(*exponents.T.tolist()), range(len(exponents)))),
         exponents=exponents,
         degree=exponents.sum(axis=1),
         raised=raised,
         unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
-        step_weight=(step_weight, _rounded(step_weight)),
+        step_weight=_step_weight(cutoff),
     )
 
 
@@ -251,7 +289,8 @@ class TruncatedSeries:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        size = len(_layout(self.dim, self.cutoff).position)  # checks dim and cutoff
+        _checked_layout(self.dim, self.cutoff)
+        size = _size(self.dim, self.cutoff)
         if not -1 <= self.exact_degree <= self.cutoff:
             raise ValueError(
                 f"exact_degree {self.exact_degree} outside [-1, {self.cutoff}]"
@@ -558,12 +597,11 @@ def derivative_rows(
     prefix, so a short truncation of a long series costs the truncation's
     size.  The first bad order raises the error ``differentiate`` would.
     """
-    layout = _layout(f.dim, f.cutoff)
     # entries capped at cutoff + 1 as Python integers, before the conversion
     checked = (_checked_index(f.dim, n, "derivative order") for n in orders)
     capped = [[min(e, f.cutoff + 1) for e in n] for n in checked]
     table = np.array(capped, dtype=np.intp).reshape(len(orders), f.dim)
-    return _gather_rows(f, table, degree, layout.step_weight)
+    return _gather_rows(f, table, degree)
 
 
 def _checked_rows(dim: int, cutoff: int, count: int, degree: int, lowest: int) -> int:
@@ -585,9 +623,12 @@ def _checked_rows(dim: int, cutoff: int, count: int, degree: int, lowest: int) -
 
 
 def _gather_rows(
-    f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple
+    f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple | None = None
 ) -> np.ndarray:
     """One plan call with ``factors`` and one gather: the rows of checked orders.
+
+    ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``;
+    ``factors`` defaults to the layout's ``step_weight``, as in the plan.
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
     gathered; the rest of each row is zero.  ``_checked_rows`` refuses a

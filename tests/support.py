@@ -1,7 +1,7 @@
 """Shared builders for the test suite: the two shipped operator families,
 a hypothesis strategy for random CR operators, the scalar semi-norm loop,
 the closed forms that check the library's raising and pairing, the
-reference report writers, and the bundled scenario objects."""
+reference layout and report writers, and the bundled scenario objects."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ import io
 import json
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 import entireops as eo
-from entireops import cli
+from entireops import cli, series
 from entireops.series import seminorm_rows
 
 #: real numbers bounded away from 0, so no drawn coefficient vanishes
@@ -108,6 +109,42 @@ def cr_operators(draw, dim: int, max_order: int = 3) -> eo.CROperator:
 
 
 # ---------------------------------------------------------------------------
+# reference layout: the basis by recursion and the step table by one
+# math.perm per cell, kept as the oracle of series._layout
+# ---------------------------------------------------------------------------
+
+
+def _reference_degree_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
+    """The indices of total degree ``degree`` in lex order, first entry ascending."""
+    if dim == 1:
+        return [(degree,)]
+    return [(e, *tail) for e in range(degree + 1)
+            for tail in _reference_degree_indices(dim - 1, degree - e)]
+
+
+def reference_layout(dim: int, cutoff: int) -> series._Layout:
+    """``series._layout(dim, cutoff)`` built index by index and cell by cell."""
+    indices = [n for d in range(cutoff + 1) for n in _reference_degree_indices(dim, d)]
+    exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
+    raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
+    steps = range(cutoff + 1)
+    step_weight = np.array(
+        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps]
+        + [[0] * len(steps)],
+        dtype=object,
+    )
+    return series._Layout(
+        cutoff=cutoff,
+        position={n: i for i, n in enumerate(indices)},
+        exponents=exponents,
+        degree=exponents.sum(axis=1),
+        raised=raised,
+        unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
+        step_weight=(step_weight, series._rounded(step_weight)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # reference report writers: the plain recursive walk that
 # serialize.to_json_text and serialize._scalar_text replace, kept as the
 # oracle of their text and of their refusals
@@ -135,7 +172,7 @@ def reference_scalar_text(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, int):
-        return repr(value)
+        return int.__repr__(value)
     if isinstance(value, float):
         return _reference_fmt_float(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

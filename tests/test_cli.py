@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import enum
 import io
 import json
 import math
@@ -1136,6 +1137,13 @@ def test_float_formatting_17_digits():
     assert '"flag": true' in text
 
 
+class _Level(enum.IntEnum):
+    """An int subclass: written as the number it holds, not as its repr."""
+
+    LOW = 1
+    HIGH = 2
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
@@ -1147,9 +1155,10 @@ def test_float_formatting_17_digits():
         ([{"x": 1}, 2], '[\n  {\n    "x": 1\n  },\n  2\n]'),
         ((1, "a"), '[1, "a"]'),
         ([None, True, False, "q\"", 0.5, -3], '[null, true, false, "q\\"", 0.5, -3]'),
+        ({"a": _Level.HIGH, "b": [_Level.LOW]}, '{\n  "a": 2,\n  "b": [1]\n}'),
     ],
     ids=["empty-object", "empty-list", "nested-empty-object", "nested-empty-list",
-         "lists-of-scalars", "object-in-list", "tuple", "mixed-scalars"],
+         "lists-of-scalars", "object-in-list", "tuple", "mixed-scalars", "int-enum"],
 )
 def test_json_text_layout(value, text):
     assert serialize.to_json_text(value) == text + "\n"
@@ -1178,6 +1187,7 @@ def test_csv_text_quotes_what_its_cells_hold():
     ]
     text = serialize.to_csv_text(("k", "u", "ratio"), [(0, 1 / 3, None)])
     assert text == "k,u,ratio\n0,0.33333333333333331,\n"
+    assert serialize.to_csv_text(("k",), [(_Level.HIGH,)]) == "k\n2\n"
 
 
 class _Text(str):
@@ -1202,7 +1212,8 @@ _CELLS = _sometimes(
     | _FINITE
     | _FINITE.map(np.float64)
     | _TEXT
-    | _TEXT.map(_Text),
+    | _TEXT.map(_Text)
+    | st.sampled_from(_Level),
     st.sampled_from(
         [math.nan, math.inf, -math.inf, np.float64(math.nan), np.int64(7), np.bool_(True), object()]
     ),

@@ -16,7 +16,8 @@ import entireops as eo
 from entireops import series
 from entireops.series import seminorm_rows, worst
 from support import (
-    cr_operators, gaussian_problem, max_coeff_diff, scalar_seminorm, seminorm_row
+    cr_operators, gaussian_problem, max_coeff_diff, reference_layout, scalar_seminorm,
+    seminorm_row,
 )
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
@@ -283,6 +284,60 @@ def test_a_layout_past_the_budget_is_refused_before_any_table_exists(dim, cutoff
     assert peak < 2**16
 
 
+def assert_same_layout(built: series._Layout, expected: series._Layout) -> None:
+    """Every field equal: arrays in dtype, shape and entries, dicts in key order."""
+    for name, got, want in zip(built._fields, built, expected):
+        if name == "position":
+            assert list(got.items()) == list(want.items())
+            assert all(type(e) is int for n in got for e in n)
+        elif name == "cutoff":
+            assert got == want
+        else:  # an array, or a tuple of arrays
+            pairs = [(got, want)] if isinstance(got, np.ndarray) else zip(got, want, strict=True)
+            for a, b in pairs:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_layout_tables_equal_the_recursive_reference(dim):
+    for cutoff in range(25):
+        assert_same_layout(series._layout.__wrapped__(dim, cutoff), reference_layout(dim, cutoff))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_layout_tables_past_cutoff_170_equal_the_reference_inf_included(dim):
+    built = series._layout.__wrapped__(dim, 175)
+    assert_same_layout(built, reference_layout(dim, 175))
+    assert built.step_weight[1][175, 0] == math.inf  # 175! is past the float range
+
+
+def test_one_step_table_serves_every_dim_of_a_cutoff():
+    shared = series._step_weight(11)
+    assert all(series._layout(dim, 11).step_weight is shared for dim in range(1, 5))
+
+
+def test_a_series_or_a_one_axis_solve_builds_no_layout():
+    before = series._layout.cache_info().misses
+    # (dim, cutoff) pairs no other test lays out
+    eo.TruncatedSeries(2, 43, 43, False, np.zeros(math.comb(45, 2)))
+    eo.solve_kernel_axis(gaussian_problem(), 47)
+    assert series._layout.cache_info().misses == before
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: eo.TruncatedSeries(2, 10**9, -1, False, np.zeros(1)),
+     lambda: eo.solve_kernel_axis(gaussian_problem(), 10**9)],
+    ids=["series", "solve"],
+)
+def test_a_size_check_refuses_an_oversized_layout_with_the_layout_message(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value).startswith("the tables of degree <= 1000000000 in dim ")
+    assert str(exc.value).endswith(f" bytes, past the budget of {2**28}")
+
+
 @pytest.mark.parametrize("dim, cutoff", [(1, 300), (2, 175), (3, 20), (12, 3)])
 def test_the_layout_estimate_bounds_the_built_tables(monkeypatch, dim, cutoff):
     # the largest layouts the tests build, per dimension; the budget is ten
@@ -290,16 +345,22 @@ def test_the_layout_estimate_bounds_the_built_tables(monkeypatch, dim, cutoff):
     series._layout(dim, cutoff)  # the lowering tables read the cached layout
     tracemalloc.start()
     try:
-        # past the cache: a layout's tables and its lowering tables
-        tables = series._layout.__wrapped__(dim, cutoff), series._lowering.__wrapped__(dim, cutoff)
+        # past the caches: a step table, a layout's other tables (its step
+        # table is the cached one) and its lowering tables
+        tables = (
+            series._step_weight.__wrapped__(cutoff),
+            series._layout.__wrapped__(dim, cutoff),
+            series._lowering.__wrapped__(dim, cutoff),
+        )
         built, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     del tables
-    series._checked_layout(dim, cutoff)
+    # past the cache of passed checks too, which holds the earlier pass
+    series._checked_layout.__wrapped__(dim, cutoff)
     monkeypatch.setattr(series, "_LAYOUT_BUDGET", built)
     with pytest.raises(ValueError, match="past the budget"):
-        series._checked_layout(dim, cutoff)
+        series._checked_layout.__wrapped__(dim, cutoff)
 
 
 def test_series_past_cutoff_170_build_solve_and_differentiate():
