@@ -32,13 +32,24 @@ numpy's bit for bit and written in pure Python at about 1 us a coordinate.
 So numpy's random module is never imported, and the samples, with the
 report bytes built on them, do not depend on the version of numpy's
 Generator.
+
+The library's two LAPACK calls, the SVD of ``rank_report`` and the solve of
+``approximate_target``, run inside ``_one_blas_thread``: when numpy's BLAS is
+the OpenBLAS its wheels bundle, the thread count is held at 1 for the call
+and then restored.  The blocked reductions of a threaded SVD follow the
+thread count, so this makes the printed singular values independent of it;
+they still depend on the numpy and BLAS build.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,8 +59,10 @@ from .series import (
     _checked_bytes,
     _checked_index,
     _checked_point,
+    _checked_rows,
     _gather_rows,
     _layout,
+    _size,
     coefficient_vector,
     translate_rows,
 )
@@ -126,8 +139,10 @@ def derivative_span(
             f"(truncation {truncation} + max_order {max_order}), "
             f"have {f.exact_degree}"
         )
-    # the orders are the basis of degree <= max_order, so none needs the
-    # index check; entries are capped at cutoff + 1, as derivative_rows does
+    # the block is refused before the orders' layout is built; the orders are
+    # the basis of degree <= max_order, so none needs the index check, and
+    # entries are capped at cutoff + 1, as derivative_rows does
+    _checked_rows(f.dim, f.cutoff, _size(f.dim, max_order), truncation, 0)
     orders = _layout(f.dim, max_order)
     capped = np.minimum(orders.exponents, f.cutoff + 1)
     return SpanMatrix(
@@ -269,14 +284,89 @@ def sample_box(
     return [tuple([low + width * next(u) for _ in range(dim)]) for _ in range(count)]
 
 
+@cache
+def _openblas_thread_calls() -> tuple | None:
+    """The (get, set) thread-count calls of the OpenBLAS numpy's wheel loaded, or None.
+
+    Looked up once, at the first LAPACK call, not at import.  The wheel
+    keeps its libraries in ``numpy.libs`` beside the package; another BLAS
+    (MKL, Accelerate, a system build) has no such directory or symbol, and
+    is left as it is.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        # numpy 2 wheels, numpy 1.x wheels, then an unsuffixed build
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads"):
+            get = getattr(lib, symbol.format("get"), None)
+            set_ = getattr(lib, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: numpy's OpenBLAS runs on one thread inside, as before outside.
+
+    Entries are counted under a lock, so nested entries, an exception and
+    Python threads that overlap all leave the caller's count as it was: the
+    first entrant saves it and sets 1, the last one out restores it.  With
+    no OpenBLAS setter the calls run unpinned.
+
+    One thread is the one count every host has, so a build's bytes do not
+    depend on the thread setting.  It is also the faster count for every
+    span the tasks build today; on a 2-core host two threads win from
+    somewhere between 350 x 350 and 455 x 455 complex (1000 x 1000: 0.73 to
+    0.90 s against 0.49 to 0.58 s), sizes the spans of d=3 N=12 and d=4 N=8
+    reach.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            calls = _openblas_thread_calls()
+            if calls is not None and self._depth == 0:
+                get, set_ = calls
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            calls = _openblas_thread_calls()
+            if calls is not None and self._depth == 0:
+                calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     """Numerical rank of the (row-normalized) span matrix via SVD.
 
     rank = number of singular values above tolerance * largest; the full
     spectrum is returned as diagnostics.  Deterministic for fixed input on
-    the same numpy and BLAS build with the same BLAS thread count: the SVD's
-    blocked reductions depend on the thread count, so another count can move
-    the last bits of the small singular values.
+    the same numpy and BLAS build.  When that BLAS is the OpenBLAS numpy's
+    wheels bundle, the SVD runs on one BLAS thread (``_one_blas_thread``),
+    so the values do not depend on the thread count; under another BLAS a
+    different thread count can still move the last bits of the small ones.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -286,7 +376,8 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     peak = np.abs(m).max(axis=1)
     scaled = peak > 0  # zero rows stay as they are
     np.divide(m, peak[:, None], out=m, where=scaled[:, None])
-    sv = np.linalg.svd(m, compute_uv=False)
+    with _one_blas_thread:
+        sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         rank = 0
     else:
@@ -324,7 +415,8 @@ def approximate_target(
     a = span.matrix.T
     t = coefficient_vector(target, truncation)
     with np.errstate(over="ignore", invalid="ignore"):
-        c, _, _, _ = np.linalg.lstsq(a, t, rcond=None)
+        with _one_blas_thread:
+            c, _, _, _ = np.linalg.lstsq(a, t, rcond=None)
         defect = a @ c - t
         residual = float(np.linalg.norm(defect))
         if residual == math.inf:  # the sum of squares overflowed, not the norm

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
-from entireops import cli, serialize
+from entireops import cli, completeness, serialize
 from support import (
     airy_problem,
     bundled_object,
@@ -1105,6 +1105,39 @@ def test_a_scenario_run_loads_neither_numpy_random_nor_argparse():
 # ---------------------------------------------------------------------------
 # determinism and emission
 # ---------------------------------------------------------------------------
+
+
+def test_a_span_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the SVD of a 286 x 286 span, which OpenBLAS threads when it may
+    if completeness._openblas_thread_calls() is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+    obj = bundled_object("gaussian2d")
+    axis_op, problem = obj["operators"][0], dict(obj["generator"]["kernel"][0], degree=20)
+    obj.update(
+        dimension=3,
+        truncation=20,
+        operators=[
+            dict(axis_op, dim=3, axis=j,
+                 symbol=[dict(axis_op["symbol"][0], idx=[int(i == j) for i in (1, 2, 3)])])
+            for j in (1, 2, 3)
+        ],
+        generator={"kernel": [problem] * 3},
+        tasks=[{"task": "complete", "truncation": 10, "max_order": 10, "expect_complete": True}],
+    )
+    path = tmp_path / "span_d3.json"
+    path.write_text(json.dumps(obj))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-m", "entireops", "run", str(path)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        outs.append(done.stdout)
+    assert b'"rank": 286' in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_repeat_runs_are_bytewise_identical():

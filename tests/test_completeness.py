@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from entireops import series
+from entireops import completeness, series
 from support import SCALAR, airy_problem, gaussian_problem
 
 # the benchmark's exact GF(2^31 - 1) span ranks, independent of entireops
@@ -683,6 +684,14 @@ def test_a_block_past_the_budget_is_refused_before_it_exists(call, match):
     assert traced_peak(refused) < 2**26
 
 
+def test_derivative_span_is_refused_before_its_orders_layout_is_built():
+    f = eo.make_series(2, 3, {(3, 0): 1.0}, True)
+    misses = series._layout.cache_info().misses
+    with pytest.raises(ValueError, match="31626 rows of degree <= 250 in dim 2 would take"):
+        eo.derivative_span(f, 250, 250)
+    assert series._layout.cache_info().misses == misses
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -698,3 +707,106 @@ def test_the_block_estimate_bounds_the_built_block(monkeypatch, call):
     monkeypatch.setattr(series, "_LAYOUT_BUDGET", peak)
     with pytest.raises(ValueError, match="past the budget"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# LAPACK calls on one BLAS thread
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to 2 for the test."""
+    calls = completeness._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+    get, set_ = calls
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+def gaussian_span_3d() -> eo.SpanMatrix:
+    """The 165 x 165 span of d=3 N=8, large enough for OpenBLAS to thread."""
+    return eo.derivative_span(eo.joint_kernel([gaussian_problem()] * 3, 16), 8, 8)
+
+
+def counting_threads(monkeypatch, get, name: str) -> list[int]:
+    """Record the thread count at each call of ``np.linalg.<name>``."""
+    seen = []
+    real = getattr(np.linalg, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def test_lapack_calls_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_threads):
+    svd_threads = counting_threads(monkeypatch, blas_threads, "svd")
+    lstsq_threads = counting_threads(monkeypatch, blas_threads, "lstsq")
+    eo.rank_report(gaussian_span_3d(), 1e-8)
+    f = eo.solve_kernel_axis(gaussian_problem(), 6)
+    eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
+    assert (svd_threads, lstsq_threads) == ([1], [1])
+    assert blas_threads() == 2
+
+
+def test_a_raising_lapack_call_restores_the_thread_count(monkeypatch, blas_threads):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        eo.rank_report(gaussian_span_3d(), 1e-8)
+    assert blas_threads() == 2
+
+
+def test_nested_pins_restore_the_count_on_the_last_exit(blas_threads):
+    pin = completeness._one_blas_thread
+    with pin:
+        with pin:
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_overlapping_threads_leave_the_count_unchanged(blas_threads):
+    span = gaussian_span_3d()
+    want = eo.rank_report(span, 1e-8)
+    got = []
+
+    def work():
+        got.extend(eo.rank_report(span, 1e-8) for _ in range(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(3)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * 60
+    assert blas_threads() == 2
+
+
+def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
+    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: None)
+    span = gaussian_span_3d()
+    m = span.matrix / np.abs(span.matrix).max(axis=1)[:, None]
+    sv = np.linalg.svd(m, compute_uv=False)
+    assert eo.rank_report(span, 1e-8).singular_values == tuple(float(s) for s in sv)
+    f = eo.joint_kernel([gaussian_problem(), gaussian_problem()], 12)
+    target = eo.monomial(2, 6, (1, 2))
+    c = np.linalg.lstsq(
+        eo.derivative_span(f, 6, 6).matrix.T, eo.coefficient_vector(target, 6), rcond=None
+    )[0]
+    got = eo.approximate_target(f, target, 6, 6)
+    assert got.coefficients == tuple(complex(v) for v in c)
