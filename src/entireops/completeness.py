@@ -17,7 +17,8 @@ Translate rows come from one function, ``translate_rows`` (``translate``
 is its one-row case): the same plan with binomial factors
 ``comb(m + k, k)`` over every order k up to f's cutoff, summed by one matmul
 with the sample powers ``s^k``.  Each sample goes through the one point
-check, ``series._checked_point``, and ``translate_rows`` emits the one
+check, ``series._checked_point``, once, in ``translate_span``;
+``translate_rows`` takes the checked points and emits the one
 ApproximationWarning of the call, at the caller of ``translate_span``, when
 f is a truncation rather than a polynomial.
 

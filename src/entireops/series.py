@@ -27,24 +27,24 @@ on one coefficient vector or on a ``(basis size, batch)`` block of them;
 linear combination is vector arithmetic.  Every gather of D^n goes through
 one plan, ``_derivative_plan``: for a ``(K, dim)`` array of orders it builds
 only the leading rows it is asked for, as ``(K, rows)`` grids of source
-positions and weights, from one factor lookup and one lookup into a table of
-unit-step powers per axis and one mask for the cells past the cutoff.
-``derivative_rows`` (the rows of a derivative span) is one plan call and one
-gather; ``_gather_derivative`` (behind ``differentiate`` and the operator
-kernels) runs the plan with K = 1, or slices the cached tables for a unit
-order.  A weight is the exact integer ``prod_j perm(s_j, n_j)`` rounded
-once: the product of the rounded per-axis factors below 2^53, where every
-factor and partial product is exact; above it, a cell with two or more
-non-unit factors is recomputed from exact integers, and past the float range
-the plan raises OverflowError.  The exactness rule of a ``z^alpha D^beta``
-term is stated once, ``_exact_after``: ``differentiate``,
-``multiply_coordinate`` and ``operators.apply_weyl`` all read it, and
-``derivative_rows`` carries the rules of the derivatives it stands for.  The
-semi-norm upper sum has one form, ``seminorm_rows``, over a block of
-coefficient rows; each row gets the number of a scalar loop over its terms
-in graded-lex order.  Translation is the same plan, built in one place,
-``translate_rows``: ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``, so it
-runs the plan over every order k with ``||k|| <= cutoff``, per-axis
+positions and weights, per axis from two one-dimensional takes of a factor
+table and one of a table of unit-step powers, and a mask for the cells past
+the cutoff if some cell is.  ``derivative_rows`` (the rows of a derivative
+span) is one plan call and one gather; ``_gather_derivative`` (behind
+``differentiate`` and the operator kernels) runs the plan with K = 1, or
+slices the cached tables for a unit order.  A weight is the exact integer
+``prod_j perm(s_j, n_j)`` rounded once: the product of the rounded per-axis
+factors below 2^53, where every factor and partial product is exact; above
+it, a cell with two or more non-unit factors is recomputed from exact
+integers, and past the float range the plan raises OverflowError.  The
+exactness rule of a ``z^alpha D^beta`` term is stated once, ``_exact_after``:
+``differentiate``, ``multiply_coordinate`` and ``operators.apply_weyl`` all
+read it, and ``derivative_rows`` carries the rules of the derivatives it
+stands for.  The semi-norm upper sum has one form, ``seminorm_rows``, over a
+block of coefficient rows; each row gets the number of a scalar loop over
+its terms in graded-lex order.  Translation is the same plan, built in one
+place, ``translate_rows``: ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``,
+so it runs the plan over every order k with ``||k|| <= cutoff``, per-axis
 factors ``comb(m + k, k)`` in place of ``perm(m + k, k)``, sums the
 gathered rows with one matmul ``V @ B``, ``V[s, k] = s^k``, and emits the
 one ApproximationWarning; ``translate`` is its one-row case.  Its byte
@@ -460,38 +460,52 @@ def _derivative_plan(
     the per-axis ``(exact, rounded)`` table laid out as ``step_weight``
     (which it defaults to): the factor of order n_j on exponent m_j at [n_j,
     m_j], 0 for ``m_j + n_j > cutoff``.  Cell (k, m) of order n reads the
-    index s = m + n: per axis j that some order steps along, one lookup of
-    the rounded factor (``perm(s_j, n_j)`` by default) and one of the n_j-th
+    index s = m + n: per axis j that some order steps along, the rounded
+    factor (``perm(s_j, n_j)`` by default) is a take of the table's columns
+    by m_j, then of its rows by n_j, and the position a take of the n_j-th
     power of ``raised[j]`` in a table built for this call (``_unit_powers``).
-    The weight, the exact product of the factors rounded once, is the
-    product of the rounded factors below 2^53, where every factor and
-    partial product is an exact integer; at or above it the cells with two
-    or more non-unit factors are recomputed from the exact integers.  One
-    mask gives weight 0 to a cell with ``||s|| > cutoff`` (an
-    over-differentiated short polynomial), whose position stays inside the
-    basis; every other weight is at least 1, and one past the float range
-    raises OverflowError.
+    Later axes write into the grids, so a call allocates three.  The weight,
+    the exact product of the factors rounded once, is the product of the
+    rounded factors below 2^53, where every factor and partial product is an
+    exact integer; at or above it the cells with two or more non-unit
+    factors are recomputed from the exact integers.  A mask gives weight 0
+    to a cell with ``||s|| > cutoff`` (an over-differentiated short
+    polynomial), whose position stays inside the basis; only a plan whose
+    last row's degree plus largest ``||n||`` passes the cutoff builds it, so
+    a derivative span builds none.  Every other weight is at least 1, and
+    one past the float range raises OverflowError.
     """
     exact, rounded = layout.step_weight if factors is None else factors
     tops = orders.max(axis=0).tolist()
-    source, weight = np.arange(rows), None
+    size = len(layout.exponents)
+    source = weight = scratch = None
     for j, top in enumerate(tops):
         if top:
-            n = orders[:, j, None]
-            factor = rounded[n, layout.exponents[:rows, j]]
-            if weight is None:  # the first factor is the weight: one grid fewer
-                weight = factor
-            else:  # an overflow, or inf x 0 in a masked cell, is guarded below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    weight = weight * factor
-            source = _unit_powers(layout, j, top)[n, source]
+            n = orders[:, j]
+            column = rounded[: top + 1].take(layout.exponents[:rows, j], axis=1)
+            powers = _unit_powers(layout, j, top)
+            if weight is None:  # the first axis that steps fills both grids
+                weight = column.take(n, axis=0)
+                source = powers[:, :rows].take(n, axis=0)
+                continue
+            if scratch is None:
+                scratch = np.empty(weight.shape)
+            # indices are in range; "clip" writes out directly, "raise" a copy
+            column.take(n, axis=0, out=scratch, mode="clip")
+            # an overflow, or inf x 0 in a masked cell, is guarded below
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(weight, scratch, out=weight)
+            at = scratch.view(np.int64)  # row n_j of the flattened table
+            np.add(source, (n * size)[:, None], out=at)
+            powers.take(at, out=source, mode="clip")
     if weight is None:  # every order is the zero order
-        return source[None].repeat(len(orders), axis=0), np.ones((len(orders), rows))
-    # the degree a cell can reach: the last row plus every axis's largest step
-    reach = int(layout.degree[rows - 1]) + sum(tops)
-    if reach > layout.cutoff:  # some cell may lie past the cutoff
-        inside = layout.degree[:rows] + orders.sum(axis=1)[:, None] <= layout.cutoff
-        weight[~inside] = 0.0
+        return np.arange(rows)[None].repeat(len(orders), axis=0), np.ones((len(orders), rows))
+    # the degree a cell can reach: the last row plus the largest order's
+    total = orders.sum(axis=1)
+    reach = int(layout.degree[rows - 1]) + int(total.max())
+    if reach > layout.cutoff:  # some cell lies past the cutoff
+        outside = layout.degree[:rows] + total[:, None] > layout.cutoff
+        np.copyto(weight, 0.0, where=outside)
     # a weight is at most ||s||! <= reach!, so most plans check no cell
     if math.factorial(min(reach, layout.cutoff)) >= 2**53 and weight.max() >= 2.0**53:
         if len(tops) - tops.count(0) > 1:
@@ -672,9 +686,11 @@ def _checked_translates(dim: int, cutoff: int, count: int, degree: int) -> None:
 
 
 def translate_rows(
-    f: TruncatedSeries, shifts: Sequence[Sequence[complex]], degree: int
+    f: TruncatedSeries, shifts: Sequence[tuple[complex, ...]], degree: int
 ) -> np.ndarray:
     """Row i is the degree <= ``degree`` coefficient vector of ``f(z + shifts[i])``.
+
+    Each shift is a point its caller checked (``_checked_point``).
 
     ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``: one plan over every
     order k with ``||k|| <= cutoff``, per-axis factors ``comb(m + k, k)``,
@@ -688,7 +704,6 @@ def translate_rows(
     covers every nonzero shift of the call; it names the caller of
     ``translate`` or ``completeness.translate_span``, the two callers.
     """
-    shifts = [_checked_point(f.dim, s, "shift") for s in shifts]
     layout = _layout(f.dim, f.cutoff)
     _checked_translates(f.dim, f.cutoff, len(shifts), degree)
     factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: the two shipped operator families,
 a hypothesis strategy for random CR operators, the scalar semi-norm loop,
 the closed forms that check the library's raising and pairing, the
-reference layout and report writers, and the bundled scenario objects."""
+reference layout, plan and report writers, and the bundled scenario
+objects."""
 
 from __future__ import annotations
 
@@ -109,8 +110,9 @@ def cr_operators(draw, dim: int, max_order: int = 3) -> eo.CROperator:
 
 
 # ---------------------------------------------------------------------------
-# reference layout: the basis by recursion and the step table by one
-# math.perm per cell, kept as the oracle of series._layout
+# reference layout and plan: the basis by recursion, the step table and each
+# plan cell by math.perm, kept as the oracles of series._layout and
+# series._derivative_plan
 # ---------------------------------------------------------------------------
 
 
@@ -142,6 +144,32 @@ def reference_layout(dim: int, cutoff: int) -> series._Layout:
         unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
         step_weight=(step_weight, series._rounded(step_weight)),
     )
+
+
+def reference_plan(
+    dim: int, cutoff: int, orders: list[tuple[int, ...]], rows: int, binomial: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``series._derivative_plan`` over ``(dim, cutoff)``, cell by cell.
+
+    Cell (k, m) reads s = m + n, for n = ``orders[k]`` and m the m-th index
+    of the basis.  Where ``||s|| <= cutoff`` its weight is the exact integer
+    ``prod_j perm(s_j, n_j)`` (``comb`` for binomial factors) rounded once,
+    and its source is the position of s; past the cutoff the weight is 0 and
+    the source -1, a cell the plan may place anywhere in the basis.  Raises
+    the OverflowError of ``float`` where a weight is past the float range.
+    """
+    basis = [n for d in range(cutoff + 1) for n in _reference_degree_indices(dim, d)]
+    position = {n: i for i, n in enumerate(basis)}
+    factor = math.comb if binomial else math.perm
+    source = np.full((len(orders), rows), -1, dtype=np.intp)
+    weight = np.zeros((len(orders), rows))
+    for k, n in enumerate(orders):
+        for i, m in enumerate(basis[:rows]):
+            s = tuple(a + b for a, b in zip(m, n))
+            if sum(s) <= cutoff:
+                source[k, i] = position[s]
+                weight[k, i] = float(math.prod(factor(a, b) for a, b in zip(s, n)))
+    return source, weight
 
 
 # ---------------------------------------------------------------------------

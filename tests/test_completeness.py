@@ -696,10 +696,12 @@ def test_derivative_span_is_refused_before_its_orders_layout_is_built():
     "call",
     [
         lambda: eo.derivative_span(one_axis_gaussian_2d(24), 12, 12),
+        # three stepping axes: the plan's scratch grid is alive with its two others
+        lambda: eo.derivative_span(eo.joint_kernel([gaussian_problem()] * 3, 20), 10, 10),
         lambda: series.translate_rows(eo.monomial(2, 24, (1, 1)), [(0.5, 0.25)] * 5, 24),
         lambda: eo.sample_box(3, 4000, 0),
     ],
-    ids=["derivative_span", "translate_block", "sample_box"],
+    ids=["derivative_span", "derivative_span_d3", "translate_block", "sample_box"],
 )
 def test_the_block_estimate_bounds_the_built_block(monkeypatch, call):
     call()  # the layouts are cached from here on

@@ -10,14 +10,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
 from entireops import series
 from entireops.series import seminorm_rows, worst
 from support import (
-    cr_operators, gaussian_problem, max_coeff_diff, reference_layout, scalar_seminorm,
-    seminorm_row,
+    cr_operators, gaussian_problem, max_coeff_diff, reference_layout, reference_plan,
+    scalar_seminorm, seminorm_row,
 )
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
@@ -395,6 +395,57 @@ def test_an_inf_factor_in_a_masked_cell_leaves_the_per_order_rows():
         rows = series.derivative_rows(f, orders, 175)
     expected = [eo.coefficient_vector(eo.differentiate(f, n), 175) for n in orders]
     assert np.array_equal(rows, expected)
+
+
+@st.composite
+def plan_cases(draw):
+    """A layout, up to three orders (the zero order among the draws), a row count, a factor kind."""
+    dim = draw(st.integers(1, 4))
+    # past cutoff 170 only in dims 1 and 2, whose bases stay small there
+    cutoff = draw(st.integers(0, 30) | st.just(172) if dim <= 2 else st.integers(0, 30))
+    entry = st.integers(0, cutoff + 1)
+    order = st.just((0,) * dim) | st.tuples(*[entry] * dim)
+    orders = draw(st.lists(order, min_size=1, max_size=3))
+    rows = draw(st.integers(1, math.comb(cutoff + dim, dim)))
+    return dim, cutoff, orders, rows, draw(st.booleans())
+
+
+def binomial_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """``comb(m + n, n)`` at [n, m] for ``m + n <= cutoff``, laid out as the step table."""
+    exact = np.array(
+        [[math.comb(m + n, n) if m + n <= cutoff else 0 for m in range(cutoff + 1)]
+         for n in range(cutoff + 2)],
+        dtype=object,
+    )
+    return exact, series._rounded(exact)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plan_cases())
+@example((1, 172, [(171,)], 2, False))  # 171! is past the float range
+@example((2, 172, [(0, 0), (170, 2)], 3, False))  # 170! 2! is not: recomputed
+@example((2, 172, [(80, 6)], 3828, True))  # binomials past 2^53, recomputed
+@example((2, 0, [(1, 0), (0, 0)], 1, False))  # a step at cutoff 0
+def test_the_plan_equals_the_cell_by_cell_reference(case):
+    # weights bit for bit; a source wherever the weight is nonzero, and one
+    # inside the basis in every cell
+    dim, cutoff, orders, rows, binomial = case
+    layout = series._layout(dim, cutoff)
+    table = np.array(orders, dtype=np.intp)
+    factors = binomial_factors(cutoff) if binomial else None
+    try:
+        want_source, want_weight = reference_plan(dim, cutoff, orders, rows, binomial)
+    except OverflowError:
+        with pytest.raises(OverflowError, match="past the float range"):
+            series._derivative_plan(layout, table, rows, factors)
+        return
+    source, weight = series._derivative_plan(layout, table, rows, factors)
+    assert (source.dtype, weight.dtype) == (np.intp, np.float64)
+    assert weight.shape == want_weight.shape and weight.tobytes() == want_weight.tobytes()
+    inside = want_weight != 0
+    assert np.array_equal(source[inside], want_source[inside])
+    assert source.shape == want_source.shape
+    assert 0 <= source.min() and source.max() < len(layout.exponents)
 
 
 def test_worst_keeps_a_nan_in_any_position():
