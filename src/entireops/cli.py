@@ -19,14 +19,13 @@ Output is bytewise reproducible for equal scenario + seed.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import json
 import math
 import warnings
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence, TextIO
 
 from .completeness import (
     derivative_span,
@@ -192,8 +191,7 @@ def task_params(task: Any, scn: Scenario) -> dict[str, Any]:
     return read_object(task, {"task": (None, REQUIRED), **TASK_PARAMS[kind]}, f"{kind} task", fit)
 
 
-@dataclasses.dataclass
-class Scenario:
+class Scenario(NamedTuple):
     dimension: int
     truncation: int
     tolerance: float
@@ -274,8 +272,7 @@ def parse_scenario(obj: Any) -> Scenario:
             f"explicit generator has dim {explicit.dim}, scenario declares {dimension}"
         )
     scn = Scenario(**header, kernel_problems=kernel_problems, explicit_generator=explicit)
-    scn.tasks = [task_params(task, scn) for task in scn.tasks]
-    return scn
+    return scn._replace(tasks=[task_params(task, scn) for task in scn.tasks])
 
 
 def load_scenario(source: str) -> Scenario:
@@ -697,7 +694,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         scn = load_scenario(args.scenario)
         if args.command != "run":
-            scn = dataclasses.replace(scn, tasks=[task_params(_task_from_args(args), scn)])
+            scn = scn._replace(tasks=[task_params(_task_from_args(args), scn)])
         code, outputs = execute_tasks(
             scn, fmt=args.format, tolerance=args.tolerance, seed=args.seed
         )

@@ -49,13 +49,13 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .series import (
+    Record,
     TruncatedSeries,
     _checked_bytes,
     _checked_index,
@@ -69,8 +69,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class SpanMatrix:
+class SpanMatrix(Record):
     """Coefficient rows of a function system over the degree-<=N monomials.
 
     Row i holds the coefficients of the i-th system member in graded-lex
@@ -82,9 +81,20 @@ class SpanMatrix:
     row_labels: tuple
     truncation: int
     dim: int
-    max_order: int | None = None
+    max_order: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        row_labels: tuple,
+        truncation: int,
+        dim: int,
+        max_order: int | None = None,
+    ) -> None:
+        vars(self).update(
+            matrix=matrix, row_labels=row_labels, truncation=truncation,
+            dim=dim, max_order=max_order,
+        )
         ambient = math.comb(self.truncation + self.dim, self.dim)
         if self.matrix.ndim != 2 or self.matrix.shape[1] != ambient:
             raise ValueError(
@@ -95,8 +105,7 @@ class SpanMatrix:
             raise ValueError("row_labels must align with the matrix rows")
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     rank: int
     ambient_dim: int
     complete_at_truncation: bool
@@ -106,8 +115,7 @@ class CompletenessReport:
     singular_values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ApproximationResult:
+class ApproximationResult(NamedTuple):
     """Least-squares combination of derivative rows matching a target."""
 
     orders: tuple

@@ -36,15 +36,16 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .kernel import AxisKernelProblem, joint_kernel
 from .series import (
+    Entries,
     Index,
+    Record,
     SemiNormSpec,
     TruncatedSeries,
     _checked_axis,
@@ -57,8 +58,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class LadderVector:
+class LadderVector(Record):
     """Formal finite combination ``sum c_n [D^n f]`` over a fixed generator.
 
     The generator is given as one :class:`AxisKernelProblem` per axis; the
@@ -71,7 +71,8 @@ class LadderVector:
     generator: tuple[AxisKernelProblem, ...]
     terms: Mapping[Index, complex]
 
-    def __post_init__(self) -> None:
+    def __init__(self, generator: Sequence[AxisKernelProblem], terms: Entries) -> None:
+        vars(self).update(generator=generator, terms=terms)
         generator = tuple(self.generator)
         if not generator:
             raise ValueError("generator needs at least one axis problem")
@@ -217,8 +218,7 @@ def _realized_rows(
     return acc
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Semi-norm majorants of the raised iterates of one vector.
 
     ``u[k]`` is the coefficient upper bound of the k-fold raised vector on

@@ -19,20 +19,18 @@ of the two standard Airy solutions, not the Ai-normalized one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .operators import CROperator, apply_weyl
-from .series import TruncatedSeries, _checked_layout, _layout, worst
+from .series import Record, TruncatedSeries, _checked_layout, _layout, worst
 
 #: solver aborts when a coefficient magnitude passes this (overflow hygiene)
 GROWTH_LIMIT = 1e150
 
 
-@dataclass(frozen=True)
-class AxisKernelProblem:
+class AxisKernelProblem(Record):
     """One-axis kernel equation ``C(D) f = a z f`` plus its seeds.
 
     ``charpoly`` lists c_0 .. c_p of the convolution part; p >= 1 with
@@ -45,7 +43,10 @@ class AxisKernelProblem:
     a: complex
     seeds: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, charpoly: Sequence[complex], a: complex, seeds: Sequence[complex]
+    ) -> None:
+        vars(self).update(charpoly=charpoly, a=a, seeds=seeds)
         charpoly = tuple(complex(c) for c in self.charpoly)
         seeds = tuple(complex(s) for s in self.seeds)
         a = complex(self.a)
@@ -122,8 +123,7 @@ def joint_kernel(problems: Sequence[AxisKernelProblem], degree: int) -> Truncate
     return TruncatedSeries(dim, degree, degree, False, vector)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """Per-operator residual of a candidate joint-kernel element."""
 
     axes: tuple[int, ...]

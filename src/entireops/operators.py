@@ -38,14 +38,15 @@ by slot with the kernel's arithmetic on the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .series import (
+    Entries,
     Index,
+    Record,
     TruncatedSeries,
     _derivative_plan,
     _gather_derivative,
@@ -71,8 +72,7 @@ def _unit(dim: int, axis: int) -> Index:
     return tuple(1 if j == axis - 1 else 0 for j in range(dim))
 
 
-@dataclass(frozen=True)
-class WeylOperator:
+class WeylOperator(Record):
     """Normal-ordered polynomial differential operator sum c * z^zpow * D^dpow.
 
     Each term differentiates first (dpow), then multiplies by the monomial
@@ -85,7 +85,8 @@ class WeylOperator:
     dim: int
     terms: Mapping[TermKey, complex]
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, terms: Mapping[TermKey, complex]) -> None:
+        vars(self).update(dim=dim, terms=terms)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         clean: dict[TermKey, complex] = {}
@@ -226,8 +227,7 @@ def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial and not spilled, out)
 
 
-@dataclass(frozen=True)
-class ConvolutionSymbol:
+class ConvolutionSymbol(Record):
     """Characteristic-function data of a convolution operator.
 
     ``bcoeffs[n]`` is the coefficient ``b_n`` in the expansion
@@ -235,14 +235,15 @@ class ConvolutionSymbol:
     mapping or as (index, b_n) pairs and stored as a ``term_table`` in
     graded order.  Only finitely supported (polynomial) symbols are
     representable, which keeps every action decidable at finite truncation.
+    ``terms``, derived from the fields and not one of them, is
+    ``sum_n (b_n / n!) D^n`` as a normal-ordered Weyl table.
     """
 
     dim: int
     bcoeffs: Mapping[Index, complex]
-    #: ``sum_n (b_n / n!) D^n`` as a normal-ordered Weyl table
-    terms: Mapping[TermKey, complex] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, bcoeffs: Entries) -> None:
+        vars(self).update(dim=dim, bcoeffs=bcoeffs)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "bcoeffs", term_table(self.dim, self.bcoeffs))
@@ -276,18 +277,20 @@ def dual_pairing(sym: ConvolutionSymbol, f: TruncatedSeries) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class CROperator:
-    """One-axis operator ``T = M_conv - a * z_axis`` with nonzero ladder constant a."""
+class CROperator(Record):
+    """One-axis operator ``T = M_conv - a * z_axis`` with nonzero ladder constant a.
+
+    ``terms``, derived from the fields and not one of them, is
+    ``sum_n (b_n / n!) D^n - a z_axis`` as a normal-ordered Weyl table.
+    """
 
     dim: int
     axis: int
     a: complex
     conv: ConvolutionSymbol
-    #: ``sum_n (b_n / n!) D^n - a z_axis`` as a normal-ordered Weyl table
-    terms: Mapping[TermKey, complex] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, axis: int, a: complex, conv: ConvolutionSymbol) -> None:
+        vars(self).update(dim=dim, axis=axis, a=a, conv=conv)
         object.__setattr__(self, "axis", _checked_axis(self.dim, self.axis))
         a = complex(self.a)
         if a == 0:
@@ -308,8 +311,7 @@ class CROperator:
 Operator = WeylOperator | ConvolutionSymbol | CROperator
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     """Worst commutator defect per (operator axis, partial axis) pair."""
 
     residuals: Mapping[tuple[int, int], float]

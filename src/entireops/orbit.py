@@ -18,7 +18,7 @@ labels the value accordingly and nothing here extrapolates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .operators import CROperator, apply_weyl
 from .series import SemiNormSpec, TruncatedSeries, _checked_bytes, coefficient_vector, seminorm_rows
 
 
-@dataclass(frozen=True)
-class VisitReport:
+class VisitReport(NamedTuple):
     """Visit statistics of an orbit of ``steps`` steps, in the order they are written."""
 
     steps: int

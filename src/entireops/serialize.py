@@ -20,7 +20,6 @@ by the same function as strings.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from json.encoder import encode_basestring_ascii
@@ -273,6 +272,8 @@ def _scalar_text(value: Any) -> str:
 
 def to_csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     """CSV text of rows by the ``csv`` module: None is an empty cell, other non-strings JSON text."""
+    import csv  # here, not at module level: a JSON run never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -62,6 +62,12 @@ estimated size passes one budget.  Every ``{index: coefficient}`` table
 (series literals, convolution symbols, ladder vectors) is read by
 ``term_table``, which also refuses a repeated index.
 
+The library's records are built with no code generated at import.  A record
+that checks its inputs derives from :class:`Record`: its annotations name
+its fields in order, its ``__init__`` stores them and runs its checks, and
+it is immutable and compared, hashed and printed by its field values.  A
+record that checks nothing is a ``typing.NamedTuple``.
+
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
 vector is read-only) and every operation is a pure function of its inputs.
@@ -72,7 +78,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -273,8 +278,47 @@ def monomial_basis(dim: int, degree: int) -> list[Index]:
     return list(_layout(dim, degree).position)
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class Record:
+    """Base of the library's validating records: immutable values with named fields.
+
+    A subclass's annotations name its fields, in order; its ``__init__``
+    stores them with ``vars(self).update(...)`` and then checks them.  A
+    record refuses assignment and deletion.  Two records are equal when they
+    are of the same class and their tuples of field values are equal, and a
+    record hashes that tuple; the repr is ``Name(field=value, ...)``.
+    Attributes set in ``__init__`` but not annotated (derived tables) take
+    part in none of these.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TruncatedSeries(Record):
     """Coefficient vector of an entire function over ``monomial_basis(dim, cutoff)``.
 
     ``exact_degree`` and ``is_polynomial`` follow the module-level contract.
@@ -287,6 +331,17 @@ class TruncatedSeries:
     exact_degree: int
     is_polynomial: bool
     vector: np.ndarray
+
+    def __init__(
+        self, dim: int, cutoff: int, exact_degree: int, is_polynomial: bool, vector: np.ndarray
+    ) -> None:
+        vars(self).update(
+            dim=dim, cutoff=cutoff, exact_degree=exact_degree,
+            is_polynomial=is_polynomial, vector=vector,
+        )
+        # the checks are a method of their own, looked up on each call, so
+        # perfbench/layertrace.py can count constructions by wrapping it
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checked_layout(self.dim, self.cutoff)
@@ -335,14 +390,14 @@ class TruncatedSeries:
         return float(np.abs(exact).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class SemiNormSpec:
+class SemiNormSpec(Record):
     """Sup-norm over the closed polydisc ``{ |z_j| <= m * epsilon }``."""
 
     m: int
     epsilon: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, epsilon: float) -> None:
+        vars(self).update(m=m, epsilon=epsilon)
         if self.m < 1:
             raise ValueError(f"semi-norm index m must be >= 1, got {self.m}")
         if not self.epsilon > 0:

@@ -1085,14 +1085,16 @@ def test_module_entry_point(tmp_path):
     assert "default: 12" in helped.stdout and "default: 6" in helped.stdout
 
 
-def test_a_scenario_run_loads_neither_numpy_random_nor_argparse():
+def test_a_json_run_loads_neither_numpy_random_argparse_dataclasses_nor_csv():
     # a fresh interpreter: the translate samples are drawn in pure Python,
-    # and argparse belongs to the command line only
+    # argparse belongs to the command line only, the records are built
+    # without dataclasses, and csv is loaded by the CSV writer alone
+    unused = {"numpy.random", "secrets", "argparse", "dataclasses", "csv", "_csv"}
     code = (
         "import io, sys\n"
         "from entireops import cli\n"
         "cli.run_scenario('gaussian2d', stream=io.StringIO())\n"
-        "print(sorted({'numpy.random', 'secrets', 'argparse'} & set(sys.modules)))\n"
+        f"print(sorted({unused!r} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run(

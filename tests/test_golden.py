@@ -10,7 +10,6 @@ to the emitted bytes of a shipped scenario shows up here first.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 from pathlib import Path
@@ -35,7 +34,7 @@ def test_bundled_report_bytes_frozen(name):
 def test_bundled_csv_report_bytes_frozen(name):
     scn = cli.load_scenario(name)
     tasks = [task for task in scn.tasks if task["task"] in cli.CSV_PROFILES]
-    code, outputs = cli.execute_tasks(dataclasses.replace(scn, tasks=tasks), fmt="csv")
+    code, outputs = cli.execute_tasks(scn._replace(tasks=tasks), fmt="csv")
     assert code == cli.EXIT_OK
     refs = sorted(CSV_REF.glob(f"{name}_*.csv"))
     assert [ref.name for ref in refs] == [
