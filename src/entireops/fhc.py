@@ -72,12 +72,10 @@ class LadderVector(Record):
     terms: Mapping[Index, complex]
 
     def __init__(self, generator: Sequence[AxisKernelProblem], terms: Entries) -> None:
-        vars(self).update(generator=generator, terms=terms)
-        generator = tuple(self.generator)
+        generator = tuple(generator)
         if not generator:
             raise ValueError("generator needs at least one axis problem")
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "terms", term_table(len(generator), self.terms))
+        vars(self).update(generator=generator, terms=term_table(len(generator), terms))
 
     @property
     def dim(self) -> int:

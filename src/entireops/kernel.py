@@ -46,22 +46,19 @@ class AxisKernelProblem(Record):
     def __init__(
         self, charpoly: Sequence[complex], a: complex, seeds: Sequence[complex]
     ) -> None:
-        vars(self).update(charpoly=charpoly, a=a, seeds=seeds)
-        charpoly = tuple(complex(c) for c in self.charpoly)
-        seeds = tuple(complex(s) for s in self.seeds)
-        a = complex(self.a)
-        object.__setattr__(self, "charpoly", charpoly)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "a", a)
+        charpoly = tuple(complex(c) for c in charpoly)
+        seeds = tuple(complex(s) for s in seeds)
+        a = complex(a)
         if len(charpoly) < 2:
             raise ValueError("kernel is trivial (order-zero convolution part)")
         if charpoly[-1] == 0:
             raise ValueError("leading charpoly coefficient must be nonzero")
         if a == 0:
             raise ValueError("the ladder constant a must be nonzero")
-        if len(seeds) != self.order:
+        order = len(charpoly) - 1
+        if len(seeds) != order:
             raise ValueError(
-                f"expected {self.order} seeds for an order-{self.order} "
+                f"expected {order} seeds for an order-{order} "
                 f"convolution part, got {len(seeds)}"
             )
         if all(s == 0 for s in seeds):
@@ -69,6 +66,7 @@ class AxisKernelProblem(Record):
                 "zero seeds would yield the identically-zero function; "
                 "a kernel element must be nonzero"
             )
+        vars(self).update(charpoly=charpoly, a=a, seeds=seeds)
 
     @property
     def order(self) -> int:

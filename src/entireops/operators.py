@@ -29,9 +29,11 @@ touches series and is the oracle the numeric route is tested against.
 
 :func:`verify_commutation` re-derives the commutator table numerically,
 independently of the symbolic route, as a guard against ordering bugs.  A
-term sends a monomial to one monomial, so it carries each term's images of
-every probe monomial as one slot (a position and a value per probe), read
-from the layout tables the kernel's gather reads, and folds the defect slot
+term ``z^alpha D^beta`` sends a monomial to one monomial, so the check
+indexes its slots by the rows of the derivative plan the kernel's gather
+runs: slot (t, m) is the probe ``m + beta``, with the plan's weight at row
+m, and its image is ``m + alpha``.  Every exponent comes from the layout's
+exponent matrix, so no position is looked up, and the defect is folded slot
 by slot with the kernel's arithmetic on the identity.
 """
 
@@ -52,7 +54,6 @@ from .series import (
     _gather_derivative,
     _layout,
     _Layout,
-    _lowering,
     _checked_axis,
     _checked_index,
     _exact_after,
@@ -86,18 +87,17 @@ class WeylOperator(Record):
     terms: Mapping[TermKey, complex]
 
     def __init__(self, dim: int, terms: Mapping[TermKey, complex]) -> None:
-        vars(self).update(dim=dim, terms=terms)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         clean: dict[TermKey, complex] = {}
-        for (zpow, dpow), raw in self.terms.items():
-            zpow = _checked_index(self.dim, zpow, "coordinate power")
-            dpow = _checked_index(self.dim, dpow, "derivative order")
+        for (zpow, dpow), raw in terms.items():
+            zpow = _checked_index(dim, zpow, "coordinate power")
+            dpow = _checked_index(dim, dpow, "derivative order")
             c = complex(raw)
             if c != 0:
                 clean[(zpow, dpow)] = c
         ordered = sorted(clean, key=lambda t: (graded_key(t[0]), graded_key(t[1])))
-        object.__setattr__(self, "terms", {key: clean[key] for key in ordered})
+        vars(self).update(dim=dim, terms={key: clean[key] for key in ordered})
 
     @classmethod
     def from_terms(
@@ -243,13 +243,12 @@ class ConvolutionSymbol(Record):
     bcoeffs: Mapping[Index, complex]
 
     def __init__(self, dim: int, bcoeffs: Entries) -> None:
-        vars(self).update(dim=dim, bcoeffs=bcoeffs)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        object.__setattr__(self, "bcoeffs", term_table(self.dim, self.bcoeffs))
-        zero = (0,) * self.dim
-        terms = {(zero, n): c / index_factorial(n) for n, c in self.bcoeffs.items()}
-        object.__setattr__(self, "terms", WeylOperator(self.dim, terms).terms)
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        bcoeffs = term_table(dim, bcoeffs)
+        zero = (0,) * dim
+        terms = {(zero, n): c / index_factorial(n) for n, c in bcoeffs.items()}
+        vars(self).update(dim=dim, bcoeffs=bcoeffs, terms=WeylOperator(dim, terms).terms)
 
     @property
     def max_order(self) -> int:
@@ -290,21 +289,18 @@ class CROperator(Record):
     conv: ConvolutionSymbol
 
     def __init__(self, dim: int, axis: int, a: complex, conv: ConvolutionSymbol) -> None:
-        vars(self).update(dim=dim, axis=axis, a=a, conv=conv)
-        object.__setattr__(self, "axis", _checked_axis(self.dim, self.axis))
-        a = complex(self.a)
+        axis = _checked_axis(dim, axis)
+        a = complex(a)
         if a == 0:
             raise ValueError("the ladder constant a must be nonzero")
-        object.__setattr__(self, "a", a)
-        if self.conv.dim != self.dim:
-            raise ValueError(
-                f"symbol dim {self.conv.dim} does not match operator dim {self.dim}"
-            )
+        if conv.dim != dim:
+            raise ValueError(f"symbol dim {conv.dim} does not match operator dim {dim}")
         # the arithmetic of the operator sum conv + (-a) * z_axis: it sets
         # the signs of zero, and an infinite a leaves a NaN part
-        z_term = (_unit(self.dim, self.axis), (0,) * self.dim)
-        table = {**self.conv.terms, z_term: 0j + (-a) * (1 + 0j)}
-        object.__setattr__(self, "terms", WeylOperator(self.dim, table).terms)
+        z_term = (_unit(dim, axis), (0,) * dim)
+        table = {**conv.terms, z_term: 0j + (-a) * (1 + 0j)}
+        terms = WeylOperator(dim, table).terms
+        vars(self).update(dim=dim, axis=axis, a=a, conv=conv, terms=terms)
 
 
 #: the three operator shapes; each carries ``dim`` and a normal-ordered ``terms``
@@ -321,40 +317,6 @@ class CommutationReport(NamedTuple):
     passed: bool
 
 
-def _monomial_images(
-    op: CROperator, layout: _Layout, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where each term ``z^alpha D^beta`` of ``op`` sends each probe monomial.
-
-    Row t is term t in stored order; column p < ``count`` is the probe e_p
-    (basis position p), and column ``count`` a cell that no term reaches.
-    Returns the position of the image monomial ``p - beta + alpha`` (-1 for
-    none: ``p < beta`` somewhere, or past the cutoff) and its weight
-    ``perm(p, beta)`` (0 for none), read from ``series._derivative_plan`` with
-    its source inverted; z^alpha only moves a position along ``raised``.
-    """
-    zpow = np.array([z for z, _ in op.terms], dtype=np.intp)
-    dpow = np.array([d for _, d in op.terms], dtype=np.intp)
-    position = np.full((len(zpow), count + 1), -1)
-    weight = np.zeros(position.shape)
-    # D^beta of a probe (degree < cutoff) is nonzero only for ||beta|| < cutoff;
-    # the z-term (beta = 0) always acts, so the plan gets at least one order
-    acting = np.flatnonzero(dpow.sum(axis=1) < layout.cutoff)
-    orders = dpow[acting]
-    source, w = _derivative_plan(layout, orders, count)
-    t, m = np.nonzero(layout.degree[:count] + orders.sum(axis=1)[:, None] < layout.cutoff)
-    position[acting[t], source[t, m]] = m
-    weight[acting[t], source[t, m]] = w[t, m]
-    for j in np.flatnonzero(zpow.any(axis=0)):
-        up = np.full(len(layout.exponents) + 1, -1)  # index -1: none stays none
-        up[:count] = layout.raised[j]
-        for step in range(zpow[:, j].max()):
-            lift = zpow[:, j] > step
-            position[lift] = up[position[lift]]
-    weight[position < 0] = 0.0
-    return position, weight
-
-
 def verify_commutation(
     ops: Sequence[CROperator],
     probe_degree: int,
@@ -367,15 +329,19 @@ def verify_commutation(
     partial D_k, applies ``T D_k - D_k T - delta * a * I`` to each monomial
     of total degree <= probe_degree and records the largest residual
     coefficient.  A term ``c z^alpha D^beta`` sends a monomial to one
-    monomial, so each term's images of all probes are one slot: a position
-    (or none) and a value per probe.  The terms of a CR operator have
-    pairwise distinct shifts ``alpha - beta`` (its symbol terms are
-    ``(0, n)`` with distinct n, its z-term ``(e_axis, 0)``), so slot t of
-    ``T D_k e_p`` and of ``D_k T e_p`` is the one on monomial
-    ``p - e_k + alpha - beta``, no two slots share one, and the defect is
-    folded slot by slot.  Each value takes the numpy operations of
-    ``_weyl_kernel`` on the identity, in the same order, so each residual
-    has the bits of that dense route.
+    monomial, so its slots are the rows m of ``series._derivative_plan``
+    for beta: slot (t, m) is the probe ``p = m + beta`` (a probe while
+    ``||p|| <= probe_degree``), its image is ``m + alpha``, and its weight
+    ``perm(p, beta)`` is the plan's at row m.  ``perm(p - e_k, beta)`` is
+    the plan's weight at row ``m - e_k``, placed by the layout's
+    ``raised[k]``, and ``p_k`` and the image's k-th exponent are read from
+    its exponent matrix.  The terms of a CR operator have pairwise distinct
+    shifts ``alpha - beta`` (its symbol terms are ``(0, n)`` with distinct
+    n, its z-term ``(e_axis, 0)``), so slot (t, m) of ``T D_k e_p`` and of
+    ``D_k T e_p`` is the one on monomial ``m + alpha - e_k``, no two slots
+    of a term share one, and the defect is folded slot by slot.  Each value
+    takes the numpy operations of ``_weyl_kernel`` on the identity, in the
+    same order, so each residual has the bits of that dense route.
     """
     ops = list(ops)
     if not ops:
@@ -391,26 +357,41 @@ def verify_commutation(
     # a polynomial, exact on the whole basis of this cutoff
     layout = _layout(dim, probe_degree + 1)
     count = _size(dim, probe_degree)  # the probes: a prefix of the basis
-    lowered, lowered_weight = _lowering(dim, probe_degree + 1)
-    probes = np.append(np.arange(count), -1)  # the probes, then the cell past them
-    # D_k e_p for every probe and axis: where it lands, and (1 + 0j) p_k
-    d_cells, d_probes = lowered[:, probes], (1 + 0j) * lowered_weight[:, probes]
+    inner = _size(dim, probe_degree - 1)  # the rows m whose m + e_k is a probe
+    # the probe rows, then the first row past them: the cell no probe reaches
+    exponents = layout.exponents[: count + 1]
+    degree = layout.degree[: count + 1]
     residuals: dict[tuple[int, int], float] = {}
     # a non-finite coefficient times a zero entry is NaN, as is a non-finite
-    # a: both reach the cell no term reaches (the last column), and worst
+    # a: both reach the cell no probe reaches (the last column), and worst
     # keeps a NaN, so a non-finite defect cannot pass; an overflow is an inf
     # or NaN residual, which fails the same way
     with np.errstate(invalid="ignore", over="ignore"):
         for op in ops:
-            position, weight = _monomial_images(op, layout, count)
+            zpow = np.array([z for z, _ in op.terms], dtype=np.intp)
+            dpow = np.array([d for _, d in op.terms], dtype=np.intp)
+            # slot (t, m) of term t = z^alpha D^beta is the probe m + beta
+            probe = degree + dpow.sum(axis=1)[:, None] <= probe_degree
+            # ||beta|| <= probe_degree (row 0 is the constant); the z-term
+            # (beta = 0) always acts, so the plan gets at least one order
+            acting = probe[:, 0]
+            weight = np.zeros(probe.shape)  # perm(m + beta, beta) on the probes, else 0
+            weight[acting, :count] = _derivative_plan(layout, dpow[acting], count)[1]
+            weight[~probe] = 0.0
+            p = np.where(probe[..., None], exponents + dpow[:, None], 0)  # the probes
+            image = exponents + zpow[:, None]  # m + alpha
             coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
             t_probes = coeffs * ((1 + 0j) * weight)
             for k in range(dim):
-                t_dk = coeffs * (d_probes[k] * weight[:, d_cells[k]])
-                down = lowered_weight[k, position]  # 0 where an image has m_k = 0
+                # perm(p - e_k, beta) is the weight at row m - e_k (0 for m_k = 0)
+                below = np.zeros(weight.shape)
+                below[:, layout.raised[k][:inner]] = weight[:, :inner]
+                t_dk = coeffs * (((1 + 0j) * p[..., k]) * below)
+                down = image[..., k]
                 defect = t_dk - np.where(down > 0, t_probes * down, 0)
-                if k + 1 == op.axis:  # a at the one slot whose D_k T image is e_p
-                    defect -= op.a * (lowered[k, position] == np.arange(count + 1))
+                if k + 1 == op.axis:  # a at the probe slots of the term shifting by e_k
+                    ladder = (zpow - dpow == _unit(dim, op.axis)).all(axis=1)[:, None]
+                    defect -= op.a * (probe & ladder)
                 key = (op.axis, k + 1)
                 residuals[key] = worst((residuals.get(key, 0.0), np.abs(defect).max()))
     max_residual = worst(residuals.values())

@@ -64,7 +64,7 @@ estimated size passes one budget.  Every ``{index: coefficient}`` table
 
 The library's records are built with no code generated at import.  A record
 that checks its inputs derives from :class:`Record`: its annotations name
-its fields in order, its ``__init__`` stores them and runs its checks, and
+its fields in order, its ``__init__`` checks them and stores each once, and
 it is immutable and compared, hashed and printed by its field values.  A
 record that checks nothing is a ``typing.NamedTuple``.
 
@@ -172,13 +172,13 @@ def _checked_layout(dim: int, cutoff: int) -> None:
     Refuses dim < 1, cutoff < 0, and a layout whose tables would take more
     than ``_LAYOUT_BUDGET`` bytes.  The estimate uses float logarithms only:
     per basis row, its index tuple and position entry and its entries in
-    the exponent, degree and per-axis tables and in ``_lowering``'s; per
-    cell of the ``(cutoff + 2) x (cutoff + 1)`` step table, a pointer, a
-    float and an integer of at most log2(cutoff!) bits.  It bounds the
-    measured size from above: the layouts of one cutoff share one step table
-    (``_step_weight``), and the estimate counts one per layout.  A passed
-    check is cached, so a series or a solve that needs only the size of its
-    basis pays a cache hit, not the estimate.
+    the exponent, degree and per-axis tables; per cell of the
+    ``(cutoff + 2) x (cutoff + 1)`` step table, a pointer, a float and an
+    integer of at most log2(cutoff!) bits.  It bounds the measured size from
+    above: the layouts of one cutoff share one step table (``_step_weight``),
+    and the estimate counts one per layout.  A passed check is cached, so a
+    series or a solve that needs only the size of its basis pays a cache
+    hit, not the estimate.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -250,24 +250,6 @@ def _layout(dim: int, cutoff: int) -> _Layout:
     )
 
 
-@lru_cache(maxsize=64)
-def _lowering(dim: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """D_j read as a lowering over the basis of ``(dim, cutoff)``.
-
-    Per axis j, over the basis and one cell past it (index -1): the position
-    of n - e_j where n_j >= 1, else -1, and the weight n_j, else 0.  Cached
-    apart from the layout, so that only the layouts ``verify_commutation``
-    reads carry them.
-    """
-    layout = _layout(dim, cutoff)
-    lowered = np.full((dim, len(layout.exponents) + 1), -1)
-    weight = np.zeros(lowered.shape)
-    for j, (raised, w) in enumerate(zip(layout.raised, layout.unit_weight)):
-        lowered[j, raised] = np.arange(len(raised))
-        weight[j, raised] = w
-    return lowered, weight
-
-
 def _size(dim: int, degree: int) -> int:
     """Number of multi-indices with ``||n|| <= degree`` (0 for degree < 0)."""
     return math.comb(degree + dim, dim) if degree >= 0 else 0
@@ -282,7 +264,7 @@ class Record:
     """Base of the library's validating records: immutable values with named fields.
 
     A subclass's annotations name its fields, in order; its ``__init__``
-    stores them with ``vars(self).update(...)`` and then checks them.  A
+    checks them and stores each once, with ``vars(self).update(...)``.  A
     record refuses assignment and deletion.  Two records are equal when they
     are of the same class and their tuples of field values are equal, and a
     record hashes that tuple; the repr is ``Name(field=value, ...)``.
@@ -359,7 +341,7 @@ class TruncatedSeries(Record):
                 f"monomials of degree <= {self.cutoff} in dim {self.dim}"
             )
         vector.flags.writeable = False
-        object.__setattr__(self, "vector", vector)
+        vars(self)["vector"] = vector
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -511,6 +511,14 @@ def cr(dim: int, axis: int, a: complex, bcoeffs: dict) -> eo.CROperator:
     16,
     None,
 ))
+# plan weights up to 13! 12! = 2.98e18 (12! 12! = 2.3e17 on a probe), past 2^53,
+# where the plan recomputes a cell of two non-unit factors from exact integers
+@example((
+    [cr(2, 1, 1.0, {(12, 12): 0.1, (1, 0): 1.0}),
+     cr(2, 2, 0.5, {(0, 1): 2.0, (9, 10): (1 + 2j) / 3})],
+    24,
+    None,
+))
 # 1e308 p_2 overflows at e_(0, 2), whose image e_(0, 1) D_1 never reads: (1, 1) stays 0
 @example(([cr(2, 1, 1.0, {(0, 1): 1e308})], 2, None))
 # non-finite symbol entries: every defect is NaN

@@ -342,15 +342,14 @@ def test_a_size_check_refuses_an_oversized_layout_with_the_layout_message(build)
 def test_the_layout_estimate_bounds_the_built_tables(monkeypatch, dim, cutoff):
     # the largest layouts the tests build, per dimension; the budget is ten
     # times the largest estimate among them
-    series._layout(dim, cutoff)  # the lowering tables read the cached layout
+    series._layout(dim, cutoff)  # caches the step table the layout below reads
     tracemalloc.start()
     try:
-        # past the caches: a step table, a layout's other tables (its step
-        # table is the cached one) and its lowering tables
+        # past the caches: a step table and a layout's other tables (its step
+        # table is the cached one)
         tables = (
             series._step_weight.__wrapped__(cutoff),
             series._layout.__wrapped__(dim, cutoff),
-            series._lowering.__wrapped__(dim, cutoff),
         )
         built, _ = tracemalloc.get_traced_memory()
     finally:
