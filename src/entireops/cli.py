@@ -8,9 +8,10 @@ of tasks.  The header, the generator and each task are read by
 strings into the same task reader, ``task_params``, so a flag and a file key
 are parsed once, by one parser; ``--tolerance`` and ``--seed`` likewise reach
 ``RUN_OPTIONS`` as raw strings.  Tasks run in order.  Each kind's runner
-builds its whole report as an ordered dict, emitted to stdout or to
-``--out`` as JSON by default or, for the kinds in ``CSV_PROFILES``, as CSV
-rows read from that dict.
+builds its whole report as a dict, from its library record's ``_asdict()``
+where the record's fields are the report's keys, and emits it to stdout or
+to ``--out`` as JSON by default or, for the kinds in ``CSV_PROFILES``, as
+CSV rows read from that dict.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors (found before any task runs), 3 internal errors.
@@ -188,7 +189,13 @@ def task_params(task: Any, scn: Scenario) -> dict[str, Any]:
             raise ValueError(f"series of dim {value.dim} does not match dim {scn.dimension}")
         return value
 
-    return read_object(task, {"task": (None, REQUIRED), **TASK_PARAMS[kind]}, f"{kind} task", fit)
+    p = read_object(task, {"task": (None, REQUIRED), **TASK_PARAMS[kind]}, f"{kind} task", fit)
+    if kind == "complete" and p["trajectory"]:
+        low = p["truncation"] - _given(p["max_order"], p["truncation"])
+        if min(p["trajectory"]) < low:  # entry n runs derivative order n - low
+            raise ScenarioError(f"bad 'trajectory' in complete task: entry "
+                                f"{min(p['trajectory'])} is below truncation - max_order = {low}")
+    return p
 
 
 class Scenario(NamedTuple):
@@ -364,15 +371,10 @@ def _run_verify_cr(scn: Scenario, p: dict, ctx: dict):
 def _run_kernel(scn: Scenario, p: dict, ctx: dict):
     """Solve and verify the joint kernel."""
     f = generator_series(scn, _given(p["degree"], scn.truncation))
-    report = verify_kernel(scn.operators, f, tolerance=p["max_residual"])
-    payload = {
-        "axes": list(report.axes),
-        "residuals": list(report.residuals),
-        "max_residual": report.max_residual,
-        "tolerance": report.tolerance,
-        "series": series_to_json(f),
-    }
-    return payload, report.passed
+    payload = verify_kernel(scn.operators, f, tolerance=p["max_residual"])._asdict()
+    passed = payload.pop("passed")
+    payload["series"] = series_to_json(f)
+    return payload, passed
 
 
 def _run_complete(scn: Scenario, p: dict, ctx: dict):
@@ -434,11 +436,8 @@ def _run_approximate(scn: Scenario, p: dict, ctx: dict):
     trunc = _given(p["truncation"], target.cutoff)
     max_order = _given(p["max_order"], trunc)
     result = approximate_target(_span_generator(scn, trunc, max_order), target, trunc, max_order)
-    payload = {
-        "orders": [list(n) for n in result.orders],
-        "coefficients": [[c.real, c.imag] for c in result.coefficients],
-        "residual": result.residual,
-    }
+    payload = result._asdict()
+    payload["coefficients"] = [[c.real, c.imag] for c in result.coefficients]
     return payload, result.residual <= p["max_residual"]
 
 
@@ -450,21 +449,10 @@ def _run_fhc(scn: Scenario, p: dict, ctx: dict):
     report = convergence_report(
         x, p["axis"], spec, p["kmax"], p["realization_degree"]
     )
-    payload = {
-        "axis": report.axis,
-        "m": report.m,
-        "epsilon": report.epsilon,
-        "bound": report.bound,
-        "u": list(report.u),
-        "ratios": list(report.ratios),
-        "kth_roots": list(report.kth_roots),
-        "partial_sums": list(report.partial_sums),
-        "stable": report.stable,
-    }
     passed = report.stable
     if p["max_kth_root"] is not None:
         passed = passed and report.kth_roots[-1] <= p["max_kth_root"]
-    return payload, passed
+    return report._asdict(), passed
 
 
 def _run_orbit(scn: Scenario, p: dict, ctx: dict):
@@ -475,19 +463,12 @@ def _run_orbit(scn: Scenario, p: dict, ctx: dict):
     spec = SemiNormSpec(m=p["m"], epsilon=p["epsilon"])
     target = _series_argument(scn, p["target"], x.cutoff)
     visits = measure_visits(iterates, target, p["delta"], spec)
-    payload = {
-        "steps": visits.steps,
-        "hits": list(visits.hits),
-        "density_proxy": visits.density_proxy,
-        "distances": list(visits.distances),
-        "note": DENSITY_DISCLAIMER,
-    }
     passed = True
     if p["min_density"] is not None:
         passed = visits.density_proxy >= p["min_density"]
     if p["max_density"] is not None:
         passed = passed and visits.density_proxy <= p["max_density"]
-    return payload, passed
+    return {**visits._asdict(), "note": DENSITY_DISCLAIMER}, passed
 
 
 _RUNNERS = {

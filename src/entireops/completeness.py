@@ -116,7 +116,7 @@ class CompletenessReport(NamedTuple):
 
 
 class ApproximationResult(NamedTuple):
-    """Least-squares combination of derivative rows matching a target."""
+    """Least-squares derivative combination for a target: the ``approximate`` report's keys, in order."""
 
     orders: tuple
     coefficients: tuple[complex, ...]

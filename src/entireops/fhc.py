@@ -226,7 +226,8 @@ class ConvergenceReport(NamedTuple):
     it.  ``stable`` flags
     agreement (within 5%) of the final k-th root between the requested
     realization degree and degree + 4 — the declared guard against
-    truncation artifacts in the majorants.
+    truncation artifacts in the majorants.  The fields are the ``fhc``
+    report's keys, in order.
     """
 
     axis: int

@@ -122,7 +122,7 @@ def joint_kernel(problems: Sequence[AxisKernelProblem], degree: int) -> Truncate
 
 
 class KernelReport(NamedTuple):
-    """Per-operator residual of a candidate joint-kernel element."""
+    """Per-operator residuals of a joint-kernel candidate: the ``kernel`` report's keys, in order."""
 
     axes: tuple[int, ...]
     residuals: tuple[float, ...]

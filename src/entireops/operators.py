@@ -17,24 +17,23 @@ Three layers:
   back produces an operator commuting with all partials, i.e. a convolution
   operator, so the relation is structural here rather than checked.
 
-:func:`_weyl_kernel` is the one place where an operator meets a series'
-coefficients: one loop over the stored terms that acts on a coefficient
-vector or on a ``(basis size, batch)`` block of them.  :func:`apply_weyl`
-runs it on a series' vector and reads each term's exact degree from the
-one rule of the series primitives, ``series._exact_after``.  Both read only
-``dim`` and the normal-ordered ``terms`` table, which all three shapes
-carry (a CR operator's is built in one ``WeylOperator`` call), so one path
-applies every operator.  The symbolic algebra (:func:`commutator`) never
-touches series and is the oracle the numeric route is tested against.
+:func:`apply_weyl` is the one place where an operator meets a series'
+coefficients: one loop over the stored terms on the series' vector, each
+term's exact degree read from the one rule of the series primitives,
+``series._exact_after``.  It reads only ``dim`` and the normal-ordered
+``terms`` table, which all three shapes carry (a CR operator's is built in
+one ``WeylOperator`` call), so one path applies every operator.  The
+symbolic algebra (:func:`commutator`) never touches series and is the
+oracle the numeric route is tested against.
 
 :func:`verify_commutation` re-derives the commutator table numerically,
 independently of the symbolic route, as a guard against ordering bugs.  A
 term ``z^alpha D^beta`` sends a monomial to one monomial, so the check
-indexes its slots by the rows of the derivative plan the kernel's gather
-runs: slot (t, m) is the probe ``m + beta``, with the plan's weight at row
-m, and its image is ``m + alpha``.  Every exponent comes from the layout's
-exponent matrix, so no position is looked up, and the defect is folded slot
-by slot with the kernel's arithmetic on the identity.
+indexes its slots by the rows of the derivative plan that ``apply_weyl``
+gathers with: slot (t, m) is the probe ``m + beta``, with the plan's
+weight at row m, and its image is ``m + alpha``.  Every exponent comes from
+the layout's exponent matrix, so no position is looked up, and the defect
+is folded slot by slot with ``apply_weyl``'s arithmetic on the identity.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .series import (
     _derivative_plan,
     _gather_derivative,
     _layout,
-    _Layout,
     _checked_axis,
     _checked_index,
     _exact_after,
@@ -185,44 +183,33 @@ def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     return _compose(a, b) - _compose(b, a)
 
 
-def _weyl_kernel(
-    op: Operator, layout: _Layout, data: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Apply the operator to a coefficient vector or block over ``layout``.
-
-    Each term differentiates, multiplies by its coordinate powers axis by
-    axis, and is accumulated as ``acc = acc + c * term`` in stored order,
-    the arithmetic of ``linear_combine``.  Also returns whether a nonzero
-    coefficient was pushed past the cutoff.
-    """
-    acc = np.zeros(data.shape, dtype=complex)
-    spilled = False
-    for (zpow, dpow), c in op.terms.items():
-        g = _gather_derivative(layout, data, dpow)
-        for axis, power in enumerate(zpow, start=1):
-            for _ in range(power):
-                g, spill = _scatter_coordinate(layout, g, axis)
-                spilled |= spill
-        acc += c * g
-    return acc, spilled
-
-
 def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
     """Apply an operator of any of the three shapes to a series.
 
-    Each term's exact degree is the one rule of the series primitives,
-    ``series._exact_after``, and the sum keeps the least of the terms; a
-    polynomial stays a polynomial unless a nonzero coefficient is pushed
-    past the cutoff.
+    Each term differentiates, multiplies by its coordinate powers axis by
+    axis, and is accumulated as ``out = out + c * term`` in stored order,
+    the arithmetic of ``linear_combine``.  Each term's exact degree is the
+    one rule of the series primitives, ``series._exact_after``, and the sum
+    keeps the least of the terms; a polynomial stays a polynomial unless a
+    nonzero coefficient is pushed past the cutoff.
     """
     if op.dim != f.dim:
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {f.dim}")
     if not op.terms:
         return zero_series(f.dim, f.cutoff)
+    layout = _layout(f.dim, f.cutoff)
+    out = np.zeros(f.vector.shape, dtype=complex)
+    spilled = False
     # a non-finite coefficient times a zero entry is NaN, and an overflow is
     # inf: either stays in the result
     with np.errstate(invalid="ignore", over="ignore"):
-        out, spilled = _weyl_kernel(op, _layout(f.dim, f.cutoff), f.vector)
+        for (zpow, dpow), c in op.terms.items():
+            g = _gather_derivative(layout, f.vector, dpow)
+            for axis, power in enumerate(zpow, start=1):
+                for _ in range(power):
+                    g, spill = _scatter_coordinate(layout, g, axis)
+                    spilled |= spill
+            out += c * g
     exact = min(_exact_after(f, sum(zpow), sum(dpow)) for zpow, dpow in op.terms)
     return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial and not spilled, out)
 
@@ -340,7 +327,7 @@ def verify_commutation(
     n, its z-term ``(e_axis, 0)``), so slot (t, m) of ``T D_k e_p`` and of
     ``D_k T e_p`` is the one on monomial ``m + alpha - e_k``, no two slots
     of a term share one, and the defect is folded slot by slot.  Each value
-    takes the numpy operations of ``_weyl_kernel`` on the identity, in the
+    takes the numpy operations of ``apply_weyl`` on the identity, in the
     same order, so each residual has the bits of that dense route.
     """
     ops = list(ops)

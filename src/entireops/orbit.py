@@ -27,7 +27,7 @@ from .series import SemiNormSpec, TruncatedSeries, _checked_bytes, coefficient_v
 
 
 class VisitReport(NamedTuple):
-    """Visit statistics of an orbit of ``steps`` steps, in the order they are written."""
+    """Visit statistics of an orbit of ``steps`` steps: the ``orbit`` report's keys, in order."""
 
     steps: int
     hits: tuple[int, ...]
@@ -78,6 +78,7 @@ def measure_visits(
     distance_k is the semi-norm upper bound of iterate_k - target, so a hit
     (distance < delta) certifies closeness of the stored polynomials while a
     miss is only evidence.  The iterates share one basis, as from ``iterate_orbit``.
+    A nonzero target coefficient past their cutoff is a ValueError.
     The block of differences and the temporaries of its semi-norms must fit
     the byte budget of ``series._checked_bytes`` before the block is built.
     """
@@ -88,6 +89,9 @@ def measure_visits(
     first = iterates[0]
     if target.dim != first.dim:
         raise ValueError(f"dim mismatch: orbit {first.dim} vs target {target.dim}")
+    if target.vector[len(first.vector):].any():
+        raise ValueError(f"target of cutoff {target.cutoff} has a nonzero "
+                         f"coefficient past the orbit's cutoff {first.cutoff}")
     # the block, the stacked iterates or their scaled copy, and the float
     # temporaries of seminorm_rows: 48 bytes a cell
     _checked_bytes(48 * len(iterates) * len(first.vector),

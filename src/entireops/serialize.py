@@ -6,7 +6,7 @@ The value parsers here (integers, finite floats, ``[re, im]`` pairs) serve
 the scenario keys and the subcommand flags alike, and the readers turn
 series literals, CR operators and kernel problems into library objects.
 The task runners
-in ``cli`` build each report as an ordered dict; the two writers here emit
+in ``cli`` build each report as a dict; the two writers here emit
 it: ``to_json_text`` writes keys in insertion order, and ``to_csv_text``
 writes a header and rows.  Both write a scalar by one rule, ``_scalar_text``
 (floats with 17 significant digits, non-finite ones refused; strings quoted

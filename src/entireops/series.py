@@ -21,17 +21,16 @@ a lookup reads them: the exponent matrix by one numpy gather per dim level
 cutoff, shared by every dim (``_step_weight``).  A series, or a solve, that
 needs only the size of its basis makes the layout's budget check
 (``_checked_layout``, cached) and builds no table.  Differentiation and
-coordinate multiplication are a gather and a scatter on the leading axis
-(``_gather_derivative``, ``_scatter_coordinate``), so the same kernels act
-on one coefficient vector or on a ``(basis size, batch)`` block of them;
-linear combination is vector arithmetic.  Every gather of D^n goes through
+coordinate multiplication are a gather and a scatter on a coefficient
+vector (``_gather_derivative``, ``_scatter_coordinate``); linear
+combination is vector arithmetic.  Every gather of D^n goes through
 one plan, ``_derivative_plan``: for a ``(K, dim)`` array of orders it builds
 only the leading rows it is asked for, as ``(K, rows)`` grids of source
 positions and weights, per axis from two one-dimensional takes of a factor
 table and one of a table of unit-step powers, and a mask for the cells past
 the cutoff if some cell is.  ``derivative_rows`` (the rows of a derivative
 span) is one plan call and one gather; ``_gather_derivative`` (behind
-``differentiate`` and the operator kernels) runs the plan with K = 1, or
+``differentiate`` and ``operators.apply_weyl``) runs the plan with K = 1, or
 slices the cached tables for a unit order.  A weight is the exact integer
 ``prod_j perm(s_j, n_j)`` rounded once: the product of the rounded per-axis
 factors below 2^53, where every factor and partial product is exact; above
@@ -573,7 +572,7 @@ def _unit_powers(layout: _Layout, axis: int, top: int) -> np.ndarray:
 
 
 def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.ndarray:
-    """D^order on the leading axis of a coefficient vector or block.
+    """D^order on a coefficient vector.
 
     Rows past what the cutoff determines are zero.  A unit order slices the
     cached ``raised`` and ``unit_weight`` tables; any other order is the
@@ -592,14 +591,12 @@ def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.nd
         else:
             source, weight = _derivative_plan(layout, np.array([order]), count)
             source, weight = source[0], weight[0]
-        # one weight per basis row, broadcast over a block's columns
-        weight = weight.reshape((-1,) + (1,) * (data.ndim - 1))
         out[:count] = data[source] * weight
     return out
 
 
 def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> tuple[np.ndarray, bool]:
-    """Multiplication by z_axis (1-based) on the leading axis of a vector or block.
+    """Multiplication by z_axis (1-based) on a coefficient vector.
 
     Rows of degree ``cutoff`` would move past the cutoff and are dropped;
     also returns whether a nonzero (or NaN) one was.

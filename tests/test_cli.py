@@ -701,6 +701,45 @@ def test_orbit_max_density_fails_a_denser_orbit(tmp_path, max_density, code):
     assert (exit_code, report["passed"], report["density_proxy"]) == (code, code == 0, 1.0)
 
 
+def test_an_orbit_target_past_the_orbit_cutoff_fails_its_task(tmp_path):
+    orbit = {
+        "task": "orbit", "axis": 1, "steps": 3, "delta": 0.5, "m": 1, "epsilon": 2.0,
+        "initial": {"dim": 1, "cutoff": 6, "polynomial": True, "coeffs": []},
+        "target": {"dim": 1, "cutoff": 12, "polynomial": True,
+                   "coeffs": [{"idx": [12], "re": 1000.0}]},
+    }
+    exit_code, text = run_to_text(_scenario_file(tmp_path, "gaussian1d", [orbit]))
+    assert exit_code == cli.EXIT_TASK_FAILED
+    assert json.loads(text) == {
+        "task": "orbit",
+        "passed": False,
+        "error": "target of cutoff 12 has a nonzero coefficient past the orbit's cutoff 6",
+    }
+
+
+def test_a_trajectory_entry_below_truncation_minus_max_order_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch
+):
+    complete = {"task": "complete", "truncation": 4, "max_order": 2, "trajectory": [2, 1, 3]}
+    path = _scenario_file(tmp_path, "gaussian1d", [{"task": "verify-cr"}, complete])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", path]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: bad 'trajectory' in complete task: entry 1 is below "
+        "truncation - max_order = 2\n"
+    )
+    assert captured.out == ""
+
+
+def test_a_trajectory_entry_at_derivative_order_zero_runs(tmp_path):
+    complete = {"task": "complete", "truncation": 4, "max_order": 2, "trajectory": [2, 3]}
+    exit_code, text = run_to_text(_scenario_file(tmp_path, "gaussian1d", [complete]))
+    report = json.loads(text)
+    assert exit_code == cli.EXIT_OK
+    assert [(r["N"], r["rank"]) for r in report["trajectory"]] == [(2, 1), (3, 2)]
+
+
 def test_default_axis_without_an_operator_exits_2_before_any_task_runs(
     tmp_path, capsys, monkeypatch
 ):

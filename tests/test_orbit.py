@@ -202,6 +202,16 @@ def test_empty_hit_set_gives_zero():
     assert annotated.density_proxy == 0.0
 
 
+def test_a_target_past_the_orbit_cutoff_is_refused_unless_zero_there():
+    rec = eo.iterate_orbit(shift_op(), eo.zero_series(1, 6), 3)
+    target = eo.monomial(1, 12, (12,), 1000.0)
+    with pytest.raises(ValueError, match="target of cutoff 12 .* the orbit's cutoff 6"):
+        eo.measure_visits(rec, target, 0.5, SPEC)
+    padded = eo.with_cutoff(eo.monomial(1, 6, (6,), 1000.0), 12)
+    visits = eo.measure_visits(rec, padded, 0.5, SPEC)
+    assert visits.distances == (1000.0 * 2.0**6,) * 4
+
+
 def test_an_empty_orbit_is_refused():
     with pytest.raises(ValueError, match="at least the initial vector"):
         eo.measure_visits((), eo.zero_series(1, 3), 0.5, SPEC)
@@ -211,12 +221,22 @@ def outcome(call):
     """The bit patterns of the distances a call returns, or its error."""
     try:
         return [d.hex() for d in call()]
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         return str(exc)
 
 
 def per_iterate_distances(iterates, target, spec):
-    """One difference and one one-row semi-norm per iterate."""
+    """One difference and one one-row semi-norm per iterate.
+
+    A nonzero target coefficient past the iterates' cutoff is refused.
+    """
+    cutoff = iterates[0].cutoff
+    basis = eo.monomial_basis(target.dim, target.cutoff)
+    if any(sum(n) > cutoff and c != 0 for n, c in zip(basis, target.vector)):
+        raise ValueError(
+            f"target of cutoff {target.cutoff} has a nonzero coefficient past "
+            f"the orbit's cutoff {cutoff}"
+        )
     return [
         seminorm_row(
             eo.linear_combine([(1, it), (-1, eo.with_cutoff(target, it.cutoff))]), spec
@@ -237,6 +257,8 @@ def assert_distances_match_the_per_iterate_loop(iterates, target, spec, infinite
 @st.composite
 def visit_case(draw):
     """Iterates over one basis, a real or complex target of another cutoff, a spec.
+
+    A target of a larger cutoff may hold only zeros past the iterates' one.
 
     Coefficients reach 1e150 and epsilon 1e80, so both overflows of the
     semi-norm occur; one iterate may hold inf + inf j.
@@ -262,6 +284,10 @@ def visit_case(draw):
         v[draw(st.integers(0, len(v) - 1))] = complex(math.inf, math.inf)
         iterates[k] = eo.TruncatedSeries(dim, cutoff, cutoff, False, v)
     target = series(draw(st.integers(0, 6)), draw(st.booleans()))
+    if draw(st.booleans()):
+        v = target.vector.copy()
+        v[math.comb(cutoff + dim, dim):] = 0
+        target = eo.TruncatedSeries(dim, target.cutoff, target.cutoff, False, v)
     epsilon = draw(st.sampled_from((0.5, 2.0, 1e40, 1e80)))
     spec = eo.SemiNormSpec(draw(st.integers(1, 2)), epsilon)
     return tuple(iterates), target, spec, infinite
