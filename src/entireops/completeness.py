@@ -63,6 +63,7 @@ from .series import (
     _checked_rows,
     _gather_rows,
     _layout,
+    _positions,
     _size,
     coefficient_vector,
     translate_rows,
@@ -152,11 +153,10 @@ def derivative_span(
     # the basis of degree <= max_order, so none needs the index check, and
     # entries are capped at cutoff + 1, as derivative_rows does
     _checked_rows(f.dim, f.cutoff, _size(f.dim, max_order), truncation, 0)
-    orders = _layout(f.dim, max_order)
-    capped = np.minimum(orders.exponents, f.cutoff + 1)
+    capped = np.minimum(_layout(f.dim, max_order).exponents, f.cutoff + 1)
     return SpanMatrix(
         matrix=_gather_rows(f, capped, truncation),
-        row_labels=tuple(orders.position),
+        row_labels=tuple(_positions(f.dim, max_order)),
         truncation=truncation,
         dim=f.dim,
         max_order=max_order,

@@ -13,45 +13,36 @@ re-truncation is a slice.  Two pieces of bookkeeping ride along:
 * ``is_polynomial``: the vector is the whole function, so coefficients
   beyond the cutoff are genuine zeros.
 
-The tables behind the layout (basis, index positions, exponent matrix and
-degrees, unit-step gather maps, per-axis derivative weights) are owned by
-this module and built once per ``(dim, cutoff)``, the first time a gather or
-a lookup reads them: the exponent matrix by one numpy gather per dim level
-(``_graded_exponents``), and the per-axis weights as one step table per
-cutoff, shared by every dim (``_step_weight``).  A series, or a solve, that
-needs only the size of its basis makes the layout's budget check
-(``_checked_layout``, cached) and builds no table.  Differentiation and
-coordinate multiplication are a gather and a scatter on a coefficient
-vector (``_gather_derivative``, ``_scatter_coordinate``); linear
-combination is vector arithmetic.  Every gather of D^n goes through
-one plan, ``_derivative_plan``: for a ``(K, dim)`` array of orders it builds
-only the leading rows it is asked for, as ``(K, rows)`` grids of source
-positions and weights, per axis from two one-dimensional takes of a factor
-table and one of a table of unit-step powers, and a mask for the cells past
-the cutoff if some cell is.  ``derivative_rows`` (the rows of a derivative
-span) is one plan call and one gather; ``_gather_derivative`` (behind
-``differentiate`` and ``operators.apply_weyl``) runs the plan with K = 1, or
-slices the cached tables for a unit order.  A weight is the exact integer
-``prod_j perm(s_j, n_j)`` rounded once: the product of the rounded per-axis
-factors below 2^53, where every factor and partial product is exact; above
-it, a cell with two or more non-unit factors is recomputed from exact
-integers, and past the float range the plan raises OverflowError.  The
-exactness rule of a ``z^alpha D^beta`` term is stated once, ``_exact_after``:
-``differentiate``, ``multiply_coordinate`` and ``operators.apply_weyl`` all
-read it, and ``derivative_rows`` carries the rules of the derivatives it
-stands for.  The semi-norm upper sum has one form, ``seminorm_rows``, over a
-block of coefficient rows; each row gets the number of a scalar loop over
-its terms in graded-lex order.  Translation is the same plan, built in one
-place, ``translate_rows``: ``f(z + s)_m = sum_k s^k C(m + k, k) a_(m+k)``,
-so it runs the plan over every order k with ``||k|| <= cutoff``, per-axis
-factors ``comb(m + k, k)`` in place of ``perm(m + k, k)``, sums the
-gathered rows with one matmul ``V @ B``, ``V[s, k] = s^k``, and emits the
-one ApproximationWarning; ``translate`` is its one-row case.  Its byte
-estimate is stated once, ``_checked_translates``, as ``_checked_rows`` is
-for a derivative span, so a caller can make the same check before it
-solves the series to translate.  The rows are reproducible for equal
-inputs.  Residual verdicts fold with ``worst``, which keeps a NaN wherever
-it stands.
+The tables behind the layout are owned by this module and built the first
+time a gather or a lookup reads them.  Per dim, only a cutoff past the
+largest one built so far builds tables (``_layout``: the exponent matrix by
+one numpy gather per dim level, ``_graded_exponents``, its degrees and the
+unit-step gather maps); a smaller cutoff's layout is a prefix view of them.
+The index positions (``_positions``) and the per-axis derivative weights,
+one step table per cutoff shared by every dim (``_step_weight``), are cached
+apart.  A series, or a solve, that needs only the size of its basis makes
+the layout's budget check (``_checked_layout``, cached) and builds no table.
+Differentiation and coordinate multiplication are a gather and a scatter on
+a coefficient vector (``_gather_derivative``, ``_scatter_coordinate``);
+linear combination is vector arithmetic.  Every gather of D^n goes through
+one plan, ``_derivative_plan``: the leading rows of D^n for a ``(K, dim)``
+array of orders, as ``(K, rows)`` grids of source positions and weights,
+each weight the exact integer ``prod_j perm(s_j, n_j)`` rounded once.
+``derivative_rows`` (the rows of a derivative span) is one plan call and one
+gather; ``_gather_derivative`` (behind ``differentiate`` and
+``operators.apply_weyl``) runs the plan with K = 1, or slices the layout for
+a unit order.  The exactness rule of a ``z^alpha D^beta`` term is stated
+once, ``_exact_after``: ``differentiate``, ``multiply_coordinate`` and
+``operators.apply_weyl`` all read it, and ``derivative_rows`` carries the
+rules of the derivatives it stands for.  The semi-norm upper sum has one
+form, ``seminorm_rows``, over a block of coefficient rows; each row gets the
+number of a scalar loop over its terms in graded-lex order.  Translation is
+the same plan with binomial factors, built in one place, ``translate_rows``;
+``translate`` is its one-row case.  Its byte estimate is stated once,
+``_checked_translates``, as ``_checked_rows`` is for a derivative span, so a
+caller can make the same check before it solves the series to translate.
+The rows are reproducible for equal inputs.  Residual verdicts fold with
+``worst``, which keeps a NaN wherever it stands.
 
 A given multi-index is checked in one place, ``_checked_index``, a given
 axis in ``_checked_axis``, a given point (a shift, a sample, an evaluation
@@ -61,11 +52,9 @@ estimated size passes one budget.  Every ``{index: coefficient}`` table
 (series literals, convolution symbols, ladder vectors) is read by
 ``term_table``, which also refuses a repeated index.
 
-The library's records are built with no code generated at import.  A record
-that checks its inputs derives from :class:`Record`: its annotations name
-its fields in order, its ``__init__`` checks them and stores each once, and
-it is immutable and compared, hashed and printed by its field values.  A
-record that checks nothing is a ``typing.NamedTuple``.
+The library's records are built with no code generated at import: a record
+that checks its inputs derives from :class:`Record`, and one that checks
+nothing is a ``typing.NamedTuple``.
 
 Operations only ever shrink the guaranteed region; nothing here attempts
 tail estimates for non-polynomial data.  All values are immutable (the
@@ -115,11 +104,9 @@ def graded_key(n: Index) -> tuple[int, Index]:
 
 
 class _Layout(NamedTuple):
-    """Tables of the graded-lex basis of one ``(dim, cutoff)``."""
+    """Tables of the graded-lex basis of one ``(dim, cutoff)``, views of its dim's largest."""
 
     cutoff: int
-    #: index -> position, in basis order
-    position: dict[Index, int]
     #: the indices as a (size, dim) integer matrix
     exponents: np.ndarray
     #: their total degrees
@@ -130,11 +117,6 @@ class _Layout(NamedTuple):
     raised: tuple[np.ndarray, ...]
     #: per axis j: n_j at those positions, the weights of D_j
     unit_weight: tuple[np.ndarray, ...]
-    #: ``perm(m + n, n)`` at [n, m], the weight of D^n on exponent m along one
-    #: axis, for ``m + n <= cutoff`` (0 elsewhere, so row ``cutoff + 1`` is all
-    #: 0): exact integers and their floats (inf past the float range); one
-    #: table per cutoff, shared by every dim (``_step_weight``)
-    step_weight: tuple[np.ndarray, np.ndarray]
 
 
 #: integers from here up round to 2^1024, past the largest float
@@ -168,16 +150,15 @@ def _checked_bytes(estimate: float, what: str) -> None:
 def _checked_layout(dim: int, cutoff: int) -> None:
     """The one check of a layout's ``(dim, cutoff)``, before any table is built.
 
-    Refuses dim < 1, cutoff < 0, and a layout whose tables would take more
-    than ``_LAYOUT_BUDGET`` bytes.  The estimate uses float logarithms only:
-    per basis row, its index tuple and position entry and its entries in
-    the exponent, degree and per-axis tables; per cell of the
+    Refuses dim < 1, cutoff < 0, and a layout whose tables, built whole,
+    would take more than ``_LAYOUT_BUDGET`` bytes by an estimate from float
+    logarithms: per basis row, its index tuple and ``_positions`` entry and
+    its entries in the exponent, degree and per-axis tables; per cell of the
     ``(cutoff + 2) x (cutoff + 1)`` step table, a pointer, a float and an
-    integer of at most log2(cutoff!) bits.  It bounds the measured size from
-    above: the layouts of one cutoff share one step table (``_step_weight``),
-    and the estimate counts one per layout.  A passed check is cached, so a
-    series or a solve that needs only the size of its basis pays a cache
-    hit, not the estimate.
+    integer of at most log2(cutoff!) bits.  It is an upper bound: a layout
+    below its dim's largest is views, and one step table serves every dim.
+    A passed check is cached, so a series or a solve that needs only the
+    size of its basis pays a cache hit, not the estimate.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -218,11 +199,11 @@ def _graded_exponents(dim: int, cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _step_weight(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_Layout.step_weight`` of ``cutoff``, one table shared by every dim.
+    """The weight ``perm(m + n, n)`` of D^n on exponent m along one axis, at [n, m].
 
-    Row n is ``perm(m + n, n) = (m + n) perm(m + n - 1, n - 1)``, the row
-    before it times ``m + n``, on Python integers; row ``cutoff + 1`` is
-    all 0.
+    Exact integers and their floats (inf past the float range), 0 where
+    ``m + n > cutoff``; one table per cutoff, shared by every dim.  Row n is
+    the row before it times ``m + n``, on Python integers.
     """
     rows = [[1] * (cutoff + 1)]
     for n in range(1, cutoff + 1):
@@ -233,20 +214,35 @@ def _step_weight(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return exact, _rounded(exact)
 
 
+#: per dim, the largest layout built; replaced whole, never changed in place
+_largest: dict[int, _Layout] = {}
+
+
 @lru_cache(maxsize=64)
 def _layout(dim: int, cutoff: int) -> _Layout:
+    """The tables of ``(dim, cutoff)``: prefix views of the largest layout of ``dim``.
+
+    A cutoff past the largest first builds its tables whole and becomes it;
+    ``raised`` and ``unit_weight`` are views of degree <= cutoff - 1.
+    """
+    global _largest
     _checked_layout(dim, cutoff)
-    exponents = _graded_exponents(dim, cutoff)
-    raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
-    return _Layout(
-        cutoff=cutoff,
-        position=dict(zip(zip(*exponents.T.tolist()), range(len(exponents)))),
-        exponents=exponents,
-        degree=exponents.sum(axis=1),
-        raised=raised,
-        unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
-        step_weight=_step_weight(cutoff),
-    )
+    largest = _largest.get(dim)
+    if largest is None or largest.cutoff < cutoff:
+        exponents = _graded_exponents(dim, cutoff)
+        raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
+        unit_weight = tuple(exponents[r, j].astype(float) for j, r in enumerate(raised))
+        largest = _Layout(cutoff, exponents, exponents.sum(axis=1), raised, unit_weight)
+        _largest = {**_largest, dim: largest}
+    size, inner = _size(dim, cutoff), _size(dim, cutoff - 1)
+    return _Layout(cutoff, largest.exponents[:size], largest.degree[:size],
+                   *(tuple(t[:inner] for t in tables) for tables in largest[3:]))
+
+
+@lru_cache(maxsize=64)
+def _positions(dim: int, cutoff: int) -> dict[Index, int]:
+    """Index -> position in the basis of ``(dim, cutoff)``, in basis order."""
+    return dict(zip(zip(*_layout(dim, cutoff).exponents.T.tolist()), range(_size(dim, cutoff))))
 
 
 def _size(dim: int, degree: int) -> int:
@@ -256,7 +252,7 @@ def _size(dim: int, degree: int) -> int:
 
 def monomial_basis(dim: int, degree: int) -> list[Index]:
     """All multi-indices with ``||n|| <= degree`` in graded-lex order."""
-    return list(_layout(dim, degree).position)
+    return list(_positions(dim, degree))
 
 
 class Record:
@@ -353,7 +349,7 @@ class TruncatedSeries(Record):
 
     def coefficient(self, idx: Sequence[int]) -> complex:
         idx = _checked_index(self.dim, idx, "index")
-        pos = _layout(self.dim, self.cutoff).position.get(idx)
+        pos = _positions(self.dim, self.cutoff).get(idx)
         return 0j if pos is None else complex(self.vector[pos])
 
     def terms(self) -> list[tuple[Index, complex]]:
@@ -440,10 +436,10 @@ def make_series(
     dim: int, cutoff: int, entries: Entries, is_polynomial: bool = False
 ) -> TruncatedSeries:
     """A series of ``term_table`` entries, trusting the claim exact_degree = cutoff."""
-    layout = _layout(dim, cutoff)
-    vector = np.zeros(len(layout.position), dtype=complex)
+    position = _positions(dim, cutoff)
+    vector = np.zeros(len(position), dtype=complex)
     for idx, c in term_table(dim, entries).items():
-        pos = layout.position.get(idx)
+        pos = position.get(idx)
         if pos is None:
             raise ValueError(f"index {idx} exceeds cutoff {cutoff}")
         vector[pos] = c
@@ -493,7 +489,7 @@ def _derivative_plan(
 
     ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``,
     and ``rows >= 1``; both results are ``(K, rows)`` grids.  ``factors`` is
-    the per-axis ``(exact, rounded)`` table laid out as ``step_weight``
+    the per-axis ``(exact, rounded)`` table laid out as ``_step_weight``'s
     (which it defaults to): the factor of order n_j on exponent m_j at [n_j,
     m_j], 0 for ``m_j + n_j > cutoff``.  Cell (k, m) of order n reads the
     index s = m + n: per axis j that some order steps along, the rounded
@@ -503,15 +499,16 @@ def _derivative_plan(
     Later axes write into the grids, so a call allocates three.  The weight,
     the exact product of the factors rounded once, is the product of the
     rounded factors below 2^53, where every factor and partial product is an
-    exact integer; at or above it the cells with two or more non-unit
-    factors are recomputed from the exact integers.  A mask gives weight 0
-    to a cell with ``||s|| > cutoff`` (an over-differentiated short
-    polynomial), whose position stays inside the basis; only a plan whose
-    last row's degree plus largest ``||n||`` passes the cutoff builds it, so
-    a derivative span builds none.  Every other weight is at least 1, and
-    one past the float range raises OverflowError.
+    exact integer.  At or above it, a cell of at most two non-unit factors,
+    each exact as a float, keeps that product, rounded once by one
+    multiplication; any other cell there is recomputed from the exact
+    integers.  A mask gives weight 0 to a cell with ``||s|| > cutoff`` (an
+    over-differentiated short polynomial), whose position stays inside the
+    basis; only a plan whose last row's degree plus largest ``||n||`` passes
+    the cutoff builds it, so a derivative span builds none.  Every other
+    weight is at least 1, and one past the float range raises OverflowError.
     """
-    exact, rounded = layout.step_weight if factors is None else factors
+    exact, rounded = _step_weight(layout.cutoff) if factors is None else factors
     tops = orders.max(axis=0).tolist()
     size = len(layout.exponents)
     source = weight = scratch = None
@@ -545,12 +542,14 @@ def _derivative_plan(
     # a weight is at most ||s||! <= reach!, so most plans check no cell
     if math.factorial(min(reach, layout.cutoff)) >= 2**53 and weight.max() >= 2.0**53:
         if len(tops) - tops.count(0) > 1:
-            multi = np.count_nonzero(orders, axis=1) > 1
-            k, m = np.nonzero((weight >= 2.0**53) & multi[:, None])
-            product = np.ones(len(k), dtype=object)
-            for j in range(orders.shape[1]):
-                product = product * exact[orders[k, j], layout.exponents[m, j]]
-            weight[k, m] = _rounded(product)
+            k, m = np.nonzero((weight >= 2.0**53) & (np.count_nonzero(orders, axis=1)[:, None] > 1))
+            if len(k):
+                # per factor 0 if unit, 1 if not, 3 if inexact: a sum past 2 is redone
+                top = max(tops) + 1
+                cost = np.where(exact[:top] == rounded[:top], rounded[:top] != 1, 3)
+                at = [n[k] * exact.shape[1] + e[m] for n, e in zip(orders.T, layout.exponents.T)]
+                redo = sum(cost.take(a) for a in at) > 2
+                weight[k[redo], m[redo]] = _rounded(math.prod(exact.take(a[redo]) for a in at))
         if weight.max() == math.inf:
             raise OverflowError("a derivative weight is past the float range")
     return source, weight
@@ -589,8 +588,7 @@ def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.nd
             axis = order.index(1)
             source, weight = layout.raised[axis], layout.unit_weight[axis]
         else:
-            source, weight = _derivative_plan(layout, np.array([order]), count)
-            source, weight = source[0], weight[0]
+            (source,), (weight,) = _derivative_plan(layout, np.array([order]), count)
         out[:count] = data[source] * weight
     return out
 
@@ -632,8 +630,7 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     if not any(order):
         return f
     out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
-    exact = _exact_after(f, 0, sum(order))
-    return TruncatedSeries(f.dim, f.cutoff, exact, f.is_polynomial, out)
+    return TruncatedSeries(f.dim, f.cutoff, _exact_after(f, 0, sum(order)), f.is_polynomial, out)
 
 
 def derivative_rows(
@@ -676,7 +673,7 @@ def _gather_rows(
     """One plan call with ``factors`` and one gather: the rows of checked orders.
 
     ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``;
-    ``factors`` defaults to the layout's ``step_weight``, as in the plan.
+    ``factors`` defaults to the cutoff's step table, as in the plan.
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
     gathered; the rest of each row is zero.  ``_checked_rows`` refuses a
@@ -684,10 +681,9 @@ def _gather_rows(
     """
     lowest = int(orders.sum(axis=1).min(initial=f.cutoff + 1))
     rows = _checked_rows(f.dim, f.cutoff, len(orders), degree, lowest)
-    layout = _layout(f.dim, f.cutoff)
     out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
     if rows:
-        source, weight = _derivative_plan(layout, orders, rows, factors)
+        source, weight = _derivative_plan(_layout(f.dim, f.cutoff), orders, rows, factors)
         # cells the cutoff leaves undetermined have weight 0 and stay +0j
         np.multiply(f.vector[source], weight, out=out[:, :rows], where=weight != 0)
     return out
@@ -741,7 +737,7 @@ def translate_rows(
     layout = _layout(f.dim, f.cutoff)
     _checked_translates(f.dim, f.cutoff, len(shifts), degree)
     factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)
-    binomial = layout.step_weight[0] // factorial[:, None]  # perm(m + n, n) / n!
+    binomial = _step_weight(f.cutoff)[0] // factorial[:, None]  # perm(m + n, n) / n!
     block = _gather_rows(f, layout.exponents, degree, (binomial, _rounded(binomial)))
     power = np.ones((len(shifts), f.dim, f.cutoff + 1), dtype=complex)
     power[:, :, 1:] = np.array(shifts, dtype=complex).reshape(len(shifts), f.dim, 1)

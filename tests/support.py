@@ -111,8 +111,8 @@ def cr_operators(draw, dim: int, max_order: int = 3) -> eo.CROperator:
 
 # ---------------------------------------------------------------------------
 # reference layout and plan: the basis by recursion, the step table and each
-# plan cell by math.perm, kept as the oracles of series._layout and
-# series._derivative_plan
+# plan cell by math.perm, kept as the oracles of series._layout,
+# series._positions, series._step_weight and series._derivative_plan
 # ---------------------------------------------------------------------------
 
 
@@ -124,26 +124,34 @@ def _reference_degree_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
             for tail in _reference_degree_indices(dim - 1, degree - e)]
 
 
+def reference_basis(dim: int, cutoff: int) -> list[tuple[int, ...]]:
+    """The indices of degree <= ``cutoff`` in graded-lex order, by recursion."""
+    return [n for d in range(cutoff + 1) for n in _reference_degree_indices(dim, d)]
+
+
 def reference_layout(dim: int, cutoff: int) -> series._Layout:
-    """``series._layout(dim, cutoff)`` built index by index and cell by cell."""
-    indices = [n for d in range(cutoff + 1) for n in _reference_degree_indices(dim, d)]
+    """``series._layout(dim, cutoff)`` built index by index."""
+    indices = reference_basis(dim, cutoff)
     exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
     raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
-    steps = range(cutoff + 1)
-    step_weight = np.array(
-        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps]
-        + [[0] * len(steps)],
-        dtype=object,
-    )
     return series._Layout(
         cutoff=cutoff,
-        position={n: i for i, n in enumerate(indices)},
         exponents=exponents,
         degree=exponents.sum(axis=1),
         raised=raised,
         unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
-        step_weight=(step_weight, series._rounded(step_weight)),
     )
+
+
+def reference_step_weight(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """``series._step_weight(cutoff)`` cell by cell, by ``math.perm``."""
+    steps = range(cutoff + 1)
+    exact = np.array(
+        [[math.perm(m + n, n) if m + n <= cutoff else 0 for m in steps] for n in steps]
+        + [[0] * len(steps)],
+        dtype=object,
+    )
+    return exact, series._rounded(exact)
 
 
 def reference_plan(
@@ -158,7 +166,7 @@ def reference_plan(
     the source -1, a cell the plan may place anywhere in the basis.  Raises
     the OverflowError of ``float`` where a weight is past the float range.
     """
-    basis = [n for d in range(cutoff + 1) for n in _reference_degree_indices(dim, d)]
+    basis = reference_basis(dim, cutoff)
     position = {n: i for i, n in enumerate(basis)}
     factor = math.comb if binomial else math.perm
     source = np.full((len(orders), rows), -1, dtype=np.intp)

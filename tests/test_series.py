@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
+import threading
 import tracemalloc
 import warnings
 from itertools import product
@@ -16,8 +18,8 @@ import entireops as eo
 from entireops import series
 from entireops.series import seminorm_rows, worst
 from support import (
-    cr_operators, gaussian_problem, max_coeff_diff, reference_layout, reference_plan,
-    scalar_seminorm, seminorm_row,
+    cr_operators, gaussian_problem, max_coeff_diff, reference_basis, reference_layout,
+    reference_plan, reference_step_weight, scalar_seminorm, seminorm_row,
 )
 
 GAUSS6 = {(0,): 1.0, (2,): 0.5, (4,): 0.125, (6,): 1 / 48}
@@ -285,36 +287,108 @@ def test_a_layout_past_the_budget_is_refused_before_any_table_exists(dim, cutoff
 
 
 def assert_same_layout(built: series._Layout, expected: series._Layout) -> None:
-    """Every field equal: arrays in dtype, shape and entries, dicts in key order."""
-    for name, got, want in zip(built._fields, built, expected):
-        if name == "position":
-            assert list(got.items()) == list(want.items())
-            assert all(type(e) is int for n in got for e in n)
-        elif name == "cutoff":
-            assert got == want
-        else:  # an array, or a tuple of arrays
-            pairs = [(got, want)] if isinstance(got, np.ndarray) else zip(got, want, strict=True)
-            for a, b in pairs:
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-                assert np.array_equal(a, b), name
+    """Every field equal: arrays in dtype, shape and entries."""
+    assert built.cutoff == expected.cutoff
+    for name, got, want in zip(built._fields[1:], built[1:], expected[1:]):
+        pairs = [(got, want)] if isinstance(got, np.ndarray) else zip(got, want, strict=True)
+        for a, b in pairs:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert np.array_equal(a, b), name
+
+
+def assert_same_positions(dim: int, cutoff: int) -> None:
+    """``_positions`` maps the reference basis, in its order, to 0, 1, ..., as Python ints."""
+    got = series._positions(dim, cutoff)
+    assert list(got.items()) == [(n, i) for i, n in enumerate(reference_basis(dim, cutoff))]
+    assert all(type(e) is int for n in got for e in n)
+
+
+def assert_same_step_weight(cutoff: int) -> None:
+    for got, want in zip(series._step_weight.__wrapped__(cutoff), reference_step_weight(cutoff),
+                         strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", range(1, 5))
 def test_layout_tables_equal_the_recursive_reference(dim):
     for cutoff in range(25):
         assert_same_layout(series._layout.__wrapped__(dim, cutoff), reference_layout(dim, cutoff))
+        assert_same_positions(dim, cutoff)
+        assert_same_step_weight(cutoff)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_layout_tables_past_cutoff_170_equal_the_reference_inf_included(dim):
-    built = series._layout.__wrapped__(dim, 175)
-    assert_same_layout(built, reference_layout(dim, 175))
-    assert built.step_weight[1][175, 0] == math.inf  # 175! is past the float range
+    assert_same_layout(series._layout.__wrapped__(dim, 175), reference_layout(dim, 175))
+    assert_same_positions(dim, 175)
+    assert_same_step_weight(175)
+    assert series._step_weight(175)[1][175, 0] == math.inf  # 175! is past the float range
+
+
+@st.composite
+def layout_requests(draw):
+    """A dim and distinct cutoffs in the order a process asks for their layouts."""
+    dim = draw(st.integers(1, 4))
+    top = 24 if dim < 4 else 14
+    return dim, draw(st.lists(st.integers(0, top), min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layout_requests())
+def test_layouts_equal_the_reference_whatever_order_they_are_asked_in(case):
+    # a cutoff at or below the largest of its dim is served by views, one past it is built
+    dim, cutoffs = case
+    series._layout.cache_clear()
+    series._positions.cache_clear()
+    series._largest = {}
+    for cutoff in cutoffs:
+        assert_same_layout(series._layout(dim, cutoff), reference_layout(dim, cutoff))
+        assert_same_positions(dim, cutoff)
+    assert series._largest[dim].cutoff == max(cutoffs)
+
+
+def test_layouts_asked_for_by_overlapping_threads_equal_the_reference():
+    # threads growing a dim's largest layout at once may drop one another's
+    # table, which costs a rebuild; every layout handed out must still be right
+    requests = [(dim, cutoff) for dim in (1, 2, 3) for cutoff in range(0, 19, 2)]
+    expected = {r: reference_layout(*r) for r in requests}
+    wrong = []
+
+    def ask(order):
+        for r in order:
+            try:
+                assert_same_layout(series._layout(*r), expected[r])
+            except AssertionError as exc:
+                wrong.append((r, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(5):
+            series._layout.cache_clear()
+            series._largest = {}
+            orders = [random.Random(10 * attempt + i).sample(requests, len(requests))
+                      for i in range(4)]
+            threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_one_step_table_serves_every_dim_of_a_cutoff():
-    shared = series._step_weight(11)
-    assert all(series._layout(dim, 11).step_weight is shared for dim in range(1, 5))
+    series._step_weight(11)
+    misses = series._step_weight.cache_info().misses
+    for dim in range(1, 5):
+        rest = (0,) * (dim - 1)
+        f = eo.make_series(dim, 11, {(3, *rest): 1.0})  # D_1^2 is a plan call
+        assert eo.differentiate(f, (2, *rest)).coefficient((1, *rest)) == 6.0
+    assert series._step_weight.cache_info().misses == misses
 
 
 def test_a_series_or_a_one_axis_solve_builds_no_layout():
@@ -342,18 +416,21 @@ def test_a_size_check_refuses_an_oversized_layout_with_the_layout_message(build)
 def test_the_layout_estimate_bounds_the_built_tables(monkeypatch, dim, cutoff):
     # the largest layouts the tests build, per dimension; the budget is ten
     # times the largest estimate among them
-    series._layout(dim, cutoff)  # caches the step table the layout below reads
+    series._layout(dim, cutoff)  # caches the layout the index table below reads
+    # no larger layout of the dim to take views of, so the one below is built whole
+    monkeypatch.setattr(series, "_largest", {})
     tracemalloc.start()
     try:
-        # past the caches: a step table and a layout's other tables (its step
-        # table is the cached one)
+        # past the caches: a step table, a layout's tables and its index table
         tables = (
             series._step_weight.__wrapped__(cutoff),
             series._layout.__wrapped__(dim, cutoff),
+            series._positions.__wrapped__(dim, cutoff),
         )
         built, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert series._largest[dim].cutoff == cutoff  # built whole, as the first of its dim
     del tables
     # past the cache of passed checks too, which holds the earlier pass
     series._checked_layout.__wrapped__(dim, cutoff)
@@ -426,9 +503,39 @@ def binomial_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 @example((2, 172, [(80, 6)], 3828, True))  # binomials past 2^53, recomputed
 @example((2, 0, [(1, 0), (0, 0)], 1, False))  # a step at cutoff 0
 def test_the_plan_equals_the_cell_by_cell_reference(case):
-    # weights bit for bit; a source wherever the weight is nonzero, and one
-    # inside the basis in every cell
-    dim, cutoff, orders, rows, binomial = case
+    assert_plan_equals_the_reference(*case)
+
+
+@st.composite
+def large_weight_plans(draw):
+    """2-D and 3-D orders on a cutoff whose weights pass 2^53, a row count, a factor kind."""
+    dim = draw(st.integers(2, 3))
+    cutoff = draw(st.integers(20, 60 if dim == 2 else 36))
+    order = st.tuples(*[st.integers(0, cutoff // 2)] * dim)
+    orders = draw(st.lists(order, min_size=1, max_size=4))
+    rows = draw(st.integers(1, min(math.comb(cutoff + dim, dim), 500)))
+    return dim, cutoff, orders, rows, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(large_weight_plans())
+# cell m = (2, 5, 2): 16!/2! 17!/5! 3, each factor a float, is rounded twice
+# by the float product
+@example((3, 36, [(14, 12, 1)], 220, False))
+def test_the_plan_of_large_weights_equals_the_cell_by_cell_reference(case):
+    # cells of at most two non-unit factors, each exact as a float, keep the
+    # rounded product; the others are rebuilt from integers
+    assert_plan_equals_the_reference(*case)
+
+
+def test_the_plan_of_the_d2_n20_span_equals_the_cell_by_cell_reference():
+    # 18248 cells pass 2^53: most keep the float product, 1830 are rebuilt
+    basis = [tuple(n) for n in series._layout(2, 20).exponents.tolist()]
+    assert_plan_equals_the_reference(2, 40, basis, len(basis), False)
+
+
+def assert_plan_equals_the_reference(dim, cutoff, orders, rows, binomial):
+    """Weights bit for bit; a source wherever the weight is nonzero, and one inside the basis in every cell."""
     layout = series._layout(dim, cutoff)
     table = np.array(orders, dtype=np.intp)
     factors = binomial_factors(cutoff) if binomial else None

@@ -1,0 +1,23 @@
+"""The tier-1 workflow file parses, with the jobs and steps CI runs."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip(
+    "yaml", reason="PyYAML reads the workflow file; the tier-1 workflow installs it"
+)
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def test_the_tier1_workflow_parses_into_its_jobs_with_string_run_steps():
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    assert {"tests", "benchmark-smoke"} <= set(jobs)
+    for name in ("tests", "benchmark-smoke"):
+        steps = jobs[name]["steps"]
+        runs = [step["run"] for step in steps if "run" in step]
+        assert runs, name
+        assert all(isinstance(run, str) for run in runs), name
