@@ -7,11 +7,11 @@ of tasks.  The header, the generator and each task are read by
 ``GENERATOR_KEYS``, ``TASK_PARAMS``).  A task subcommand's flags carry raw
 strings into the same task reader, ``task_params``, so a flag and a file key
 are parsed once, by one parser; ``--tolerance`` and ``--seed`` likewise reach
-``RUN_OPTIONS`` as raw strings.  Tasks run in order.  Each kind's runner
-builds its whole report as a dict, from its library record's ``_asdict()``
-where the record's fields are the report's keys, and emits it to stdout or
-to ``--out`` as JSON by default or, for the kinds in ``CSV_PROFILES``, as
-CSV rows read from that dict.
+``RUN_OPTIONS`` as raw strings.  Tasks run in order, on one run path,
+``_run``.  Each kind's runner builds its whole report as a dict, from its
+record's ``_asdict()`` where the record's fields are the report's keys, and
+``_run`` writes it to stdout or to ``--out`` as JSON by default or, for the
+kinds in ``CSV_PROFILES``, as CSV rows read from that dict.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors (found before any task runs), 3 internal errors.
@@ -567,24 +567,23 @@ def run_scenario(
 ) -> int:
     """Load a scenario, run every task, and emit one report per task."""
     stream = stream if stream is not None else sys.stdout
-    scn = load_scenario(source)
+    return _run(load_scenario(source), fmt, out, tolerance, seed, stream)
+
+
+def _run(scn: Scenario, fmt: str, out: Any, tolerance: Any, seed: Any, stream: TextIO) -> int:
+    """Refuse a non-directory ``out``, or one under a file, before any task runs."""
+    for path in [Path(out), *Path(out).parents] if out is not None else []:
+        if path.exists() and not path.is_dir():
+            raise ScenarioError(f"--out {out}: {path} is not a directory")
     code, outputs = execute_tasks(scn, fmt=fmt, tolerance=tolerance, seed=seed)
-    _emit(outputs, fmt, out, stream)
-    return code
-
-
-def _emit(
-    outputs: list[tuple[str, str]], fmt: str, out: str | None, stream: TextIO
-) -> None:
-    ext = "json" if fmt == "json" else "csv"
     if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (name, text) in enumerate(outputs):
-            (out_dir / f"{i:02d}_{name}.{ext}").write_text(text)
-        return
-    for _, text in outputs:
-        stream.write(text)
+        Path(out).mkdir(parents=True, exist_ok=True)
+    for i, (name, text) in enumerate(outputs):
+        if out is None:
+            stream.write(text)
+        else:
+            Path(out, f"{i:02d}_{name}.{fmt}").write_text(text)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -670,17 +669,12 @@ def _task_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.scenario)
         if args.command != "run":
             scn = scn._replace(tasks=[task_params(_task_from_args(args), scn)])
-        code, outputs = execute_tasks(
-            scn, fmt=args.format, tolerance=args.tolerance, seed=args.seed
-        )
-        _emit(outputs, args.format, args.out, sys.stdout)
-        return code
+        return _run(scn, args.format, args.out, args.tolerance, args.seed, sys.stdout)
     except ValueError as exc:
         # a ScenarioError, or a format the tasks do not support
         print(f"error: {exc}", file=sys.stderr)

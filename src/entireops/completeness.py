@@ -387,10 +387,7 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     np.divide(m, peak[:, None], out=m, where=scaled[:, None])
     with _one_blas_thread:
         sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > tolerance * sv[0]))
+    rank = int(np.count_nonzero(sv > tolerance * sv[0]))  # 0 for a zero matrix
     ambient = span.matrix.shape[1]
     return CompletenessReport(
         rank=rank,

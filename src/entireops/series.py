@@ -115,8 +115,6 @@ class _Layout(NamedTuple):
     #: They are exactly ``m + e_j`` for m in the degree <= cutoff - 1 prefix,
     #: in the same order, so one array serves D_j (gather) and z_j (scatter).
     raised: tuple[np.ndarray, ...]
-    #: per axis j: n_j at those positions, the weights of D_j
-    unit_weight: tuple[np.ndarray, ...]
 
 
 #: integers from here up round to 2^1024, past the largest float
@@ -223,7 +221,7 @@ def _layout(dim: int, cutoff: int) -> _Layout:
     """The tables of ``(dim, cutoff)``: prefix views of the largest layout of ``dim``.
 
     A cutoff past the largest first builds its tables whole and becomes it;
-    ``raised`` and ``unit_weight`` are views of degree <= cutoff - 1.
+    ``raised`` is a view of degree <= cutoff - 1.
     """
     global _largest
     _checked_layout(dim, cutoff)
@@ -231,12 +229,11 @@ def _layout(dim: int, cutoff: int) -> _Layout:
     if largest is None or largest.cutoff < cutoff:
         exponents = _graded_exponents(dim, cutoff)
         raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
-        unit_weight = tuple(exponents[r, j].astype(float) for j, r in enumerate(raised))
-        largest = _Layout(cutoff, exponents, exponents.sum(axis=1), raised, unit_weight)
+        largest = _Layout(cutoff, exponents, exponents.sum(axis=1), raised)
         _largest = {**_largest, dim: largest}
     size, inner = _size(dim, cutoff), _size(dim, cutoff - 1)
     return _Layout(cutoff, largest.exponents[:size], largest.degree[:size],
-                   *(tuple(t[:inner] for t in tables) for tables in largest[3:]))
+                   tuple(r[:inner] for r in largest.raised))
 
 
 @lru_cache(maxsize=64)
@@ -447,8 +444,9 @@ def make_series(
 
 
 def zero_series(dim: int, cutoff: int) -> TruncatedSeries:
-    """The identically-zero function (polynomial, fully exact)."""
-    return make_series(dim, cutoff, [], is_polynomial=True)
+    """The identically-zero function (polynomial, fully exact), built with no index table."""
+    _checked_layout(dim, cutoff)  # before a vector of that size is allocated
+    return TruncatedSeries(dim, cutoff, cutoff, True, np.zeros(_size(dim, cutoff), dtype=complex))
 
 
 def monomial(
@@ -573,10 +571,10 @@ def _unit_powers(layout: _Layout, axis: int, top: int) -> np.ndarray:
 def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.ndarray:
     """D^order on a coefficient vector.
 
-    Rows past what the cutoff determines are zero.  A unit order slices the
-    cached ``raised`` and ``unit_weight`` tables; any other order is the
-    plan with K = 1.  Returns ``data`` itself for the zero order, else a new
-    array.
+    Rows past what the cutoff determines are zero.  A unit order D_j
+    gathers ``raised[j]`` and weighs output row m by ``m_j + 1``; any other
+    order is the plan with K = 1.  Returns ``data`` itself for the zero
+    order, else a new array.
     """
     if not any(order):
         return data
@@ -586,7 +584,7 @@ def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.nd
         count = _size(len(order), layout.cutoff - degree)
         if degree == 1:
             axis = order.index(1)
-            source, weight = layout.raised[axis], layout.unit_weight[axis]
+            source, weight = layout.raised[axis], layout.exponents[:count, axis] + 1
         else:
             (source,), (weight,) = _derivative_plan(layout, np.array([order]), count)
         out[:count] = data[source] * weight

@@ -133,13 +133,11 @@ def reference_layout(dim: int, cutoff: int) -> series._Layout:
     """``series._layout(dim, cutoff)`` built index by index."""
     indices = reference_basis(dim, cutoff)
     exponents = np.array(indices, dtype=np.intp).reshape(len(indices), dim)
-    raised = tuple(np.flatnonzero(exponents[:, j]) for j in range(dim))
     return series._Layout(
         cutoff=cutoff,
         exponents=exponents,
         degree=exponents.sum(axis=1),
-        raised=raised,
-        unit_weight=tuple(exponents[r, j].astype(float) for j, r in enumerate(raised)),
+        raised=tuple(np.flatnonzero(exponents[:, j]) for j in range(dim)),
     )
 
 

@@ -266,12 +266,40 @@ def test_generator_short_of_a_task_fails_that_task_and_keeps_earlier_reports(
     assert captured.err == ""
 
 
-def test_out_directory_writes_one_report_per_task(tmp_path):
+def test_out_directory_writes_one_report_per_task(tmp_path, capsysbinary):
     out = tmp_path / "reports"
     code = cli.run_scenario("remark3", out=str(out), stream=io.StringIO())
     assert code == cli.EXIT_OK
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["00_verify-cr.json", "01_complete.json"]
+    files = sorted(out.iterdir())
+    assert [p.name for p in files] == ["00_verify-cr.json", "01_complete.json"]
+    # read in name order, the files are the bytes the same run prints
+    assert cli.main(["run", "remark3"]) == cli.EXIT_OK
+    assert b"".join(p.read_bytes() for p in files) == capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+def test_an_out_that_is_or_lies_under_a_file_exits_2_before_any_task_runs(
+    tmp_path, capsys, under
+):
+    blocker = tmp_path / "reports"
+    blocker.write_text("kept")
+    out = blocker.joinpath(*under)
+    runners = {kind: mock.Mock(wraps=fn) for kind, fn in cli._RUNNERS.items()}
+    with mock.patch.dict(cli._RUNNERS, runners):
+        assert cli.main(["run", "gaussian1d", "--out", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert not any(runner.called for runner in runners.values())
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+    assert blocker.read_text() == "kept"
+
+
+def test_run_scenario_refuses_an_out_that_is_a_file(tmp_path):
+    out = tmp_path / "reports"
+    out.write_text("")
+    with pytest.raises(cli.ScenarioError, match="is not a directory"):
+        cli.run_scenario("remark3", out=str(out), stream=io.StringIO())
 
 
 def test_main_exit_codes(tmp_path):

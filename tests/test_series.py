@@ -62,6 +62,26 @@ def test_make_series_dim_mismatch():
         eo.make_series(2, 3, [((1,), 1.0)])
 
 
+@pytest.mark.parametrize("dim, cutoff", [(1, 0), (2, 7), (3, 5), (5, 9)])
+def test_zero_series_equals_the_empty_literal_and_builds_no_index_table(dim, cutoff):
+    before = series._positions.cache_info()
+    zero = eo.zero_series(dim, cutoff)
+    assert series._positions.cache_info() == before  # not even a cache hit
+    assert zero == eo.make_series(dim, cutoff, [], True)  # equality compares the flags too
+    assert zero.vector.dtype == complex and not zero.vector.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "dim, cutoff, message",
+    [(0, 3, "dim must be"), (-1, 2, "dim must be"), (1, -1, "cutoff must be"),
+     (2, 10**6, "past the budget")],
+)
+def test_zero_series_refuses_what_the_empty_literal_refuses(dim, cutoff, message):
+    for build in (eo.zero_series, lambda d, c: eo.make_series(d, c, [], True)):
+        with pytest.raises(ValueError, match=message):
+            build(dim, cutoff)
+
+
 def test_zero_coefficients_dropped():
     f = eo.make_series(1, 3, [((0,), 1.0), ((1,), 0.0)])
     assert f.terms() == [((0,), 1.0)]

@@ -1,10 +1,12 @@
-"""Count the code lines of Python modules: no blank lines, comments or docstrings.
+"""Count the code lines and the source bytes of Python modules.
 
     python3 tools/code_lines.py src/entireops
 
-Prints one count per module and the total.  A line counts when a token
-other than a comment starts or continues on it, outside the docstrings of
-the module, its classes and its functions.
+Prints, per module and in total, the code lines and then the source bytes.
+A line counts when a token other than a comment starts or continues on it,
+outside the docstrings of the module, its classes and its functions; so
+blank lines, comments and docstrings are not code lines.  The bytes are the
+file's size: they count every line, docstrings and comments included.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ def code_lines(source: str) -> int:
 def main(argv: list[str]) -> int:
     roots = [Path(a) for a in argv] or [Path("src/entireops")]
     files = sorted(p for root in roots for p in ([root] if root.is_file() else root.rglob("*.py")))
-    total = 0
+    total_lines = total_bytes = 0
     for path in files:
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+        source = path.read_bytes()
+        count = code_lines(source.decode())
+        total_lines += count
+        total_bytes += len(source)
+        print(f"{count:6d}  {len(source):7d}  {path}")
+    print(f"{total_lines:6d}  {total_bytes:7d}  total")
     return 0
 
 
