@@ -677,13 +677,20 @@ def _gather_rows(
     gathered; the rest of each row is zero.  ``_checked_rows`` refuses a
     block past the budget first.
     """
-    lowest = int(orders.sum(axis=1).min(initial=f.cutoff + 1))
+    total = orders.sum(axis=1)
+    lowest = int(total.min(initial=f.cutoff + 1))
     rows = _checked_rows(f.dim, f.cutoff, len(orders), degree, lowest)
     out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
     if rows:
-        source, weight = _derivative_plan(_layout(f.dim, f.cutoff), orders, rows, factors)
-        # cells the cutoff leaves undetermined have weight 0 and stay +0j
-        np.multiply(f.vector[source], weight, out=out[:, :rows], where=weight != 0)
+        layout = _layout(f.dim, f.cutoff)
+        source, weight = _derivative_plan(layout, orders, rows, factors)
+        block = out[:, :rows]
+        f.vector.take(source, out=block, mode="clip")  # positions are in the basis
+        if layout.degree[rows - 1] + total.max() > f.cutoff:
+            # the plan masked the cells the cutoff leaves undetermined with
+            # weight 0 (see its reach); zeroed first, they end +0j
+            np.copyto(block, 0, where=weight == 0)
+        np.multiply(block, weight, out=block)
     return out
 
 

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,6 +32,10 @@ from support import (
     reference_csv_text,
     reference_json_text,
 )
+
+# the benchmark's ladder scenarios, generated by its workloads module
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def run_to_text(source: str, **kwargs) -> tuple[int, str]:
@@ -1156,7 +1161,8 @@ def test_a_json_run_loads_neither_numpy_random_argparse_dataclasses_nor_csv():
     # a fresh interpreter: the translate samples are drawn in pure Python,
     # argparse belongs to the command line only, the records are built
     # without dataclasses, and csv is loaded by the CSV writer alone
-    unused = {"numpy.random", "secrets", "argparse", "dataclasses", "csv", "_csv"}
+    unused = {"numpy.random", "secrets", "argparse", "dataclasses", "csv", "_csv",
+              "concurrent.futures", "multiprocessing"}
     code = (
         "import io, sys\n"
         "from entireops import cli\n"
@@ -1207,6 +1213,170 @@ def test_a_span_report_does_not_depend_on_the_blas_thread_count(tmp_path):
         outs.append(done.stdout)
     assert b'"rank": 286' in outs[0]
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# the relay: tasks overlap a large SVD, reports and errors stay sequential
+# ---------------------------------------------------------------------------
+
+#: three complete tasks above the zgesdd gate, a translate one above it, a
+#: failing verdict, and a small task last
+RELAY_TASKS = [
+    {"task": "complete", "truncation": 12, "max_order": 12, "expect_complete": True},
+    {"task": "complete", "truncation": 11, "max_order": 11, "expect_complete": True},
+    {"task": "complete", "truncation": 10, "mode": "translate", "samples": 198},
+    {"task": "complete", "truncation": 12, "max_order": 12, "expect_rank": 5},
+    {"task": "complete", "truncation": 10, "max_order": 10, "expect_complete": True},
+    {"task": "verify-cr", "probe_degree": 4},
+]
+
+
+@pytest.fixture
+def started(monkeypatch) -> list[threading.Thread]:
+    """Every thread started from here on; skips a build whose SVD never lends."""
+    calls = completeness._openblas_thread_calls()
+    if calls is None or calls[2] is None:
+        pytest.skip("numpy's OpenBLAS exports no ILP64 zgesdd: no SVD lends its turn")
+    threads = []
+
+    class Counted(threading.Thread):
+        def start(self) -> None:
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return threads
+
+
+def cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def relay_run(monkeypatch, scn: cli.Scenario, n: int):
+    """execute_tasks on n CPUs: (exit code, outputs) or the exception raised."""
+    cpus(monkeypatch, n)
+    try:
+        return cli.execute_tasks(scn)
+    except Exception as exc:  # noqa: BLE001 - compared with the other run's
+        return exc
+
+
+def test_tasks_that_overlap_an_svd_report_as_a_run_on_one_cpu(tmp_path, monkeypatch, started):
+    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS))
+    alone = relay_run(monkeypatch, scn, 1)
+    assert started == []
+    both = relay_run(monkeypatch, scn, 2)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert alone == both
+    assert alone[0] == cli.EXIT_TASK_FAILED
+    assert ['"passed": false' in text for _, text in alone[1]] == [False] * 3 + [True] + [False] * 2
+
+
+def test_the_first_task_that_raises_is_raised_and_every_helper_is_joined(
+    tmp_path, monkeypatch, started
+):
+    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS))
+    complete = cli._RUNNERS["complete"]
+
+    def raising(scn, p, ctx):
+        i = ctx["seed"] - scn.rng_seed
+        if i == 1:  # after its SVD: task 2 raises on the other thread first
+            complete(scn, p, ctx)
+        if i in (1, 2):
+            raise RuntimeError(f"task {i}")
+        return complete(scn, p, ctx)
+
+    monkeypatch.setitem(cli._RUNNERS, "complete", raising)
+    errors = [relay_run(monkeypatch, scn, n) for n in (1, 2)]
+    assert [(type(e), str(e)) for e in errors] == [(RuntimeError, "task 1")] * 2
+    assert len(started) == 1
+    assert not started[0].is_alive()
+
+
+def test_a_helper_runs_its_tasks_in_the_callers_errstate(tmp_path, monkeypatch, started):
+    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS[:3]))
+    complete = cli._RUNNERS["complete"]
+    get, set_, gesdd = completeness._openblas_thread_calls()
+    helped = threading.Event()
+    seen = []
+
+    def recorded(scn, p, ctx):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+        if not seen[-1][0]:
+            helped.set()
+        return complete(scn, p, ctx)
+
+    def waiting(*args):
+        # an SVD (not the workspace query) runs off the turn: the first one
+        # waits until the helper has taken a task
+        if args[11].value != -1:
+            assert helped.wait(timeout=60)
+        gesdd(*args)
+
+    monkeypatch.setitem(cli._RUNNERS, "complete", recorded)
+    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (get, set_, waiting))
+    cpus(monkeypatch, 2)
+    with np.errstate(over="ignore"):
+        cli.execute_tasks(scn)
+    assert (False, "ignore") in seen
+    assert {over for _, over in seen} == {"ignore"}
+
+
+def test_more_helpers_than_cores_run_each_task_once_in_a_fast_switching_run(
+    tmp_path, monkeypatch, started
+):
+    tasks = [{"task": "complete", "truncation": 10, "max_order": 10, "expect_complete": True}] * 8
+    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", tasks))
+    complete = cli._RUNNERS["complete"]
+    ran = []
+
+    def counted(scn, p, ctx):
+        ran.append(ctx["seed"])
+        return complete(scn, p, ctx)
+
+    monkeypatch.setitem(cli._RUNNERS, "complete", counted)
+    alone = relay_run(monkeypatch, scn, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = relay_run(monkeypatch, scn, 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == alone
+    assert sorted(ran) == sorted(2 * [scn.rng_seed + i for i in range(8)])
+    assert 1 <= len(started) <= 5
+    assert not any(t.is_alive() for t in started)
+
+
+def test_no_turn_is_lent_while_approximation_warnings_are_ignored(tmp_path, monkeypatch, started):
+    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS[2:3]))
+    enter = cli._Relay.__enter__
+    lent = []
+
+    def recorded(relay):
+        # the filter _run_complete's catch_warnings block adds
+        lent.append(("ignore", None, eo.ApproximationWarning, None, 0) in warnings.filters)
+        enter(relay)
+
+    monkeypatch.setattr(cli._Relay, "__enter__", recorded)
+    cpus(monkeypatch, 2)
+    cli.execute_tasks(scn)
+    assert lent == [False]
+
+
+def test_no_bundled_or_ladder_scenario_starts_a_helper(tmp_path, monkeypatch, started):
+    cpus(monkeypatch, 2)
+    ladder = [source for _, source in workloads.write_inputs("ladder", 0, tmp_path)]
+    for source in [*cli.BUNDLED, *ladder]:
+        cli.execute_tasks(cli.load_scenario(source))
+    assert started == []
+
+
+def test_the_run_command_keeps_its_five_arguments():
+    # the relay reads the CPU count; it adds no flag
+    run = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["run"]
+    assert [a.dest for a in run._actions] == ["help", "scenario", "format", "out", "tolerance", "seed"]
 
 
 def test_repeat_runs_are_bytewise_identical():

@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entireops as eo
-from entireops import completeness, series
+from entireops import cli, completeness, series
 from support import SCALAR, airy_problem, gaussian_problem
 
-# the benchmark's exact GF(2^31 - 1) span ranks, independent of entireops
+# the benchmark's exact GF(2^31 - 1) span ranks, independent of entireops, and
+# its span scenarios
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import certify  # noqa: E402
+import workloads  # noqa: E402
 
 
 def one_axis_gaussian_2d(cutoff: int = 8) -> eo.TruncatedSeries:
@@ -722,7 +724,7 @@ def blas_threads():
     calls = completeness._openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
-    get, set_ = calls
+    get, set_, _ = calls
     old = get()
     set_(2)
     yield get
@@ -732,6 +734,11 @@ def blas_threads():
 def gaussian_span_3d() -> eo.SpanMatrix:
     """The 165 x 165 span of d=3 N=8, large enough for OpenBLAS to thread."""
     return eo.derivative_span(eo.joint_kernel([gaussian_problem()] * 3, 16), 8, 8)
+
+
+def gaussian_span_2d() -> eo.SpanMatrix:
+    """The 15 x 15 span of d=2 N=4, below the zgesdd gate: numpy's SVD."""
+    return eo.derivative_span(eo.joint_kernel([gaussian_problem()] * 2, 8), 4, 4)
 
 
 def counting_threads(monkeypatch, get, name: str) -> list[int]:
@@ -747,13 +754,36 @@ def counting_threads(monkeypatch, get, name: str) -> list[int]:
     return seen
 
 
+def counting_gesdd(monkeypatch, get, fail: bool = False) -> list[int]:
+    """Record the thread count at each call of the ctypes zgesdd (query, then SVD).
+
+    With ``fail`` the SVD after the query raises instead of running.
+    """
+    get_, set_, gesdd = completeness._openblas_thread_calls()
+    if gesdd is None:
+        pytest.skip("numpy's OpenBLAS exports no ILP64 zgesdd")
+    seen = []
+
+    def recorded(*args):
+        seen.append(get())
+        if fail and len(seen) > 1:
+            raise RuntimeError("zgesdd failed")
+        gesdd(*args)
+
+    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (get_, set_, recorded))
+    return seen
+
+
 def test_lapack_calls_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_threads):
+    # the 165 x 165 span goes through zgesdd, the 15 x 15 one through numpy
+    gesdd_threads = counting_gesdd(monkeypatch, blas_threads)
     svd_threads = counting_threads(monkeypatch, blas_threads, "svd")
     lstsq_threads = counting_threads(monkeypatch, blas_threads, "lstsq")
     eo.rank_report(gaussian_span_3d(), 1e-8)
+    eo.rank_report(gaussian_span_2d(), 1e-8)
     f = eo.solve_kernel_axis(gaussian_problem(), 6)
     eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
-    assert (svd_threads, lstsq_threads) == ([1], [1])
+    assert (gesdd_threads, svd_threads, lstsq_threads) == ([1, 1], [1], [1])
     assert blas_threads() == 2
 
 
@@ -763,6 +793,10 @@ def test_a_raising_lapack_call_restores_the_thread_count(monkeypatch, blas_threa
 
     monkeypatch.setattr(np.linalg, "svd", singular)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        eo.rank_report(gaussian_span_2d(), 1e-8)
+    assert blas_threads() == 2
+    assert counting_gesdd(monkeypatch, blas_threads, fail=True) == []
+    with pytest.raises(RuntimeError, match="zgesdd failed"):
         eo.rank_report(gaussian_span_3d(), 1e-8)
     assert blas_threads() == 2
 
@@ -776,9 +810,10 @@ def test_nested_pins_restore_the_count_on_the_last_exit(blas_threads):
     assert blas_threads() == 2
 
 
-def test_overlapping_threads_leave_the_count_unchanged(blas_threads):
+def test_overlapping_threads_leave_the_count_unchanged(monkeypatch, blas_threads):
     span = gaussian_span_3d()
     want = eo.rank_report(span, 1e-8)
+    gesdd_threads = counting_gesdd(monkeypatch, blas_threads)
     got = []
 
     def work():
@@ -796,6 +831,8 @@ def test_overlapping_threads_leave_the_count_unchanged(blas_threads):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [want] * 60
+    # the SVDs overlap off the GIL, each on one BLAS thread
+    assert gesdd_threads == [1] * 120
     assert blas_threads() == 2
 
 
@@ -812,3 +849,124 @@ def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
     )[0]
     got = eo.approximate_target(f, target, 6, 6)
     assert got.coefficients == tuple(complex(v) for v in c)
+
+
+# ---------------------------------------------------------------------------
+# the SVD's two routes
+# ---------------------------------------------------------------------------
+
+
+class Lends:
+    """A stand-in for the caller's turn: records entries and exits of ``_lend``."""
+
+    def __init__(self, log: list) -> None:
+        self.log = log
+
+    def __enter__(self) -> None:
+        self.log.append("lend")
+
+    def __exit__(self, *exc) -> None:
+        self.log.append("back")
+
+
+@pytest.fixture
+def gesdd_log(monkeypatch):
+    """The calls of zgesdd (by LWORK: "query" or "svd") and of ``_lend``, in order."""
+    calls = completeness._openblas_thread_calls()
+    if calls is None or calls[2] is None:
+        pytest.skip("numpy's OpenBLAS exports no ILP64 zgesdd")
+    get, set_, gesdd = calls
+    log: list = []
+
+    def recorded(*args):
+        log.append("query" if args[11].value == -1 else "svd")
+        gesdd(*args)
+
+    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (get, set_, recorded))
+    token = completeness._lend.set(Lends(log))
+    yield log
+    completeness._lend.reset(token)
+
+
+def numpys(m: np.ndarray) -> np.ndarray:
+    """numpy's singular values of m on one BLAS thread, as ``_singular_values`` runs."""
+    with completeness._one_blas_thread:
+        return np.linalg.svd(m, compute_uv=False)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+GATE = completeness._GESDD_MIN_SIDE
+SHAPES = [
+    (GATE, GATE), (GATE - 1, GATE - 1), (GATE + 1, GATE + 1),
+    (GATE, 3 * GATE), (3 * GATE, GATE), (GATE - 1, 2 * GATE), (2 * GATE, GATE - 1),
+    (GATE + 1, 2 * GATE), (2 * GATE, GATE + 1), (1, 2 * GATE), (2 * GATE, 1), (286, 286),
+]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+def test_singular_values_are_numpys_bit_for_bit_on_random_matrices(gesdd_log, shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert same_bits(completeness._singular_values(m), numpys(m))
+    # only the SVD itself runs without the turn; a matrix below the gate lends nothing
+    assert gesdd_log == (["query", "lend", "svd", "back"] if min(shape) >= GATE else [])
+
+
+def test_singular_values_of_a_zero_matrix_are_numpys(gesdd_log):
+    m = np.zeros((GATE + 6, GATE + 6), dtype=complex)
+    assert same_bits(completeness._singular_values(m), numpys(m))
+    assert gesdd_log == ["query", "lend", "svd", "back"]
+
+
+def test_a_nan_entry_fails_as_numpy_does_and_an_inf_entry_gives_numpys_values(gesdd_log):
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((GATE + 2, GATE + 2)) + 0j
+    m[3, 5] = np.nan
+    for svd in (completeness._singular_values, numpys):
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            svd(m)
+    m[3, 5] = np.inf
+    assert same_bits(completeness._singular_values(m), numpys(m))
+
+
+def recorded_spans(monkeypatch) -> list[np.ndarray]:
+    """The normalized spans that rank_report hands to ``_singular_values`` from here on."""
+    spans = []
+    real = completeness._singular_values
+
+    def recorded(m):
+        spans.append(m.copy())
+        return real(m)
+
+    monkeypatch.setattr(completeness, "_singular_values", recorded)
+    return spans
+
+
+def test_singular_values_are_numpys_bit_for_bit_on_every_benchmark_and_bundled_span(
+    monkeypatch, gesdd_log, tmp_path
+):
+    spans = recorded_spans(monkeypatch)
+    sources = [*cli.BUNDLED, *(source for _, source in workloads.write_inputs("span", 0, tmp_path))]
+    for source in sources:
+        cli.execute_tasks(cli.load_scenario(source))
+    # the bundled spans are below the gate, the 5 of the span workload above it
+    assert [min(m.shape) >= GATE for m in spans].count(True) == 5
+    for m in list(spans):
+        assert same_bits(completeness._singular_values(m), numpys(m))
+
+
+def test_without_the_zgesdd_symbol_the_svd_is_numpys_and_lends_nothing(monkeypatch):
+    calls = completeness._openblas_thread_calls()
+    get_set = calls[:2] if calls is not None else (lambda: 1, lambda n: None)
+    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (*get_set, None))
+    log: list = []
+    token = completeness._lend.set(Lends(log))
+    try:
+        svd_calls = counting_threads(monkeypatch, get_set[0], "svd")
+        eo.rank_report(gaussian_span_3d(), 1e-8)
+    finally:
+        completeness._lend.reset(token)
+    assert (len(svd_calls), log) == (1, [])
