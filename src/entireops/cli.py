@@ -22,9 +22,12 @@ such lend while tasks remain a helper thread starts and takes the next task,
 up to one helper per CPU the process may use past the first.  A task's
 report does not depend on the thread that ran it, reports are kept by task
 index, the first task (by index) that raised is re-raised, and every helper
-is joined before ``execute_tasks`` returns or raises.  With one CPU, or no
-such SVD, the tasks run one after another on the calling thread.  The relay
-reads the CPU count and nothing else: it adds no option, flag, environment
+is joined before ``execute_tasks`` returns or raises.  No runner sets
+process-wide state such as a warning filter, which every thread would share:
+a translate-mode task translates a polynomial (see ``_run_complete``), so
+it has no ``ApproximationWarning`` to silence.  With one CPU, or no such
+SVD, the tasks run one after another on the calling thread.  The relay reads
+the CPU count and nothing else: it adds no option, flag, environment
 variable or public name.
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
@@ -39,7 +42,6 @@ import json
 import math
 import os
 import threading
-import warnings
 from contextvars import copy_context
 from importlib import resources
 from pathlib import Path
@@ -77,7 +79,6 @@ from .serialize import (
     to_json_text,
 )
 from .series import (
-    ApproximationWarning,
     SemiNormSpec,
     TruncatedSeries,
     _checked_layout,
@@ -407,24 +408,21 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
     if p["mode"] == "derivative":
         report = derivative_report(trunc, max_order)
     else:
-        ambient = math.comb(trunc + scn.dimension, scn.dimension)
-        count = _given(p["samples"], 3 * ambient)
+        count = _given(p["samples"], 3 * _size(scn.dimension, trunc))
         samples = sample_box(scn.dimension, count, ctx["seed"], *p["box"])
         # an explicit polynomial is translated whole: its coefficients past
-        # the truncation reach the low degrees of its translates.  The
-        # block's budget is checked before any other generator is solved.
+        # the truncation reach the low degrees of its translates.  Any other
+        # generator is solved or cut to N, and that truncation is what is
+        # translated: wrapped as the polynomial it is, it raises no
+        # ApproximationWarning.  The block's budget is checked before the
+        # solve.
         f = scn.explicit_generator
         whole = f is not None and f.is_polynomial
         _checked_translates(scn.dimension, f.cutoff if whole else trunc, count, trunc)
         if not whole:
-            f = generator_series(scn, trunc)
-        with warnings.catch_warnings():
-            # asking for translate mode on a truncation accepts approximate rows
-            warnings.simplefilter("ignore", ApproximationWarning)
-            span = translate_span(f, trunc, samples)
-        # outside the block: the filter is process-wide, and the SVD may
-        # lend the turn to a helper
-        report = rank_report(span, tolerance)
+            vector = generator_series(scn, trunc).vector
+            f = TruncatedSeries(scn.dimension, trunc, trunc, True, vector)
+        report = rank_report(translate_span(f, trunc, samples), tolerance)
     payload = {
         "rank": report.rank,
         "ambient": report.ambient_dim,
@@ -540,10 +538,7 @@ class _Relay:
     its tasks: entering gives the turn up and, at the first entry while
     tasks remain, starts a helper, up to ``_cpus() - 1`` of them; leaving
     takes the turn back.  A helper runs in a copy of the context it starts
-    from, so the caller's ``np.errstate`` reaches its tasks.  No task lends
-    inside a ``warnings.catch_warnings()`` block, whose filters every
-    thread shares (``_run_complete`` reports a translate span after its
-    block).
+    from, so the caller's ``np.errstate`` reaches its tasks.
     """
 
     def __init__(self, run, count: int) -> None:

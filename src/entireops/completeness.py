@@ -43,12 +43,12 @@ they still depend on the numpy and BLAS build.
 
 The SVD is ``_singular_values``.  A complex128 matrix whose short side is at
 least ``_GESDD_MIN_SIDE`` (64) goes to the routine numpy's own call reaches,
-the ILP64 ``zgesdd`` of that OpenBLAS (``scipy_zgesdd_64_``, else
-``zgesdd_64_``), through ctypes with numpy's arguments, so its singular
-values are numpy's bit for bit; ctypes releases the GIL for the call, and
-the caller lends its turn (``_lend``, set by ``cli.execute_tasks``) so the
-scenario's next task runs meanwhile.  A smaller matrix, another dtype or a
-BLAS without that symbol goes to ``np.linalg.svd``, which holds the GIL.
+the ILP64 ``zgesdd`` of that OpenBLAS (``scipy_zgesdd_64_``), through
+ctypes with numpy's arguments, so its singular values are numpy's bit for
+bit; ctypes releases the GIL for the call, and the caller lends its turn
+(``_lend``, set by ``cli.execute_tasks``) so the scenario's next task runs
+meanwhile.  A smaller matrix, another dtype or a BLAS without that symbol
+goes to ``np.linalg.svd``, which holds the GIL.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class SpanMatrix(Record):
             matrix=matrix, row_labels=row_labels, truncation=truncation,
             dim=dim, max_order=max_order,
         )
-        ambient = math.comb(self.truncation + self.dim, self.dim)
+        ambient = _size(self.dim, self.truncation)
         if self.matrix.ndim != 2 or self.matrix.shape[1] != ambient:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match ambient "
@@ -319,9 +319,8 @@ def _openblas_thread_calls() -> tuple | None:
     Looked up once, at the first LAPACK call, not at import.  The wheel
     keeps its libraries in ``numpy.libs`` beside the package; another BLAS
     (MKL, Accelerate, a system build) has no such directory or symbol, and
-    is left as it is.  ``zgesdd`` is the ILP64 routine beside the thread
-    calls, or None; only ILP64 names are looked up, since numpy's wheels
-    call LAPACK with 64-bit integers.
+    is left as it is.  The names are those a numpy >= 2 wheel's
+    scipy-openblas exports; ``zgesdd`` is its ILP64 routine, or None.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
@@ -335,18 +334,15 @@ def _openblas_thread_calls() -> tuple | None:
             lib = ctypes.CDLL(os.path.join(libs, name))
         except OSError:
             continue
-        # numpy 2 wheels, numpy 1.x wheels, then an unsuffixed build
-        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                       "openblas_{}_num_threads"):
-            get = getattr(lib, symbol.format("get"), None)
-            set_ = getattr(lib, symbol.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                gesdd = getattr(lib, "scipy_zgesdd_64_", None) or getattr(lib, "zgesdd_64_", None)
-                if gesdd is not None:
-                    gesdd.argtypes, gesdd.restype = _GESDD_ARGS, None
-                return get, set_, gesdd
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            gesdd = getattr(lib, "scipy_zgesdd_64_", None)
+            if gesdd is not None:
+                gesdd.argtypes, gesdd.restype = _GESDD_ARGS, None
+            return get, set_, gesdd
     return None
 
 

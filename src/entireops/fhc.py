@@ -50,6 +50,7 @@ from .series import (
     TruncatedSeries,
     _checked_axis,
     _checked_index,
+    _size,
     derivative_rows,
     seminorm_rows,
     term_table,
@@ -209,7 +210,7 @@ def _realized_rows(
     and each row adds its terms in label order as ``linear_combine`` does.
     """
     gathered = iter(derivative_rows(f, [n for table in tables for n in table], degree))
-    acc = np.zeros((len(tables), math.comb(degree + f.dim, degree)), dtype=complex)
+    acc = np.zeros((len(tables), _size(f.dim, degree)), dtype=complex)
     for row, table in zip(acc, tables):
         for c, part in zip(table.values(), gathered):
             row += c * part
@@ -303,7 +304,7 @@ def convergence_report(
         seminorm_rows(x.dim, d, _realized_rows(f, tables, d), spec)
         raise
     rows = _realized_rows(f, tables, check)
-    u = seminorm_rows(x.dim, d, rows[:, : math.comb(d + x.dim, d)], spec).tolist()
+    u = seminorm_rows(x.dim, d, rows[:, : _size(x.dim, d)], spec).tolist()
     u_check = seminorm_rows(x.dim, check, rows, spec).tolist()
 
     ratios: list[float | None] = [

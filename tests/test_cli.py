@@ -1349,20 +1349,49 @@ def test_more_helpers_than_cores_run_each_task_once_in_a_fast_switching_run(
     assert not any(t.is_alive() for t in started)
 
 
-def test_no_turn_is_lent_while_approximation_warnings_are_ignored(tmp_path, monkeypatch, started):
-    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS[2:3]))
-    enter = cli._Relay.__enter__
-    lent = []
+def test_no_task_sets_a_warning_filter_and_translate_reports_keep_their_numbers(
+    tmp_path, monkeypatch
+):
+    # a warning filter is process-wide: a relay helper would run under another task's
+    span_d2 = dict(workloads.write_inputs("span", 0, tmp_path))["span_d2"]
+    scenarios = {source: cli.load_scenario(source) for source in [*cli.BUNDLED, span_d2]}
+    calls = []
+    enter, simplefilter = warnings.catch_warnings.__enter__, warnings.simplefilter
 
-    def recorded(relay):
-        # the filter _run_complete's catch_warnings block adds
-        lent.append(("ignore", None, eo.ApproximationWarning, None, 0) in warnings.filters)
-        enter(relay)
+    def entered(self):
+        calls.append("catch_warnings")
+        return enter(self)
 
-    monkeypatch.setattr(cli._Relay, "__enter__", recorded)
-    cpus(monkeypatch, 2)
-    cli.execute_tasks(scn)
-    assert lent == [False]
+    def filtered(*args, **kwargs):
+        calls.append("simplefilter")
+        return simplefilter(*args, **kwargs)
+
+    monkeypatch.setattr(warnings.catch_warnings, "__enter__", entered)
+    monkeypatch.setattr(warnings, "simplefilter", filtered)
+    outputs = {source: cli.execute_tasks(scn)[1] for source, scn in scenarios.items()}
+    monkeypatch.undo()
+    assert calls == []
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "bundled"
+    for name in cli.BUNDLED:
+        assert "".join(text for _, text in outputs[name]) == (ref / f"{name}.txt").read_text()
+    # each translate report is the rank of the degree-N truncation's
+    # translates, as built under a filter that ignores their warning
+    translates = 0
+    for source, scn in scenarios.items():
+        for i, p in enumerate(scn.tasks):
+            if p["task"] != "complete" or p["mode"] != "translate":
+                continue
+            n = p["truncation"]
+            count, seed = p["samples"], scn.rng_seed + i
+            samples = eo.sample_box(scn.dimension, count, seed, *p["box"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", eo.ApproximationWarning)
+                span = eo.translate_span(cli.generator_series(scn, n), n, samples)
+            want = eo.rank_report(span, cli._given(p["tolerance"], scn.tolerance))
+            got = json.loads(outputs[source][i][1])
+            assert (got["rank"], got["diagnostics"]) == (want.rank, list(want.singular_values))
+            translates += 1
+    assert translates == 2
 
 
 def test_no_bundled_or_ladder_scenario_starts_a_helper(tmp_path, monkeypatch, started):
