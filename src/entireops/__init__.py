@@ -12,7 +12,6 @@ user-supplied scenario files over all of it.
 """
 
 from .series import (
-    ApproximationWarning,
     Index,
     SemiNormSpec,
     TruncatedSeries,

@@ -22,11 +22,10 @@ such lend while tasks remain a helper thread starts and takes the next task,
 up to one helper per CPU the process may use past the first.  A task's
 report does not depend on the thread that ran it, reports are kept by task
 index, the first task (by index) that raised is re-raised, and every helper
-is joined before ``execute_tasks`` returns or raises.  No runner sets
-process-wide state such as a warning filter, which every thread would share:
-a translate-mode task translates a polynomial (see ``_run_complete``), so
-it has no ``ApproximationWarning`` to silence.  With one CPU, or no such
-SVD, the tasks run one after another on the calling thread.  The relay reads
+is joined before ``execute_tasks`` returns or raises.  Every task runs in
+a copy of the caller's context, not of the task that lent.  No runner sets
+process-wide state such as a warning filter.  With one CPU, or no such SVD,
+the tasks run one after another on the calling thread.  The relay reads
 the CPU count and nothing else: it adds no option, flag, environment
 variable or public name.
 
@@ -65,6 +64,7 @@ from .serialize import (
     ScenarioError,
     _count,
     _finite,
+    _items,
     _list_of,
     _natural,
     _positive,
@@ -112,8 +112,7 @@ def _box(value: Any) -> tuple[float, float]:
     The width's sign bit is read as ``sample_box`` reads it, so the box
     ``[0.0, -0.0]`` is refused here too.
     """
-    low, high = value
-    low, high = _finite(low), _finite(high)
+    low, high = map(_finite, _items(value))
     width = high - low
     if not (math.isfinite(width) and math.copysign(1.0, width) > 0):
         raise ValueError(f"high - low is {width}: the box needs low <= high and a finite width")
@@ -241,7 +240,7 @@ SCENARIO_KEYS: Schema = {
     "rng_seed": (_natural, 0),
     "operators": (_list_of(cr_operator_from_json), REQUIRED),
     "generator": (lambda value: read_object(value, GENERATOR_KEYS, "generator"), REQUIRED),
-    "tasks": (list, REQUIRED),
+    "tasks": (_items, REQUIRED),  # each read by task_params
 }
 
 
@@ -308,7 +307,7 @@ def load_scenario(source: str) -> Scenario:
     back to the files shipped inside the package.
     """
     path = Path(source)
-    name = path.stem if path.suffix == ".json" else source
+    name = path.stem if path == Path("scenarios", f"{path.stem}.json") else source
     if path.is_file():
         text = path.read_text()
     elif name in BUNDLED:
@@ -413,9 +412,8 @@ def _run_complete(scn: Scenario, p: dict, ctx: dict):
         # an explicit polynomial is translated whole: its coefficients past
         # the truncation reach the low degrees of its translates.  Any other
         # generator is solved or cut to N, and that truncation is what is
-        # translated: wrapped as the polynomial it is, it raises no
-        # ApproximationWarning.  The block's budget is checked before the
-        # solve.
+        # translated as the polynomial it stores (translate_span refuses a
+        # truncation).  The block's budget is checked before the solve.
         f = scn.explicit_generator
         whole = f is not None and f.is_polynomial
         _checked_translates(scn.dimension, f.cutoff if whole else trunc, count, trunc)
@@ -537,8 +535,9 @@ class _Relay:
     exception is kept by index.  The relay is the ``completeness._lend`` of
     its tasks: entering gives the turn up and, at the first entry while
     tasks remain, starts a helper, up to ``_cpus() - 1`` of them; leaving
-    takes the turn back.  A helper runs in a copy of the context it starts
-    from, so the caller's ``np.errstate`` reaches its tasks.
+    takes the turn back.  Each thread runs in a copy of ``context``, the
+    caller's with the relay as ``_lend``, so the caller's ``np.errstate``
+    reaches every task, and the mode a task lends under does not.
     """
 
     def __init__(self, run, count: int) -> None:
@@ -549,6 +548,8 @@ class _Relay:
         self.raised: dict[int, BaseException] = {}
         self.helpers: list[threading.Thread] = []
         self.spare: int | None = None  # counted at the first lend
+        self.context = copy_context()
+        self.context.run(_lend.set, self)
 
     def work(self) -> None:
         """Run tasks, holding the turn, until none remain or one raised."""
@@ -569,7 +570,7 @@ class _Relay:
             self.spare = _cpus() - 1
         if self.spare > 0 and self.taken < self.count and not self.raised:
             self.spare -= 1
-            helper = threading.Thread(target=copy_context().run, args=(self._help,))
+            helper = threading.Thread(target=self.context.copy().run, args=(self._help,))
             helper.start()
             self.helpers.append(helper)
         self.turn.release()
@@ -630,13 +631,11 @@ def execute_tasks(
         return name, text, passed
 
     relay = _Relay(run, len(scn.tasks))
-    token = _lend.set(relay)
     relay.turn.acquire()
     try:
-        relay.work()
+        relay.context.copy().run(relay.work)
     finally:
         relay.turn.release()
-        _lend.reset(token)
         for helper in relay.helpers:
             helper.join()
     if relay.raised:
@@ -667,11 +666,12 @@ def _run(scn: Scenario, fmt: str, out: Any, tolerance: Any, seed: Any, stream: T
     code, outputs = execute_tasks(scn, fmt=fmt, tolerance=tolerance, seed=seed)
     if out is not None:
         Path(out).mkdir(parents=True, exist_ok=True)
+    digits = max(2, len(str(len(outputs) - 1)))  # names sort in task order
     for i, (name, text) in enumerate(outputs):
         if out is None:
             stream.write(text)
         else:
-            Path(out, f"{i:02d}_{name}.{fmt}").write_text(text)
+            Path(out, f"{i:0{digits}d}_{name}.{fmt}").write_text(text)
     return code
 
 

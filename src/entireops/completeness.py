@@ -17,10 +17,10 @@ Translate rows come from one function, ``translate_rows`` (``translate``
 is its one-row case): the same plan with binomial factors
 ``comb(m + k, k)`` over every order k up to f's cutoff, summed by one matmul
 with the sample powers ``s^k``.  Each sample goes through the one point
-check, ``series._checked_point``, once, in ``translate_span``;
-``translate_rows`` takes the checked points and emits the one
-ApproximationWarning of the call, at the caller of ``translate_span``, when
-f is a truncation rather than a polynomial.
+check, ``series._checked_point``, once, in ``translate_span``, and
+``translate_rows`` takes the checked points.  Every span row is exact:
+``derivative_span`` refuses an f not exact to N + max_order, and
+``translate_span`` a truncation, whose tail reaches every translate.
 
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative
@@ -179,11 +179,12 @@ def translate_span(
 ) -> SpanMatrix:
     """Rows: truncations of f(. + s) for each sample point s.
 
-    All rows come from one plan gather and one matmul.  Exact for polynomial f;
-    otherwise the rows of nonzero samples are truncation approximations (one
-    ApproximationWarning per call) and downstream rank decisions are
-    tolerance-based.
+    All rows come from one plan gather and one matmul, each exact, so f
+    must be a polynomial (a truncation's tail reaches every translate).
     """
+    if not f.is_polynomial:
+        raise ValueError("translate span needs a polynomial f; for a truncation's stored one, "
+                         "pass TruncatedSeries(dim, cutoff, cutoff, True, f.vector)")
     samples = [_checked_point(f.dim, s, "shift") for s in samples]
     if not samples:
         raise ValueError("at least one translation sample required")

@@ -105,8 +105,15 @@ _natural = _int_from(0)
 _count = _int_from(1)
 
 
+def _items(value: Any) -> list | tuple:
+    """A list as given; a string or an object is refused."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list, got {value!r}")
+    return value
+
+
 def _list_of(parse: Any) -> Any:
-    return lambda value: [parse(v) for v in value]
+    return lambda value: [parse(v) for v in _items(value)]
 
 
 def _finite_complex(pair: Any, key: str) -> complex:
@@ -178,7 +185,7 @@ def read_object(
 
 
 COEFFICIENT_KEYS: Schema = {
-    "idx": (lambda idx: tuple(map(scenario_int, idx)), REQUIRED),
+    "idx": (lambda idx: tuple(map(scenario_int, _items(idx))), REQUIRED),
     "re": (None, REQUIRED),  # both parts are read as one pair, by _finite_complex
     "im": (None, 0.0),
 }
@@ -189,9 +196,9 @@ def _coefficient(entry: Any) -> tuple[Index, complex]:
     return e["idx"], _finite_complex((e["re"], e["im"]), f"coefficient at index {list(e['idx'])}")
 
 
-def coeffs_from_json(entries: Iterable[Mapping]) -> list[tuple[Index, complex]]:
-    """(index, coefficient) pairs of ``{"idx", "re", "im"}`` entries, in order."""
-    return [_coefficient(e) for e in entries]
+def coeffs_from_json(entries: Any) -> list[tuple[Index, complex]]:
+    """(index, coefficient) pairs of a list of ``{"idx", "re", "im"}`` entries, in order."""
+    return [_coefficient(e) for e in _items(entries)]
 
 
 SERIES_KEYS: Schema = {

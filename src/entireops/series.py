@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -74,9 +73,6 @@ import numpy as np
 Index = tuple[int, ...]
 #: an index table as a mapping or as (index, coefficient) pairs
 Entries = Iterable[tuple[Sequence[int], complex]] | Mapping[Index, complex]
-
-class ApproximationWarning(UserWarning):
-    """The returned series carries no exactness guarantee (exact_degree = -1)."""
 
 
 def index_factorial(n: Index) -> int:
@@ -735,9 +731,8 @@ def translate_rows(
     cells, as a derivative span with ``max_order = cutoff`` does.  The rows
     are reproducible for equal inputs, but not bit for bit those of a scalar
     term loop, which sums in another order.  The row of an all-zero shift is
-    f's vector itself.  For a non-polynomial f one ApproximationWarning
-    covers every nonzero shift of the call; it names the caller of
-    ``translate`` or ``completeness.translate_span``, the two callers.
+    f's vector itself.  A non-polynomial f is translated as the polynomial
+    it stores; ``completeness.translate_span`` refuses one.
     """
     layout = _layout(f.dim, f.cutoff)
     _checked_translates(f.dim, f.cutoff, len(shifts), degree)
@@ -754,13 +749,6 @@ def translate_rows(
     out = vandermonde @ block
     zero = [not any(s) for s in shifts]
     out[zero] = coefficient_vector(f, degree)
-    if not (f.is_polynomial or all(zero)):
-        warnings.warn(
-            "translating a non-polynomial truncation: the result has no "
-            "exactness guarantee",
-            ApproximationWarning,
-            stacklevel=3,
-        )
     return out
 
 
@@ -770,8 +758,7 @@ def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
     The one-row case of ``translate_rows``; an all-zero shift returns f
     itself.  For a polynomial the result is exact.  Otherwise the missing
     tail of f contaminates every output coefficient, so the result is
-    flagged exactness-free (exact_degree = -1) and an ApproximationWarning
-    is emitted; rank tests that consume such rows are tolerance-based.
+    flagged exactness-free (exact_degree = -1); no warning is issued.
     """
     shift = _checked_point(f.dim, shift, "shift")
     if not any(shift):

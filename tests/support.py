@@ -1,5 +1,6 @@
 """Shared builders for the test suite: the two shipped operator families,
-a hypothesis strategy for random CR operators, the scalar semi-norm loop,
+a hypothesis strategy for random CR operators, the polynomial a truncation
+stores, the scalar semi-norm loop,
 the closed forms that check the library's raising and pairing, the
 reference layout, plan and report writers, and the bundled scenario
 objects."""
@@ -58,6 +59,11 @@ def airy_family(dim: int) -> list[eo.CROperator]:
         eo.CROperator(dim, j, 1.0, partial_symbol(dim, j, order=2, b=2.0))
         for j in range(1, dim + 1)
     ]
+
+
+def stored_polynomial(f: eo.TruncatedSeries) -> eo.TruncatedSeries:
+    """The polynomial a truncation stores, the only kind of f ``translate_span`` takes."""
+    return eo.TruncatedSeries(f.dim, f.cutoff, f.cutoff, True, f.vector)
 
 
 def max_coeff_diff(f: eo.TruncatedSeries, expected: dict) -> float:

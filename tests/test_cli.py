@@ -31,6 +31,7 @@ from support import (
     gaussian_family,
     reference_csv_text,
     reference_json_text,
+    stored_polynomial,
 )
 
 # the benchmark's ladder scenarios, generated by its workloads module
@@ -64,6 +65,18 @@ def test_scenario_path_fallback_to_bundle():
 def test_unknown_scenario_rejected():
     with pytest.raises(cli.ScenarioError, match="not found"):
         cli.load_scenario("no-such-scenario")
+
+
+@pytest.mark.parametrize(
+    "where", [("missing",), ("missing", "scenarios")], ids=["missing", "missing-scenarios"]
+)
+def test_a_missing_path_named_like_a_bundled_scenario_exits_2(tmp_path, capsys, where):
+    # only a bare name or scenarios/<name>.json falls back to the bundle
+    path = tmp_path.joinpath(*where, "remark3.json")
+    assert cli.main(["run", str(path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"scenario {str(path)!r} not found" in captured.err
 
 
 def test_scenario_schema_validation(tmp_path):
@@ -271,6 +284,17 @@ def test_generator_short_of_a_task_fails_that_task_and_keeps_earlier_reports(
     assert captured.err == ""
 
 
+def test_out_file_names_keep_task_order_past_99_tasks(tmp_path, capsysbinary):
+    tasks = [{"task": "verify-cr", "probe_degree": i % 3} for i in range(101)]
+    scenario = _scenario_file(tmp_path, "gaussian1d", tasks)
+    out = tmp_path / "reports"
+    assert cli.main(["run", scenario, "--out", str(out)]) == cli.EXIT_OK
+    files = sorted(out.iterdir())
+    assert [p.name for p in files] == [f"{i:03d}_verify-cr.json" for i in range(101)]
+    assert cli.main(["run", scenario]) == cli.EXIT_OK
+    assert b"".join(p.read_bytes() for p in files) == capsysbinary.readouterr().out
+
+
 def test_out_directory_writes_one_report_per_task(tmp_path, capsysbinary):
     out = tmp_path / "reports"
     code = cli.run_scenario("remark3", out=str(out), stream=io.StringIO())
@@ -374,6 +398,41 @@ def test_malformed_task_is_a_scenario_error_before_any_task_runs(
     captured = capsys.readouterr()
     assert repr(key) in captured.err
     assert captured.out == ""
+
+
+#: a list key set to a string or an object: (bundled name, path, value, key)
+LIST_SITES = [
+    ("gaussian1d", ("tasks", 2, "trajectory"), "345", "trajectory"),
+    ("gaussian1d", ("operators", 0, "symbol", 0, "idx"), "0", "idx"),
+    ("gaussian1d", ("operators", 0, "symbol", 0, "idx"), {"0": 0}, "idx"),
+    ("gaussian2d", ("tasks", 3, "box"), "12", "box"),
+    ("gaussian2d", ("tasks", 3, "box"), {"0": 1, "1": 2}, "box"),
+    ("gaussian1d", ("tasks",), {"task": "verify-cr"}, "tasks"),
+    ("remark3", ("generator", "explicit", "coeffs"), {"idx": [0, 0], "re": 1.0}, "coeffs"),
+    ("gaussian1d", ("operators", 0, "symbol"), {"idx": [1], "re": 1.0}, "symbol"),
+    ("gaussian1d", ("tasks", 4, "terms"), {"idx": [0], "re": 1.0}, "terms"),
+    ("gaussian1d", ("generator", "kernel", 0, "charpoly"), {"0": [0.0, 0.0]}, "charpoly"),
+    ("gaussian1d", ("generator", "kernel", 0, "seeds"), {"0": [1.0, 0.0]}, "seeds"),
+    ("gaussian1d", ("operators",), {"0": {}}, "operators"),
+    ("gaussian1d", ("generator", "kernel"), {"0": {}}, "kernel"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, key", LIST_SITES, ids=[f"{s[3]}-{type(s[2]).__name__}" for s in LIST_SITES]
+)
+def test_a_list_key_given_a_string_or_an_object_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, name, path, value, key
+):
+    # a string or an object is not read item by item, by character or by key
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_with(name, path, value)))
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", str(scenario)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad {key!r} in " in captured.err
+    assert f"must be a list, got {value!r}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1305,6 +1364,9 @@ def test_a_helper_runs_its_tasks_in_the_callers_errstate(tmp_path, monkeypatch, 
         seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
         if not seen[-1][0]:
             helped.set()
+        if ctx["seed"] == scn.rng_seed:  # the helper starts at this task's lend, not in its mode
+            with np.errstate(over="raise"):
+                return complete(scn, p, ctx)
         return complete(scn, p, ctx)
 
     def waiting(*args):
@@ -1374,8 +1436,8 @@ def test_no_task_sets_a_warning_filter_and_translate_reports_keep_their_numbers(
     ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "bundled"
     for name in cli.BUNDLED:
         assert "".join(text for _, text in outputs[name]) == (ref / f"{name}.txt").read_text()
-    # each translate report is the rank of the degree-N truncation's
-    # translates, as built under a filter that ignores their warning
+    # each translate report is the rank of the translates of the polynomial
+    # that the degree-N truncation stores
     translates = 0
     for source, scn in scenarios.items():
         for i, p in enumerate(scn.tasks):
@@ -1384,9 +1446,7 @@ def test_no_task_sets_a_warning_filter_and_translate_reports_keep_their_numbers(
             n = p["truncation"]
             count, seed = p["samples"], scn.rng_seed + i
             samples = eo.sample_box(scn.dimension, count, seed, *p["box"])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", eo.ApproximationWarning)
-                span = eo.translate_span(cli.generator_series(scn, n), n, samples)
+            span = eo.translate_span(stored_polynomial(cli.generator_series(scn, n)), n, samples)
             want = eo.rank_report(span, cli._given(p["tolerance"], scn.tolerance))
             got = json.loads(outputs[source][i][1])
             assert (got["rank"], got["diagnostics"]) == (want.rank, list(want.singular_values))

@@ -6,7 +6,6 @@ import math
 import sys
 import threading
 import tracemalloc
-import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import entireops as eo
 from entireops import cli, completeness, series
-from support import SCALAR, airy_problem, gaussian_problem
+from support import SCALAR, airy_problem, gaussian_problem, stored_polynomial
 
 # the benchmark's exact GF(2^31 - 1) span ranks, independent of entireops, and
 # its span scenarios
@@ -103,21 +102,19 @@ def test_translate_span_needs_samples():
 def test_translate_span_matches_derivative_rank_for_truncated_gaussian():
     f = eo.solve_kernel_axis(gaussian_problem(), 8)
     d_rank = eo.rank_report(eo.derivative_span(f, 4, 4), 1e-8).rank
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eo.ApproximationWarning)
-        span = eo.translate_span(f, 4, eo.sample_box(1, 10, seed=5))
+    span = eo.translate_span(stored_polynomial(f), 4, eo.sample_box(1, 10, seed=5))
     assert eo.rank_report(span, 1e-8).rank == d_rank
 
 
-def test_translate_span_warns_once_for_a_truncation():
+@pytest.mark.parametrize(
+    "samples", [eo.sample_box(1, 10, seed=5), [(0.0,), (0j,)]], ids=["box", "zero_shifts"]
+)
+def test_translate_span_refuses_a_truncation(samples):
+    # its missing tail would reach every row; the refusal does not depend on
+    # the samples, so shifts that would leave f as it is are refused too
     f = eo.solve_kernel_axis(gaussian_problem(), 8)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eo.translate_span(f, 4, eo.sample_box(1, 10, seed=5))
-        assert [w.category for w in caught] == [eo.ApproximationWarning]
-        # a zero shift leaves f as it is: nothing approximate, no warning
-        eo.translate_span(f, 4, [(0.0,), (0j,)])
-    assert len(caught) == 1
+    with pytest.raises(ValueError, match=r"needs a polynomial f; .* pass TruncatedSeries\(dim"):
+        eo.translate_span(f, 4, samples)
 
 
 def test_translate_span_zero_sample_row_is_the_coefficient_vector():
@@ -301,9 +298,7 @@ def translate_case(draw):
 @given(translate_case())
 def test_translate_span_is_the_exact_sum_within_its_rounding_bound(case):
     f, truncation, samples = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eo.ApproximationWarning)
-        span = eo.translate_span(f, truncation, samples)
+    span = eo.translate_span(f if f.is_polynomial else stored_polynomial(f), truncation, samples)
     assert_within_rounding(f, samples, truncation, span.matrix)
 
 
@@ -317,9 +312,7 @@ def test_translate_span_is_the_exact_sum_within_its_rounding_bound(case):
 )
 def test_translate_past_171_factorial_is_finite_and_exact_within_rounding(f):
     # s^k / k! over the derivative weights k! C(m + k, k) would pass 171!
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eo.ApproximationWarning)
-        out = eo.translate(f, (-0.75,))
+    out = eo.translate(f, (-0.75,))
     assert np.isfinite(out.vector).all()
     assert_within_rounding(f, [(-0.75,)], f.cutoff, [out.vector])
 

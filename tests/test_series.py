@@ -631,12 +631,14 @@ def test_translate_zero_shift_preserves_exactness():
     assert out is f
 
 
-def test_translate_nonpolynomial_warns_and_clears_exactness():
+def test_translate_nonpolynomial_clears_exactness_and_warns_nothing():
     f = gauss_series()
-    with pytest.warns(eo.ApproximationWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         out = eo.translate(f, (1,))
     assert out.exact_degree == -1
     assert not out.is_polynomial
+    assert caught == []
 
 
 @pytest.mark.parametrize(
@@ -657,15 +659,6 @@ def test_translate_with_a_shift_power_past_the_float_range_raises(f, shift):
 def test_translate_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         eo.translate(eo.monomial(2, 2, (1, 0)), (1.0,))
-
-
-def test_translate_and_translate_span_warn_at_their_caller():
-    # translate_rows emits the one warning; it names this file, not series.py
-    f = gauss_series()
-    with pytest.warns(eo.ApproximationWarning) as caught:
-        eo.translate(f, (1,))
-        eo.translate_span(f, 3, [(0.5,), (1.0,)])
-    assert [w.filename for w in caught] == [__file__] * 2
 
 
 @pytest.mark.parametrize(
@@ -982,9 +975,7 @@ def _step(f, f0, kind, arg):
     if kind == "multiply":
         return eo.multiply_coordinate(f, arg)
     if kind == "translate":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", eo.ApproximationWarning)
-            return eo.translate(f, arg)
+        return eo.translate(f, arg)
     if kind == "cutoff":
         return eo.with_cutoff(f, max(0, f.cutoff + arg))
     if kind == "cr":

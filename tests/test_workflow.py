@@ -34,3 +34,13 @@ def test_every_install_step_asks_for_the_numpy_that_pyproject_declares():
     assert installs
     for run in installs:
         assert re.findall(r'"(numpy[^"]*)"', run) == [declared], run
+
+
+def test_every_cli_run_in_the_workflow_turns_all_warnings_into_errors():
+    # the library issues no warning, so none may escape any step's run
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    runs = [line for job in jobs.values() for step in job["steps"]
+            for line in step.get("run", "").splitlines() if "-m entireops run" in line]
+    assert runs
+    for line in runs:
+        assert "python -W error -m entireops run" in line, line
