@@ -13,21 +13,11 @@ record's ``_asdict()`` where the record's fields are the report's keys, and
 ``_run`` writes it to stdout or to ``--out`` as JSON by default or, for the
 kinds in ``CSV_PROFILES``, as CSV rows read from that dict.
 
-``execute_tasks`` runs a scenario's tasks through a relay (``_Relay``) made
-for the call.  Its one lock, the turn, lets one thread at a time run library
-Python; the thread holding it takes the next task in index order.  The one
-place that gives the turn up is the SVD of a large span (see
-``completeness``): its zgesdd call runs without the GIL, and at the first
-such lend while tasks remain a helper thread starts and takes the next task,
-up to one helper per CPU the process may use past the first.  A task's
-report does not depend on the thread that ran it, reports are kept by task
-index, the first task (by index) that raised is re-raised, and every helper
-is joined before ``execute_tasks`` returns or raises.  Every task runs in
-a copy of the caller's context, not of the task that lent.  No runner sets
-process-wide state such as a warning filter.  With one CPU, or no such SVD,
-the tasks run one after another on the calling thread.  The relay reads
-the CPU count and nothing else: it adds no option, flag, environment
-variable or public name.
+``execute_tasks`` runs a scenario's tasks one after another on the calling
+thread: the library starts no thread, and no runner sets process-wide state
+such as a warning filter.  Most of a large span task's time is its SVD,
+which ``completeness`` makes in real arithmetic for a span of real data and
+short side at least 64 (``completeness._singular_values``).
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors (found before any task runs), 3 internal errors.
@@ -39,15 +29,11 @@ from __future__ import annotations
 import sys
 import json
 import math
-import os
-import threading
-from contextvars import copy_context
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence, TextIO
 
 from .completeness import (
-    _lend,
     derivative_span,
     approximate_target,
     rank_report,
@@ -176,6 +162,9 @@ SCENARIO_ONLY = frozenset(
      "target", "terms", "initial", "min_density", "max_density"}
 )
 
+#: the complete task's keys that each mode refuses: the other mode alone reads them
+_REFUSED = {"derivative": ("samples", "box"), "translate": ("max_order", "trajectory")}
+
 TASK_KINDS = tuple(TASK_PARAMS)
 
 
@@ -185,8 +174,9 @@ def task_params(task: Any, scn: Scenario) -> dict[str, Any]:
     The one resolver of a task, from a file or a subcommand, against the
     scenario it runs in: its dimension, whether its generator is a kernel
     one, and the axes of its operators.  Raises ScenarioError for an unknown
-    kind, an unknown or missing key, a value its parser rejects, or a task
-    that does not fit the scenario.
+    kind, an unknown or missing key, a key its mode does not read
+    (``_REFUSED``), a value its parser rejects, or a task that does not fit
+    the scenario.
     """
     if not isinstance(task, dict):
         raise ScenarioError(f"task must be an object, got {task!r}")
@@ -208,6 +198,10 @@ def task_params(task: Any, scn: Scenario) -> dict[str, Any]:
         return value
 
     p = read_object(task, {"task": (None, REQUIRED), **TASK_PARAMS[kind]}, f"{kind} task", fit)
+    if kind == "complete":
+        for key in _REFUSED[p["mode"]]:
+            if key in task:
+                raise ScenarioError(f"bad {key!r} in complete task: not read in {p['mode']} mode")
     if kind == "complete" and p["trajectory"]:
         low = p["truncation"] - _given(p["max_order"], p["truncation"])
         if min(p["trajectory"]) < low:  # entry n runs derivative order n - low
@@ -520,65 +514,6 @@ RUN_OPTIONS: Schema = {
 }
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Relay:
-    """The turn and the helper threads of one ``execute_tasks`` call.
-
-    ``run(i)`` runs task i.  A thread runs tasks only while it holds the
-    turn, taking them in index order until none remain or one raised; its
-    exception is kept by index.  The relay is the ``completeness._lend`` of
-    its tasks: entering gives the turn up and, at the first entry while
-    tasks remain, starts a helper, up to ``_cpus() - 1`` of them; leaving
-    takes the turn back.  Each thread runs in a copy of ``context``, the
-    caller's with the relay as ``_lend``, so the caller's ``np.errstate``
-    reaches every task, and the mode a task lends under does not.
-    """
-
-    def __init__(self, run, count: int) -> None:
-        self.run, self.count = run, count
-        self.turn = threading.Lock()
-        self.taken = 0
-        self.reports: list = [None] * count
-        self.raised: dict[int, BaseException] = {}
-        self.helpers: list[threading.Thread] = []
-        self.spare: int | None = None  # counted at the first lend
-        self.context = copy_context()
-        self.context.run(_lend.set, self)
-
-    def work(self) -> None:
-        """Run tasks, holding the turn, until none remain or one raised."""
-        while self.taken < self.count and not self.raised:
-            i = self.taken
-            self.taken += 1
-            try:
-                self.reports[i] = self.run(i)
-            except BaseException as exc:  # re-raised by execute_tasks
-                self.raised[i] = exc
-
-    def _help(self) -> None:
-        with self.turn:
-            self.work()
-
-    def __enter__(self) -> None:
-        if self.spare is None:
-            self.spare = _cpus() - 1
-        if self.spare > 0 and self.taken < self.count and not self.raised:
-            self.spare -= 1
-            helper = threading.Thread(target=self.context.copy().run, args=(self._help,))
-            helper.start()
-            self.helpers.append(helper)
-        self.turn.release()
-
-    def __exit__(self, *exc) -> None:
-        self.turn.acquire()
-
-
 def execute_tasks(
     scn: Scenario,
     *,
@@ -586,15 +521,13 @@ def execute_tasks(
     tolerance: float | None = None,
     seed: int | None = None,
 ) -> tuple[int, list[tuple[str, str]]]:
-    """Run the scenario's tasks; returns (exit code, [(task name, report text)]).
+    """Run the scenario's tasks in order; returns (exit code, [(task name, report text)]).
 
     The tasks are already resolved against ``scn`` by ``task_params``; task
     i runs with the seed ``rng_seed + i`` (``seed + i`` if given).  Before
     any task runs, the ``tolerance`` and ``seed`` overrides are read by the
     scenario keys' parsers and the format is checked: a CSV request for a
-    task kind outside ``CSV_PROFILES`` is refused.  The tasks run through a
-    ``_Relay``; the result, or the exception raised, is the one of running
-    them in order on this thread.
+    task kind outside ``CSV_PROFILES`` is refused.
     """
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"unsupported format {fmt!r}")
@@ -606,8 +539,9 @@ def execute_tasks(
             f"csv unsupported for the {no_csv[0]} task; csv covers {', '.join(CSV_PROFILES)}"
         )
 
-    def run(i: int) -> tuple[str, str, bool]:
-        params = scn.tasks[i]
+    outputs: list[tuple[str, str]] = []
+    all_passed = True
+    for i, params in enumerate(scn.tasks):
         name = params["task"]
         ctx = {
             "tolerance": options["tolerance"],
@@ -628,20 +562,9 @@ def execute_tasks(
             else:
                 text = to_csv_text(failed, [failed.values()])
             passed = False
-        return name, text, passed
-
-    relay = _Relay(run, len(scn.tasks))
-    relay.turn.acquire()
-    try:
-        relay.context.copy().run(relay.work)
-    finally:
-        relay.turn.release()
-        for helper in relay.helpers:
-            helper.join()
-    if relay.raised:
-        raise relay.raised[min(relay.raised)]
-    code = EXIT_OK if all(passed for _, _, passed in relay.reports) else EXIT_TASK_FAILED
-    return code, [(name, text) for name, text, _ in relay.reports]
+        outputs.append((name, text))
+        all_passed = all_passed and passed
+    return (EXIT_OK if all_passed else EXIT_TASK_FAILED), outputs
 
 
 def run_scenario(

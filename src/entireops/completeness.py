@@ -41,14 +41,15 @@ and then restored.  The blocked reductions of a threaded SVD follow the
 thread count, so this makes the printed singular values independent of it;
 they still depend on the numpy and BLAS build.
 
-The SVD is ``_singular_values``.  A complex128 matrix whose short side is at
-least ``_GESDD_MIN_SIDE`` (64) goes to the routine numpy's own call reaches,
-the ILP64 ``zgesdd`` of that OpenBLAS (``scipy_zgesdd_64_``), through
-ctypes with numpy's arguments, so its singular values are numpy's bit for
-bit; ctypes releases the GIL for the call, and the caller lends its turn
-(``_lend``, set by ``cli.execute_tasks``) so the scenario's next task runs
-meanwhile.  A smaller matrix, another dtype or a BLAS without that symbol
-goes to ``np.linalg.svd``, which holds the GIL.
+The SVD is ``_singular_values``.  Every span the bundled scenarios and the
+benchmark build has real data, stored as complex128.  A span with no
+imaginary part whose short side is at least ``_REAL_MIN_SIDE`` (64) is
+decomposed as its real part, in float64 arithmetic, at a third to a half of
+the complex SVD's cost; its singular values equal the complex ones to
+within about 1e-15 of the largest, though not bit for bit.  Any other
+matrix is decomposed as it is.  The gate is there only for the bundled
+spans (at most 21 x 15), whose reports are pinned byte for byte: decomposed
+in real arithmetic, each would print other last digits in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ import math
 import operator
 import os
 import threading
-from contextlib import nullcontext
-from contextvars import ContextVar
 from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -305,23 +304,15 @@ def sample_box(
     return [tuple([low + width * next(u) for _ in range(dim)]) for _ in range(count)]
 
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-#: zgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork,
-#: info) with ILP64 integers, then the hidden length of the character jobz
-_GESDD_ARGS = [ctypes.c_char_p, _I64, _I64, ctypes.c_void_p, _I64, ctypes.c_void_p,
-               ctypes.c_void_p, _I64, ctypes.c_void_p, _I64, ctypes.c_void_p, _I64,
-               ctypes.c_void_p, ctypes.c_void_p, _I64, ctypes.c_size_t]
-
-
 @cache
 def _openblas_thread_calls() -> tuple | None:
-    """The (get, set, zgesdd) calls of the OpenBLAS numpy's wheel loaded, or None.
+    """The (get, set) thread-count calls of the OpenBLAS numpy's wheel loaded, or None.
 
     Looked up once, at the first LAPACK call, not at import.  The wheel
     keeps its libraries in ``numpy.libs`` beside the package; another BLAS
     (MKL, Accelerate, a system build) has no such directory or symbol, and
     is left as it is.  The names are those a numpy >= 2 wheel's
-    scipy-openblas exports; ``zgesdd`` is its ILP64 routine, or None.
+    scipy-openblas exports.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
@@ -340,10 +331,7 @@ def _openblas_thread_calls() -> tuple | None:
         if get is not None and set_ is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            gesdd = getattr(lib, "scipy_zgesdd_64_", None)
-            if gesdd is not None:
-                gesdd.argtypes, gesdd.restype = _GESDD_ARGS, None
-            return get, set_, gesdd
+            return get, set_
     return None
 
 
@@ -357,10 +345,10 @@ class _OneBlasThread:
 
     One thread is the one count every host has, so a build's bytes do not
     depend on the thread setting.  It is also the faster count for every
-    span the tasks build today; on a 2-core host two threads win from
-    somewhere between 350 x 350 and 455 x 455 complex (1000 x 1000: 0.73 to
-    0.90 s against 0.49 to 0.58 s), sizes the spans of d=3 N=12 and d=4 N=8
-    reach.
+    span the tasks build today.  A float64 SVD on a 2-vCPU x86-64 host,
+    one thread against two: 286 x 286 7.5-7.7 against 9.5-9.8 ms, 455 x 455
+    24-27 against 25-29 ms, 1000 x 1000 0.31 against 0.24 s; so two threads
+    win from about the 455 x 455 span of d=3 N=12.
     """
 
     def __init__(self) -> None:
@@ -372,7 +360,7 @@ class _OneBlasThread:
         with self._lock:
             calls = _openblas_thread_calls()
             if calls is not None and self._depth == 0:
-                get, set_, _ = calls
+                get, set_ = calls
                 self._saved = get()
                 set_(1)
             self._depth += 1
@@ -387,50 +375,23 @@ class _OneBlasThread:
 
 _one_blas_thread = _OneBlasThread()
 
-#: the short side from which an SVD goes to zgesdd off the GIL: handing the
-#: turn to another thread costs about 0.1-0.25 ms on a 2-vCPU host and a
-#: 66 x 66 SVD 0.47 ms; the largest bundled span is 21 x 15
-_GESDD_MIN_SIDE = 64
-
-#: what the caller of ``_singular_values`` lends while zgesdd runs: a context
-#: manager that gives up the caller's turn on entry and takes it back on exit
-#: (``cli.execute_tasks`` sets its relay here), by default nothing
-_lend: ContextVar = ContextVar("_lend", default=nullcontext())
+#: the short side from which a span with no imaginary part is decomposed in
+#: real arithmetic; every bundled span (at most 21 x 15) stays below it, so
+#: its reports keep the bytes of the complex SVD
+_REAL_MIN_SIDE = 64
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
-    """``np.linalg.svd(m, compute_uv=False)``, bit for bit, on one BLAS thread.
+    """``np.linalg.svd(m, compute_uv=False)`` on one BLAS thread.
 
-    A complex128 ``m`` whose short side is at least ``_GESDD_MIN_SIDE`` goes
-    to zgesdd (``_openblas_thread_calls``) as numpy's own call does: JOBZ
-    'N', a Fortran-order copy of ``m``, the workspace size of a query with
-    LWORK -1, 7 min(m, n) real and 8 min(m, n) integer words.  A nonzero
-    INFO raises numpy's LinAlgError.  Only that call runs without the
-    caller's turn, inside ``_lend``: every array is built before it and read
-    after it.  Any other matrix, or a build without the symbol, goes to
-    ``np.linalg.svd`` and lends nothing.  ``_one_blas_thread`` wraps both.
+    A complex ``m`` with no imaginary part whose short side is at least
+    ``_REAL_MIN_SIDE`` is decomposed as ``m.real``, in float64 arithmetic;
+    any other ``m`` as it is.
     """
-    calls = _openblas_thread_calls()
-    gesdd = calls[2] if calls is not None else None
+    if min(m.shape) >= _REAL_MIN_SIDE and not m.imag.any():
+        m = m.real
     with _one_blas_thread:
-        if gesdd is None or m.dtype != np.complex128 or min(m.shape) < _GESDD_MIN_SIDE:
-            return np.linalg.svd(m, compute_uv=False)
-        rows, cols = m.shape
-        k = min(rows, cols)
-        a = np.array(m, order="F")
-        s, rwork, iwork = np.empty(k), np.empty(7 * k), np.empty(8 * k, dtype=np.int64)
-        work = np.empty(1, dtype=complex)
-        m_, n_, lda, one, lwork, info = (ctypes.c_int64(v) for v in (rows, cols, rows, 1, -1, 0))
-        args = [b"N", m_, n_, a.ctypes.data, lda, s.ctypes.data, None, lda, None, one,
-                work.ctypes.data, lwork, rwork.ctypes.data, iwork.ctypes.data, info, 1]
-        gesdd(*args)  # the workspace query
-        work = np.empty(max(int(work[0].real), 1), dtype=complex)
-        lwork.value, args[10] = len(work), work.ctypes.data
-        with _lend.get():
-            gesdd(*args)
-        if info.value:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return s
+        return np.linalg.svd(m, compute_uv=False)
 
 
 def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:

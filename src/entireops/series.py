@@ -671,7 +671,9 @@ def _gather_rows(
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
     gathered; the rest of each row is zero.  ``_checked_rows`` refuses a
-    block past the budget first.
+    block past the budget first.  A finite coefficient whose product with
+    its weight is past the float range raises OverflowError; an inf or NaN
+    coefficient carries into its cells.
     """
     total = orders.sum(axis=1)
     lowest = int(total.min(initial=f.cutoff + 1))
@@ -686,7 +688,11 @@ def _gather_rows(
             # the plan masked the cells the cutoff leaves undetermined with
             # weight 0 (see its reach); zeroed first, they end +0j
             np.copyto(block, 0, where=weight == 0)
-        np.multiply(block, weight, out=block)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            np.multiply(block, weight, out=block)
+        bad = ~np.isfinite(block)
+        if bad.any() and np.isfinite(f.vector[source[bad]]).any():
+            raise OverflowError("a coefficient times its weight is past the float range")
     return out
 
 
@@ -727,8 +733,9 @@ def translate_rows(
     order k with ``||k|| <= cutoff``, per-axis factors ``comb(m + k, k)``,
     gathers the rows B, and ``V @ B`` sums them, ``V[i, k] = shifts[i]^k``
     by repeated multiplication (one past the float range raises
-    OverflowError).  B costs basis(cutoff) x basis(min(degree, cutoff))
-    cells, as a derivative span with ``max_order = cutoff`` does.  The rows
+    OverflowError, and so does a sum past it over a column of finite B).
+    B costs basis(cutoff) x basis(min(degree, cutoff)) cells, as a
+    derivative span with ``max_order = cutoff`` does.  The rows
     are reproducible for equal inputs, but not bit for bit those of a scalar
     term loop, which sums in another order.  The row of an all-zero shift is
     f's vector itself.  A non-polynomial f is translated as the polynomial
@@ -746,9 +753,13 @@ def translate_rows(
         vandermonde = power[:, np.arange(f.dim), layout.exponents].prod(axis=2)
     if np.isinf(vandermonde).any():  # V @ B would turn it into NaN, even times 0
         raise OverflowError("a shift power is past the float range")
-    out = vandermonde @ block
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        out = vandermonde @ block
     zero = [not any(s) for s in shifts]
     out[zero] = coefficient_vector(f, degree)
+    bad = ~np.isfinite(out)
+    if bad.any() and np.isfinite(block[:, bad.any(axis=0)]).all(axis=0).any():
+        raise OverflowError("a translate coefficient is past the float range")
     return out
 
 

@@ -400,6 +400,68 @@ def test_malformed_task_is_a_scenario_error_before_any_task_runs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        ({"task": "complete", "truncation": 3, "mode": "translate", "trajectory": [1, 2, 3]},
+         "trajectory"),
+        ({"task": "complete", "truncation": 3, "mode": "translate", "max_order": 2}, "max_order"),
+        ({"task": "complete", "truncation": 3, "samples": 12}, "samples"),
+        ({"task": "complete", "truncation": 3, "mode": "derivative", "box": [-2, 2]}, "box"),
+    ],
+)
+def test_a_complete_key_its_mode_does_not_read_exits_2_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, task, key
+):
+    # a translate task's trajectory used to print derivative ranks beside
+    # the translate rank it contradicted
+    scenario = _scenario_file(tmp_path, "gaussian2d", [{"task": "verify-cr"}, task])
+    _fail_if_a_task_runs(monkeypatch)
+    assert cli.main(["run", scenario]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    mode = task.get("mode", "derivative")
+    assert f"bad {key!r} in complete task: not read in {mode} mode" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--mode", "translate", "--max-order", "2"], "max_order"), (["--samples", "12"], "samples")],
+)
+def test_a_complete_flag_its_mode_does_not_read_exits_2(capsys, flags, key):
+    assert cli.main(["complete", "gaussian2d", "--truncation", "3", *flags]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"bad {key!r} in complete task" in captured.err
+    assert captured.out == ""
+
+
+def test_an_overflowing_span_cell_fails_each_task_under_warnings_as_errors(tmp_path):
+    # 1e308 z^10 times its derivative weight (a derivative span) or its
+    # binomial factor (the gather of a translate span) is past the float
+    # range; neither task reaches the SVD, and nothing warns
+    obj = {
+        "dimension": 1,
+        "truncation": 10,
+        "operators": [{"dim": 1, "axis": 1, "a": [1.0, 0.0], "symbol": [{"idx": [1], "re": 1.0}]}],
+        "generator": {"explicit": {
+            "dim": 1, "cutoff": 10, "polynomial": True,
+            "coeffs": [{"idx": [0], "re": 1.0}, {"idx": [10], "re": 1e308}]}},
+        "tasks": [{"task": "complete", "truncation": 5, "max_order": 5},
+                  {"task": "complete", "truncation": 5, "mode": "translate"}],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entireops", "run", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    error = "a coefficient times its weight is past the float range"
+    failed = serialize.to_json_text({"task": "complete", "passed": False, "error": error})
+    assert (done.returncode, done.stderr) == (cli.EXIT_TASK_FAILED, "")
+    assert done.stdout == 2 * failed
+
+
 #: a list key set to a string or an object: (bundled name, path, value, key)
 LIST_SITES = [
     ("gaussian1d", ("tasks", 2, "trajectory"), "345", "trajectory"),
@@ -1274,147 +1336,11 @@ def test_a_span_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert outs[0] == outs[1]
 
 
-# ---------------------------------------------------------------------------
-# the relay: tasks overlap a large SVD, reports and errors stay sequential
-# ---------------------------------------------------------------------------
-
-#: three complete tasks above the zgesdd gate, a translate one above it, a
-#: failing verdict, and a small task last
-RELAY_TASKS = [
-    {"task": "complete", "truncation": 12, "max_order": 12, "expect_complete": True},
-    {"task": "complete", "truncation": 11, "max_order": 11, "expect_complete": True},
-    {"task": "complete", "truncation": 10, "mode": "translate", "samples": 198},
-    {"task": "complete", "truncation": 12, "max_order": 12, "expect_rank": 5},
-    {"task": "complete", "truncation": 10, "max_order": 10, "expect_complete": True},
-    {"task": "verify-cr", "probe_degree": 4},
-]
-
-
-@pytest.fixture
-def started(monkeypatch) -> list[threading.Thread]:
-    """Every thread started from here on; skips a build whose SVD never lends."""
-    calls = completeness._openblas_thread_calls()
-    if calls is None or calls[2] is None:
-        pytest.skip("numpy's OpenBLAS exports no ILP64 zgesdd: no SVD lends its turn")
-    threads = []
-
-    class Counted(threading.Thread):
-        def start(self) -> None:
-            threads.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return threads
-
-
-def cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def relay_run(monkeypatch, scn: cli.Scenario, n: int):
-    """execute_tasks on n CPUs: (exit code, outputs) or the exception raised."""
-    cpus(monkeypatch, n)
-    try:
-        return cli.execute_tasks(scn)
-    except Exception as exc:  # noqa: BLE001 - compared with the other run's
-        return exc
-
-
-def test_tasks_that_overlap_an_svd_report_as_a_run_on_one_cpu(tmp_path, monkeypatch, started):
-    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS))
-    alone = relay_run(monkeypatch, scn, 1)
-    assert started == []
-    both = relay_run(monkeypatch, scn, 2)
-    assert len(started) == 1
-    assert not started[0].is_alive()
-    assert alone == both
-    assert alone[0] == cli.EXIT_TASK_FAILED
-    assert ['"passed": false' in text for _, text in alone[1]] == [False] * 3 + [True] + [False] * 2
-
-
-def test_the_first_task_that_raises_is_raised_and_every_helper_is_joined(
-    tmp_path, monkeypatch, started
-):
-    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS))
-    complete = cli._RUNNERS["complete"]
-
-    def raising(scn, p, ctx):
-        i = ctx["seed"] - scn.rng_seed
-        if i == 1:  # after its SVD: task 2 raises on the other thread first
-            complete(scn, p, ctx)
-        if i in (1, 2):
-            raise RuntimeError(f"task {i}")
-        return complete(scn, p, ctx)
-
-    monkeypatch.setitem(cli._RUNNERS, "complete", raising)
-    errors = [relay_run(monkeypatch, scn, n) for n in (1, 2)]
-    assert [(type(e), str(e)) for e in errors] == [(RuntimeError, "task 1")] * 2
-    assert len(started) == 1
-    assert not started[0].is_alive()
-
-
-def test_a_helper_runs_its_tasks_in_the_callers_errstate(tmp_path, monkeypatch, started):
-    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", RELAY_TASKS[:3]))
-    complete = cli._RUNNERS["complete"]
-    get, set_, gesdd = completeness._openblas_thread_calls()
-    helped = threading.Event()
-    seen = []
-
-    def recorded(scn, p, ctx):
-        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
-        if not seen[-1][0]:
-            helped.set()
-        if ctx["seed"] == scn.rng_seed:  # the helper starts at this task's lend, not in its mode
-            with np.errstate(over="raise"):
-                return complete(scn, p, ctx)
-        return complete(scn, p, ctx)
-
-    def waiting(*args):
-        # an SVD (not the workspace query) runs off the turn: the first one
-        # waits until the helper has taken a task
-        if args[11].value != -1:
-            assert helped.wait(timeout=60)
-        gesdd(*args)
-
-    monkeypatch.setitem(cli._RUNNERS, "complete", recorded)
-    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (get, set_, waiting))
-    cpus(monkeypatch, 2)
-    with np.errstate(over="ignore"):
-        cli.execute_tasks(scn)
-    assert (False, "ignore") in seen
-    assert {over for _, over in seen} == {"ignore"}
-
-
-def test_more_helpers_than_cores_run_each_task_once_in_a_fast_switching_run(
-    tmp_path, monkeypatch, started
-):
-    tasks = [{"task": "complete", "truncation": 10, "max_order": 10, "expect_complete": True}] * 8
-    scn = cli.load_scenario(_scenario_file(tmp_path, "gaussian2d", tasks))
-    complete = cli._RUNNERS["complete"]
-    ran = []
-
-    def counted(scn, p, ctx):
-        ran.append(ctx["seed"])
-        return complete(scn, p, ctx)
-
-    monkeypatch.setitem(cli._RUNNERS, "complete", counted)
-    alone = relay_run(monkeypatch, scn, 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = relay_run(monkeypatch, scn, 6)
-    finally:
-        sys.setswitchinterval(interval)
-    assert many == alone
-    assert sorted(ran) == sorted(2 * [scn.rng_seed + i for i in range(8)])
-    assert 1 <= len(started) <= 5
-    assert not any(t.is_alive() for t in started)
-
-
 def test_no_task_sets_a_warning_filter_and_translate_reports_keep_their_numbers(
     tmp_path, monkeypatch
 ):
-    # a warning filter is process-wide: a relay helper would run under another task's
+    # a warning filter is process-wide: a task that set one would change
+    # what every later task of the process warns
     span_d2 = dict(workloads.write_inputs("span", 0, tmp_path))["span_d2"]
     scenarios = {source: cli.load_scenario(source) for source in [*cli.BUNDLED, span_d2]}
     calls = []
@@ -1454,16 +1380,25 @@ def test_no_task_sets_a_warning_filter_and_translate_reports_keep_their_numbers(
     assert translates == 2
 
 
-def test_no_bundled_or_ladder_scenario_starts_a_helper(tmp_path, monkeypatch, started):
-    cpus(monkeypatch, 2)
-    ladder = [source for _, source in workloads.write_inputs("ladder", 0, tmp_path)]
-    for source in [*cli.BUNDLED, *ladder]:
+def test_no_bundled_span_or_ladder_scenario_starts_a_thread(tmp_path, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(self) -> None:
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    count = threading.active_count()
+    inputs = [source for workload in ("span", "ladder")
+              for _, source in workloads.write_inputs(workload, 0, tmp_path)]
+    for source in [*cli.BUNDLED, *inputs]:
         cli.execute_tasks(cli.load_scenario(source))
-    assert started == []
+    assert (started, threading.active_count()) == ([], count)
 
 
 def test_the_run_command_keeps_its_five_arguments():
-    # the relay reads the CPU count; it adds no flag
+    # the choice of SVD arithmetic reads the span alone; it adds no flag
     run = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["run"]
     assert [a.dest for a in run._actions] == ["help", "scenario", "format", "out", "tolerance", "seed"]
 

@@ -717,7 +717,7 @@ def blas_threads():
     calls = completeness._openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
-    get, set_, _ = calls
+    get, set_ = calls
     old = get()
     set_(2)
     yield get
@@ -730,7 +730,7 @@ def gaussian_span_3d() -> eo.SpanMatrix:
 
 
 def gaussian_span_2d() -> eo.SpanMatrix:
-    """The 15 x 15 span of d=2 N=4, below the zgesdd gate: numpy's SVD."""
+    """The 15 x 15 span of d=2 N=4, below the real-arithmetic gate."""
     return eo.derivative_span(eo.joint_kernel([gaussian_problem()] * 2, 8), 4, 4)
 
 
@@ -747,36 +747,15 @@ def counting_threads(monkeypatch, get, name: str) -> list[int]:
     return seen
 
 
-def counting_gesdd(monkeypatch, get, fail: bool = False) -> list[int]:
-    """Record the thread count at each call of the ctypes zgesdd (query, then SVD).
-
-    With ``fail`` the SVD after the query raises instead of running.
-    """
-    get_, set_, gesdd = completeness._openblas_thread_calls()
-    if gesdd is None:
-        pytest.skip("numpy's OpenBLAS exports no ILP64 zgesdd")
-    seen = []
-
-    def recorded(*args):
-        seen.append(get())
-        if fail and len(seen) > 1:
-            raise RuntimeError("zgesdd failed")
-        gesdd(*args)
-
-    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (get_, set_, recorded))
-    return seen
-
-
 def test_lapack_calls_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_threads):
-    # the 165 x 165 span goes through zgesdd, the 15 x 15 one through numpy
-    gesdd_threads = counting_gesdd(monkeypatch, blas_threads)
+    # the 165 x 165 span is decomposed in real arithmetic, the 15 x 15 one as it is
     svd_threads = counting_threads(monkeypatch, blas_threads, "svd")
     lstsq_threads = counting_threads(monkeypatch, blas_threads, "lstsq")
     eo.rank_report(gaussian_span_3d(), 1e-8)
     eo.rank_report(gaussian_span_2d(), 1e-8)
     f = eo.solve_kernel_axis(gaussian_problem(), 6)
     eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
-    assert (gesdd_threads, svd_threads, lstsq_threads) == ([1, 1], [1], [1])
+    assert (svd_threads, lstsq_threads) == ([1, 1], [1])
     assert blas_threads() == 2
 
 
@@ -785,13 +764,10 @@ def test_a_raising_lapack_call_restores_the_thread_count(monkeypatch, blas_threa
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", singular)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        eo.rank_report(gaussian_span_2d(), 1e-8)
-    assert blas_threads() == 2
-    assert counting_gesdd(monkeypatch, blas_threads, fail=True) == []
-    with pytest.raises(RuntimeError, match="zgesdd failed"):
-        eo.rank_report(gaussian_span_3d(), 1e-8)
-    assert blas_threads() == 2
+    for span in (gaussian_span_2d(), gaussian_span_3d()):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            eo.rank_report(span, 1e-8)
+        assert blas_threads() == 2
 
 
 def test_nested_pins_restore_the_count_on_the_last_exit(blas_threads):
@@ -806,7 +782,7 @@ def test_nested_pins_restore_the_count_on_the_last_exit(blas_threads):
 def test_overlapping_threads_leave_the_count_unchanged(monkeypatch, blas_threads):
     span = gaussian_span_3d()
     want = eo.rank_report(span, 1e-8)
-    gesdd_threads = counting_gesdd(monkeypatch, blas_threads)
+    svd_threads = counting_threads(monkeypatch, blas_threads, "svd")
     got = []
 
     def work():
@@ -824,8 +800,7 @@ def test_overlapping_threads_leave_the_count_unchanged(monkeypatch, blas_threads
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [want] * 60
-    # the SVDs overlap off the GIL, each on one BLAS thread
-    assert gesdd_threads == [1] * 120
+    assert svd_threads == [1] * 60
     assert blas_threads() == 2
 
 
@@ -833,7 +808,7 @@ def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
     monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: None)
     span = gaussian_span_3d()
     m = span.matrix / np.abs(span.matrix).max(axis=1)[:, None]
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = np.linalg.svd(m.real, compute_uv=False)
     assert eo.rank_report(span, 1e-8).singular_values == tuple(float(s) for s in sv)
     f = eo.joint_kernel([gaussian_problem(), gaussian_problem()], 12)
     target = eo.monomial(2, 6, (1, 2))
@@ -845,40 +820,8 @@ def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the SVD's two routes
+# the SVD: real arithmetic for a large span of real data
 # ---------------------------------------------------------------------------
-
-
-class Lends:
-    """A stand-in for the caller's turn: records entries and exits of ``_lend``."""
-
-    def __init__(self, log: list) -> None:
-        self.log = log
-
-    def __enter__(self) -> None:
-        self.log.append("lend")
-
-    def __exit__(self, *exc) -> None:
-        self.log.append("back")
-
-
-@pytest.fixture
-def gesdd_log(monkeypatch):
-    """The calls of zgesdd (by LWORK: "query" or "svd") and of ``_lend``, in order."""
-    calls = completeness._openblas_thread_calls()
-    if calls is None or calls[2] is None:
-        pytest.skip("numpy's OpenBLAS exports no ILP64 zgesdd")
-    get, set_, gesdd = calls
-    log: list = []
-
-    def recorded(*args):
-        log.append("query" if args[11].value == -1 else "svd")
-        gesdd(*args)
-
-    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (get, set_, recorded))
-    token = completeness._lend.set(Lends(log))
-    yield log
-    completeness._lend.reset(token)
 
 
 def numpys(m: np.ndarray) -> np.ndarray:
@@ -891,7 +834,7 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-GATE = completeness._GESDD_MIN_SIDE
+GATE = completeness._REAL_MIN_SIDE
 SHAPES = [
     (GATE, GATE), (GATE - 1, GATE - 1), (GATE + 1, GATE + 1),
     (GATE, 3 * GATE), (3 * GATE, GATE), (GATE - 1, 2 * GATE), (2 * GATE, GATE - 1),
@@ -900,21 +843,31 @@ SHAPES = [
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
-def test_singular_values_are_numpys_bit_for_bit_on_random_matrices(gesdd_log, shape):
+def test_singular_values_are_numpys_bit_for_bit_on_random_matrices(shape):
+    # complex data at any size is decomposed as it is
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert same_bits(completeness._singular_values(m), numpys(m))
-    # only the SVD itself runs without the turn; a matrix below the gate lends nothing
-    assert gesdd_log == (["query", "lend", "svd", "back"] if min(shape) >= GATE else [])
 
 
-def test_singular_values_of_a_zero_matrix_are_numpys(gesdd_log):
-    m = np.zeros((GATE + 6, GATE + 6), dtype=complex)
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+def test_real_data_at_or_above_the_gate_is_decomposed_in_real_arithmetic(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    m = rng.standard_normal(shape) + 0j
+    m.imag[0, 0] = -0.0  # a signed zero is no imaginary part
+    want = numpys(m.real) if min(shape) >= GATE else numpys(m)
+    assert same_bits(completeness._singular_values(m), want)
+    # one nonzero imaginary part keeps the complex decomposition
+    m.imag[-1, -1] = 1e-300
     assert same_bits(completeness._singular_values(m), numpys(m))
-    assert gesdd_log == ["query", "lend", "svd", "back"]
 
 
-def test_a_nan_entry_fails_as_numpy_does_and_an_inf_entry_gives_numpys_values(gesdd_log):
+def test_singular_values_of_a_zero_matrix_are_numpys():
+    m = np.zeros((GATE + 6, GATE + 6), dtype=complex)
+    assert same_bits(completeness._singular_values(m), numpys(m.real))
+
+
+def test_a_nan_entry_fails_as_numpy_does_and_an_inf_entry_gives_numpys_values():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((GATE + 2, GATE + 2)) + 0j
     m[3, 5] = np.nan
@@ -922,7 +875,7 @@ def test_a_nan_entry_fails_as_numpy_does_and_an_inf_entry_gives_numpys_values(ge
         with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
             svd(m)
     m[3, 5] = np.inf
-    assert same_bits(completeness._singular_values(m), numpys(m))
+    assert same_bits(completeness._singular_values(m), numpys(m.real))
 
 
 def recorded_spans(monkeypatch) -> list[np.ndarray]:
@@ -939,27 +892,20 @@ def recorded_spans(monkeypatch) -> list[np.ndarray]:
 
 
 def test_singular_values_are_numpys_bit_for_bit_on_every_benchmark_and_bundled_span(
-    monkeypatch, gesdd_log, tmp_path
+    monkeypatch, tmp_path
 ):
     spans = recorded_spans(monkeypatch)
-    sources = [*cli.BUNDLED, *(source for _, source in workloads.write_inputs("span", 0, tmp_path))]
-    for source in sources:
+    for source in cli.BUNDLED:
         cli.execute_tasks(cli.load_scenario(source))
-    # the bundled spans are below the gate, the 5 of the span workload above it
-    assert [min(m.shape) >= GATE for m in spans].count(True) == 5
-    for m in list(spans):
-        assert same_bits(completeness._singular_values(m), numpys(m))
-
-
-def test_without_the_zgesdd_symbol_the_svd_is_numpys_and_lends_nothing(monkeypatch):
-    calls = completeness._openblas_thread_calls()
-    get_set = calls[:2] if calls is not None else (lambda: 1, lambda n: None)
-    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: (*get_set, None))
-    log: list = []
-    token = completeness._lend.set(Lends(log))
-    try:
-        svd_calls = counting_threads(monkeypatch, get_set[0], "svd")
-        eo.rank_report(gaussian_span_3d(), 1e-8)
-    finally:
-        completeness._lend.reset(token)
-    assert (len(svd_calls), log) == (1, [])
+    bundled = len(spans)
+    for _, source in workloads.write_inputs("span", 0, tmp_path):
+        cli.execute_tasks(cli.load_scenario(source))
+    # every span has real data; each bundled one is below the gate, and the
+    # span workload has exactly 5 at or above it
+    assert not any(m.imag.any() for m in spans)
+    large = [min(m.shape) >= GATE for m in spans]
+    assert large[:bundled] == [False] * bundled
+    assert large[bundled:].count(True) == 5
+    monkeypatch.undo()
+    for m, real in zip(spans, large):
+        assert same_bits(completeness._singular_values(m), numpys(m.real if real else m))

@@ -493,6 +493,33 @@ def test_an_inf_factor_in_a_masked_cell_leaves_the_per_order_rows():
     assert np.array_equal(rows, expected)
 
 
+def test_a_row_cell_past_the_float_range_raises_and_an_inf_coefficient_carries():
+    # 1e308 times the weight 10!/5! of D^5 at z^5 overflows; an inf
+    # coefficient is data, and its cells stay non-finite
+    f = eo.make_series(1, 10, {(0,): 1.0, (10,): 1e308}, is_polynomial=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="past the float range"):
+            series.derivative_rows(f, [(0,), (5,)], 5)
+        with pytest.raises(OverflowError, match="past the float range"):
+            eo.derivative_span(f, 5, 5)
+        g = eo.make_series(1, 10, {(0,): 1.0, (10,): math.inf}, is_polynomial=True)
+        rows = series.derivative_rows(g, [(0,), (5,)], 5)
+    assert np.isinf(rows[1, 5].real)
+    assert np.argwhere(~np.isfinite(rows)).tolist() == [[1, 5]]
+
+
+def test_a_translate_sum_past_the_float_range_raises_without_a_warning():
+    # every gathered cell and every power 100^k is finite; the sum at z^0
+    # reaches 1e300 * 100^10
+    f = eo.make_series(1, 10, {(10,): 1e300}, is_polynomial=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="a translate coefficient is past the float range"):
+            eo.translate(f, (100.0,))
+        assert np.isfinite(eo.translate(f, (1.0,)).vector).all()
+
+
 @st.composite
 def plan_cases(draw):
     """A layout, up to three orders (the zero order among the draws), a row count, a factor kind."""
