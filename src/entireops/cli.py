@@ -16,8 +16,7 @@ kinds in ``CSV_PROFILES``, as CSV rows read from that dict.
 ``execute_tasks`` runs a scenario's tasks one after another on the calling
 thread: the library starts no thread, and no runner sets process-wide state
 such as a warning filter.  Most of a large span task's time is its SVD,
-which ``completeness`` makes in real arithmetic for a span of real data and
-short side at least 64 (``completeness._singular_values``).
+made in float64 for a span of real data (``completeness``).
 
 Exit codes: 0 all pass-type tasks passed, 1 a task failed or raised,
 2 scenario/format errors (found before any task runs), 3 internal errors.

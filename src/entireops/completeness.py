@@ -24,7 +24,9 @@ check, ``series._checked_point``, once, in ``translate_span``, and
 
 Rows of derivative matrices grow factorially with the order, so each row is
 normalized to unit max-magnitude before the rank computation; the relative
-rank threshold then behaves uniformly across orders.
+rank threshold then behaves uniformly across orders.  A row is multiplied by
+1 / peak, with the bits of a complex division by peak + 0j but for the
+sign of a zero.
 
 Translate samples come from ``sample_box``, whose stream is stated here: the
 draw of numpy's ``default_rng(seed).uniform`` (``SeedSequence`` into PCG64
@@ -34,32 +36,29 @@ So numpy's random module is never imported, and the samples, with the
 report bytes built on them, do not depend on the version of numpy's
 Generator.
 
-The library's two LAPACK calls, the SVD of ``rank_report`` and the solve of
-``approximate_target``, run inside ``_one_blas_thread``: when numpy's BLAS is
-the OpenBLAS its wheels bundle, the thread count is held at 1 for the call
-and then restored.  The blocked reductions of a threaded SVD follow the
-thread count, so this makes the printed singular values independent of it;
-they still depend on the numpy and BLAS build.
+Every BLAS call of the library (the SVD and the solve here, the matmuls of
+``approximate_target`` and ``translate_rows``) runs inside
+``series._one_blas_thread``: when numpy's BLAS is the OpenBLAS its wheels
+bundle, the thread count is held at 1 for the call and then restored.  The
+blocked reductions of a threaded SVD follow the thread count, so this makes
+the printed singular values independent of it; they still depend on the
+numpy and BLAS build.
 
-The SVD is ``_singular_values``.  Every span the bundled scenarios and the
-benchmark build has real data, stored as complex128.  A span with no
-imaginary part whose short side is at least ``_REAL_MIN_SIDE`` (64) is
-decomposed as its real part, in float64 arithmetic, at a third to a half of
-the complex SVD's cost; its singular values equal the complex ones to
-within about 1e-15 of the largest, though not bit for bit.  Any other
-matrix is decomposed as it is.  The gate is there only for the bundled
-spans (at most 21 x 15), whose reports are pinned byte for byte: decomposed
-in real arithmetic, each would print other last digits in ``diagnostics``.
+Every span the bundled scenarios and the benchmark build has real data.  A
+span of real data whose short side is at least ``_REAL_MIN_SIDE`` (64) is
+float64 from the gather to the SVD (``derivative_span``), or decomposed as
+its real part (``_singular_values``), at a third to a half of the complex
+SVD's cost; its singular values equal the complex ones to within about
+1e-15 of the largest, though not bit for bit.  Any other span is complex128.
+The gate keeps the bundled spans (at most 21 x 15) complex, as their pinned
+reports are: in float64 each would print other last digits in
+``diagnostics``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import operator
-import os
-import threading
-from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -73,6 +72,7 @@ from .series import (
     _checked_rows,
     _gather_rows,
     _layout,
+    _one_blas_thread,
     _positions,
     _size,
     coefficient_vector,
@@ -85,7 +85,9 @@ class SpanMatrix(Record):
 
     Row i holds the coefficients of the i-th system member in graded-lex
     order over ``monomial_basis(dim, truncation)``; ``row_labels`` carries
-    the generating data (derivative orders or translation points).
+    the generating data (derivative orders or translation points).  The
+    matrix is float64 for a derivative span of real data whose short side
+    is at least ``_REAL_MIN_SIDE``, else complex128.
     """
 
     matrix: np.ndarray
@@ -162,10 +164,13 @@ def derivative_span(
     # the block is refused before the orders' layout is built; the orders are
     # the basis of degree <= max_order, so none needs the index check, and
     # entries are capped at cutoff + 1, as derivative_rows does
-    _checked_rows(f.dim, f.cutoff, _size(f.dim, max_order), truncation, 0)
+    count = _size(f.dim, max_order)
+    _checked_rows(f.dim, f.cutoff, count, truncation, 0)
     capped = np.minimum(_layout(f.dim, max_order).exponents, f.cutoff + 1)
+    # gathered as the real part that _singular_values would decompose
+    real = min(count, _size(f.dim, truncation)) >= _REAL_MIN_SIDE and not f.vector.imag.any()
     return SpanMatrix(
-        matrix=_gather_rows(f, capped, truncation),
+        matrix=_gather_rows(f, capped, truncation, real=real),
         row_labels=tuple(_positions(f.dim, max_order)),
         truncation=truncation,
         dim=f.dim,
@@ -304,80 +309,7 @@ def sample_box(
     return [tuple([low + width * next(u) for _ in range(dim)]) for _ in range(count)]
 
 
-@cache
-def _openblas_thread_calls() -> tuple | None:
-    """The (get, set) thread-count calls of the OpenBLAS numpy's wheel loaded, or None.
-
-    Looked up once, at the first LAPACK call, not at import.  The wheel
-    keeps its libraries in ``numpy.libs`` beside the package; another BLAS
-    (MKL, Accelerate, a system build) has no such directory or symbol, and
-    is left as it is.  The names are those a numpy >= 2 wheel's
-    scipy-openblas exports.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        names = sorted(os.listdir(libs))
-    except OSError:
-        return None
-    for name in names:
-        if "openblas" not in name:
-            continue
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-        except OSError:
-            continue
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """Context manager: numpy's OpenBLAS runs on one thread inside, as before outside.
-
-    Entries are counted under a lock, so nested entries, an exception and
-    Python threads that overlap all leave the caller's count as it was: the
-    first entrant saves it and sets 1, the last one out restores it.  With
-    no OpenBLAS setter the calls run unpinned.
-
-    One thread is the one count every host has, so a build's bytes do not
-    depend on the thread setting.  It is also the faster count for every
-    span the tasks build today.  A float64 SVD on a 2-vCPU x86-64 host,
-    one thread against two: 286 x 286 7.5-7.7 against 9.5-9.8 ms, 455 x 455
-    24-27 against 25-29 ms, 1000 x 1000 0.31 against 0.24 s; so two threads
-    win from about the 455 x 455 span of d=3 N=12.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 1
-
-    def __enter__(self) -> None:
-        with self._lock:
-            calls = _openblas_thread_calls()
-            if calls is not None and self._depth == 0:
-                get, set_ = calls
-                self._saved = get()
-                set_(1)
-            self._depth += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._depth -= 1
-            calls = _openblas_thread_calls()
-            if calls is not None and self._depth == 0:
-                calls[1](self._saved)
-
-
-_one_blas_thread = _OneBlasThread()
-
-#: the short side from which a span with no imaginary part is decomposed in
-#: real arithmetic; every bundled span (at most 21 x 15) stays below it, so
-#: its reports keep the bytes of the complex SVD
+#: the short side from which a span of real data is float64 (module docstring)
 _REAL_MIN_SIDE = 64
 
 
@@ -388,7 +320,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     ``_REAL_MIN_SIDE`` is decomposed as ``m.real``, in float64 arithmetic;
     any other ``m`` as it is.
     """
-    if min(m.shape) >= _REAL_MIN_SIDE and not m.imag.any():
+    if min(m.shape) >= _REAL_MIN_SIDE and np.iscomplexobj(m) and not m.imag.any():
         m = m.real
     with _one_blas_thread:
         return np.linalg.svd(m, compute_uv=False)
@@ -399,20 +331,19 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
 
     rank = number of singular values above tolerance * largest; the full
     spectrum is returned as diagnostics.  Deterministic for fixed input on
-    the same numpy and BLAS build.  When that BLAS is the OpenBLAS numpy's
-    wheels bundle, the SVD runs on one BLAS thread (``_one_blas_thread``),
-    so the values do not depend on the thread count; under another BLAS a
-    different thread count can still move the last bits of the small ones.
+    the same numpy and BLAS build (see the module docstring).  A span with
+    an entry of non-finite modulus is refused with ValueError.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if span.matrix.shape[0] == 0:
         raise ValueError("empty span matrix")
-    m = span.matrix.copy()
-    peak = np.abs(m).max(axis=1)
-    scaled = peak > 0  # zero rows stay as they are
-    np.divide(m, peak[:, None], out=m, where=scaled[:, None])
-    sv = _singular_values(m)
+    with np.errstate(over="ignore"):  # refused below
+        peak = np.abs(span.matrix).max(axis=1)
+    if not math.isfinite(peak.max()):  # a NaN propagates through max
+        raise ValueError("span matrix has an entry of non-finite modulus")
+    peak[peak == 0] = 1.0  # zero rows stay as they are
+    sv = _singular_values(span.matrix * (1 / peak)[:, None])
     rank = int(np.count_nonzero(sv > tolerance * sv[0]))  # 0 for a zero matrix
     ambient = span.matrix.shape[1]
     return CompletenessReport(
@@ -444,12 +375,12 @@ def approximate_target(
     if any(sum(n) > truncation for n, _ in target.terms()):
         raise ValueError(f"target degree exceeds truncation {truncation}")
     span = derivative_span(f, truncation, max_order)
-    a = span.matrix.T
+    a = span.matrix.T.astype(complex, copy=False)  # a @ c keeps a complex span's bits
     t = coefficient_vector(target, truncation)
     with np.errstate(over="ignore", invalid="ignore"):
         with _one_blas_thread:
             c, _, _, _ = np.linalg.lstsq(a, t, rcond=None)
-        defect = a @ c - t
+            defect = a @ c - t
         residual = float(np.linalg.norm(defect))
         if residual == math.inf:  # the sum of squares overflowed, not the norm
             scale = np.abs(defect).max()

@@ -204,7 +204,7 @@ def apply_weyl(op: Operator, f: TruncatedSeries) -> TruncatedSeries:
     # inf: either stays in the result
     with np.errstate(invalid="ignore", over="ignore"):
         for (zpow, dpow), c in op.terms.items():
-            g = _gather_derivative(layout, f.vector, dpow)
+            g = _gather_derivative(layout, f.vector, dpow, carry=True)
             for axis, power in enumerate(zpow, start=1):
                 for _ in range(power):
                     g, spill = _scatter_coordinate(layout, g, axis)

@@ -63,9 +63,12 @@ vector is read-only) and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import sys
-from functools import lru_cache
+import threading
+from functools import cache, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -564,13 +567,17 @@ def _unit_powers(layout: _Layout, axis: int, top: int) -> np.ndarray:
     return table
 
 
-def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.ndarray:
+def _gather_derivative(
+    layout: _Layout, data: np.ndarray, order: Index, carry: bool = False
+) -> np.ndarray:
     """D^order on a coefficient vector.
 
     Rows past what the cutoff determines are zero.  A unit order D_j
     gathers ``raised[j]`` and weighs output row m by ``m_j + 1``; any other
     order is the plan with K = 1.  Returns ``data`` itself for the zero
-    order, else a new array.
+    order, else a new array.  Callers ignore numpy's overflow warnings: a
+    finite coefficient times its weight past the float range raises
+    OverflowError, or with ``carry`` (``apply_weyl``) is inf.
     """
     if not any(order):
         return data
@@ -583,8 +590,17 @@ def _gather_derivative(layout: _Layout, data: np.ndarray, order: Index) -> np.nd
             source, weight = layout.raised[axis], layout.exponents[:count, axis] + 1
         else:
             (source,), (weight,) = _derivative_plan(layout, np.array([order]), count)
-        out[:count] = data[source] * weight
+        np.multiply(data[source], weight, out=out[:count])
+        if not carry:
+            _checked_products(out[:count], data, source)
     return out
+
+
+def _checked_products(cells: np.ndarray, data: np.ndarray, source: np.ndarray) -> None:
+    """Refuse a non-finite cell (a coefficient times its weight) of finite ``data[source]``."""
+    finite = np.isfinite(cells)
+    if not finite.all() and np.isfinite(data[source[~finite]]).any():
+        raise OverflowError("a coefficient times its weight is past the float range")
 
 
 def _scatter_coordinate(layout: _Layout, data: np.ndarray, axis: int) -> tuple[np.ndarray, bool]:
@@ -623,7 +639,8 @@ def differentiate(f: TruncatedSeries, order: Sequence[int]) -> TruncatedSeries:
     order = _checked_index(f.dim, order, "derivative order")
     if not any(order):
         return f
-    out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in the gather
+        out = _gather_derivative(_layout(f.dim, f.cutoff), f.vector, order)
     return TruncatedSeries(f.dim, f.cutoff, _exact_after(f, 0, sum(order)), f.is_polynomial, out)
 
 
@@ -662,12 +679,14 @@ def _checked_rows(dim: int, cutoff: int, count: int, degree: int, lowest: int) -
 
 
 def _gather_rows(
-    f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple | None = None
+    f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple | None = None,
+    real: bool = False,
 ) -> np.ndarray:
     """One plan call with ``factors`` and one gather: the rows of checked orders.
 
     ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``;
-    ``factors`` defaults to the cutoff's step table, as in the plan.
+    ``factors`` defaults to the cutoff's step table, as in the plan.  With
+    ``real`` the block is float64, the real parts of the complex one.
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
     gathered; the rest of each row is zero.  ``_checked_rows`` refuses a
@@ -678,21 +697,20 @@ def _gather_rows(
     total = orders.sum(axis=1)
     lowest = int(total.min(initial=f.cutoff + 1))
     rows = _checked_rows(f.dim, f.cutoff, len(orders), degree, lowest)
-    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=complex)
+    data = f.vector.real if real else f.vector
+    out = np.zeros((len(orders), _size(f.dim, degree)), dtype=data.dtype)
     if rows:
         layout = _layout(f.dim, f.cutoff)
         source, weight = _derivative_plan(layout, orders, rows, factors)
         block = out[:, :rows]
-        f.vector.take(source, out=block, mode="clip")  # positions are in the basis
+        data.take(source, out=block, mode="clip")  # positions are in the basis
         if layout.degree[rows - 1] + total.max() > f.cutoff:
             # the plan masked the cells the cutoff leaves undetermined with
             # weight 0 (see its reach); zeroed first, they end +0j
             np.copyto(block, 0, where=weight == 0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
             np.multiply(block, weight, out=block)
-        bad = ~np.isfinite(block)
-        if bad.any() and np.isfinite(f.vector[source[bad]]).any():
-            raise OverflowError("a coefficient times its weight is past the float range")
+        _checked_products(block, data, source)
     return out
 
 
@@ -707,6 +725,75 @@ def multiply_coordinate(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     out, spilled = _scatter_coordinate(_layout(f.dim, f.cutoff), f.vector, axis)
     poly = f.is_polynomial and not spilled
     return TruncatedSeries(f.dim, f.cutoff, _exact_after(f, 1, 0), poly, out)
+
+
+@cache
+def _openblas_thread_calls() -> tuple | None:
+    """The (get, set) thread-count calls of the OpenBLAS numpy's wheel loaded, or None.
+
+    Looked up once, at the first pinned call, not at import.  The wheel
+    keeps its libraries in ``numpy.libs`` beside the package; another BLAS
+    (MKL, Accelerate, a system build) has no such directory or symbol, and
+    is left as it is.  The names are those a numpy >= 2 wheel's
+    scipy-openblas exports.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: numpy's OpenBLAS runs on one thread inside, as before outside.
+
+    Entries are counted under a lock, so nested entries, an exception and
+    Python threads that overlap all leave the caller's count as it was: the
+    first entrant saves it and sets 1, the last one out restores it.  With
+    no OpenBLAS setter the calls run unpinned.
+
+    One thread is the one count every host has, so a build's bytes do not
+    depend on the thread setting.  It is also the faster count for every
+    span the tasks build today (README, "Tests").
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            calls = _openblas_thread_calls()
+            if calls is not None and self._depth == 0:
+                get, set_ = calls
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            calls = _openblas_thread_calls()
+            if calls is not None and self._depth == 0:
+                calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def _checked_translates(dim: int, cutoff: int, count: int, degree: int) -> None:
@@ -754,7 +841,8 @@ def translate_rows(
     if np.isinf(vandermonde).any():  # V @ B would turn it into NaN, even times 0
         raise OverflowError("a shift power is past the float range")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        out = vandermonde @ block
+        with _one_blas_thread:
+            out = vandermonde @ block
     zero = [not any(s) for s in shifts]
     out[zero] = coefficient_vector(f, degree)
     bad = ~np.isfinite(out)

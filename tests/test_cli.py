@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import entireops as eo
-from entireops import cli, completeness, serialize
+from entireops import cli, completeness, serialize, series
 from support import (
     airy_problem,
     bundled_object,
@@ -1305,7 +1305,7 @@ def test_a_json_run_loads_neither_numpy_random_argparse_dataclasses_nor_csv():
 
 def test_a_span_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the SVD of a 286 x 286 span, which OpenBLAS threads when it may
-    if completeness._openblas_thread_calls() is None:
+    if series._openblas_thread_calls() is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
     obj = bundled_object("gaussian2d")
     axis_op, problem = obj["operators"][0], dict(obj["generator"]["kernel"][0], degree=20)

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -67,6 +68,23 @@ def test_derivative_span_constant_generator():
     span = eo.derivative_span(f, 4, 2)
     nonzero_rows = [r for r in span.matrix if np.any(r != 0)]
     assert len(nonzero_rows) == 1
+
+
+def test_a_real_derivative_span_at_the_gate_is_float64_with_the_complex_gathers_bits():
+    # the gate is the span's short side; the rows are d=1 orders 0..GATE - 1
+    f = eo.make_series(1, 2 * GATE, {(n,): 1.0 / (n + 1) for n in range(2 * GATE + 1)})
+    span = eo.derivative_span(f, GATE - 1, GATE - 1)
+    rows = series.derivative_rows(f, span.row_labels, GATE - 1)
+    assert span.matrix.dtype == np.float64 and rows.dtype == complex
+    assert span.matrix.tobytes() == np.ascontiguousarray(rows.real).tobytes()
+    assert not rows.imag.any()
+    # one side below the gate, or one nonzero imaginary part, keeps complex128
+    for truncation, max_order in ((GATE - 2, GATE - 1), (GATE - 1, GATE - 2)):
+        assert eo.derivative_span(f, truncation, max_order).matrix.dtype == complex
+    vector = f.vector.copy()
+    vector[-1] += 1e-300j
+    g = eo.TruncatedSeries(f.dim, f.cutoff, f.exact_degree, f.is_polynomial, vector)
+    assert eo.derivative_span(g, GATE - 1, GATE - 1).matrix.dtype == complex
 
 
 def test_derivative_span_demands_exactness():
@@ -481,6 +499,70 @@ def test_rank_report_zero_matrix():
     assert eo.rank_report(span, 1e-8).rank == 0
 
 
+def span_of(matrix: np.ndarray) -> eo.SpanMatrix:
+    """A span of d=1 over degree <= cols - 1, one label per row."""
+    rows, cols = matrix.shape
+    return eo.SpanMatrix(matrix, tuple((n,) for n in range(rows)), cols - 1, 1)
+
+
+NORMALIZED = {
+    "real at the gate": lambda: gaussian_span_3d(),
+    "real below the gate": lambda: gaussian_span_2d(),
+    # a polynomial of degree 40 differentiated up to order GATE - 1: zero rows
+    "real with zero rows": lambda: eo.derivative_span(
+        eo.make_series(1, 40, {(n,): (-1.5) ** n for n in range(41)}, True), GATE - 1, GATE - 1
+    ),
+    "complex with zero rows": lambda: eo.derivative_span(
+        eo.make_series(2, 3, {(3, 0): 2.0, (1, 1): -1.5, (0, 2): 0.5j}, True), 3, 5
+    ),
+    "complex at the gate": lambda: span_of(
+        np.random.default_rng(5).standard_normal((GATE + 3, 2 * GATE)) * (1 + 2j)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NORMALIZED)
+def test_rank_report_normalizes_with_the_bits_of_a_complex_division(monkeypatch, name):
+    # each row times 1 / peak: a complex division by peak + 0j, real part kept for float64
+    span = NORMALIZED[name]()
+    spans = recorded_spans(monkeypatch)
+    eo.rank_report(span, 1e-8)
+    peak = np.abs(span.matrix).max(axis=1)
+    want = span.matrix.astype(complex)
+    np.divide(want, peak[:, None] + 0j, out=want, where=(peak > 0)[:, None])
+    if span.matrix.dtype == np.float64:
+        want = np.ascontiguousarray(want.real)
+    assert not peak.all() if "zero" in name else peak.all()
+    assert spans[0].dtype == want.dtype and spans[0].tobytes() == want.tobytes()
+
+
+CELLS = [math.inf, -math.inf, math.nan, complex(0, math.inf), complex(1.5e308, -1.5e308)]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=map(str, CELLS))
+def test_rank_report_refuses_a_non_finite_span_before_any_arithmetic(cell):
+    # a modulus past the float range is refused too: its row has no peak
+    matrices = [np.ones((3, 4), dtype=complex)]
+    if not isinstance(cell, complex):
+        matrices.append(np.ones((3, 4)))
+    for matrix in matrices:
+        matrix[1, 2] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^span matrix has an entry of non-finite modulus$"):
+                eo.rank_report(span_of(matrix), 1e-8)
+
+
+def test_a_span_with_an_inf_coefficient_is_refused_without_a_warning():
+    # the inf carries into its cells (series); the SVD used to warn and not converge
+    f = eo.make_series(1, 10, {(0,): 1.0, (10,): math.inf}, is_polynomial=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        span = eo.derivative_span(f, 5, 5)
+        with pytest.raises(ValueError, match="non-finite modulus"):
+            eo.rank_report(span, 1e-8)
+
+
 def test_rank_report_rejects_empty_matrix():
     span = eo.SpanMatrix(
         matrix=np.zeros((0, 5), dtype=complex),
@@ -714,7 +796,7 @@ def test_the_block_estimate_bounds_the_built_block(monkeypatch, call):
 @pytest.fixture
 def blas_threads():
     """numpy's OpenBLAS thread-count getter, with the count set to 2 for the test."""
-    calls = completeness._openblas_thread_calls()
+    calls = series._openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
     get, set_ = calls
@@ -770,8 +852,27 @@ def test_a_raising_lapack_call_restores_the_thread_count(monkeypatch, blas_threa
         assert blas_threads() == 2
 
 
+def test_the_translate_matmul_runs_on_one_blas_thread(monkeypatch, blas_threads):
+    entered = []
+    pin = series._one_blas_thread
+
+    class Spy:
+        def __enter__(self):
+            pin.__enter__()
+            entered.append(blas_threads())
+
+        def __exit__(self, *exc):
+            pin.__exit__(*exc)
+
+    monkeypatch.setattr(series, "_one_blas_thread", Spy())
+    f = eo.make_series(2, 4, {(1, 1): 1.0, (0, 4): 2.0}, is_polynomial=True)
+    eo.translate_span(f, 4, [(0.5, -0.25), (1.0, 2.0)])
+    assert entered == [1]
+    assert blas_threads() == 2
+
+
 def test_nested_pins_restore_the_count_on_the_last_exit(blas_threads):
-    pin = completeness._one_blas_thread
+    pin = series._one_blas_thread
     with pin:
         with pin:
             assert blas_threads() == 1
@@ -805,9 +906,9 @@ def test_overlapping_threads_leave_the_count_unchanged(monkeypatch, blas_threads
 
 
 def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
-    monkeypatch.setattr(completeness, "_openblas_thread_calls", lambda: None)
-    span = gaussian_span_3d()
-    m = span.matrix / np.abs(span.matrix).max(axis=1)[:, None]
+    monkeypatch.setattr(series, "_openblas_thread_calls", lambda: None)
+    span = gaussian_span_3d()  # float64: normalized with the bits of a complex division
+    m = span.matrix / (np.abs(span.matrix).max(axis=1) + 0j)[:, None]
     sv = np.linalg.svd(m.real, compute_uv=False)
     assert eo.rank_report(span, 1e-8).singular_values == tuple(float(s) for s in sv)
     f = eo.joint_kernel([gaussian_problem(), gaussian_problem()], 12)
@@ -826,7 +927,7 @@ def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
 
 def numpys(m: np.ndarray) -> np.ndarray:
     """numpy's singular values of m on one BLAS thread, as ``_singular_values`` runs."""
-    with completeness._one_blas_thread:
+    with series._one_blas_thread:
         return np.linalg.svd(m, compute_uv=False)
 
 

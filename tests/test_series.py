@@ -481,6 +481,26 @@ def test_two_axis_derivative_weight_past_the_float_range_raises():
             series.derivative_rows(f, [(0, 0), (170, 5)], 0)
 
 
+@pytest.mark.parametrize("order", [(5,), (1,)])
+def test_a_derivative_cell_past_the_float_range_raises_without_a_warning(order):
+    # 1e308 times the weight 10!/5! of D^5 (or 10 of D^1) overflows; the
+    # plan path and the unit-order path refuse it as derivative_rows does
+    f = eo.make_series(1, 10, {(0,): 1, (10,): 1e308}, is_polynomial=True)
+    g = eo.make_series(1, 10, {(0,): 1, (10,): math.inf}, is_polynomial=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="a coefficient times its weight is past the float range"):
+            eo.differentiate(f, order)
+        # an inf coefficient is data and carries
+        assert np.isinf(eo.differentiate(g, order).vector[10 - order[0]].real)
+        # apply_weyl keeps the overflow as inf, for its callers to name
+        op = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {order: 1.0}))
+        image = eo.apply_weyl(op, f)
+        assert np.isinf(image.vector[10 - order[0]].real)
+        with pytest.raises(OverflowError, match="orbit overflows at step 1"):
+            eo.iterate_orbit(op, f, 1)
+
+
 def test_an_inf_factor_in_a_masked_cell_leaves_the_per_order_rows():
     # cell m = (0, 171) of order (171, 5): the factor 171! is inf on axis 1
     # and the step past the cutoff gives 0 on axis 2; the cell is masked
