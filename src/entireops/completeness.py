@@ -44,15 +44,16 @@ blocked reductions of a threaded SVD follow the thread count, so this makes
 the printed singular values independent of it; they still depend on the
 numpy and BLAS build.
 
-Every span the bundled scenarios and the benchmark build has real data.  A
-span of real data whose short side is at least ``_REAL_MIN_SIDE`` (64) is
-float64 from the gather to the SVD (``derivative_span``), or decomposed as
-its real part (``_singular_values``), at a third to a half of the complex
-SVD's cost; its singular values equal the complex ones to within about
-1e-15 of the largest, though not bit for bit.  Any other span is complex128.
-The gate keeps the bundled spans (at most 21 x 15) complex, as their pinned
-reports are: in float64 each would print other last digits in
-``diagnostics``.
+Every span the bundled scenarios and the benchmark build has real data.
+One rule, ``series._real_span``, decides a span's dtype where it is built,
+for both kinds: a span whose short side is at least 64 and whose data (f's
+coefficients, and a translate span's shifts) is real is float64 from the
+gather to the SVD, at a third to a half of the complex SVD's cost; its
+singular values equal the complex ones to within about 1e-15 of the
+largest, though not bit for bit.  Any other span is complex128, and
+``rank_report`` decomposes every span as it was built.  The gate keeps the
+bundled spans (at most 21 x 15) complex, as their pinned reports are: in
+float64 each would print other last digits in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .series import (
     _layout,
     _one_blas_thread,
     _positions,
+    _real_span,
     _size,
     coefficient_vector,
     translate_rows,
@@ -86,8 +88,8 @@ class SpanMatrix(Record):
     Row i holds the coefficients of the i-th system member in graded-lex
     order over ``monomial_basis(dim, truncation)``; ``row_labels`` carries
     the generating data (derivative orders or translation points).  The
-    matrix is float64 for a derivative span of real data whose short side
-    is at least ``_REAL_MIN_SIDE``, else complex128.
+    matrix is float64 when ``series._real_span`` holds for the span as
+    built (real data, short side at least 64), else complex128.
     """
 
     matrix: np.ndarray
@@ -167,8 +169,7 @@ def derivative_span(
     count = _size(f.dim, max_order)
     _checked_rows(f.dim, f.cutoff, count, truncation, 0)
     capped = np.minimum(_layout(f.dim, max_order).exponents, f.cutoff + 1)
-    # gathered as the real part that _singular_values would decompose
-    real = min(count, _size(f.dim, truncation)) >= _REAL_MIN_SIDE and not f.vector.imag.any()
+    real = _real_span((count, _size(f.dim, truncation)), f.vector)
     return SpanMatrix(
         matrix=_gather_rows(f, capped, truncation, real=real),
         row_labels=tuple(_positions(f.dim, max_order)),
@@ -309,23 +310,6 @@ def sample_box(
     return [tuple([low + width * next(u) for _ in range(dim)]) for _ in range(count)]
 
 
-#: the short side from which a span of real data is float64 (module docstring)
-_REAL_MIN_SIDE = 64
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """``np.linalg.svd(m, compute_uv=False)`` on one BLAS thread.
-
-    A complex ``m`` with no imaginary part whose short side is at least
-    ``_REAL_MIN_SIDE`` is decomposed as ``m.real``, in float64 arithmetic;
-    any other ``m`` as it is.
-    """
-    if min(m.shape) >= _REAL_MIN_SIDE and np.iscomplexobj(m) and not m.imag.any():
-        m = m.real
-    with _one_blas_thread:
-        return np.linalg.svd(m, compute_uv=False)
-
-
 def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     """Numerical rank of the (row-normalized) span matrix via SVD.
 
@@ -343,7 +327,8 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     if not math.isfinite(peak.max()):  # a NaN propagates through max
         raise ValueError("span matrix has an entry of non-finite modulus")
     peak[peak == 0] = 1.0  # zero rows stay as they are
-    sv = _singular_values(span.matrix * (1 / peak)[:, None])
+    with _one_blas_thread:
+        sv = np.linalg.svd(span.matrix * (1 / peak)[:, None], compute_uv=False)
     rank = int(np.count_nonzero(sv > tolerance * sv[0]))  # 0 for a zero matrix
     ambient = span.matrix.shape[1]
     return CompletenessReport(

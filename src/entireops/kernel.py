@@ -106,6 +106,8 @@ def joint_kernel(problems: Sequence[AxisKernelProblem], degree: int) -> Truncate
 
     One problem per axis; the resulting d-variate series is annihilated by
     every separable operator ``C_j(D_j) - a_j z_j`` because each factor is.
+    A product of finite axis coefficients past the float range raises
+    OverflowError naming the generator, with no numpy warning.
     """
     problems = list(problems)
     if not problems:
@@ -113,12 +115,14 @@ def joint_kernel(problems: Sequence[AxisKernelProblem], degree: int) -> Truncate
     if not all(isinstance(p, AxisKernelProblem) for p in problems):
         raise TypeError("every axis needs a genuine AxisKernelProblem")
     axes = [solve_kernel_axis(p, degree) for p in problems]
-    dim = len(axes)
-    exponents = _layout(dim, degree).exponents
+    exponents = _layout(len(axes), degree).exponents
     vector = np.ones(len(exponents), dtype=complex)
-    for j, f in enumerate(axes):
-        vector = vector * f.vector[exponents[:, j]]
-    return TruncatedSeries(dim, degree, degree, False, vector)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for f, column in zip(axes, exponents.T):
+            vector = vector * f.vector[column]
+    if not np.isfinite(vector).all() and all(np.isfinite(f.vector).all() for f in axes):
+        raise OverflowError("a joint kernel generator coefficient is past the float range")
+    return TruncatedSeries(len(axes), degree, degree, False, vector)
 
 
 class KernelReport(NamedTuple):

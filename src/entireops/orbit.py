@@ -53,17 +53,16 @@ def iterate_orbit(
         raise ValueError(f"dim mismatch: operator {op.dim} vs series {x.dim}")
     _checked_bytes((steps + 1) * (16 * len(x.vector) + 1024), f"an orbit of {steps} steps")
     iterates = [x]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            iterates.append(apply_weyl(op, iterates[-1]))
-            if iterates[-1].exact_degree < 0:
-                raise ValueError(
-                    f"exactness budget exhausted: exact_degree {x.exact_degree} "
-                    f"supports {step - 1} steps of an order-{op.conv.max_order} "
-                    f"convolution part; step {step} of {steps} would exceed it"
-                )
-            if not np.isfinite(iterates[-1].vector).all():
-                raise OverflowError(f"orbit overflows at step {step}: a coefficient is not finite")
+    for step in range(1, steps + 1):
+        iterates.append(apply_weyl(op, iterates[-1]))
+        if iterates[-1].exact_degree < 0:
+            raise ValueError(
+                f"exactness budget exhausted: exact_degree {x.exact_degree} "
+                f"supports {step - 1} steps of an order-{op.conv.max_order} "
+                f"convolution part; step {step} of {steps} would exceed it"
+            )
+        if not np.isfinite(iterates[-1].vector).all():
+            raise OverflowError(f"orbit overflows at step {step}: a coefficient is not finite")
     return tuple(iterates)
 
 

@@ -460,7 +460,10 @@ def linear_combine(
     """Coefficientwise ``sum w_i * f_i``.
 
     All series must share dim and cutoff.  The result is exact to the
-    minimum of the exact degrees and polynomial iff every input is.
+    minimum of the exact degrees and polynomial iff every input is.  A sum
+    past the float range of finite weights and coefficients raises
+    OverflowError, as ``differentiate`` does; an inf or NaN weight or
+    coefficient carries into the sums.  Neither prints a numpy warning.
     """
     terms = list(terms)
     if not terms:
@@ -470,10 +473,13 @@ def linear_combine(
         raise ValueError(f"shape mismatch: (dim, cutoff) pairs {sorted(shapes)}")
     ((dim, cutoff),) = shapes
     acc = np.zeros(_size(dim, cutoff), dtype=complex)
-    for w, s in terms:
-        w = complex(w)
-        if w != 0:
-            acc += w * s.vector
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for w, s in terms:
+            w = complex(w)
+            if w != 0:
+                acc += w * s.vector
+    if not np.isfinite(acc).all() and np.isfinite([(w, *s.vector) for w, s in terms]).all():
+        raise OverflowError("a weighted sum of finite coefficients is past the float range")
     exact = min(s.exact_degree for _, s in terms)
     poly = all(s.is_polynomial for _, s in terms)
     return TruncatedSeries(dim, cutoff, exact, poly, acc)
@@ -678,6 +684,21 @@ def _checked_rows(dim: int, cutoff: int, count: int, degree: int, lowest: int) -
     return rows
 
 
+#: the short side from which a span of real data is float64 (``_real_span``)
+_REAL_MIN_SIDE = 64
+
+
+def _real_span(shape: tuple[int, int], *data: np.ndarray) -> bool:
+    """The one float64 rule of a span, applied where the span is built.
+
+    A span of ``shape`` whose short side is at least ``_REAL_MIN_SIDE`` and
+    whose ``data`` (f's coefficients, and a translate span's shifts) has no
+    imaginary part is float64 from its gather to its SVD; any other span is
+    complex128 (``completeness`` module docstring).
+    """
+    return min(shape) >= _REAL_MIN_SIDE and not any(d.imag.any() for d in data)
+
+
 def _gather_rows(
     f: TruncatedSeries, orders: np.ndarray, degree: int, factors: tuple | None = None,
     real: bool = False,
@@ -686,7 +707,8 @@ def _gather_rows(
 
     ``orders`` is a ``(K, dim)`` array with entries at most ``cutoff + 1``;
     ``factors`` defaults to the cutoff's step table, as in the plan.  With
-    ``real`` the block is float64, the real parts of the complex one.
+    ``real`` (``_real_span``) the block is float64, the real parts of the
+    complex one.
 
     Only the degree <= ``degree`` prefix that the cutoff determines is
     gathered; the rest of each row is zero.  ``_checked_rows`` refuses a
@@ -825,26 +847,29 @@ def translate_rows(
     derivative span with ``max_order = cutoff`` does.  The rows
     are reproducible for equal inputs, but not bit for bit those of a scalar
     term loop, which sums in another order.  The row of an all-zero shift is
-    f's vector itself.  A non-polynomial f is translated as the polynomial
-    it stores; ``completeness.translate_span`` refuses one.
+    f's vector itself.  By ``_real_span``, real f and shifts give float64
+    rows when there are at least 64 of them, of at least 64 cells.  A
+    non-polynomial f is translated as the polynomial it stores;
+    ``completeness.translate_span`` refuses one.
     """
     layout = _layout(f.dim, f.cutoff)
     _checked_translates(f.dim, f.cutoff, len(shifts), degree)
     factorial = np.array([math.factorial(n) for n in range(f.cutoff + 2)], dtype=object)
     binomial = _step_weight(f.cutoff)[0] // factorial[:, None]  # perm(m + n, n) / n!
-    block = _gather_rows(f, layout.exponents, degree, (binomial, _rounded(binomial)))
-    power = np.ones((len(shifts), f.dim, f.cutoff + 1), dtype=complex)
-    power[:, :, 1:] = np.array(shifts, dtype=complex).reshape(len(shifts), f.dim, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+    points = np.array(shifts, dtype=complex).reshape(len(shifts), f.dim, 1)
+    real = _real_span((len(shifts), _size(f.dim, degree)), f.vector, points)
+    block = _gather_rows(f, layout.exponents, degree, (binomial, _rounded(binomial)), real=real)
+    power = np.ones((len(shifts), f.dim, f.cutoff + 1), dtype=block.dtype)
+    power[:, :, 1:] = points.real if real else points
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread:  # overflows raise below
         np.cumprod(power, axis=2, out=power)
         vandermonde = power[:, np.arange(f.dim), layout.exponents].prod(axis=2)
-    if np.isinf(vandermonde).any():  # V @ B would turn it into NaN, even times 0
+        out = vandermonde @ block
+    if np.isinf(vandermonde).any():  # V @ B turned it into NaN, even times 0
         raise OverflowError("a shift power is past the float range")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        with _one_blas_thread:
-            out = vandermonde @ block
-    zero = [not any(s) for s in shifts]
-    out[zero] = coefficient_vector(f, degree)
+    # an all-zero shift's row is f's coefficients: in float64, those times 1
+    # of block[0], the zero order's row
+    out[[not any(s) for s in shifts]] = block[0] if real else coefficient_vector(f, degree)
     bad = ~np.isfinite(out)
     if bad.any() and np.isfinite(block[:, bad.any(axis=0)]).all(axis=0).any():
         raise OverflowError("a translate coefficient is past the float range")
@@ -868,10 +893,21 @@ def translate(f: TruncatedSeries, shift: Sequence[complex]) -> TruncatedSeries:
 
 
 def evaluate(f: TruncatedSeries, point: Sequence[complex]) -> complex:
-    """Value of the stored polynomial at the point (no tail correction)."""
+    """Value of the stored polynomial at the point (no tail correction).
+
+    Only the monomials of nonzero coefficients are formed.  One of them, or
+    the sum, past the float range raises OverflowError when the point and
+    the coefficients are finite; an inf or NaN among them carries into the
+    value.  Neither prints a numpy warning.
+    """
     point = np.array(_checked_point(f.dim, point, "point"))
-    monomials = np.prod(point ** _layout(f.dim, f.cutoff).exponents, axis=1)
-    return complex(f.vector @ monomials)
+    nonzero = np.flatnonzero(f.vector)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        monomials = np.prod(point ** _layout(f.dim, f.cutoff).exponents[nonzero], axis=1)
+        value = complex(f.vector[nonzero] @ monomials)
+    if not np.isfinite(value) and np.isfinite([*point, *f.vector]).all():
+        raise OverflowError("a monomial or the sum of the value is past the float range")
+    return value
 
 
 def with_cutoff(f: TruncatedSeries, cutoff: int) -> TruncatedSeries:

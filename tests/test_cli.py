@@ -462,6 +462,36 @@ def test_an_overflowing_span_cell_fails_each_task_under_warnings_as_errors(tmp_p
     assert done.stdout == 2 * failed
 
 
+def test_a_joint_kernel_past_the_float_range_fails_each_task_under_warnings_as_errors(tmp_path):
+    # each axis solves f' = z f from f_0 = 1e140; the tensor product's
+    # constant term, 1e420, is past the float range, and nothing warns
+    axis = {"charpoly": [[0.0, 0.0], [1.0, 0.0]], "a": [1.0, 0.0], "seeds": [[1e140, 0.0]]}
+    obj = {
+        "dimension": 3,
+        "truncation": 2,
+        "operators": [
+            {"dim": 3, "axis": j + 1, "a": [1.0, 0.0],
+             "symbol": [{"idx": [int(k == j) for k in range(3)], "re": 1.0}]}
+            for j in range(3)
+        ],
+        "generator": {"kernel": [axis] * 3},
+        "tasks": [{"task": "kernel", "degree": 2},
+                  {"task": "complete", "truncation": 1, "max_order": 1}],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entireops", "run", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    error = "a joint kernel generator coefficient is past the float range"
+    failed = [serialize.to_json_text({"task": task, "passed": False, "error": error})
+              for task in ("kernel", "complete")]
+    assert (done.returncode, done.stderr) == (cli.EXIT_TASK_FAILED, "")
+    assert done.stdout == "".join(failed)
+
+
 #: a list key set to a string or an object: (bundled name, path, value, key)
 LIST_SITES = [
     ("gaussian1d", ("tasks", 2, "trajectory"), "345", "trajectory"),

@@ -921,12 +921,12 @@ def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the SVD: real arithmetic for a large span of real data
+# the SVD: each span is decomposed as it was built
 # ---------------------------------------------------------------------------
 
 
 def numpys(m: np.ndarray) -> np.ndarray:
-    """numpy's singular values of m on one BLAS thread, as ``_singular_values`` runs."""
+    """numpy's singular values of m on one BLAS thread, as ``rank_report`` runs."""
     with series._one_blas_thread:
         return np.linalg.svd(m, compute_uv=False)
 
@@ -935,7 +935,20 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-GATE = completeness._REAL_MIN_SIDE
+def recorded_spans(monkeypatch) -> list[np.ndarray]:
+    """The normalized spans that rank_report hands to ``np.linalg.svd`` from here on."""
+    spans = []
+    real = np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        spans.append(m.copy())
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return spans
+
+
+GATE = series._REAL_MIN_SIDE
 SHAPES = [
     (GATE, GATE), (GATE - 1, GATE - 1), (GATE + 1, GATE + 1),
     (GATE, 3 * GATE), (3 * GATE, GATE), (GATE - 1, 2 * GATE), (2 * GATE, GATE - 1),
@@ -944,69 +957,107 @@ SHAPES = [
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
-def test_singular_values_are_numpys_bit_for_bit_on_random_matrices(shape):
-    # complex data at any size is decomposed as it is
+def test_singular_values_are_numpys_bit_for_bit_on_random_matrices(monkeypatch, shape):
+    # a hand-built span of complex data is decomposed as it is, at any size
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert same_bits(completeness._singular_values(m), numpys(m))
+    spans = recorded_spans(monkeypatch)
+    sv = eo.rank_report(span_of(m), 1e-8).singular_values
+    monkeypatch.undo()
+    assert spans[0].dtype == complex
+    assert same_bits(np.array(sv), numpys(spans[0]))
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
-def test_real_data_at_or_above_the_gate_is_decomposed_in_real_arithmetic(shape):
+def test_real_data_at_or_above_the_gate_is_decomposed_in_real_arithmetic(monkeypatch, shape):
+    # a translate span of d=1 has one row a shift and one column a monomial
+    rows, cols = shape
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-    m = rng.standard_normal(shape) + 0j
-    m.imag[0, 0] = -0.0  # a signed zero is no imaginary part
-    want = numpys(m.real) if min(shape) >= GATE else numpys(m)
-    assert same_bits(completeness._singular_values(m), want)
+    f = eo.TruncatedSeries(1, cols - 1, cols - 1, True, rng.uniform(-1, 1, cols))
+    samples = [(s,) for s in rng.uniform(-1, 1, rows).tolist()]
+    spans = recorded_spans(monkeypatch)
+    sv = eo.rank_report(eo.translate_span(f, cols - 1, samples), 1e-8).singular_values
     # one nonzero imaginary part keeps the complex decomposition
-    m.imag[-1, -1] = 1e-300
-    assert same_bits(completeness._singular_values(m), numpys(m))
+    skewed = samples[:-1] + [(samples[-1][0] + 1e-300j,)]
+    eo.rank_report(eo.translate_span(f, cols - 1, skewed), 1e-8)
+    monkeypatch.undo()
+    assert [m.dtype for m in spans] == [np.float64 if min(shape) >= GATE else complex, complex]
+    assert same_bits(np.array(sv), numpys(spans[0]))
 
 
-def test_singular_values_of_a_zero_matrix_are_numpys():
-    m = np.zeros((GATE + 6, GATE + 6), dtype=complex)
-    assert same_bits(completeness._singular_values(m), numpys(m.real))
+def test_singular_values_of_a_zero_matrix_are_numpys(monkeypatch):
+    span = eo.derivative_span(eo.zero_series(1, 2 * GATE + 10), GATE + 5, GATE + 5)
+    spans = recorded_spans(monkeypatch)
+    report = eo.rank_report(span, 1e-8)
+    monkeypatch.undo()
+    assert report.rank == 0 and spans[0].dtype == np.float64
+    assert same_bits(np.array(report.singular_values), numpys(np.zeros((GATE + 6, GATE + 6))))
 
 
-def test_a_nan_entry_fails_as_numpy_does_and_an_inf_entry_gives_numpys_values():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((GATE + 2, GATE + 2)) + 0j
-    m[3, 5] = np.nan
-    for svd in (completeness._singular_values, numpys):
-        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
-            svd(m)
-    m[3, 5] = np.inf
-    assert same_bits(completeness._singular_values(m), numpys(m.real))
+def test_a_real_translate_span_at_the_gate_is_float64_with_the_complex_routes_rank():
+    # d=2 degree 10: 66 monomials, 70 shifts; the exact rank is 15 + 21 = 36
+    # (the orders below 5, and the polynomials of degree <= 5 that the
+    # others reach), with no singular value near the tolerance
+    f = eo.TruncatedSeries(2, 10, 10, True, np.random.default_rng(11).uniform(-1, 1, 66))
+    samples = eo.sample_box(2, 70, seed=3)
+    span = eo.translate_span(f, 10, samples)
+    # the complex route: one-row translates, each complex128
+    rows = np.array([eo.translate(f, s).vector for s in samples])
+    assert (span.matrix.dtype, rows.dtype) == (np.float64, complex)
+    real = eo.rank_report(span, 1e-8)
+    full = eo.rank_report(eo.SpanMatrix(rows, span.row_labels, 10, 2), 1e-8)
+    assert real.rank == full.rank == 36
+    gap = np.abs(np.subtract(real.singular_values, full.singular_values)).max()
+    assert gap <= 1e-14 * real.singular_values[0]
+    # below the gate, or with one complex shift or coefficient: complex128
+    skewed = samples[:-1] + [(samples[-1][0], samples[-1][1] + 1e-300j)]
+    g = eo.TruncatedSeries(2, 10, 10, True, f.vector + np.eye(1, 66, 65)[0] * 1e-300j)
+    for matrix in (eo.translate_span(f, 10, samples[: GATE - 1]).matrix,
+                   eo.translate_span(f, 10, skewed).matrix,
+                   eo.translate_span(g, 10, samples).matrix):
+        assert matrix.dtype == complex
 
 
-def recorded_spans(monkeypatch) -> list[np.ndarray]:
-    """The normalized spans that rank_report hands to ``_singular_values`` from here on."""
-    spans = []
-    real = completeness._singular_values
-
-    def recorded(m):
-        spans.append(m.copy())
-        return real(m)
-
-    monkeypatch.setattr(completeness, "_singular_values", recorded)
-    return spans
+def test_a_real_translate_span_gives_a_zero_shift_f_s_coefficients_without_a_warning():
+    # the float64 rows take the zero order's row of the block: a -0.0, an inf
+    f = eo.make_series(1, GATE, {(0,): -0.0, (1,): 2.0, (GATE,): 0.5}, True)
+    g = eo.make_series(1, GATE, {(0,): 1.0, (1,): math.inf}, True)
+    samples = [(0.0,)] + [(s,) for s in np.linspace(-1, 1, GATE).tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        span = eo.translate_span(f, GATE, samples).matrix
+        zero = eo.translate_span(g, GATE, [(0.0,)] * GATE).matrix
+    assert (span.dtype, zero.dtype) == (np.float64, np.float64)
+    assert span[0].tobytes() == eo.coefficient_vector(f, GATE).real.tobytes()
+    assert zero.tobytes() == np.tile(g.vector.real, (GATE, 1)).tobytes()
 
 
 def test_singular_values_are_numpys_bit_for_bit_on_every_benchmark_and_bundled_span(
     monkeypatch, tmp_path
 ):
-    spans = recorded_spans(monkeypatch)
+    spans, reports = recorded_spans(monkeypatch), []
+
+    def reported(*args):
+        reports.append(completeness.rank_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "rank_report", reported)
     for source in cli.BUNDLED:
         cli.execute_tasks(cli.load_scenario(source))
     bundled = len(spans)
     for _, source in workloads.write_inputs("span", 0, tmp_path):
         cli.execute_tasks(cli.load_scenario(source))
-    # every span has real data; each bundled one is below the gate, and the
-    # span workload has exactly 5 at or above it
-    assert not any(m.imag.any() for m in spans)
+    # every span has real data; each bundled one is below the gate and
+    # complex, and the span workload's 5 at or above it are float64 as built
+    assert not any(m.imag.any() for m in spans if m.dtype == complex)
     large = [min(m.shape) >= GATE for m in spans]
     assert large[:bundled] == [False] * bundled
     assert large[bundled:].count(True) == 5
+    assert [m.dtype == np.float64 for m in spans] == large
     monkeypatch.undo()
-    for m, real in zip(spans, large):
-        assert same_bits(completeness._singular_values(m), numpys(m.real if real else m))
+    assert len(reports) == len(spans)
+    for m, report in zip(spans, reports):
+        sv = numpys(m)
+        assert same_bits(np.array(report.singular_values), sv)
+        if m.dtype == np.float64:  # within 1e-14 of the largest of the complex SVD's
+            assert np.abs(sv - numpys(m + 0j)).max() <= 1e-14 * sv[0]

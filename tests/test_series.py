@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
@@ -748,6 +749,94 @@ def test_evaluate_bivariate_monomial():
 def test_evaluate_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         eo.evaluate(eo.monomial(2, 2, (1, 0)), (1.0,))
+
+
+def test_evaluate_forms_only_the_monomials_of_nonzero_coefficients():
+    # z^2 .. z^4 at 1e100 are past the float range; their coefficients are 0
+    f = eo.make_series(1, 4, {(0,): 1, (1,): 1}, is_polynomial=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eo.evaluate(f, (1e100,)) == 1e100
+        # a needed monomial, or the sum, past the float range raises
+        for g, point in ((eo.monomial(1, 4, (3,)), (1e200,)),
+                         (eo.monomial(2, 2, (1, 1)), (1e200, 1e200)),
+                         (eo.make_series(1, 1, {(0,): 1e308, (1,): 1e308}, True), (1.0,))):
+            with pytest.raises(OverflowError, match="past the float range"):
+                eo.evaluate(g, point)
+        # an inf coefficient or coordinate carries into the value
+        assert cmath.isinf(eo.evaluate(eo.monomial(1, 2, (2,), math.inf), (2.0,)))
+        assert not cmath.isfinite(eo.evaluate(eo.monomial(1, 2, (2,)), (math.inf,)))
+
+
+def test_a_weighted_sum_past_the_float_range_raises_without_a_warning():
+    f = eo.make_series(1, 2, {(0,): 1e300, (1,): 1.0}, is_polynomial=True)
+    g = eo.make_series(1, 2, {(0,): 1e308, (2,): 1.0}, is_polynomial=True)
+    h = eo.make_series(1, 2, {(0,): math.inf, (1,): 1.0}, is_polynomial=True)
+    message = "a weighted sum of finite coefficients is past the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a product past the range, then a sum of two finite products past it
+        for terms in ([(1e300, f), (1e300, f)], [(1, g), (1, g)]):
+            with pytest.raises(OverflowError, match=message):
+                eo.linear_combine(terms)
+        # inf data carries, to the NaN of orbit.measure_visits' weighted sums
+        carried = eo.linear_combine([(2, h), (-1, f)]).vector
+        assert np.isnan(eo.linear_combine([(math.inf, f), (1, f)]).vector).all()
+    want = np.zeros(3, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        want += (2 + 0j) * h.vector
+        want += (-1 + 0j) * f.vector
+    assert carried.tobytes() == want.tobytes()
+
+
+def _overflow_cases() -> dict:
+    """Calls of the public numeric API at overflowing inputs, each with its outcome.
+
+    An exception class names the refusal; None means the call returns, an
+    inf or NaN in its data carried into the result.
+    """
+    big = eo.make_series(1, 10, {(0,): 1.0, (10,): 1e308}, is_polynomial=True)
+    inf = eo.make_series(1, 10, {(0,): 1.0, (10,): math.inf}, is_polynomial=True)
+    d5 = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {(5,): 1.0}))
+    wide = eo.AxisKernelProblem([0, 1], 1, [1e140])
+    rows = np.array([[1e300, 0, 1e300]])
+    wide_disc, unit_disc = eo.SemiNormSpec(1, 1e200), eo.SemiNormSpec(1, 1.0)
+    span = eo.derivative_span(inf, 5, 5)
+    return {
+        "differentiate": (lambda: eo.differentiate(big, (5,)), OverflowError),
+        "differentiate inf": (lambda: eo.differentiate(inf, (5,)), None),
+        "linear_combine": (lambda: eo.linear_combine([(1e300, big), (1e300, big)]), OverflowError),
+        "linear_combine inf": (lambda: eo.linear_combine([(2, inf), (1, big)]), None),
+        "evaluate": (lambda: eo.evaluate(big, (1e100,)), OverflowError),
+        "evaluate zeros": (lambda: eo.evaluate(eo.monomial(1, 4, (1,)), (1e100,)), None),
+        "evaluate inf": (lambda: eo.evaluate(inf, (2.0,)), None),
+        "translate sum": (lambda: eo.translate(big, (100.0,)), OverflowError),
+        "translate power": (lambda: eo.translate(big, (1e200,)), OverflowError),
+        "translate inf": (lambda: eo.translate(inf, (0.5,)), None),
+        "joint_kernel": (lambda: eo.joint_kernel([wide] * 3, 2), OverflowError),
+        "apply_weyl": (lambda: eo.apply_weyl(d5, big), None),
+        "apply_weyl inf": (lambda: eo.apply_weyl(d5, inf), None),
+        "derivative_span": (lambda: eo.derivative_span(big, 5, 5), OverflowError),
+        "derivative_span inf": (lambda: eo.derivative_span(inf, 5, 5), None),
+        "rank_report inf": (lambda: eo.rank_report(span, 1e-8), ValueError),
+        "seminorm_rows power": (lambda: seminorm_rows(1, 2, rows, wide_disc), OverflowError),
+        "seminorm_rows sum": (lambda: seminorm_rows(1, 2, rows * 1e8, unit_disc), OverflowError),
+    }
+
+
+OVERFLOWS = _overflow_cases()
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_the_numeric_api_returns_or_raises_at_overflowing_inputs_and_never_warns(name):
+    call, refusal = OVERFLOWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refusal is None:
+            call()
+        else:
+            with pytest.raises(refusal):
+                call()
 
 
 # ---------------------------------------------------------------------------
