@@ -115,14 +115,15 @@ def joint_kernel(problems: Sequence[AxisKernelProblem], degree: int) -> Truncate
     if not all(isinstance(p, AxisKernelProblem) for p in problems):
         raise TypeError("every axis needs a genuine AxisKernelProblem")
     axes = [solve_kernel_axis(p, degree) for p in problems]
-    exponents = _layout(len(axes), degree).exponents
+    dim = len(axes)
+    exponents = _layout(dim, degree).exponents
     vector = np.ones(len(exponents), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for f, column in zip(axes, exponents.T):
-            vector = vector * f.vector[column]
+        for j, f in enumerate(axes):
+            vector = vector * f.vector[exponents[:, j]]
     if not np.isfinite(vector).all() and all(np.isfinite(f.vector).all() for f in axes):
         raise OverflowError("a joint kernel generator coefficient is past the float range")
-    return TruncatedSeries(len(axes), degree, degree, False, vector)
+    return TruncatedSeries(dim, degree, degree, False, vector)
 
 
 class KernelReport(NamedTuple):

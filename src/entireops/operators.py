@@ -109,15 +109,18 @@ class WeylOperator(Record):
 
     @classmethod
     def identity(cls, dim: int) -> WeylOperator:
-        return cls.derivative(dim, (0,) * dim)
+        z = (0,) * dim
+        return cls(dim, {(z, z): 1.0})
 
     @classmethod
     def derivative(cls, dim: int, order: Sequence[int]) -> WeylOperator:
-        return cls(dim, {((0,) * dim, tuple(order)): 1.0})
+        z = (0,) * dim
+        return cls(dim, {(z, tuple(order)): 1.0})
 
     @classmethod
     def coordinate(cls, dim: int, axis: int) -> WeylOperator:
-        return cls(dim, {(_unit(dim, axis), (0,) * dim): 1.0})
+        z = (0,) * dim
+        return cls(dim, {(_unit(dim, axis), z): 1.0})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -138,14 +141,17 @@ class WeylOperator(Record):
     def __sub__(self, other: WeylOperator) -> WeylOperator:
         return self + (-other)
 
+    def __rmul__(self, scalar: complex) -> WeylOperator:
+        return WeylOperator(
+            self.dim, {k: complex(scalar) * c for k, c in self.terms.items()}
+        )
+
     def __mul__(self, other):
         if isinstance(other, WeylOperator):
             return _compose(self, other)
-        return WeylOperator(self.dim, {k: c * complex(other) for k, c in self.terms.items()})
-
-    #: a scalar on the left: the product of two complex numbers has the same
-    #: bits in either order
-    __rmul__ = __mul__
+        return WeylOperator(
+            self.dim, {k: c * complex(other) for k, c in self.terms.items()}
+        )
 
 
 def _compose(a: WeylOperator, b: WeylOperator) -> WeylOperator:

@@ -460,10 +460,11 @@ def linear_combine(
     """Coefficientwise ``sum w_i * f_i``.
 
     All series must share dim and cutoff.  The result is exact to the
-    minimum of the exact degrees and polynomial iff every input is.  A sum
-    past the float range of finite weights and coefficients raises
-    OverflowError, as ``differentiate`` does; an inf or NaN weight or
-    coefficient carries into the sums.  Neither prints a numpy warning.
+    minimum of the exact degrees and polynomial iff every input is.  A term
+    of weight 0 is not summed.  A sum past the float range of the other
+    terms' finite weights and coefficients raises OverflowError, as
+    ``differentiate`` does; an inf or NaN weight or coefficient among them
+    carries into the sums.  Neither prints a numpy warning.
     """
     terms = list(terms)
     if not terms:
@@ -472,13 +473,14 @@ def linear_combine(
     if len(shapes) > 1:
         raise ValueError(f"shape mismatch: (dim, cutoff) pairs {sorted(shapes)}")
     ((dim, cutoff),) = shapes
+    summed = [(complex(w), s) for w, s in terms if complex(w) != 0]
     acc = np.zeros(_size(dim, cutoff), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for w, s in terms:
-            w = complex(w)
-            if w != 0:
-                acc += w * s.vector
-    if not np.isfinite(acc).all() and np.isfinite([(w, *s.vector) for w, s in terms]).all():
+        for w, s in summed:
+            acc += w * s.vector
+    if not np.isfinite(acc).all() and all(
+        np.isfinite(w) and np.isfinite(s.vector).all() for w, s in summed
+    ):
         raise OverflowError("a weighted sum of finite coefficients is past the float range")
     exact = min(s.exact_degree for _, s in terms)
     poly = all(s.is_polynomial for _, s in terms)
@@ -869,7 +871,8 @@ def translate_rows(
         raise OverflowError("a shift power is past the float range")
     # an all-zero shift's row is f's coefficients: in float64, those times 1
     # of block[0], the zero order's row
-    out[[not any(s) for s in shifts]] = block[0] if real else coefficient_vector(f, degree)
+    zero = [not any(s) for s in shifts]
+    out[zero] = block[0] if real else coefficient_vector(f, degree)
     bad = ~np.isfinite(out)
     if bad.any() and np.isfinite(block[:, bad.any(axis=0)]).all(axis=0).any():
         raise OverflowError("a translate coefficient is past the float range")
@@ -905,7 +908,7 @@ def evaluate(f: TruncatedSeries, point: Sequence[complex]) -> complex:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         monomials = np.prod(point ** _layout(f.dim, f.cutoff).exponents[nonzero], axis=1)
         value = complex(f.vector[nonzero] @ monomials)
-    if not np.isfinite(value) and np.isfinite([*point, *f.vector]).all():
+    if not np.isfinite(value) and np.isfinite(point).all() and np.isfinite(f.vector).all():
         raise OverflowError("a monomial or the sum of the value is past the float range")
     return value
 

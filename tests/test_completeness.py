@@ -975,14 +975,22 @@ def test_real_data_at_or_above_the_gate_is_decomposed_in_real_arithmetic(monkeyp
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     f = eo.TruncatedSeries(1, cols - 1, cols - 1, True, rng.uniform(-1, 1, cols))
     samples = [(s,) for s in rng.uniform(-1, 1, rows).tolist()]
-    spans = recorded_spans(monkeypatch)
-    sv = eo.rank_report(eo.translate_span(f, cols - 1, samples), 1e-8).singular_values
+    # a signed zero is no imaginary part: in the last shift, or in f's first coefficient
+    signed = samples[:-1] + [(complex(samples[-1][0], -0.0),)]
+    vector = f.vector.copy()
+    vector.imag[0] = -0.0
+    g = eo.TruncatedSeries(1, cols - 1, cols - 1, True, vector)
     # one nonzero imaginary part keeps the complex decomposition
     skewed = samples[:-1] + [(samples[-1][0] + 1e-300j,)]
-    eo.rank_report(eo.translate_span(f, cols - 1, skewed), 1e-8)
+    spans = recorded_spans(monkeypatch)
+    sv = [eo.rank_report(eo.translate_span(h, cols - 1, s), 1e-8).singular_values
+          for h, s in ((f, samples), (f, signed), (g, samples), (f, skewed))]
     monkeypatch.undo()
-    assert [m.dtype for m in spans] == [np.float64 if min(shape) >= GATE else complex, complex]
-    assert same_bits(np.array(sv), numpys(spans[0]))
+    real = np.float64 if min(shape) >= GATE else complex
+    assert [m.dtype for m in spans] == [real, real, real, complex]
+    for values in sv[:3]:
+        assert same_bits(np.array(values), numpys(spans[0]))
+    assert same_bits(np.array(sv[3]), numpys(spans[3]))
 
 
 def test_singular_values_of_a_zero_matrix_are_numpys(monkeypatch):

@@ -775,8 +775,9 @@ def test_a_weighted_sum_past_the_float_range_raises_without_a_warning():
     message = "a weighted sum of finite coefficients is past the float range"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # a product past the range, then a sum of two finite products past it
-        for terms in ([(1e300, f), (1e300, f)], [(1, g), (1, g)]):
+        # a product past the range, then a sum of two finite products past it,
+        # then that sum beside an inf term of weight 0, which is not summed
+        for terms in ([(1e300, f), (1e300, f)], [(1, g), (1, g)], [(0, h), (1, g), (1, g)]):
             with pytest.raises(OverflowError, match=message):
                 eo.linear_combine(terms)
         # inf data carries, to the NaN of orbit.measure_visits' weighted sums
