@@ -51,9 +51,25 @@ coefficients, and a translate span's shifts) is real is float64 from the
 gather to the SVD, at a third to a half of the complex SVD's cost; its
 singular values equal the complex ones to within about 1e-15 of the
 largest, though not bit for bit.  Any other span is complex128, and
-``rank_report`` decomposes every span as it was built.  The gate keeps the
-bundled spans (at most 21 x 15) complex, as their pinned reports are: in
-float64 each would print other last digits in ``diagnostics``.
+``rank_report`` decomposes every span in the dtype it was built in.  The
+gate keeps the bundled spans (at most 21 x 15) complex, as their pinned
+reports are: in float64 each would print other last digits in
+``diagnostics``.
+
+The same gate decides how a span is decomposed.  Below it, the normalized
+span goes to LAPACK whole.  At or above it, ``rank_report`` splits it by
+its nonzero pattern: the connected components of the bipartite graph of
+its nonzero cells (a signed zero is zero) are the blocks of a permutation
+of its rows and columns, and its singular values are exactly the union of
+the blocks' (Golub & Van Loan, *Matrix Computations*, 2.4).  Each block is
+decomposed alone, the values are merged in descending order and padded
+with +0.0 up to ``min(m, n)`` for the zero rows and columns.  A span of one
+block of every row and column, such as a translate span, is decomposed
+whole, with the bits of the whole-matrix SVD.  Cell (n, m) of a derivative
+span is a weight times f_(n+m), so an even generator such as the Gaussian
+gives one block per parity class of n, 2^d of them: the 286 x 286 span of
+d=3 N=10 is eight blocks of at most 56 x 56.  The values agree with the
+whole-matrix SVD's to about 1e-15 of the largest, not bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +91,7 @@ from .series import (
     _layout,
     _one_blas_thread,
     _positions,
+    _REAL_MIN_SIDE,
     _real_span,
     _size,
     coefficient_vector,
@@ -310,13 +327,63 @@ def sample_box(
     return [tuple([low + width * next(u) for _ in range(dim)]) for _ in range(count)]
 
 
+def _blocks(nonzero: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected blocks of a pattern: (rows, columns) of each, ascending.
+
+    A block is a connected component of the bipartite graph whose edges are
+    the True cells of ``nonzero``; a zero row or column is in none.  From
+    the first row not yet placed, its columns' rows and their columns are
+    read again until the columns stop growing.  Once every column is
+    reached, every nonzero row is in the block, so a dense pattern costs
+    one step; a block reached in many steps (a path) costs a read each.
+    """
+    live = nonzero.any(axis=1)
+    seen = ~live
+    blocks = []
+    while not seen.all():
+        cols = nonzero[seen.argmin()]
+        while True:
+            rows = live if cols.all() else nonzero[:, cols].any(axis=1)
+            reach = nonzero[rows].any(axis=0)
+            if (reach == cols).all():
+                break
+            cols = reach
+        seen |= rows
+        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return blocks
+
+
+def _block_singular_values(m: np.ndarray) -> np.ndarray:
+    """numpy's singular values of m, descending, one SVD per connected block.
+
+    Below the gate (a short side under ``_REAL_MIN_SIDE``), or when one
+    block holds every row and column, m is decomposed whole.  Otherwise
+    each block of its nonzero pattern (``_blocks``; a signed zero is zero)
+    is decomposed alone, and the values are merged, padded with +0.0 to
+    ``min(m.shape)`` for the zero rows and columns.
+    """
+    if min(m.shape) < _REAL_MIN_SIDE:
+        return np.linalg.svd(m, compute_uv=False)
+    blocks = _blocks(m != 0)
+    if len(blocks) == 1 and (len(blocks[0][0]), len(blocks[0][1])) == m.shape:
+        return np.linalg.svd(m, compute_uv=False)
+    parts = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in blocks]
+    pad = min(m.shape) - sum(len(p) for p in parts)
+    return np.sort(np.concatenate([*parts, np.zeros(pad)]))[::-1]
+
+
 def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
     """Numerical rank of the (row-normalized) span matrix via SVD.
 
     rank = number of singular values above tolerance * largest; the full
-    spectrum is returned as diagnostics.  Deterministic for fixed input on
-    the same numpy and BLAS build (see the module docstring).  A span with
-    an entry of non-finite modulus is refused with ValueError.
+    spectrum of ``min(m, n)`` values is returned as diagnostics.  A span
+    whose short side is at least the gate (``series._REAL_MIN_SIDE``, 64)
+    is decomposed one connected block of its nonzero pattern at a time, all
+    on one BLAS thread, the values merged in descending order and padded
+    with +0.0 for its zero rows and columns; a smaller span, or one block
+    of every row and column, is decomposed whole.  Deterministic for fixed
+    input on the same numpy and BLAS build (see the module docstring).  A
+    span with an entry of non-finite modulus is refused with ValueError.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -328,7 +395,7 @@ def rank_report(span: SpanMatrix, tolerance: float) -> CompletenessReport:
         raise ValueError("span matrix has an entry of non-finite modulus")
     peak[peak == 0] = 1.0  # zero rows stay as they are
     with _one_blas_thread:
-        sv = np.linalg.svd(span.matrix * (1 / peak)[:, None], compute_uv=False)
+        sv = _block_singular_values(span.matrix * (1 / peak)[:, None])
     rank = int(np.count_nonzero(sv > tolerance * sv[0]))  # 0 for a zero matrix
     ambient = span.matrix.shape[1]
     return CompletenessReport(

@@ -50,6 +50,7 @@ from .series import (
     TruncatedSeries,
     _checked_axis,
     _checked_index,
+    _checked_sum,
     _size,
     derivative_rows,
     seminorm_rows,
@@ -207,13 +208,17 @@ def _realized_rows(
 
     f must be the generator solved out to at least ``degree`` plus the
     highest label order.  One ``derivative_rows`` call gathers every label,
-    and each row adds its terms in label order as ``linear_combine`` does.
+    and each row adds its terms in label order as ``linear_combine`` does,
+    under its overflow rule (``series._checked_sum``).
     """
-    gathered = iter(derivative_rows(f, [n for table in tables for n in table], degree))
+    gathered = derivative_rows(f, [n for table in tables for n in table], degree)
+    parts = iter(gathered)
     acc = np.zeros((len(tables), _size(f.dim, degree)), dtype=complex)
-    for row, table in zip(acc, tables):
-        for c, part in zip(table.values(), gathered):
-            row += c * part
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for row, table in zip(acc, tables):
+            for c, part in zip(table.values(), parts):
+                row += c * part
+    _checked_sum(acc, gathered, [c for table in tables for c in table.values()])
     return acc
 
 

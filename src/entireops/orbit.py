@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import CROperator, apply_weyl
-from .series import SemiNormSpec, TruncatedSeries, _checked_bytes, coefficient_vector, seminorm_rows
+from .series import (
+    SemiNormSpec,
+    TruncatedSeries,
+    _checked_bytes,
+    _checked_sum,
+    coefficient_vector,
+    seminorm_rows,
+)
 
 
 class VisitReport(NamedTuple):
@@ -95,11 +102,15 @@ def measure_visits(
     # temporaries of seminorm_rows: 48 bytes a cell
     _checked_bytes(48 * len(iterates) * len(first.vector),
                    f"the distances of {len(iterates)} iterates")
-    # the weighted sums of linear_combine: an infinite entry gives the same
-    # NaN as iterate - target does there, where a plain subtraction keeps inf
+    # the weighted sums of linear_combine, under its overflow rule: an
+    # infinite entry gives the same NaN as iterate - target does there,
+    # where a plain subtraction keeps inf
+    shifted = coefficient_vector(target, first.cutoff)
     block = np.zeros((len(iterates), len(first.vector)), dtype=complex)
-    block += (1 + 0j) * np.stack([it.vector for it in iterates])
-    block += (-1 + 0j) * coefficient_vector(target, first.cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        block += (1 + 0j) * np.stack([it.vector for it in iterates])
+        block += (-1 + 0j) * shifted
+    _checked_sum(block, shifted, *(it.vector for it in iterates))
     distances = tuple(seminorm_rows(first.dim, first.cutoff, block, spec).tolist())
     hits = tuple(k for k, dist in enumerate(distances) if dist < delta)
     steps = len(iterates) - 1

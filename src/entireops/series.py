@@ -454,6 +454,16 @@ def monomial(
     return make_series(dim, cutoff, [(idx, coeff)], is_polynomial=True)
 
 
+def _checked_sum(acc: np.ndarray, *data) -> None:
+    """The overflow rule of a weighted sum ``acc`` of ``data`` (weights and coefficients).
+
+    A non-finite entry of ``acc`` when every entry of ``data`` is finite
+    raises OverflowError; an inf or NaN in ``data`` carries into ``acc``.
+    """
+    if not np.isfinite(acc).all() and all(np.isfinite(d).all() for d in data):
+        raise OverflowError("a weighted sum of finite coefficients is past the float range")
+
+
 def linear_combine(
     terms: Iterable[tuple[complex, TruncatedSeries]]
 ) -> TruncatedSeries:
@@ -478,10 +488,7 @@ def linear_combine(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for w, s in summed:
             acc += w * s.vector
-    if not np.isfinite(acc).all() and all(
-        np.isfinite(w) and np.isfinite(s.vector).all() for w, s in summed
-    ):
-        raise OverflowError("a weighted sum of finite coefficients is past the float range")
+    _checked_sum(acc, [w for w, _ in summed], *(s.vector for _, s in summed))
     exact = min(s.exact_degree for _, s in terms)
     poly = all(s.is_polynomial for _, s in terms)
     return TruncatedSeries(dim, cutoff, exact, poly, acc)

@@ -523,17 +523,16 @@ NORMALIZED = {
 
 @pytest.mark.parametrize("name", NORMALIZED)
 def test_rank_report_normalizes_with_the_bits_of_a_complex_division(monkeypatch, name):
-    # each row times 1 / peak: a complex division by peak + 0j, real part kept for float64
+    # each LAPACK input is the reference normalization, or a block of it
     span = NORMALIZED[name]()
     spans = recorded_spans(monkeypatch)
     eo.rank_report(span, 1e-8)
     peak = np.abs(span.matrix).max(axis=1)
-    want = span.matrix.astype(complex)
-    np.divide(want, peak[:, None] + 0j, out=want, where=(peak > 0)[:, None])
-    if span.matrix.dtype == np.float64:
-        want = np.ascontiguousarray(want.real)
     assert not peak.all() if "zero" in name else peak.all()
-    assert spans[0].dtype == want.dtype and spans[0].tobytes() == want.tobytes()
+    want = lapack_inputs(normalized(span))
+    assert len(spans) == len(want)
+    for got, block in zip(spans, want):
+        assert got.dtype == block.dtype and got.tobytes() == block.tobytes()
 
 
 CELLS = [math.inf, -math.inf, math.nan, complex(0, math.inf), complex(1.5e308, -1.5e308)]
@@ -830,15 +829,18 @@ def counting_threads(monkeypatch, get, name: str) -> list[int]:
 
 
 def test_lapack_calls_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_threads):
-    # the 165 x 165 span is decomposed in real arithmetic, the 15 x 15 one as it is
+    # the 165 x 165 span is decomposed by its 8 parity blocks, the 15 x 15 one whole
     svd_threads = counting_threads(monkeypatch, blas_threads, "svd")
     lstsq_threads = counting_threads(monkeypatch, blas_threads, "lstsq")
-    eo.rank_report(gaussian_span_3d(), 1e-8)
-    eo.rank_report(gaussian_span_2d(), 1e-8)
+    spans = gaussian_span_3d(), gaussian_span_2d()
+    reports = [eo.rank_report(span, 1e-8) for span in spans]
     f = eo.solve_kernel_axis(gaussian_problem(), 6)
     eo.approximate_target(f, eo.monomial(1, 3, (1,)), 3, 3)
-    assert (svd_threads, lstsq_threads) == ([1, 1], [1])
+    assert (svd_threads, lstsq_threads) == ([1] * 9, [1])
     assert blas_threads() == 2
+    monkeypatch.undo()
+    for span, report in zip(spans, reports):
+        assert same_bits(np.array(report.singular_values), block_values(normalized(span)))
 
 
 def test_a_raising_lapack_call_restores_the_thread_count(monkeypatch, blas_threads):
@@ -901,16 +903,17 @@ def test_overlapping_threads_leave_the_count_unchanged(monkeypatch, blas_threads
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [want] * 60
-    assert svd_threads == [1] * 60
+    assert svd_threads == [1] * 60 * 8  # one call a parity block
     assert blas_threads() == 2
+    monkeypatch.undo()
+    assert same_bits(np.array(want.singular_values), block_values(normalized(span)))
 
 
 def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
     monkeypatch.setattr(series, "_openblas_thread_calls", lambda: None)
-    span = gaussian_span_3d()  # float64: normalized with the bits of a complex division
-    m = span.matrix / (np.abs(span.matrix).max(axis=1) + 0j)[:, None]
-    sv = np.linalg.svd(m.real, compute_uv=False)
-    assert eo.rank_report(span, 1e-8).singular_values == tuple(float(s) for s in sv)
+    span = gaussian_span_3d()  # float64, 8 parity blocks, each decomposed unpinned
+    sv = eo.rank_report(span, 1e-8).singular_values
+    assert same_bits(np.array(sv), block_values(normalized(span)))
     f = eo.joint_kernel([gaussian_problem(), gaussian_problem()], 12)
     target = eo.monomial(2, 6, (1, 2))
     c = np.linalg.lstsq(
@@ -921,7 +924,8 @@ def test_without_an_openblas_setter_the_calls_run_unpinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the SVD: each span is decomposed as it was built
+# the SVD: each span is decomposed as it was built, block by block at or
+# above the gate
 # ---------------------------------------------------------------------------
 
 
@@ -929,6 +933,65 @@ def numpys(m: np.ndarray) -> np.ndarray:
     """numpy's singular values of m on one BLAS thread, as ``rank_report`` runs."""
     with series._one_blas_thread:
         return np.linalg.svd(m, compute_uv=False)
+
+
+def normalized(span: eo.SpanMatrix) -> np.ndarray:
+    """The reference normalization: each row divided by its peak as by peak + 0j.
+
+    The real part is kept for a float64 span; a zero row stays as it is.
+    """
+    peak = np.abs(span.matrix).max(axis=1)
+    want = span.matrix.astype(complex)
+    np.divide(want, peak[:, None] + 0j, out=want, where=(peak > 0)[:, None])
+    return np.ascontiguousarray(want.real) if span.matrix.dtype == np.float64 else want
+
+
+def reference_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each connected block of m's nonzero cells, ascending.
+
+    Found by union-find over the cells; blocks are ordered by their first row.
+    """
+    count = m.shape[0]
+    parent = list(range(count + m.shape[1]))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    rows, cols = (a.tolist() for a in np.nonzero(m))
+    for i, j in zip(rows, cols):
+        parent[root(i)] = root(count + j)
+    groups: dict[int, tuple[set, set]] = {}
+    for i, j in zip(rows, cols):
+        r, c = groups.setdefault(root(i), (set(), set()))
+        r.add(i)
+        c.add(j)
+    return [(np.array(sorted(r)), np.array(sorted(c)))
+            for r, c in sorted(groups.values(), key=lambda g: min(g[0]))]
+
+
+def lapack_inputs(m: np.ndarray) -> list[np.ndarray]:
+    """What the block rule hands LAPACK for a normalized span m.
+
+    m whole below the gate or when one block holds every row and column,
+    else each block, its rows and columns ascending; nothing for m = 0.
+    """
+    blocks = reference_blocks(m)
+    if min(m.shape) < GATE or [(len(r), len(c)) for r, c in blocks] == [m.shape]:
+        return [m]
+    return [m[np.ix_(r, c)] for r, c in blocks]
+
+
+def merged(parts: list[np.ndarray], count: int) -> np.ndarray:
+    """The descending merge of the parts' values, padded with +0.0 to count."""
+    values = sorted((v for p in parts for v in p.tolist()), reverse=True)
+    return np.array(values + [0.0] * (count - len(values)))
+
+
+def block_values(m: np.ndarray) -> np.ndarray:
+    """The singular values the block rule gives for a normalized span m."""
+    return merged([numpys(b) for b in lapack_inputs(m)], min(m.shape))
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -994,11 +1057,12 @@ def test_real_data_at_or_above_the_gate_is_decomposed_in_real_arithmetic(monkeyp
 
 
 def test_singular_values_of_a_zero_matrix_are_numpys(monkeypatch):
+    # no block: every value is the padding, +0.0 as numpy's, with no LAPACK call
     span = eo.derivative_span(eo.zero_series(1, 2 * GATE + 10), GATE + 5, GATE + 5)
     spans = recorded_spans(monkeypatch)
     report = eo.rank_report(span, 1e-8)
     monkeypatch.undo()
-    assert report.rank == 0 and spans[0].dtype == np.float64
+    assert report.rank == 0 and span.matrix.dtype == np.float64 and spans == []
     assert same_bits(np.array(report.singular_values), numpys(np.zeros((GATE + 6, GATE + 6))))
 
 
@@ -1043,18 +1107,22 @@ def test_a_real_translate_span_gives_a_zero_shift_f_s_coefficients_without_a_war
 def test_singular_values_are_numpys_bit_for_bit_on_every_benchmark_and_bundled_span(
     monkeypatch, tmp_path
 ):
-    spans, reports = recorded_spans(monkeypatch), []
+    inputs, calls = recorded_spans(monkeypatch), []
 
-    def reported(*args):
-        reports.append(completeness.rank_report(*args))
-        return reports[-1]
+    def reported(span, tolerance):
+        before = len(inputs)
+        report = completeness.rank_report(span, tolerance)
+        calls.append((normalized(span), inputs[before:], report))
+        return report
 
     monkeypatch.setattr(cli, "rank_report", reported)
     for source in cli.BUNDLED:
         cli.execute_tasks(cli.load_scenario(source))
-    bundled = len(spans)
+    bundled = len(calls)
     for _, source in workloads.write_inputs("span", 0, tmp_path):
         cli.execute_tasks(cli.load_scenario(source))
+    monkeypatch.undo()
+    spans = [m for m, _, _ in calls]
     # every span has real data; each bundled one is below the gate and
     # complex, and the span workload's 5 at or above it are float64 as built
     assert not any(m.imag.any() for m in spans if m.dtype == complex)
@@ -1062,10 +1130,82 @@ def test_singular_values_are_numpys_bit_for_bit_on_every_benchmark_and_bundled_s
     assert large[:bundled] == [False] * bundled
     assert large[bundled:].count(True) == 5
     assert [m.dtype == np.float64 for m in spans] == large
-    monkeypatch.undo()
-    assert len(reports) == len(spans)
-    for m, report in zip(spans, reports):
-        sv = numpys(m)
-        assert same_bits(np.array(report.singular_values), sv)
-        if m.dtype == np.float64:  # within 1e-14 of the largest of the complex SVD's
+    # the translate span is one block; each derivative span one a parity class
+    assert sorted(len(blocks) for m, blocks, _ in calls if min(m.shape) >= GATE) == [1, 4, 4, 8, 8]
+    for m, blocks, report in calls:
+        want = lapack_inputs(m)  # equal to the inputs but for the sign of a zero
+        assert len(blocks) == len(want)
+        assert all(got.dtype == b.dtype and np.array_equal(got, b) for got, b in zip(blocks, want))
+        sv = np.array(report.singular_values)
+        assert same_bits(sv, merged([numpys(b) for b in blocks], min(m.shape)))
+        whole = numpys(m)  # within 1e-14 of the largest of the whole-matrix SVD's
+        assert np.abs(sv - whole).max() <= 1e-14 * whole[0]
+        if m.dtype == np.float64:  # and of the complex SVD's
             assert np.abs(sv - numpys(m + 0j)).max() <= 1e-14 * sv[0]
+
+
+@st.composite
+def block_diagonal(draw):
+    """A span of 1-6 dense blocks and some zero rows and columns, shuffled.
+
+    Real or complex; a block may be of low rank, or a staircase whose rows
+    each meet the next one's first column, so that it is connected but
+    reached row by row.  Zero cells may be signed zeros.  Each side is at
+    least the gate.  Returns the matrix and each block's (rows, columns) in
+    it, ascending.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from((np.float64, complex)))
+    sides = draw(st.lists(st.tuples(st.integers(1, 48), st.integers(1, 48)), min_size=1, max_size=6))
+    shape = [max(GATE, sum(s[k] for s in sides) + draw(st.integers(0, 4))) for k in (0, 1)]
+    zero = -0.0 if draw(st.booleans()) else 0.0
+    m = np.full(shape, zero, dtype=dtype)
+
+    def normal(*size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if dtype == complex else x
+
+    row_order, col_order = rng.permutation(shape[0]), rng.permutation(shape[1])
+    blocks, r0, c0 = [], 0, 0
+    for rows, cols in sides:
+        rank = draw(st.integers(1, min(rows, cols)))
+        block = normal(rows, cols) if rank == min(rows, cols) else normal(rows, rank) @ normal(rank, cols)
+        if draw(st.booleans()):
+            first = [i * (cols - 1) // max(rows - 1, 1) for i in range(rows)] + [cols - 1]
+            stair = [[first[i] <= j <= first[i + 1] for j in range(cols)] for i in range(rows)]
+            block = np.where(stair, block, zero)
+        r, c = np.sort(row_order[r0:r0 + rows]), np.sort(col_order[c0:c0 + cols])
+        m[np.ix_(r, c)] = block
+        blocks.append((r, c))
+        r0, c0 = r0 + rows, c0 + cols
+    return m, blocks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(block_diagonal())
+def test_a_span_at_or_above_the_gate_is_decomposed_block_by_block(case):
+    m, blocks = case
+    span = span_of(m)
+    report = eo.rank_report(span, 1e-8)
+    sv = np.array(report.singular_values)
+    want = normalized(span)
+    assert len(sv) == min(m.shape)
+    assert same_bits(sv, merged([numpys(want[np.ix_(r, c)]) for r, c in blocks], min(m.shape)))
+    whole = numpys(want)
+    assert report.rank == np.count_nonzero(whole > 1e-8 * whole[0])
+    assert np.abs(sv - whole).max() <= 1e-14 * whole[0]
+
+
+def test_a_block_structured_span_below_the_gate_is_decomposed_whole(monkeypatch):
+    # the d=2 N=4 span has 4 parity blocks; a block-diagonal span of side GATE - 1 has 2
+    rng = np.random.default_rng(7)
+    diagonal = np.zeros((GATE - 1, GATE - 1))
+    diagonal[:20, :20], diagonal[20:, 20:] = rng.standard_normal((20, 20)), rng.standard_normal((GATE - 21,) * 2)
+    for span in (gaussian_span_2d(), span_of(diagonal)):
+        assert len(reference_blocks(span.matrix)) > 1
+        spans = recorded_spans(monkeypatch)
+        sv = eo.rank_report(span, 1e-8).singular_values
+        monkeypatch.undo()
+        want = normalized(span)
+        assert len(spans) == 1 and same_bits(spans[0], want)
+        assert same_bits(np.array(sv), numpys(want))

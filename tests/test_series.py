@@ -803,6 +803,10 @@ def _overflow_cases() -> dict:
     rows = np.array([[1e300, 0, 1e300]])
     wide_disc, unit_disc = eo.SemiNormSpec(1, 1e200), eo.SemiNormSpec(1, 1.0)
     span = eo.derivative_span(inf, 5, 5)
+    ladder = eo.LadderVector([gaussian_problem()], {(10,): 1e307})
+    shift = eo.CROperator(1, 1, 1.0, eo.ConvolutionSymbol(1, {(1,): 1.0}))
+    orbit = eo.iterate_orbit(shift, eo.make_series(1, 6, {(0,): -1e308}, True), 2)
+    far, inf_target = (eo.make_series(1, 6, {(0,): c}, True) for c in (1e308, math.inf))
     return {
         "differentiate": (lambda: eo.differentiate(big, (5,)), OverflowError),
         "differentiate inf": (lambda: eo.differentiate(inf, (5,)), None),
@@ -820,6 +824,9 @@ def _overflow_cases() -> dict:
         "derivative_span": (lambda: eo.derivative_span(big, 5, 5), OverflowError),
         "derivative_span inf": (lambda: eo.derivative_span(inf, 5, 5), None),
         "rank_report inf": (lambda: eo.rank_report(span, 1e-8), ValueError),
+        "realize": (lambda: eo.realize(ladder, 4), OverflowError),
+        "measure_visits": (lambda: eo.measure_visits(orbit, far, 0.5, unit_disc), OverflowError),
+        "measure_visits inf": (lambda: eo.measure_visits(orbit, inf_target, 0.5, unit_disc), None),
         "seminorm_rows power": (lambda: seminorm_rows(1, 2, rows, wide_disc), OverflowError),
         "seminorm_rows sum": (lambda: seminorm_rows(1, 2, rows * 1e8, unit_disc), OverflowError),
     }
